@@ -28,6 +28,7 @@ from .matching import (
     RowDistribution,
     TooLarge,
     birkhoff_decompose,
+    birkhoff_terms,
     build_fractional_matching,
     cut_check_bruteforce,
     normalize_row,

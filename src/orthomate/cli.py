@@ -16,7 +16,7 @@ import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
@@ -53,7 +53,9 @@ class TrialRecord:
     m: int
     epsilon: float
     algorithm: str
-    outcome: str  # success | gamma_exit | infeasible_row | baseline_failure
+    # success | gamma_exit | infeasible_row | baseline_failure
+    # | verification_failed
+    outcome: str
     exit_time: object
     detail: str
     eta_max_used: float
@@ -71,18 +73,20 @@ def _read_rectangle(path: str) -> LatinRectangle:
 
 
 def _config_from_args(args) -> ProcessConfig:
+    """The --config file with flag overrides; ValueError on a bad value."""
     if getattr(args, "config", None):
         with open(args.config) as fh:
             cfg = ProcessConfig.from_json(json.load(fh))
     else:
         cfg = ProcessConfig()
+    overrides = {}
     if getattr(args, "eta_initial", None) is not None:
-        cfg.eta_initial = args.eta_initial
+        overrides["eta_initial"] = args.eta_initial
     if getattr(args, "eta_max", None) is not None:
-        cfg.eta_max = args.eta_max
+        overrides["eta_max"] = args.eta_max
     if getattr(args, "exact", False):
-        cfg.arithmetic = "exact"
-    return cfg
+        overrides["arithmetic"] = "exact"
+    return replace(cfg, **overrides)  # re-runs the validation
 
 
 def cmd_gen(args) -> int:
@@ -191,6 +195,10 @@ def cmd_verify(args) -> int:
     return 0
 
 
+def _is_mate(L: LatinRectangle, J: LatinRectangle) -> bool:
+    return verify_latin(L).ok and verify_orthogonal(L, J).ok
+
+
 def run_single_trial(packed) -> TrialRecord:
     """One trial; module-level so process pools can pickle it."""
     (trial, seed, n, m, epsilon, algorithm, cfg_json) = packed
@@ -215,12 +223,13 @@ def run_single_trial(packed) -> TrialRecord:
             c_dev = summ.c_rel_dev_max
             p_max = summ.p_max
             kills_max = summ.kills_line_max
-        if res.success:
-            assert verify_orthogonal(res.rectangle, J).ok
+        if res.success and not _is_mate(res.rectangle, J):
+            outcome_kind = "verification_failed"
     elif algorithm == "hall":
         try:
             mate = hall_greedy(J, rng=np.random.default_rng(seed))
-            assert verify_orthogonal(mate, J).ok
+            if not _is_mate(mate, J):
+                outcome_kind = "verification_failed"
         except NoPerfectMatching as exc:
             outcome_kind, detail = "baseline_failure", str(exc)
     else:
@@ -238,6 +247,9 @@ def run_single_trial(packed) -> TrialRecord:
 def cmd_trials(args) -> int:
     if args.count < 1:
         print("error: --count must be >= 1", file=sys.stderr)
+        return 1
+    if args.jobs < 1:
+        print("error: --jobs must be >= 1", file=sys.stderr)
         return 1
     n = args.n
     m = args.m if args.m is not None else round((1.0 - args.epsilon) * n)
@@ -269,6 +281,11 @@ def cmd_trials(args) -> int:
     successes = sum(1 for r in records if r.outcome == "success")
     print(f"success fraction: {successes / len(records):.4f} "
           f"({successes}/{len(records)})")
+    unverified = [r.trial for r in records if r.outcome == "verification_failed"]
+    if unverified:
+        print(f"error: mates of trials {unverified} failed re-verification",
+              file=sys.stderr)
+        return 2
     return 0
 
 

@@ -8,9 +8,11 @@ Given the guidance state restricted to one row, the pipeline is:
                      max flow with middle capacities (1 + eta) * d(k, g);
                      eta starts at 4 * sqrt(log n / sqrt n) and doubles until
                      the flow saturates or eta_max is reached
-  birkhoff_decompose / sample_matching
-                  -> express q as a convex combination of permutations and
-                     draw one with the convex coefficients as probabilities
+  birkhoff_terms  -> express q as a convex combination of permutations by a
+                     threshold-greedy elimination walk; birkhoff_decompose
+                     collects every term, sample_matching_lazy stops at the
+                     term a uniform draw selects, so both share one
+                     elimination order in float and in Fraction arithmetic
 
 cut_check_bruteforce is the independent oracle for the flow step: it tests
 the cut inequality  2n - |A| - |B| + (1 + eta) * sum_{g in A, k in B} d(k, g)
@@ -34,13 +36,6 @@ import numpy as np
 from .core import OrthomateError
 from . import maxflow
 from .bipartite import perfect_matching_on_mask, perfect_matching_scipy
-
-try:
-    import scipy.sparse  # noqa: F401
-
-    HAVE_SCIPY = True
-except ImportError:  # pragma: no cover
-    HAVE_SCIPY = False
 
 #: instance size above which the float flow path uses the scipy solver
 SCIPY_FLOW_MIN_N = 24
@@ -250,7 +245,7 @@ def _solve_caps(caps, backend: str = "auto",
         return None
     caps_arr = caps_arr.astype(np.float64)
     use_scipy = backend == "scipy" or (
-        backend == "auto" and HAVE_SCIPY and n >= SCIPY_FLOW_MIN_N
+        backend == "auto" and n >= SCIPY_FLOW_MIN_N
     )
     if use_scipy:
         status, q = maxflow.scipy_transport(caps_arr)
@@ -346,67 +341,95 @@ def build_fractional_matching(d, eta_policy: str = "doubling",
     return FractionalMatching(q), hi
 
 
-def _as_support(Q, zero_tol):
-    if Q.dtype == object:
-        return np.vectorize(lambda v: v > 0)(Q)
-    return Q > zero_tol
+def birkhoff_terms(q, zero_tol: Optional[float] = None):
+    """Yield the (coefficient, permutation) terms of a Birkhoff decomposition.
 
+    The single elimination walk behind birkhoff_decompose and
+    sample_matching_lazy.  Each term is a perfect matching on the entries at
+    or above a halving threshold (the full positive support once the
+    threshold passes the smallest entry), so early terms carry large
+    coefficients; its coefficient is the smallest matched entry, which is
+    then subtracted.  Support matchings come from scipy's Hopcroft-Karp for
+    n >= 16 and from the pure solver's fixed vertex order below that; both
+    are deterministic, so the walk is reproducible.
 
-def birkhoff_decompose(q, zero_tol: float = ZERO_TOL,
-                       ds_tol: float = 1e-6) -> BirkhoffDecomposition:
-    """Greedy Birkhoff decomposition by repeated min-entry matching removal.
-
-    Support matchings are found by augmenting paths with deterministic
-    vertex order, so the decomposition is reproducible.  Entries below
-    zero_tol are truncated first; with float input the loop stops once the
-    residual mass per row drops below 1e-10 and folds the dust into the last
-    coefficient, keeping the coefficient sum at 1 exactly.
+    q may hold float64 or Fraction entries.  zero_tol defaults to ZERO_TOL
+    for floats and 0 for Fractions; entries below it are truncated to zero.
+    The walk ends when the coefficients sum to 1 (within 1e-12 for floats)
+    or, for floats, when no support matching is left and the residual mass
+    is float dust below 1e-9.
 
     Raises:
         NoSupportMatching: the positive support has no perfect matching.
     """
     q_arr = q.q if isinstance(q, FractionalMatching) else q
     Q = np.array(q_arr, copy=True)
-    n = Q.shape[0]
     exact = Q.dtype == object
     if not exact:
         Q = Q.astype(np.float64)
-        row_err = np.abs(Q.sum(axis=1) - 1.0).max()
-        col_err = np.abs(Q.sum(axis=0) - 1.0).max()
-        if max(row_err, col_err) > ds_tol:
-            raise ValueError(
-                f"input not doubly stochastic within {ds_tol:g} "
-                f"(row err {row_err:.2e}, col err {col_err:.2e})"
-            )
-        Q[Q < zero_tol] = 0.0
+    if zero_tol is None:
+        zero_tol = 0 if exact else ZERO_TOL
+    stop_tol, dust_tol = (0, 0) if exact else (1e-12, 1e-9)
+    n = Q.shape[0]
+    Q[Q < zero_tol] = 0
     cols = np.arange(n)
-    terms = []
-    remaining = Fraction(1) if exact else 1.0
-    stop_tol = 0 if exact else 1e-10
-    max_terms = n * n + 2  # loop guard; the greedy bound is n^2 - 2n + 2
-    while remaining > stop_tol:
-        if len(terms) > max_terms:
-            raise NoSupportMatching(
-                "decomposition failed to terminate; residual mass "
-                f"{float(remaining):.3e}"
-            )
-        support = _as_support(Q, zero_tol)
-        match = perfect_matching_on_mask(support)
+    find = perfect_matching_scipy if n >= 16 else perfect_matching_on_mask
+    acc = 0
+    walked = False
+    theta = Q.max() / 2
+    for _ in range(n * n + 2 * n + 80):
+        support = Q > 0
+        mask = support if theta <= zero_tol else (Q >= theta)
+        match = find(mask)
         if match is None:
-            raise NoSupportMatching(
-                f"support violates Hall with residual mass {float(remaining):.3e}"
-            )
+            if theta <= zero_tol:
+                if walked and 1 - acc <= dust_tol:
+                    return
+                raise NoSupportMatching(
+                    f"support violates Hall at residual mass {float(1 - acc):.3e}"
+                )
+            pos = Q[support]
+            theta = theta / 2
+            if pos.size == 0 or theta < pos.min():
+                theta = 0  # next mask is the full support
+            continue
         c = Q[cols, match].min()
-        c = min(c, remaining)
-        terms.append((c, match))
+        acc += c
+        walked = True
+        yield c, match
+        if 1 - acc <= stop_tol:
+            return
         Q[cols, match] -= c
-        if not exact:
-            Q[Q < zero_tol] = 0.0
-        remaining = remaining - c
-    if not exact and remaining > 0 and terms:
-        c_last, m_last = terms[-1]
-        terms[-1] = (c_last + remaining, m_last)
-    return BirkhoffDecomposition(tuple(terms), n)
+        Q[Q < zero_tol] = 0
+    raise NoSupportMatching("Birkhoff walk failed to terminate")
+
+
+def birkhoff_decompose(q, zero_tol: Optional[float] = None,
+                       ds_tol: float = 1e-6) -> BirkhoffDecomposition:
+    """All terms of the birkhoff_terms walk as a BirkhoffDecomposition.
+
+    The float dust left when the walk ends is added to the last
+    coefficient, so the coefficients sum to 1.
+
+    Raises:
+        ValueError: a row or column sum differs from 1 by more than ds_tol.
+        NoSupportMatching: the positive support has no perfect matching.
+    """
+    q_arr = q.q if isinstance(q, FractionalMatching) else q
+    Q = np.asarray(q_arr)
+    if Q.dtype != object:
+        Q = Q.astype(np.float64)
+    row_err = np.abs(Q.sum(axis=1) - 1).max()
+    col_err = np.abs(Q.sum(axis=0) - 1).max()
+    if max(row_err, col_err) > ds_tol:
+        raise ValueError(
+            f"input not doubly stochastic within {ds_tol:g} "
+            f"(row err {float(row_err):.2e}, col err {float(col_err):.2e})"
+        )
+    terms = list(birkhoff_terms(Q, zero_tol))
+    c_last, m_last = terms[-1]
+    terms[-1] = (c_last + (1 - sum(c for c, _ in terms)), m_last)
+    return BirkhoffDecomposition(tuple(terms), Q.shape[0])
 
 
 def sample_matching(dec: BirkhoffDecomposition, rng) -> np.ndarray:
@@ -420,47 +443,18 @@ def sample_matching(dec: BirkhoffDecomposition, rng) -> np.ndarray:
     return np.asarray(dec.terms[-1][1])
 
 
-def sample_matching_lazy(q, rng, zero_tol: float = ZERO_TOL) -> np.ndarray:
+def sample_matching_lazy(q, rng, zero_tol: Optional[float] = None) -> np.ndarray:
     """Draw from the Birkhoff distribution without materializing all terms.
 
-    Walks a threshold-greedy elimination (matchings restricted to entries
-    above a halving threshold, so early terms carry large coefficients) and
-    stops at the cumulative coefficient the uniform draw selects.  This
-    samples some valid Birkhoff decomposition of q exactly; only the
-    elimination order differs from birkhoff_decompose.
+    Walks birkhoff_terms only up to the cumulative coefficient the uniform
+    draw selects, so for the same generator state the draw equals
+    sample_matching(birkhoff_decompose(q), rng), which sums the coefficients
+    as floats.
     """
-    q_arr = q.q if isinstance(q, FractionalMatching) else q
-    Q = np.array(q_arr, dtype=np.float64, copy=True)
-    n = Q.shape[0]
-    Q[Q < zero_tol] = 0.0
-    cols = np.arange(n)
-    find = perfect_matching_scipy if HAVE_SCIPY and n >= 16 else \
-        perfect_matching_on_mask
     u = rng.random()
-    acc = 0.0
-    theta = Q.max() / 2.0
-    last = None
-    for _ in range(n * n + 2 * n + 80):
-        support = Q > 0.0
-        mask = support if theta <= zero_tol else (Q >= theta)
-        match = find(mask)
-        if match is None:
-            if theta <= zero_tol:
-                if last is not None and 1.0 - acc <= 1e-9:
-                    return last  # float dust at the tail of the walk
-                raise NoSupportMatching(
-                    f"support violates Hall at residual mass {1.0 - acc:.3e}"
-                )
-            pos = Q[support]
-            theta = theta / 2.0
-            if pos.size == 0 or theta < pos.min():
-                theta = 0.0  # next mask is the full support
-            continue
-        c = Q[cols, match].min()
+    acc = 0
+    for c, match in birkhoff_terms(q, zero_tol):
         acc += c
-        last = match
-        if u < acc or 1.0 - acc <= 1e-12:
+        if u < acc:
             return match
-        Q[cols, match] -= c
-        Q[Q < zero_tol] = 0.0
-    raise NoSupportMatching("sampling walk failed to terminate")
+    return match

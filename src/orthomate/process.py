@@ -30,7 +30,8 @@ thus never appear in a sampled row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+import numbers
+from dataclasses import dataclass, asdict, fields
 from fractions import Fraction
 from typing import Optional
 
@@ -48,14 +49,19 @@ from .matching import (
     DeadSymbol,
     FractionalMatching,
     Infeasible,
-    birkhoff_decompose,
     build_fractional_matching,
     normalize_row,
-    sample_matching,
     sample_matching_lazy,
 )
 
 EXACT_MAX_N = 12
+
+#: allowed values of the ProcessConfig string fields
+CONFIG_CHOICES = {
+    "eta_policy": ("doubling", "fixed"),
+    "arithmetic": ("float64", "exact"),
+    "flow_backend": ("auto", "python", "scipy"),
+}
 
 
 class RowAlreadyColoured(OrthomateError):
@@ -68,7 +74,11 @@ class DegenerateDenominator(OrthomateError):
 
 @dataclass
 class ProcessConfig:
-    """Knobs of the guided process; serializable as JSON."""
+    """Knobs of the guided process; serializable as JSON.
+
+    Raises:
+        ValueError: a field holds a value outside its documented range.
+    """
 
     eta_policy: str = "doubling"
     eta_initial: Optional[float] = None
@@ -79,15 +89,40 @@ class ProcessConfig:
     gamma_c_slack: float = 1.0
     record_trajectory: bool = True
     flow_backend: str = "auto"
-    sampler: str = "auto"  # "lazy" | "eager"; auto = lazy floats, eager exact
-    zero_tol: float = 1e-12
     tracked_lines: int = 64
+
+    def __post_init__(self):
+        for name, allowed in CONFIG_CHOICES.items():
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ValueError(f"{name} must be one of {', '.join(allowed)}; "
+                                 f"got {value!r}")
+        if not (isinstance(self.eta_max, numbers.Real)
+                and 0 < self.eta_max < math.inf):
+            raise ValueError(f"eta_max must be a finite number > 0; "
+                             f"got {self.eta_max!r}")
+        if self.eta_initial is not None and not (
+                isinstance(self.eta_initial, numbers.Real)
+                and 0 <= self.eta_initial < math.inf):
+            raise ValueError(f"eta_initial must be a finite number >= 0 or "
+                             f"null; got {self.eta_initial!r}")
+        if not (isinstance(self.tracked_lines, int)
+                and self.tracked_lines >= 0):
+            raise ValueError(f"tracked_lines must be an integer >= 0; "
+                             f"got {self.tracked_lines!r}")
 
     def to_json(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "ProcessConfig":
+        """Build a config from a JSON object; unknown keys are an error."""
+        if not isinstance(obj, dict):
+            raise ValueError(
+                f"config must be a JSON object; got {type(obj).__name__}")
+        unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
         return cls(**obj)
 
 
@@ -391,12 +426,7 @@ def run_process(J: LatinRectangle, epsilon: Optional[float] = None,
                                      detail=f"flow_infeasible: {exc}")
             break
         etas.append(eta_used)
-        eager = exact or config.sampler == "eager"
-        if eager:
-            dec = birkhoff_decompose(q, zero_tol=0 if exact else config.zero_tol)
-            L_row = sample_matching(dec, rng)
-        else:
-            L_row = sample_matching_lazy(q, rng, zero_tol=config.zero_tol)
+        L_row = sample_matching_lazy(q, rng)
         grid[t] = L_row
         try:
             after = advance_state(state, q, L_row, J)

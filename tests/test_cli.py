@@ -2,7 +2,10 @@
 
 import json
 
+import pytest
+
 from orthomate import parse_rectangle, verify_latin, verify_orthogonal
+from orthomate import cli
 from orthomate.cli import main
 
 
@@ -100,6 +103,31 @@ class TestMate:
         assert main(["mate", "--in", str(jp), "--config", str(cfgp),
                      "--out", str(lp)]) == 0
 
+    @pytest.mark.parametrize("blob, message", [
+        ({"eta_maxx": 8.0}, "eta_maxx"),
+        ({"sampler": "eager"}, "sampler"),
+        ({"zero_tol": 1e-12}, "zero_tol"),
+        ({"arithmetic": "exakt"}, "arithmetic"),
+        ({"flow_backend": "networkx"}, "flow_backend"),
+        ({"eta_policy": "tripling"}, "eta_policy"),
+        ({"eta_max": 0}, "eta_max"),
+        ({"eta_initial": -0.5}, "eta_initial"),
+        ({"tracked_lines": -1}, "tracked_lines"),
+        ([1, 2], "JSON object"),
+    ])
+    def test_bad_config_is_usage_error(self, tmp_path, capsys, blob, message):
+        jp, cfgp = tmp_path / "J.txt", tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps(blob))
+        main(["gen", "--n", "8", "--m", "2", "--seed", "1", "--out", str(jp)])
+        assert main(["mate", "--in", str(jp), "--config", str(cfgp)]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_bad_flag_override_is_usage_error(self, tmp_path, capsys):
+        jp = tmp_path / "J.txt"
+        main(["gen", "--n", "8", "--m", "2", "--seed", "1", "--out", str(jp)])
+        assert main(["mate", "--in", str(jp), "--eta-max", "-1"]) == 1
+        assert "eta_max" in capsys.readouterr().err
+
     def test_exact_mode(self, tmp_path):
         jp, lp = tmp_path / "J.txt", tmp_path / "L.txt"
         main(["gen", "--n", "8", "--m", "2", "--seed", "3", "--out", str(jp)])
@@ -157,6 +185,28 @@ class TestTrials:
     def test_count_zero_usage_error(self, tmp_path):
         assert main(["trials", "--n", "8", "--count", "0",
                      "--out", str(tmp_path / "x.csv")]) == 1
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_usage_error(self, tmp_path, capsys, jobs):
+        out = tmp_path / "x.csv"
+        assert main(["trials", "--n", "8", "--count", "2", "--jobs", jobs,
+                     "--out", str(out)]) == 1
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("algorithm", ["guided", "hall"])
+    def test_failed_reverification_is_algorithmic_error(
+            self, tmp_path, capsys, monkeypatch, algorithm):
+        class Rejected:
+            ok = False
+
+        monkeypatch.setattr(cli, "verify_orthogonal", lambda L, J: Rejected())
+        out = tmp_path / "t.csv"
+        assert main(["trials", "--n", "16", "--epsilon", "0.75", "--count",
+                     "2", "--algorithm", algorithm, "--out", str(out)]) == 2
+        assert "failed re-verification" in capsys.readouterr().err
+        rows = read(out).splitlines()[2:]
+        assert rows and all(",verification_failed," in r for r in rows)
 
     def test_schema_header(self, tmp_path):
         out = tmp_path / "t.csv"

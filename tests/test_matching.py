@@ -280,6 +280,32 @@ class TestSampling:
         b = sample_matching_lazy(q, np.random.default_rng(2)).tolist()
         assert a == b
 
+    @pytest.mark.parametrize("n", [6, 20])
+    def test_lazy_draw_equals_decomposition_draw(self, n):
+        # one elimination walk serves both; n = 20 matches supports with
+        # scipy, n = 6 with the pure solver
+        q = random_doubly_stochastic(n, seed=n)
+        dec = birkhoff_decompose(q)
+        for s in range(40):
+            lazy = sample_matching_lazy(q, np.random.default_rng(s))
+            eager = sample_matching(dec, np.random.default_rng(s))
+            assert lazy.tolist() == eager.tolist()
+
+    def test_lazy_draw_equals_decomposition_draw_exact(self):
+        n = 5
+        rng = np.random.default_rng(4)
+        weights = rng.integers(1, 9, size=2 * n)
+        q = np.full((n, n), Fraction(0), dtype=object)
+        cols = np.arange(n)
+        for w in weights:
+            q[cols, rng.permutation(n)] += Fraction(int(w), int(weights.sum()))
+        dec = birkhoff_decompose(q)
+        assert dec.coefficient_sum() == 1
+        for s in range(40):
+            lazy = sample_matching_lazy(q, np.random.default_rng(s))
+            eager = sample_matching(dec, np.random.default_rng(s))
+            assert lazy.tolist() == eager.tolist()
+
     def test_lazy_marginal_matches_q(self):
         # the lazy walk samples a valid decomposition of q: empirical mean == q
         n = 5

@@ -387,13 +387,12 @@ class TestRunProcess:
         out = run_process(J, seed=1, config=cfg)
         assert out.trajectory is None
 
-    def test_exact_matches_float_with_eager_sampler(self):
+    def test_exact_matches_float(self):
         J = LatinRectangle.cyclic(5, 3)
         for seed in range(4):
             o_ex = run_process(J, seed=seed,
                                config=ProcessConfig(arithmetic="exact"))
-            o_fl = run_process(J, seed=seed,
-                               config=ProcessConfig(sampler="eager"))
+            o_fl = run_process(J, seed=seed)
             assert o_ex.kind == o_fl.kind and o_ex.time == o_fl.time
             diff = np.abs(o_fl.final_state.p
                           - o_ex.final_state.p.astype(np.float64)).max()
@@ -448,3 +447,24 @@ class TestConfig:
         cfg = ProcessConfig(eta_initial=0.5, eta_max=8.0, arithmetic="exact")
         again = ProcessConfig.from_json(cfg.to_json())
         assert again == cfg
+
+    @pytest.mark.parametrize("field, value", [
+        ("arithmetic", "exakt"),
+        ("flow_backend", "networkx"),
+        ("eta_policy", "tripling"),
+        ("eta_max", 0.0),
+        ("eta_max", float("inf")),
+        ("eta_max", "64"),
+        ("eta_initial", -0.1),
+        ("eta_initial", float("nan")),
+        ("tracked_lines", -1),
+        ("tracked_lines", 2.5),
+    ])
+    def test_rejects_out_of_range_values(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ProcessConfig(**{field: value})
+
+    @pytest.mark.parametrize("key", ["sampler", "zero_tol", "eta_maxx"])
+    def test_from_json_rejects_unknown_keys(self, key):
+        with pytest.raises(ValueError, match=key):
+            ProcessConfig.from_json({key: 1, "eta_max": 8.0})
