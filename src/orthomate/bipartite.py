@@ -91,11 +91,23 @@ def perfect_matching_on_mask(mask: np.ndarray,
 
 
 def perfect_matching_scipy(mask: np.ndarray) -> Optional[np.ndarray]:
-    """scipy-accelerated variant of perfect_matching_on_mask (C Hopcroft-Karp)."""
+    """scipy-accelerated variant of perfect_matching_on_mask (C Hopcroft-Karp).
+
+    mask must be boolean.  The CSR graph is built directly from it: indptr
+    from the per-row counts, indices from the row-major nonzero positions.
+    That is the same graph, in the same edge order, that
+    scipy.sparse.csr_matrix(mask) builds through its slower dense
+    conversion, so the matching is the same too.
+    """
     import scipy.sparse as sp
     from scipy.sparse.csgraph import maximum_bipartite_matching
 
-    csr = sp.csr_matrix(mask)
+    rows, cols = mask.shape
+    indptr = np.zeros(rows + 1, dtype=np.int32)
+    np.cumsum(mask.sum(axis=1), out=indptr[1:])
+    indices = (np.flatnonzero(mask) % cols).astype(np.int32)
+    csr = sp.csr_matrix((np.ones(indices.size, dtype=bool), indices, indptr),
+                        shape=mask.shape)
     match = maximum_bipartite_matching(csr, perm_type="column")
     if (match < 0).any():
         return None

@@ -261,14 +261,15 @@ def cmd_trials(args) -> int:
         (i, args.seed + i, n, m, args.epsilon, args.algorithm, cfg.to_json())
         for i in range(args.count)
     ]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            records = list(pool.map(run_single_trial, jobs))
-    else:
-        records = [run_single_trial(j) for j in jobs]
-    records.sort(key=lambda r: r.trial)
     try:
+        # opened before the first trial, so a bad path costs no compute
         with open(args.out, "w", newline="") as fh:
+            if args.jobs > 1:
+                with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+                    records = list(pool.map(run_single_trial, jobs))
+            else:
+                records = [run_single_trial(j) for j in jobs]
+            records.sort(key=lambda r: r.trial)
             fh.write(f"# {TRIALS_SCHEMA}\n")
             writer = csv.writer(fh)
             writer.writerow(TRIAL_COLUMNS)

@@ -378,8 +378,7 @@ def birkhoff_terms(q, zero_tol: Optional[float] = None):
     walked = False
     theta = Q.max() / 2
     for _ in range(n * n + 2 * n + 80):
-        support = Q > 0
-        mask = support if theta <= zero_tol else (Q >= theta)
+        mask = (Q > 0) if theta <= zero_tol else (Q >= theta)
         match = find(mask)
         if match is None:
             if theta <= zero_tol:
@@ -388,19 +387,23 @@ def birkhoff_terms(q, zero_tol: Optional[float] = None):
                 raise NoSupportMatching(
                     f"support violates Hall at residual mass {float(1 - acc):.3e}"
                 )
-            pos = Q[support]
+            pos = Q[Q > 0]
             theta = theta / 2
             if pos.size == 0 or theta < pos.min():
                 theta = 0  # next mask is the full support
             continue
-        c = Q[cols, match].min()
+        matched = Q[cols, match]
+        c = matched.min()
         acc += c
         walked = True
         yield c, match
         if 1 - acc <= stop_tol:
             return
-        Q[cols, match] -= c
-        Q[Q < zero_tol] = 0
+        # only the matched entries change, so only they can fall below
+        # zero_tol; every other entry is already 0 or at least zero_tol
+        matched -= c
+        matched[matched < zero_tol] = 0
+        Q[cols, match] = matched
     raise NoSupportMatching("Birkhoff walk failed to terminate")
 
 

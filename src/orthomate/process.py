@@ -17,8 +17,10 @@ Goodness is three families of inequalities with explicit finite-n constants:
   B (local lines):  |sum over an RC or RS line of p - 1| <= log n / sqrt n
   C (quasi-random): sum_g p(i,k,g) * p(i,l,g) <= (1 + log n / sqrt n) / n
 
-B and C are enforced on uncoloured rows, including the row about to be
+All three are enforced on uncoloured rows, including the row about to be
 placed; coloured rows are frozen and no longer constrain the extension.
+A frozen row passed A while it was still uncoloured and the transition
+never writes it again, so A need not be checked there either.
 Logarithms are natural.  The epsilon in A is a free parameter so stress
 configurations can decouple it from the actual row count.
 
@@ -106,6 +108,15 @@ class ProcessConfig:
                 and 0 <= self.eta_initial < math.inf):
             raise ValueError(f"eta_initial must be a finite number >= 0 or "
                              f"null; got {self.eta_initial!r}")
+        if not (isinstance(self.gamma_a_coeff, numbers.Real)
+                and 0 < self.gamma_a_coeff < math.inf):
+            raise ValueError(f"gamma_a_coeff must be a finite number > 0; "
+                             f"got {self.gamma_a_coeff!r}")
+        for name in ("gamma_b_slack", "gamma_c_slack"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and 0 <= value < math.inf):
+                raise ValueError(f"{name} must be a finite number >= 0; "
+                                 f"got {value!r}")
         if not (isinstance(self.tracked_lines, int)
                 and self.tracked_lines >= 0):
             raise ValueError(f"tracked_lines must be an integer >= 0; "
@@ -197,42 +208,47 @@ def check_gamma(state: GuidanceState, epsilon: float,
                 max_violations: Optional[int] = None) -> GammaReport:
     """Evaluate the three goodness families and report every violation.
 
-    A is checked at all points; B and C only on uncoloured rows (>= t).
-    max_violations optionally truncates the list per family.
+    All three are checked on uncoloured rows only (>= t).  A coloured row
+    was checked for A while it was still uncoloured and is frozen since, so
+    checking it again could not find anything new.  max_violations
+    optionally truncates the list per family.
     """
-    n, m, t = state.shape.n, state.shape.m, state.t
+    n, t = state.shape.n, state.t
     a_bound, b_lo, b_hi, c_bound = gamma_bounds(n, epsilon, a_coeff,
                                                 b_slack, c_slack)
-    p = state.p if not state.exact else state.p.astype(np.float64)
+    sub = state.p[t:]
+    if state.exact:
+        sub = sub.astype(np.float64)
     cap = slice(None, max_violations)
     violations = []
 
     if a_bound != math.inf:
-        bad = np.argwhere(p > a_bound)
-        for i, k, g in bad[cap]:
-            lhs = float(p[i, k, g])
-            violations.append(GammaViolation(
-                "A_x", (int(i), int(k), int(g)), lhs, (None, a_bound),
-                lhs - a_bound))
+        bad = sub > a_bound
+        if bad.any():
+            for i_off, k, g in np.argwhere(bad)[cap]:
+                lhs = float(sub[i_off, k, g])
+                violations.append(GammaViolation(
+                    "A_x", (int(i_off) + t, int(k), int(g)), lhs,
+                    (None, a_bound), lhs - a_bound))
 
-    if t < m:
-        sub = p[t:]
-        rc = sub.sum(axis=2)  # (m - t, n): line (row, col)
-        rs = sub.sum(axis=1)  # (m - t, n): line (row, sym)
-        for cls, sums in (("RC", rc), ("RS", rs)):
-            bad = np.argwhere((sums < b_lo) | (sums > b_hi))
-            for i_off, j in bad[cap]:
+    rc = sub.sum(axis=2)  # (m - t, n): line (row, col)
+    rs = sub.sum(axis=1)  # (m - t, n): line (row, sym)
+    for cls, sums in (("RC", rc), ("RS", rs)):
+        bad = (sums < b_lo) | (sums > b_hi)
+        if bad.any():
+            for i_off, j in np.argwhere(bad)[cap]:
                 lhs = float(sums[i_off, j])
                 margin = max(b_lo - lhs, lhs - b_hi)
                 violations.append(GammaViolation(
                     "B_line", (cls, int(i_off) + t, int(j)), lhs,
                     (b_lo, b_hi), margin))
-        # pair products within each uncoloured row: G[r, k, l]
-        gram = sub @ sub.transpose(0, 2, 1)
-        idx = np.arange(n)
-        gram[:, idx, idx] = 0.0
-        bad = np.argwhere(gram > c_bound)
-        for r, k, l in bad[cap]:
+    # pair products within each uncoloured row: G[r, k, l]
+    gram = sub @ sub.transpose(0, 2, 1)
+    idx = np.arange(n)
+    gram[:, idx, idx] = 0.0
+    bad = gram > c_bound
+    if bad.any():
+        for r, k, l in np.argwhere(bad)[cap]:
             lhs = float(gram[r, k, l])
             violations.append(GammaViolation(
                 "C_ikl", (int(r) + t, int(k), int(l)), lhs,
@@ -275,13 +291,24 @@ def kill_mask(L_row: np.ndarray, t: int, J: LatinRectangle,
     m, n = shape.m, shape.n
     killed = np.zeros((m, n, n), dtype=bool)
     if t + 1 < m:
-        L_row = np.asarray(L_row, dtype=np.int64)
-        syms = np.arange(n)
-        cs_hit = L_row[:, None] == syms[None, :]  # (col, sym)
-        k2 = diag_column_map(J, t, t + 1)  # (m - t - 1, n)
-        ds_hit = L_row[k2][:, :, None] == syms[None, None, :]
-        killed[t + 1:] = cs_hit[None, :, :] | ds_hit
+        killed[t + 1:] = _later_kills(L_row, diag_column_map(J, t, t + 1))
     return KillMask(t=t, killed=killed)
+
+
+def _later_kills(L_row: np.ndarray, k2: np.ndarray) -> np.ndarray:
+    """Kill indicators on the rows whose diagonal column map is k2.
+
+    Point (i, k, g) dies iff g = L_row[k] (its column/symbol line meets the
+    placed cell (t, k)) or g = L_row[k2[i, k]] (its diagonal/symbol line
+    meets the placed cell on its diagonal).
+    """
+    L_row = np.asarray(L_row, dtype=np.int64)
+    rows, n = k2.shape
+    killed = np.zeros((rows, n, n), dtype=bool)
+    i, k = np.ogrid[:rows, :n]
+    killed[i, k, L_row[k]] = True
+    killed[i, k, L_row[k2]] = True
+    return killed
 
 
 def advance_state(state: GuidanceState, q_row, L_row: np.ndarray,
@@ -290,49 +317,55 @@ def advance_state(state: GuidanceState, q_row, L_row: np.ndarray,
 
     Surviving points in uncoloured rows are divided by their survival
     probability 1 - q(rho_cs) - q(rho_ds); killed points drop to zero;
-    coloured rows stay frozen.  Survivors can only grow, since the divisor
-    never exceeds 1.
+    coloured rows stay frozen and are copied as they are.  Survivors can
+    only grow, since the divisor never exceeds 1.  A point with zero mass
+    stays at zero whatever its survival probability.
+
+    The same code runs on float64 and on Fraction states; den_tol applies
+    to floats, Fractions are degenerate only at survival probability <= 0.
 
     Raises:
         DegenerateDenominator: a surviving point has survival probability
-            <= 0 under q, i.e. q places mass >= 1 on its two projections.
+            <= den_tol (<= 0 for Fractions) under q, i.e. q places mass
+            >= 1 - den_tol (>= 1) on its two projections.
     """
     if state.stopped_at is not None:
         raise ValueError("cannot advance a stopped state")
     t = state.t
-    m, n = state.shape.m, state.shape.n
+    m = state.shape.m
     if t >= m:
         raise ValueError(f"no row left to place at t={t}")
     q = q_row.q if isinstance(q_row, FractionalMatching) else q_row
-    new_p = state.p.copy()
+    p = state.p
+    new_p = np.empty_like(p)
+    new_p[:t + 1] = p[:t + 1]
     if t + 1 < m:
-        mask = kill_mask(L_row, t, J, state.shape).killed[t + 1:]
-        k2 = diag_column_map(J, t, t + 1)
         one = Fraction(1) if state.exact else 1.0
-        den = one - q[None, :, :] - q[k2, :]
-        p_sub = state.p[t + 1:]
-        alive = ~mask & _positive(p_sub)
-        if state.exact:
-            degenerate = alive & np.vectorize(lambda v: v <= 0)(den)
-        else:
-            degenerate = alive & (den <= den_tol)
-        if degenerate.any():
-            i, k, g = np.argwhere(degenerate)[0]
-            raise DegenerateDenominator(
-                f"surviving point ({int(i) + t + 1}, {int(k)}, {int(g)}) "
-                f"has survival probability {float(den[i, k, g]):.3e}"
-            )
-        safe_den = np.where(mask | ~_positive(den), one, den)
-        updated = np.where(mask, 0 * one, p_sub / safe_den)
-        new_p[t + 1:] = updated
+        tol = 0 if state.exact else den_tol
+        k2 = diag_column_map(J, t, t + 1)
+        killed = _later_kills(L_row, k2)
+        p_sub = p[t + 1:]
+        # den is built in the gathered copy of q; it takes the dtype of
+        # 1 - q, so an integer q (a permutation matrix) still divides as floats
+        one_minus_q = one - q
+        den = q[k2, :].astype(one_minus_q.dtype, copy=False)
+        np.subtract(one_minus_q, den, out=den)
+        low = den <= tol
+        if low.any():
+            degenerate = low & ~killed & (p_sub > 0)
+            if degenerate.any():
+                i, k, g = np.argwhere(degenerate)[0]
+                raise DegenerateDenominator(
+                    f"surviving point ({int(i) + t + 1}, {int(k)}, {int(g)}) "
+                    f"has survival probability {float(den[i, k, g]):.3e}"
+                )
+            # what is left there is killed or has p = 0: divide by one so
+            # that a zero stays +0 instead of turning into -0 or nan
+            den[low] = one
+        np.divide(p_sub, den, out=new_p[t + 1:])
+        new_p[t + 1:][killed] = 0 * one
     return GuidanceState(shape=state.shape, t=t + 1, p=new_p,
                          stopped_at=state.stopped_at)
-
-
-def _positive(arr: np.ndarray) -> np.ndarray:
-    if arr.dtype == object:
-        return np.vectorize(lambda v: v > 0)(arr)
-    return arr > 0
 
 
 @dataclass

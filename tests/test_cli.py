@@ -114,6 +114,9 @@ class TestMate:
         ({"eta_initial": -0.5}, "eta_initial"),
         ({"tracked_lines": -1}, "tracked_lines"),
         ([1, 2], "JSON object"),
+        ({"gamma_b_slack": -1}, "gamma_b_slack"),
+        ({"gamma_a_coeff": 0}, "gamma_a_coeff"),
+        ({"gamma_c_slack": -0.5}, "gamma_c_slack"),
     ])
     def test_bad_config_is_usage_error(self, tmp_path, capsys, blob, message):
         jp, cfgp = tmp_path / "J.txt", tmp_path / "cfg.json"
@@ -207,6 +210,17 @@ class TestTrials:
         assert "failed re-verification" in capsys.readouterr().err
         rows = read(out).splitlines()[2:]
         assert rows and all(",verification_failed," in r for r in rows)
+
+    def test_unwritable_out_fails_before_any_trial(
+            self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "run_single_trial",
+                            lambda job: calls.append(job))
+        out = tmp_path / "missing_dir" / "t.csv"
+        assert main(["trials", "--n", "8", "--epsilon", "0.75", "--count",
+                     "3", "--out", str(out)]) == 1
+        assert calls == []
+        assert "missing_dir" in capsys.readouterr().err
 
     def test_schema_header(self, tmp_path):
         out = tmp_path / "t.csv"

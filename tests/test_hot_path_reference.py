@@ -1,0 +1,410 @@
+"""The per-row hot path against straightforward reference implementations.
+
+Each reference below is the plain dense version of a function the guided
+loop calls on every row: the support matching through
+``scipy.sparse.csr_matrix(mask)``, the Birkhoff walk that truncates the
+whole matrix after every term, the state transition that builds the full
+kill mask and divides the whole state, and the Gamma check that scans every
+row for A.  The package versions do less work and must agree with them bit
+for bit on seeded random inputs, including the failure cases.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from orthomate import (
+    DegenerateDenominator,
+    GammaReport,
+    GammaViolation,
+    GuidanceState,
+    advance_state,
+    build_fractional_matching,
+    check_gamma,
+    init_state,
+    normalize_row,
+    sample_matching_lazy,
+)
+from orthomate.bipartite import perfect_matching_on_mask, perfect_matching_scipy
+from orthomate.matching import (
+    FractionalMatching,
+    NoSupportMatching,
+    birkhoff_terms,
+)
+from orthomate.process import gamma_bounds
+
+from conftest import random_rect
+
+
+# --------------------------------------------------------------- references
+
+def matching_reference(mask):
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
+    match = maximum_bipartite_matching(sp.csr_matrix(mask), perm_type="column")
+    if (match < 0).any():
+        return None
+    return match.astype(np.int64)
+
+
+def birkhoff_reference(Q, zero_tol):
+    """The Birkhoff walk with a dense support pass and truncation per term."""
+    Q = np.array(Q, dtype=np.float64)
+    n = Q.shape[0]
+    Q[Q < zero_tol] = 0
+    cols = np.arange(n)
+    find = matching_reference if n >= 16 else perfect_matching_on_mask
+    acc = 0
+    walked = False
+    theta = Q.max() / 2
+    for _ in range(n * n + 2 * n + 80):
+        support = Q > 0
+        match = find(support if theta <= zero_tol else (Q >= theta))
+        if match is None:
+            if theta <= zero_tol:
+                if walked and 1 - acc <= 1e-9:
+                    return
+                raise NoSupportMatching(
+                    f"support violates Hall at residual mass {float(1 - acc):.3e}")
+            pos = Q[support]
+            theta = theta / 2
+            if pos.size == 0 or theta < pos.min():
+                theta = 0
+            continue
+        c = Q[cols, match].min()
+        acc += c
+        walked = True
+        yield c, match
+        if 1 - acc <= 1e-12:
+            return
+        Q[cols, match] -= c
+        Q[Q < zero_tol] = 0
+    raise NoSupportMatching("Birkhoff walk failed to terminate")
+
+
+def advance_reference(state, q_row, L_row, J, den_tol=1e-12):
+    t = state.t
+    m, n = state.shape.m, state.shape.n
+    q = q_row.q if isinstance(q_row, FractionalMatching) else q_row
+    exact = state.p.dtype == object
+    positive = ((lambda a: np.vectorize(lambda v: v > 0)(a)) if exact
+                else (lambda a: a > 0))
+    new_p = state.p.copy()
+    if t + 1 < m:
+        L_row = np.asarray(L_row, dtype=np.int64)
+        syms = np.arange(n)
+        k2 = J.row_inverse()[t][J.grid[t + 1:, :]]
+        mask = ((L_row[:, None] == syms[None, :])[None, :, :]
+                | (L_row[k2][:, :, None] == syms[None, None, :]))
+        one = Fraction(1) if exact else 1.0
+        den = one - q[None, :, :] - q[k2, :]
+        p_sub = state.p[t + 1:]
+        alive = ~mask & positive(p_sub)
+        if exact:
+            degenerate = alive & np.vectorize(lambda v: v <= 0)(den)
+        else:
+            degenerate = alive & (den <= den_tol)
+        if degenerate.any():
+            i, k, g = np.argwhere(degenerate)[0]
+            raise DegenerateDenominator(
+                f"surviving point ({int(i) + t + 1}, {int(k)}, {int(g)}) "
+                f"has survival probability {float(den[i, k, g]):.3e}")
+        safe_den = np.where(mask | ~positive(den), one, den)
+        new_p[t + 1:] = np.where(mask, 0 * one, p_sub / safe_den)
+    return GuidanceState(shape=state.shape, t=t + 1, p=new_p)
+
+
+def gamma_reference(state, epsilon, a_coeff=1.1, b_slack=1.0, c_slack=1.0,
+                    max_violations=None):
+    n, m, t = state.shape.n, state.shape.m, state.t
+    a_bound, b_lo, b_hi, c_bound = gamma_bounds(n, epsilon, a_coeff,
+                                                b_slack, c_slack)
+    p = state.p if state.p.dtype != object else state.p.astype(np.float64)
+    cap = slice(None, max_violations)
+    violations = []
+    if a_bound != math.inf:
+        for i, k, g in np.argwhere(p > a_bound)[cap]:
+            lhs = float(p[i, k, g])
+            violations.append(GammaViolation(
+                "A_x", (int(i), int(k), int(g)), lhs, (None, a_bound),
+                lhs - a_bound))
+    if t < m:
+        sub = p[t:]
+        for cls, sums in (("RC", sub.sum(axis=2)), ("RS", sub.sum(axis=1))):
+            for i_off, j in np.argwhere((sums < b_lo) | (sums > b_hi))[cap]:
+                lhs = float(sums[i_off, j])
+                violations.append(GammaViolation(
+                    "B_line", (cls, int(i_off) + t, int(j)), lhs,
+                    (b_lo, b_hi), max(b_lo - lhs, lhs - b_hi)))
+        gram = sub @ sub.transpose(0, 2, 1)
+        idx = np.arange(n)
+        gram[:, idx, idx] = 0.0
+        for r, k, l in np.argwhere(gram > c_bound)[cap]:
+            lhs = float(gram[r, k, l])
+            violations.append(GammaViolation(
+                "C_ikl", (int(r) + t, int(k), int(l)), lhs,
+                (None, c_bound), lhs - c_bound))
+    return GammaReport(not violations, tuple(violations))
+
+
+# ------------------------------------------------------------------ helpers
+
+def evolved(n, m, steps, seed, exact=False):
+    """(J, state after `steps` guided rows, q and L_row for the next row)."""
+    J = random_rect(n, m, seed)
+    state = init_state(J.shape, exact=exact)
+    rng = np.random.default_rng(seed)
+    while True:
+        q, _ = build_fractional_matching(normalize_row(state, state.t))
+        L_row = sample_matching_lazy(q, rng)
+        if state.t == steps:
+            return J, state, q, L_row
+        state = advance_state(state, q, L_row, J)
+
+
+def same_array(a, b):
+    if a.dtype == object:
+        return (a.shape == b.shape
+                and all(type(x) is type(y) and x == y
+                        for x, y in zip(a.ravel(), b.ravel())))
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DegenerateDenominator as exc:
+        return f"raised: {exc}"
+
+
+def assert_same_advance(state, q, L_row, J):
+    got = outcome(advance_state, state, q, L_row, J)
+    want = outcome(advance_reference, state, q, L_row, J)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert not isinstance(got, str), got
+        assert got.t == want.t
+        assert same_array(got.p, want.p)
+
+
+# ----------------------------------------------------------------- matching
+
+def random_masks(n, rng):
+    """Masks of several densities, one with an empty row, one Hall violator."""
+    masks = []
+    for density in (0.02, 0.05, 0.15, 0.5, 0.95):
+        masks.append(rng.random((n, n)) < density)
+    # a permutation plus sparse noise: the shape Birkhoff supports take
+    near = rng.random((n, n)) < 2.0 / n
+    near[np.arange(n), rng.permutation(n)] = True
+    masks.append(near)
+    empty_row = near.copy()
+    empty_row[rng.integers(n)] = False
+    masks.append(empty_row)
+    # three rows that reach only two columns: Hall fails, no row is empty
+    hall = near.copy()
+    rows = rng.choice(n, 3, replace=False)
+    cols = rng.choice(n, 2, replace=False)
+    hall[rows] = False
+    hall[np.ix_(rows, cols)] = True
+    masks.append(hall)
+    return masks
+
+
+class TestMatchingReference:
+    @pytest.mark.parametrize("n", [16, 64, 192])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_csr_matrix_matching(self, n, seed):
+        rng = np.random.default_rng(1000 * n + seed)
+        for mask in random_masks(n, rng):
+            got, want = perfect_matching_scipy(mask), matching_reference(mask)
+            if want is None:
+                assert got is None
+            else:
+                assert got.dtype == np.int64
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [16, 64, 192])
+    def test_failure_cases_return_none(self, n):
+        rng = np.random.default_rng(n)
+        *_, empty_row, hall = random_masks(n, rng)
+        assert perfect_matching_scipy(empty_row) is None
+        assert perfect_matching_scipy(hall) is None
+        assert perfect_matching_scipy(np.zeros((n, n), dtype=bool)) is None
+
+
+# ------------------------------------------------------------ Birkhoff walk
+
+def walk(terms):
+    """Every term as (exact coefficient, matching), then the error if any."""
+    out = []
+    try:
+        for c, match in terms:
+            out.append((float(c).hex(), match.tolist()))
+    except NoSupportMatching as exc:
+        out.append(f"raised: {exc}")
+    return out
+
+
+class TestBirkhoffReference:
+    @pytest.mark.parametrize("n", [8, 16, 40])
+    @pytest.mark.parametrize("zero_tol", [1e-12, 1e-4, 1e-2])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_terms_equal_dense_truncation_walk(self, n, zero_tol, seed):
+        # convex combinations whose coefficients span several magnitudes,
+        # so residuals land below zero_tol and must be truncated the same
+        rng = np.random.default_rng(seed)
+        k = 3 * n
+        coeff = rng.dirichlet(np.full(k, 0.3)) * np.logspace(0, -6, k)
+        coeff /= coeff.sum()
+        q = np.zeros((n, n))
+        for c in coeff:
+            q[np.arange(n), rng.permutation(n)] += c
+        got = walk(birkhoff_terms(q, zero_tol))
+        assert got == walk(birkhoff_reference(q, zero_tol))
+
+
+# --------------------------------------------------------------- transition
+
+class TestAdvanceReference:
+    @pytest.mark.parametrize("n,m,steps", [(16, 8, 0), (16, 8, 3),
+                                           (32, 16, 5), (48, 12, 11)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_float_states(self, n, m, steps, seed):
+        J, state, q, L_row = evolved(n, m, steps, seed)
+        assert_same_advance(state, q, L_row, J)
+
+    @pytest.mark.parametrize("n,m,steps", [(5, 3, 0), (6, 4, 1), (7, 4, 2)])
+    def test_fraction_states(self, n, m, steps):
+        J, state, q, L_row = evolved(n, m, steps, seed=n, exact=True)
+        assert state.p.dtype == object and q.q.dtype == object
+        assert_same_advance(state, q, L_row, J)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_zero_and_negative_denominators(self, exact, seed):
+        # q is one permutation, the placed row another: survivors whose
+        # projections carry mass 1 (den 0) or 2 (den -1) get p = 0, so the
+        # transition must leave them at exactly +0 without raising
+        n, m = 6, 4
+        J, state, _, _ = evolved(n, m, 1, seed, exact=exact)
+        rng = np.random.default_rng(seed)
+        one = Fraction(1) if exact else 1.0
+        sigma, tau = rng.permutation(n), rng.permutation(n)
+        q = np.full((n, n), 0 * one, dtype=state.p.dtype)
+        q[np.arange(n), sigma] = one
+        den = one - q[None, :, :] - q[J.row_inverse()[1][J.grid[2:]], :]
+        p = state.p.copy()
+        p[2:][den <= 0] = 0 * one
+        state = GuidanceState(shape=state.shape, t=1, p=p)
+        assert_same_advance(state, q, tau, J)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_degenerate_denominator_raises_the_same(self, exact, seed):
+        n, m = 6, 4
+        J = random_rect(n, m, seed)
+        rng = np.random.default_rng(seed)
+        state = init_state(J.shape, exact=exact)
+        one = Fraction(1) if exact else 1.0
+        sigma, tau = rng.permutation(n), rng.permutation(n)
+        while (sigma == tau).all():
+            tau = rng.permutation(n)
+        q = np.full((n, n), 0 * one, dtype=state.p.dtype)
+        q[np.arange(n), sigma] = one
+        with pytest.raises(DegenerateDenominator):
+            advance_state(state, q, tau, J)
+        assert_same_advance(state, q, tau, J)
+
+    def test_tiny_positive_denominator_raises_for_floats(self):
+        # den = delta <= den_tol counts as degenerate for float states
+        n, m, delta = 6, 4, 1e-13
+        J = random_rect(n, m, 2)
+        rng = np.random.default_rng(2)
+        sigma, tau = rng.permutation(n), rng.permutation(n)
+        q = np.zeros((n, n))
+        q[np.arange(n), sigma] = 1.0 - delta
+        q[np.arange(n), tau] += delta
+        state = init_state(J.shape)
+        with pytest.raises(DegenerateDenominator):
+            advance_state(state, q, tau, J)
+        assert_same_advance(state, q, tau, J)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_integer_permutation_matrix_q(self, exact):
+        # q given as an integer 0/1 matrix, placed row consistent with it
+        J = random_rect(6, 4, 5)
+        state = init_state(J.shape, exact=exact)
+        perm = np.random.default_rng(5).permutation(6)
+        q = np.zeros((6, 6), dtype=np.int64)
+        q[np.arange(6), perm] = 1
+        assert_same_advance(state, q, perm, J)
+
+    def test_last_row_only_advances_time(self):
+        J, state, q, L_row = evolved(8, 3, 2, seed=1)
+        assert_same_advance(state, q, L_row, J)
+
+
+# -------------------------------------------------------------------- gamma
+
+def spoiled(n, m, steps, seed, exact=False):
+    """An evolved state with A, B and C violations planted in rows >= t."""
+    state = evolved(n, m, steps, seed, exact=exact)[1]
+    t = state.t
+    rng = np.random.default_rng(seed)
+    p = state.p.copy()
+    big = Fraction(1, 2) if exact else 0.5
+    # A and B: one large entry in a later row
+    i = int(rng.integers(t, m))
+    p[i, rng.integers(n), rng.integers(n)] = big
+    # C: two columns of the active row put half their mass on each of the
+    # same two symbols
+    k, l = rng.choice(n, 2, replace=False)
+    p[t, [k, l]] = 0 * big
+    p[np.ix_([t], [k, l], rng.choice(n, 2, replace=False))] = big
+    return GuidanceState(shape=state.shape, t=t, p=p)
+
+
+class TestGammaReference:
+    @pytest.mark.parametrize("n,m,steps", [(16, 8, 0), (16, 8, 3),
+                                           (32, 16, 6), (48, 12, 10)])
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("cap", [None, 2])
+    def test_float_states(self, n, m, steps, seed, cap):
+        state = spoiled(n, m, steps, seed)
+        eps = 1.0 - m / n
+        got = check_gamma(state, eps, max_violations=cap)
+        want = gamma_reference(state, eps, max_violations=cap)
+        assert {v.ineq for v in want.violations} == {"A_x", "B_line", "C_ikl"}
+        assert got == want
+
+    @pytest.mark.parametrize("steps", [0, 1, 2])
+    def test_fraction_states(self, steps):
+        state = spoiled(6, 4, steps, seed=steps, exact=True)
+        got = check_gamma(state, 0.5)
+        assert got == gamma_reference(state, 0.5)
+        assert not got.good
+
+    def test_good_states_agree(self):
+        for steps in range(4):
+            state = evolved(24, 12, steps, seed=steps)[1]
+            assert check_gamma(state, 0.5) == gamma_reference(state, 0.5)
+
+    def test_frozen_rows_are_not_rechecked_for_a(self):
+        # A frozen row was checked while it was active and cannot change
+        # since, so a planted A violation there is no longer reported
+        state = evolved(16, 8, 3, seed=0)[1]
+        assert check_gamma(state, 0.5).good
+        p = state.p.copy()
+        p[0, 0, 0] = 0.9
+        frozen = GuidanceState(shape=state.shape, t=state.t, p=p)
+        assert check_gamma(frozen, 0.5).good
+        old = gamma_reference(frozen, 0.5)
+        assert [(v.ineq, v.location) for v in old.violations] == [
+            ("A_x", (0, 0, 0))]

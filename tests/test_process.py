@@ -459,6 +459,17 @@ class TestConfig:
         ("eta_initial", float("nan")),
         ("tracked_lines", -1),
         ("tracked_lines", 2.5),
+        ("gamma_a_coeff", 0.0),
+        ("gamma_a_coeff", -1.1),
+        ("gamma_a_coeff", float("inf")),
+        ("gamma_a_coeff", float("nan")),
+        ("gamma_a_coeff", "1.1"),
+        ("gamma_b_slack", -1.0),
+        ("gamma_b_slack", float("inf")),
+        ("gamma_b_slack", float("nan")),
+        ("gamma_c_slack", -0.5),
+        ("gamma_c_slack", float("inf")),
+        ("gamma_c_slack", None),
     ])
     def test_rejects_out_of_range_values(self, field, value):
         with pytest.raises(ValueError, match=field):
