@@ -44,6 +44,7 @@ from .process import (
     ProcessConfig,
     ProcessOutcome,
     RowAlreadyColoured,
+    Transition,
     advance_state,
     central_projections,
     check_gamma,
@@ -66,7 +67,6 @@ from .diagnostics import (
     SummaryReport,
     TrajectoryRecorder,
     TrajectoryStats,
-    record_step,
     summarize,
 )
 

@@ -10,6 +10,7 @@ seed + index, so results are reproducible under any parallel schedule.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -33,7 +34,7 @@ from .core import (
 from .baselines import NoPerfectMatching, backtrack_mate, hall_greedy, \
     random_latin_rectangle
 from .diagnostics import summarize
-from .process import ProcessConfig, run_process
+from .process import ProcessConfig, check_epsilon, run_process
 
 TRIALS_SCHEMA = "orthomate-trials-v1"
 
@@ -70,6 +71,22 @@ class TrialRecord:
 def _read_rectangle(path: str) -> LatinRectangle:
     with open(path) as fh:
         return parse_rectangle(fh.read())
+
+
+def _epsilon_arg(text: str) -> float:
+    """argparse type of --epsilon: a finite number >= 0."""
+    try:
+        return check_epsilon(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _open_trajectory_csv(path, cfg: ProcessConfig):
+    """The trajectory CSV file, opened before the run so that a bad path
+    costs no compute; a null context when there is nothing to write."""
+    if path and cfg.record_trajectory:
+        return open(path, "w", newline="")
+    return contextlib.nullcontext()
 
 
 def _config_from_args(args) -> ProcessConfig:
@@ -113,14 +130,15 @@ def cmd_mate(args) -> int:
     except (OSError, ParseError, NotLatin) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    epsilon = args.epsilon if args.epsilon is not None else J.shape.epsilon
     cfg = _config_from_args(args)
     mate = None
     failure = {}
-    traj = None
     if args.algorithm == "guided":
-        outcome = run_process(J, epsilon=epsilon, seed=args.seed, config=cfg)
-        traj = outcome.trajectory
+        with _open_trajectory_csv(args.diag, cfg) as diag_fh:
+            outcome = run_process(J, epsilon=args.epsilon, seed=args.seed,
+                                  config=cfg)
+            if diag_fh is not None:
+                outcome.trajectory.to_csv(diag_fh)
         if outcome.success:
             mate = outcome.rectangle
         else:
@@ -151,10 +169,6 @@ def cmd_mate(args) -> int:
     else:
         print(f"error: unknown algorithm {args.algorithm}", file=sys.stderr)
         return 1
-
-    if args.diag and traj is not None:
-        with open(args.diag, "w", newline="") as fh:
-            traj.to_csv(fh)
 
     if mate is None:
         print(json.dumps(failure, indent=2))
@@ -299,9 +313,10 @@ def cmd_diag(args) -> int:
     rng = np.random.default_rng(args.seed)
     J = random_latin_rectangle(n, m, rng)
     cfg = _config_from_args(args)
-    outcome = run_process(J, epsilon=args.epsilon, seed=args.seed, config=cfg)
-    if args.out and outcome.trajectory is not None:
-        with open(args.out, "w", newline="") as fh:
+    with _open_trajectory_csv(args.out, cfg) as fh:
+        outcome = run_process(J, epsilon=args.epsilon, seed=args.seed,
+                              config=cfg)
+        if fh is not None:
             outcome.trajectory.to_csv(fh)
     if outcome.trajectory is not None and outcome.trajectory.records:
         summ = summarize(outcome.trajectory, exit_time=outcome.time)
@@ -331,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="path of the reference rectangle J")
     p_mate.add_argument("--algorithm", default="guided",
                         choices=("guided", "hall", "backtrack"))
-    p_mate.add_argument("--epsilon", type=float, default=None)
+    p_mate.add_argument("--epsilon", type=_epsilon_arg, default=None)
     p_mate.add_argument("--seed", type=int, default=0)
     p_mate.add_argument("--eta-initial", type=float, default=None)
     p_mate.add_argument("--eta-max", type=float, default=None)
@@ -351,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr = sub.add_parser("trials", help="run a seeded trial ensemble")
     p_tr.add_argument("--n", type=int, required=True)
     p_tr.add_argument("--m", type=int, default=None)
-    p_tr.add_argument("--epsilon", type=float, default=0.5)
+    p_tr.add_argument("--epsilon", type=_epsilon_arg, default=0.5)
     p_tr.add_argument("--count", type=int, required=True)
     p_tr.add_argument("--seed", type=int, default=0)
     p_tr.add_argument("--algorithm", default="guided",
@@ -366,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_di = sub.add_parser("diag", help="one guided run with full diagnostics")
     p_di.add_argument("--n", type=int, required=True)
     p_di.add_argument("--m", type=int, default=None)
-    p_di.add_argument("--epsilon", type=float, default=0.5)
+    p_di.add_argument("--epsilon", type=_epsilon_arg, default=0.5)
     p_di.add_argument("--seed", type=int, default=0)
     p_di.add_argument("--eta-initial", type=float, default=None)
     p_di.add_argument("--eta-max", type=float, default=None)

@@ -12,6 +12,9 @@ the deviation and drift numbers are reported against the log n / sqrt n
 scale, never enforced, since their theoretical counterparts are asymptotic.
 Both the pre-stop prefix and the stopped tail are recorded for stopped runs.
 
+Kills and survival probabilities come from the step's Transition, line sums
+and pair sums from process.line_statistics.
+
 Tracking every central line and every column pair would be O(n^2) and
 O(n^3) bookkeeping per step, so a deterministic sample of min(n, 64) lines
 per central class and as many (row, column pair) triples is tracked.
@@ -30,7 +33,7 @@ import numpy as np
 
 from .core import LatinRectangle, OrthomateError
 from .matching import FractionalMatching
-from .process import GuidanceState, diag_column_map, kill_mask
+from .process import GuidanceState, line_statistics
 
 
 class EmptyTrajectory(OrthomateError):
@@ -167,71 +170,59 @@ class TrajectoryRecorder:
     def record_step(self, before: GuidanceState, q_row, L_row: np.ndarray,
                     after: GuidanceState, eta_used: float = math.nan
                     ) -> StepRecord:
-        """Record the transition before -> after under (q_row, L_row)."""
-        J, n, m = self.J, self.n, self.m
+        """Record the transition before -> after under (q_row, L_row).
+
+        after must still carry the Transition advance_state gave it.
+        """
+        m = self.m
         t = before.t
+        tr = after.transition
+        if tr is None or tr.t != t:
+            raise ValueError(f"after carries no transition from step {t}")
         q = q_row.q if isinstance(q_row, FractionalMatching) else q_row
         q = np.asarray(q, dtype=np.float64)
         p_before = np.asarray(before.p, dtype=np.float64)
         p_after = np.asarray(after.p, dtype=np.float64)
         L_row = np.asarray(L_row, dtype=np.int64)
 
-        mask = kill_mask(L_row, t, J, J.shape).killed
-
-        # statistics of the new state over rows that can still change
+        b_min = b_max = c_max = math.nan
+        kills_line_max = c_kills_max = kills_total = 0
+        mart_res, growth_max, b_dev_max = 0.0, 1.0, 0.0
         if t + 1 < m:
-            sub = p_after[t + 1:]
-            b_rc = sub.sum(axis=2)
-            b_rs = sub.sum(axis=1)
+            # statistics of the new state over rows that can still change
+            b_rc, b_rs, gram = line_statistics(p_after[t + 1:])
             b_min = float(min(b_rc.min(), b_rs.min()))
             b_max = float(max(b_rc.max(), b_rs.max()))
-            gram = sub @ sub.transpose(0, 2, 1)
-            idx = np.arange(n)
-            gram[:, idx, idx] = 0.0
-            c_max = float(gram.max()) if n >= 2 else 0.0
-        else:
-            b_min = b_max = c_max = math.nan
-        p_max = float(p_after.max())
+            c_max = float(gram.max())
 
-        # kill counts per local line and the pairwise C bound
-        ksub = mask[t + 1:]
-        if ksub.size:
-            kc_rc = ksub.sum(axis=2)  # kills on line (row, col)
-            kc_rs = ksub.sum(axis=1)  # kills on line (row, sym)
+            # kill counts per local line and the pairwise C bound
+            killed = tr.killed
+            kc_rc = killed.sum(axis=2)  # kills on line (row, col)
+            kc_rs = killed.sum(axis=1)  # kills on line (row, sym)
             kills_line_max = int(max(kc_rc.max(), kc_rs.max()))
-            if n >= 2:
-                top2 = np.sort(kc_rc, axis=1)[:, -2:]
-                c_kills_max = int(top2.sum(axis=1).max())
-            else:
-                c_kills_max = 0
-            kills_total = int(ksub.sum())
-        else:
-            kills_line_max = c_kills_max = kills_total = 0
+            top2 = np.sort(kc_rc, axis=1)[:, -2:]
+            c_kills_max = int(top2.sum(axis=1).max())
+            kills_total = int(killed.sum())
 
-        # martingale residual: two-branch expectation against the old state,
-        # measured where the survival probability is positive (a point whose
-        # projections carry the whole q mass is certainly killed and its
-        # conditional expectation legitimately collapses to zero); at
-        # degenerate points the residual term is the kill-consistency |p'|
-        mart_res = 0.0
-        growth_max = 1.0
-        b_dev_max = 0.0
-        if t + 1 < m:
-            k2 = diag_column_map(J, t, t + 1)
-            den = 1.0 - q[None, :, :] - q[k2, :]
+            # martingale residual: two-branch expectation against the old
+            # state where the survival probability is positive; a point whose
+            # projections carry all q mass is certainly killed, and there the
+            # residual term is the kill-consistency |p'|
+            den = np.asarray(tr.den, dtype=np.float64)
             pb = p_before[t + 1:]
             pa = p_after[t + 1:]
-            survive_val = np.where(ksub, _safe_div(pb, den), pa)
-            expected = np.where(den > 0, den * survive_val, 0.0)
-            resid = np.where(den > 0, np.abs(expected - pb), np.abs(pa))
+            pos = den > 0
+            survive_val = np.where(killed, pb / np.where(pos, den, 1.0), pa)
+            resid = np.where(pos, np.abs(den * survive_val - pb), np.abs(pa))
             mart_res = float(resid.max())
-            alive = ~ksub & (pb > 0)
+            alive = ~killed & (pb > 0)
             if alive.any():
                 growth_max = float((pa[alive] / pb[alive]).max())
             b_dev_max = float(max(
                 np.abs((pa - pb).sum(axis=2)).max(),
                 np.abs((pa - pb).sum(axis=1)).max(),
             ))
+        p_max = float(p_after.max())
 
         c_dev_max = self._tracked_c_deviation(p_before, p_after, q, t)
         s_err = self._update_central_sums(p_before, L_row, t)
@@ -316,17 +307,6 @@ class TrajectoryRecorder:
                 lhs = math.exp(self.logpi_ds[a, b]) * (1.0 - self.S_ds[a, b])
                 err = max(err, abs(lhs - 1.0))
         return err
-
-
-def record_step(before: GuidanceState, q_row, L_row, after: GuidanceState,
-                J: LatinRectangle, eta_used: float = math.nan) -> StepRecord:
-    """One-off step record without cross-step sums (throwaway recorder)."""
-    rec = TrajectoryRecorder(J)
-    return rec.record_step(before, q_row, L_row, after, eta_used=eta_used)
-
-
-def _safe_div(num, den):
-    return np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
 
 
 def summarize(stats: TrajectoryStats, exit_time: Optional[int] = None

@@ -223,8 +223,7 @@ def eta_schedule(n: int, policy: str = "doubling",
     return etas
 
 
-def _solve_caps(caps, backend: str = "auto",
-                feas_tol: float = FEAS_TOL) -> Optional[np.ndarray]:
+def _solve_caps(caps, backend: str = "auto") -> Optional[np.ndarray]:
     """Max flow under explicit middle capacities; q (n, n) or None.
 
     backend "auto" picks scipy for float instances with n >= 24 and the pure
@@ -256,7 +255,7 @@ def _solve_caps(caps, backend: str = "auto",
         # ambiguous: fall through to the exact float solver
     value, flow = maxflow.solve_transport(caps_arr.tolist(), one=1.0,
                                           tol=maxflow.AUGMENT_TOL)
-    if n - value <= feas_tol:
+    if n - value <= FEAS_TOL:
         return np.array(flow, dtype=np.float64)
     return None
 
@@ -268,19 +267,15 @@ def _scale_caps(w, factor):
     return np.asarray(w, dtype=np.float64) * float(factor)
 
 
-def solve_fixed_eta(d, eta, backend: str = "auto",
-                    feas_tol: float = FEAS_TOL) -> Optional[np.ndarray]:
+def solve_fixed_eta(d, eta, backend: str = "auto") -> Optional[np.ndarray]:
     """One feasibility solve: q <= (1 + eta) * d doubly stochastic, or None."""
     w = d.weights if isinstance(d, RowDistribution) else d
-    return _solve_caps(_scale_caps(w, 1 + eta), backend=backend,
-                       feas_tol=feas_tol)
+    return _solve_caps(_scale_caps(w, 1 + eta), backend=backend)
 
 
 def build_fractional_matching(d, eta_policy: str = "doubling",
                               eta_initial: Optional[float] = None,
-                              eta_max: float = 64.0,
-                              backend: str = "auto",
-                              balance: bool = True
+                              eta_max: float = 64.0
                               ) -> Tuple[FractionalMatching, float]:
     """Construct q <= (1 + eta) * d doubly stochastic, escalating eta.
 
@@ -306,25 +301,25 @@ def build_fractional_matching(d, eta_policy: str = "doubling",
     etas = eta_schedule(n, eta_policy, eta_initial, eta_max)
     q = None
     for eta in etas:
-        q = solve_fixed_eta(w, eta, backend=backend)
+        q = solve_fixed_eta(w, eta)
         if q is not None:
             break
     if q is None:
         raise Infeasible(
             f"no fractional matching within (1+eta)*d for eta up to {etas[-1]:g}"
         )
-    if not balance or eta <= 0:
+    if eta <= 0:
         return FractionalMatching(q), eta
 
     # balance: smallest feasible cap ratio, tried tight-first
-    q_ds = _solve_caps(_scale_caps(w, 1), backend=backend)
+    q_ds = _solve_caps(_scale_caps(w, 1))
     if q_ds is not None:
         return FractionalMatching(q_ds), 0.0
     log_term = math.log(n) / math.sqrt(n) if n > 1 else 0.0
     lo, hi = 0.0, float(eta)  # lo infeasible, hi feasible
     natural = min(log_term, hi)
     if natural > lo:
-        q_nat = _solve_caps(_scale_caps(w, 1 + natural), backend=backend)
+        q_nat = _solve_caps(_scale_caps(w, 1 + natural))
         if q_nat is not None:
             hi, q = natural, q_nat
         else:
@@ -333,7 +328,7 @@ def build_fractional_matching(d, eta_policy: str = "doubling",
         if hi - lo <= 0.05 * max(hi, 1e-9):
             break
         mid = (lo + hi) / 2
-        q_mid = _solve_caps(_scale_caps(w, 1 + mid), backend=backend)
+        q_mid = _solve_caps(_scale_caps(w, 1 + mid))
         if q_mid is not None:
             hi, q = mid, q_mid
         else:

@@ -62,7 +62,6 @@ EXACT_MAX_N = 12
 CONFIG_CHOICES = {
     "eta_policy": ("doubling", "fixed"),
     "arithmetic": ("float64", "exact"),
-    "flow_backend": ("auto", "python", "scipy"),
 }
 
 
@@ -90,7 +89,6 @@ class ProcessConfig:
     gamma_b_slack: float = 1.0
     gamma_c_slack: float = 1.0
     record_trajectory: bool = True
-    flow_backend: str = "auto"
     tracked_lines: int = 64
 
     def __post_init__(self):
@@ -137,6 +135,16 @@ class ProcessConfig:
         return cls(**obj)
 
 
+@dataclass(frozen=True)
+class Transition:
+    """Kill indicators and survival probabilities 1 - q(rho_cs) - q(rho_ds)
+    of the rows > t, as advance_state computed them placing row t."""
+
+    t: int
+    killed: np.ndarray  # (m - t - 1, n, n) bool
+    den: np.ndarray  # same shape, dtype of 1 - q; degenerate values kept
+
+
 @dataclass
 class GuidanceState:
     """The vector p at time t, plus stopping bookkeeping.
@@ -144,12 +152,15 @@ class GuidanceState:
     p has shape (m, n, n) indexed [row, col, sym].  Rows below t are frozen;
     entries killed at earlier times are exactly zero.  A point's colouring
     time is simply its row index: row i is placed at step t = i.
+    advance_state attaches the Transition that led to the state;
+    run_process drops it once the step is recorded.
     """
 
     shape: Shape
     t: int
     p: np.ndarray
     stopped_at: Optional[int] = None
+    transition: Optional[Transition] = None
 
     @property
     def exact(self) -> bool:
@@ -189,9 +200,20 @@ def init_state(shape: Shape, exact: bool = False) -> GuidanceState:
     return GuidanceState(shape=shape, t=0, p=p)
 
 
+def check_epsilon(epsilon) -> float:
+    """epsilon if it is a finite number >= 0, else ValueError: a nan would
+    switch A off silently, a negative value would act as its absolute value.
+    """
+    if not (isinstance(epsilon, numbers.Real) and 0 <= epsilon < math.inf):
+        raise ValueError(f"epsilon must be a finite number >= 0; "
+                         f"got {epsilon!r}")
+    return epsilon
+
+
 def gamma_bounds(n: int, epsilon: float, a_coeff: float = 1.1,
                  b_slack: float = 1.0, c_slack: float = 1.0):
     """(A upper bound, B low, B high, C upper bound) for the goodness region."""
+    check_epsilon(epsilon)
     log_term = math.log(n) / math.sqrt(n) if n > 1 else 0.0
     a_bound = math.inf if epsilon == 0 else a_coeff / (epsilon ** 2 * n)
     return (
@@ -200,6 +222,15 @@ def gamma_bounds(n: int, epsilon: float, a_coeff: float = 1.1,
         1.0 + b_slack * log_term,
         (1.0 + c_slack * log_term) / n,
     )
+
+
+def line_statistics(rows: np.ndarray):
+    """(rc, rs, gram) of a float64 stack of rows of p: the (row, col) and
+    (row, sym) line sums and the pair sums G[r, k, l], zero where k = l."""
+    gram = rows @ rows.transpose(0, 2, 1)
+    idx = np.arange(rows.shape[1])
+    gram[:, idx, idx] = 0.0
+    return rows.sum(axis=2), rows.sum(axis=1), gram
 
 
 def check_gamma(state: GuidanceState, epsilon: float,
@@ -231,8 +262,7 @@ def check_gamma(state: GuidanceState, epsilon: float,
                     "A_x", (int(i_off) + t, int(k), int(g)), lhs,
                     (None, a_bound), lhs - a_bound))
 
-    rc = sub.sum(axis=2)  # (m - t, n): line (row, col)
-    rs = sub.sum(axis=1)  # (m - t, n): line (row, sym)
+    rc, rs, gram = line_statistics(sub)
     for cls, sums in (("RC", rc), ("RS", rs)):
         bad = (sums < b_lo) | (sums > b_hi)
         if bad.any():
@@ -242,10 +272,6 @@ def check_gamma(state: GuidanceState, epsilon: float,
                 violations.append(GammaViolation(
                     "B_line", (cls, int(i_off) + t, int(j)), lhs,
                     (b_lo, b_hi), margin))
-    # pair products within each uncoloured row: G[r, k, l]
-    gram = sub @ sub.transpose(0, 2, 1)
-    idx = np.arange(n)
-    gram[:, idx, idx] = 0.0
     bad = gram > c_bound
     if bad.any():
         for r, k, l in np.argwhere(bad)[cap]:
@@ -319,7 +345,8 @@ def advance_state(state: GuidanceState, q_row, L_row: np.ndarray,
     probability 1 - q(rho_cs) - q(rho_ds); killed points drop to zero;
     coloured rows stay frozen and are copied as they are.  Survivors can
     only grow, since the divisor never exceeds 1.  A point with zero mass
-    stays at zero whatever its survival probability.
+    stays at zero whatever its survival probability.  The new state
+    carries the kill mask and survival probabilities as its Transition.
 
     The same code runs on float64 and on Fraction states; den_tol applies
     to floats, Fractions are degenerate only at survival probability <= 0.
@@ -339,33 +366,34 @@ def advance_state(state: GuidanceState, q_row, L_row: np.ndarray,
     p = state.p
     new_p = np.empty_like(p)
     new_p[:t + 1] = p[:t + 1]
-    if t + 1 < m:
-        one = Fraction(1) if state.exact else 1.0
-        tol = 0 if state.exact else den_tol
-        k2 = diag_column_map(J, t, t + 1)
-        killed = _later_kills(L_row, k2)
-        p_sub = p[t + 1:]
-        # den is built in the gathered copy of q; it takes the dtype of
-        # 1 - q, so an integer q (a permutation matrix) still divides as floats
-        one_minus_q = one - q
-        den = q[k2, :].astype(one_minus_q.dtype, copy=False)
-        np.subtract(one_minus_q, den, out=den)
-        low = den <= tol
-        if low.any():
-            degenerate = low & ~killed & (p_sub > 0)
-            if degenerate.any():
-                i, k, g = np.argwhere(degenerate)[0]
-                raise DegenerateDenominator(
-                    f"surviving point ({int(i) + t + 1}, {int(k)}, {int(g)}) "
-                    f"has survival probability {float(den[i, k, g]):.3e}"
-                )
-            # what is left there is killed or has p = 0: divide by one so
-            # that a zero stays +0 instead of turning into -0 or nan
-            den[low] = one
-        np.divide(p_sub, den, out=new_p[t + 1:])
-        new_p[t + 1:][killed] = 0 * one
+    one = Fraction(1) if state.exact else 1.0
+    tol = 0 if state.exact else den_tol
+    k2 = diag_column_map(J, t, t + 1)
+    killed = _later_kills(L_row, k2)
+    p_sub = p[t + 1:]
+    # den is built in the gathered copy of q; it takes the dtype of 1 - q,
+    # so an integer q (a permutation matrix) still divides as floats
+    one_minus_q = one - q
+    den = q[k2, :].astype(one_minus_q.dtype, copy=False)
+    np.subtract(one_minus_q, den, out=den)
+    low = den <= tol
+    divisor = den
+    if low.any():
+        degenerate = low & ~killed & (p_sub > 0)
+        if degenerate.any():
+            i, k, g = np.argwhere(degenerate)[0]
+            raise DegenerateDenominator(
+                f"surviving point ({int(i) + t + 1}, {int(k)}, {int(g)}) "
+                f"has survival probability {float(den[i, k, g]):.3e}"
+            )
+        # what is left there is killed or has p = 0: divide by one so that
+        # a zero stays +0 instead of turning into -0 or nan; den keeps the
+        # raw values for the recorder's martingale residual
+        divisor = np.where(low, one, den)
+    np.divide(p_sub, divisor, out=new_p[t + 1:])
+    new_p[t + 1:][killed] = 0 * one
     return GuidanceState(shape=state.shape, t=t + 1, p=new_p,
-                         stopped_at=state.stopped_at)
+                         transition=Transition(t, killed, den))
 
 
 @dataclass
@@ -451,8 +479,7 @@ def run_process(J: LatinRectangle, epsilon: Optional[float] = None,
         try:
             q, eta_used = build_fractional_matching(
                 d, eta_policy=config.eta_policy,
-                eta_initial=config.eta_initial, eta_max=config.eta_max,
-                backend=config.flow_backend)
+                eta_initial=config.eta_initial, eta_max=config.eta_max)
         except Infeasible as exc:
             state.stopped_at = t
             outcome = ProcessOutcome(kind="infeasible_row", time=t,
@@ -470,6 +497,7 @@ def run_process(J: LatinRectangle, epsilon: Optional[float] = None,
             break
         if recorder is not None:
             recorder.record_step(state, q, L_row, after, eta_used=eta_used)
+        after.transition = None  # as large as p[t + 1:]; do not carry it on
         state = after
 
     if outcome is None:

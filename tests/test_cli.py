@@ -259,3 +259,48 @@ class TestUsage:
 
     def test_no_command(self):
         assert main([]) == 1
+
+
+class TestEpsilonFlag:
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-0.5"])
+    def test_bad_epsilon_is_usage_error(self, tmp_path, capsys, eps):
+        jp, out = tmp_path / "J.txt", tmp_path / "t.csv"
+        main(["gen", "--n", "8", "--m", "4", "--seed", "1", "--out", str(jp)])
+        capsys.readouterr()
+        for argv in (["mate", "--in", str(jp)],
+                     ["trials", "--n", "16", "--m", "8", "--count", "1",
+                      "--out", str(out)],
+                     ["diag", "--n", "16", "--m", "8"]):
+            assert main(argv + [f"--epsilon={eps}"]) == 1
+            assert "epsilon must be a finite number >= 0" in \
+                capsys.readouterr().err
+        assert not out.exists()
+
+    def test_epsilon_zero_accepted(self, tmp_path):
+        out = tmp_path / "t.csv"
+        assert main(["trials", "--n", "8", "--m", "2", "--epsilon", "0",
+                     "--count", "1", "--out", str(out)]) == 0
+
+
+class TestOutputOpenedBeforeRun:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "run_process",
+                            lambda *a, **kw: calls.append(a))
+        return calls
+
+    def test_mate_unwritable_diag(self, tmp_path, capsys, calls):
+        jp = tmp_path / "J.txt"
+        main(["gen", "--n", "8", "--m", "4", "--seed", "2", "--out", str(jp)])
+        diag = tmp_path / "missing_dir" / "traj.csv"
+        assert main(["mate", "--in", str(jp), "--diag", str(diag)]) == 1
+        assert calls == []
+        assert "missing_dir" in capsys.readouterr().err
+
+    def test_diag_unwritable_out(self, tmp_path, capsys, calls):
+        out = tmp_path / "missing_dir" / "traj.csv"
+        assert main(["diag", "--n", "12", "--epsilon", "0.5",
+                     "--out", str(out)]) == 1
+        assert calls == []
+        assert "missing_dir" in capsys.readouterr().err

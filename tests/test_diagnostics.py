@@ -15,7 +15,6 @@ from orthomate import (
     build_fractional_matching,
     init_state,
     normalize_row,
-    record_step,
     run_process,
     sample_matching_lazy,
     summarize,
@@ -84,7 +83,8 @@ class TestRecordStep:
         q, eta = build_fractional_matching(d)
         L_row = sample_matching_lazy(q, np.random.default_rng(0))
         after = advance_state(state, q, L_row, J)
-        r = record_step(state, q, L_row, after, J, eta_used=eta)
+        r = TrajectoryRecorder(J).record_step(state, q, L_row, after,
+                                              eta_used=eta)
         assert r.t == 0
         assert r.kills_this_step == int(
             (after.p[1:] == 0).sum() - (state.p[1:] == 0).sum())

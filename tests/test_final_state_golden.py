@@ -31,6 +31,7 @@ GOLDEN = {
     ('float64', 96, 0.75, 5, True): ('gamma_exit', 23, '103fc57092f52e44'),
     ('float64', 96, 0.5, 6, False): ('gamma_exit', 25, 'b9f465c34096a8f6'),
     ('exact', 8, 0.75, 0, False): ('success', None, '9dca526015286081'),
+    ('exact', 8, 0.5, 1, True): ('gamma_exit', 3, 'e9014a3a5fdbeb79'),
 }
 
 
@@ -66,6 +67,7 @@ def _cases():
         ("float64", 96, 0.75, 5, True),
         ("float64", 96, 0.5, 6, False),
         ("exact", 8, 0.75, 0, False),
+        ("exact", 8, 0.5, 1, True),
     ]
 
 

@@ -450,7 +450,6 @@ class TestConfig:
 
     @pytest.mark.parametrize("field, value", [
         ("arithmetic", "exakt"),
-        ("flow_backend", "networkx"),
         ("eta_policy", "tripling"),
         ("eta_max", 0.0),
         ("eta_max", float("inf")),
@@ -479,3 +478,74 @@ class TestConfig:
     def test_from_json_rejects_unknown_keys(self, key):
         with pytest.raises(ValueError, match=key):
             ProcessConfig.from_json({key: 1, "eta_max": 8.0})
+
+
+class TestEpsilon:
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -0.5, None])
+    def test_bad_epsilon_rejected(self, eps):
+        with pytest.raises(ValueError, match="epsilon"):
+            gamma_bounds(16, eps)
+        # a nan bound would switch A off and report this state as good
+        state = init_state(Shape(n=16, m=8))
+        state.p[2, 0, 0] = 0.3
+        assert any(v.ineq == "A_x" for v in check_gamma(state, 0.5).violations)
+        with pytest.raises(ValueError, match="epsilon"):
+            check_gamma(state, eps)
+
+    def test_run_process_rejects_bad_epsilon(self):
+        J = random_rect(8, 4, seed=0)
+        with pytest.raises(ValueError, match="epsilon"):
+            run_process(J, epsilon=float("nan"))
+
+
+class TestTransition:
+    """advance_state hands the recorder its kill mask and denominators."""
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_killed_matches_kill_mask_on_every_row(self, exact):
+        J = random_rect(6, 4, seed=1)  # all four rows can be placed
+        state = init_state(J.shape, exact=exact)
+        rng = np.random.default_rng(1)
+        for t in range(4):  # t = 3 is the last row: nothing left to kill
+            q, _ = build_fractional_matching(normalize_row(state, t))
+            L_row = sample_matching_lazy(q, rng)
+            after = advance_state(state, q, L_row, J)
+            tr = after.transition
+            assert tr.t == t
+            assert tr.killed.shape == tr.den.shape == (3 - t, 6, 6)
+            assert (tr.killed == kill_mask(L_row, t, J, J.shape).killed[t + 1:]
+                    ).all()
+            state = after
+
+    def test_den_keeps_degenerate_values(self, z3):
+        # all q mass on the identity: some survival probabilities are 0,
+        # and every point there is killed, so the step goes through
+        state = init_state(z3.shape)
+        q = np.zeros((3, 3))
+        q[np.arange(3), [0, 1, 2]] = 1.0
+        after = advance_state(state, FractionalMatching(q),
+                              np.array([0, 1, 2]), z3)
+        from orthomate.process import diag_column_map
+        expected = 1.0 - q[None, :, :] - q[diag_column_map(z3, 0, 1), :]
+        assert (expected <= 0).any()
+        assert (after.transition.den == expected).all()
+
+    @pytest.mark.parametrize("n, m, seed, record", [
+        (8, 4, 2, True), (8, 4, 2, False), (32, 16, 0, False)])
+    def test_run_process_drops_the_transition(self, n, m, seed, record):
+        J = random_rect(n, m, seed)
+        out = run_process(J, seed=seed,
+                          config=ProcessConfig(record_trajectory=record))
+        assert out.final_state.transition is None
+
+    def test_recorder_needs_the_transition(self):
+        from orthomate import TrajectoryRecorder
+
+        J = random_rect(6, 3, seed=4)
+        state = init_state(J.shape)
+        q, _ = build_fractional_matching(normalize_row(state, 0))
+        L_row = sample_matching_lazy(q, np.random.default_rng(0))
+        after = advance_state(state, q, L_row, J)
+        after.transition = None
+        with pytest.raises(ValueError, match="transition"):
+            TrajectoryRecorder(J).record_step(state, q, L_row, after)
