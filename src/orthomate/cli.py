@@ -1,10 +1,11 @@
 """Command-line front end: gen, mate, verify, trials, diag.
 
 Exit codes are a stable scripting contract: 0 success, 1 usage or I/O
-problems, 2 algorithmic failure (no mate found, verification failed).
-Every success path re-verifies its output before writing; an unverified
-rectangle is never written.  Trial ensembles derive per-trial seeds as
-seed + index, so results are reproducible under any parallel schedule.
+problems, 2 algorithmic failure (no mate found, verification failed),
+3 a ``trials`` worker process died.  Every success path re-verifies its
+output before writing; an unverified rectangle is never written, and a
+failed run leaves no output file.  Trial ensembles derive per-trial seeds
+as seed + index, so results are reproducible under any parallel schedule.
 """
 
 from __future__ import annotations
@@ -12,11 +13,15 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import ctypes
 import json
 import math
+import multiprocessing
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, asdict, replace
 
 import numpy as np
@@ -34,9 +39,20 @@ from .core import (
 from .baselines import NoPerfectMatching, backtrack_mate, hall_greedy, \
     random_latin_rectangle
 from .diagnostics import summarize
-from .process import ProcessConfig, check_epsilon, run_process
+from . import __version__
+from .process import ProcessConfig, check_arithmetic, check_epsilon, \
+    run_process
 
-TRIALS_SCHEMA = "orthomate-trials-v1"
+TRIALS_SCHEMA = "orthomate-trials-v2"
+
+#: exit code of ``trials`` when a pool worker died (killed, crashed)
+EXIT_WORKER_DIED = 3
+
+#: set-threads entry points of the OpenBLAS builds numpy and scipy ship
+#: (64-bit-integer scipy-openblas, 32-bit scipy-openblas, plain OpenBLAS)
+OPENBLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_",
+                        "scipy_openblas_set_num_threads",
+                        "openblas_set_num_threads")
 
 TRIAL_COLUMNS = (
     "trial", "seed", "n", "m", "epsilon", "algorithm", "outcome",
@@ -81,12 +97,35 @@ def _epsilon_arg(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+@contextlib.contextmanager
+def _output_file(path):
+    """path opened for writing before the run, so that a bad path costs no
+    compute, and removed again if the run fails, so no partial or empty
+    file is left behind."""
+    fh = open(path, "w", newline="")
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        if os.path.isfile(path):  # never a device such as /dev/null
+            os.unlink(path)
+        raise
+
+
 def _open_trajectory_csv(path, cfg: ProcessConfig):
-    """The trajectory CSV file, opened before the run so that a bad path
-    costs no compute; a null context when there is nothing to write."""
+    """The trajectory CSV file as an _output_file; a null context when
+    there is nothing to write."""
     if path and cfg.record_trajectory:
-        return open(path, "w", newline="")
+        return _output_file(path)
     return contextlib.nullcontext()
+
+
+def _derived_m(args) -> int:
+    """--m, or round((1 - epsilon) n); ValueError outside [1, n]."""
+    m = args.m if args.m is not None else round((1.0 - args.epsilon) * args.n)
+    if not 1 <= m <= args.n:
+        raise ValueError(f"derived m={m} outside [1, n]")
+    return m
 
 
 def _config_from_args(args) -> ProcessConfig:
@@ -134,6 +173,7 @@ def cmd_mate(args) -> int:
     mate = None
     failure = {}
     if args.algorithm == "guided":
+        check_arithmetic(J.shape.n, cfg)
         with _open_trajectory_csv(args.diag, cfg) as diag_fh:
             outcome = run_process(J, epsilon=args.epsilon, seed=args.seed,
                                   config=cfg)
@@ -258,6 +298,49 @@ def run_single_trial(packed) -> TrialRecord:
     )
 
 
+def _one_blas_thread() -> None:
+    """Pool initializer: give this ``trials`` worker one BLAS thread.
+
+    A forked worker inherits the parent's OpenBLAS, already sized to one
+    thread per core, so --jobs workers would share the cores among
+    jobs x cores BLAS threads.  The variables cover a BLAS loaded later in
+    the worker; every OpenBLAS already mapped (numpy's and scipy's) is
+    re-sized through its own entry point.  A library that cannot be found
+    or loaded keeps the inherited setting: pinning is never worth failing
+    the trials (an initializer that raises breaks the pool).
+    """
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split(maxsplit=5)[5].strip() for line in fh
+                     if "openblas" in line}
+    except OSError:
+        return
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in OPENBLAS_SET_THREADS:
+            set_threads = getattr(lib, name, None)
+            if set_threads is not None:
+                set_threads(1)
+                break
+
+
+def _run_trials(jobs, workers: int) -> list:
+    """The TrialRecords of jobs, in trial order.  More than one worker
+    means a fork pool (no re-import, no helper process) whose workers run
+    one BLAS thread each; the with block joins every worker."""
+    if workers == 1:
+        return [run_single_trial(j) for j in jobs]
+    with ProcessPoolExecutor(max_workers=workers,
+                             mp_context=multiprocessing.get_context("fork"),
+                             initializer=_one_blas_thread) as pool:
+        return list(pool.map(run_single_trial, jobs))
+
+
 def cmd_trials(args) -> int:
     if args.count < 1:
         print("error: --count must be >= 1", file=sys.stderr)
@@ -266,30 +349,28 @@ def cmd_trials(args) -> int:
         print("error: --jobs must be >= 1", file=sys.stderr)
         return 1
     n = args.n
-    m = args.m if args.m is not None else round((1.0 - args.epsilon) * n)
-    if not (1 <= m <= n):
-        print(f"error: derived m={m} outside [1, n]", file=sys.stderr)
-        return 1
+    m = _derived_m(args)
     cfg = _config_from_args(args)
+    if args.algorithm == "guided":
+        check_arithmetic(n, cfg)
     jobs = [
         (i, args.seed + i, n, m, args.epsilon, args.algorithm, cfg.to_json())
         for i in range(args.count)
     ]
+    provenance = (f"orthomate={__version__} seed={args.seed}+trial config="
+                  + json.dumps(cfg.to_json(), separators=(",", ":")))
     try:
-        # opened before the first trial, so a bad path costs no compute
-        with open(args.out, "w", newline="") as fh:
-            if args.jobs > 1:
-                with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                    records = list(pool.map(run_single_trial, jobs))
-            else:
-                records = [run_single_trial(j) for j in jobs]
-            records.sort(key=lambda r: r.trial)
-            fh.write(f"# {TRIALS_SCHEMA}\n")
+        with _output_file(args.out) as fh:
+            records = _run_trials(jobs, min(args.jobs, len(jobs)))
+            fh.write(f"# {TRIALS_SCHEMA} {provenance}\n")
             writer = csv.writer(fh)
             writer.writerow(TRIAL_COLUMNS)
             for rec in records:
                 d = asdict(rec)
                 writer.writerow([d[c] for c in TRIAL_COLUMNS])
+    except BrokenProcessPool as exc:
+        print(f"error: a trials worker died: {exc}", file=sys.stderr)
+        return EXIT_WORKER_DIED
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -305,14 +386,10 @@ def cmd_trials(args) -> int:
 
 
 def cmd_diag(args) -> int:
-    n = args.n
-    m = args.m if args.m is not None else round((1.0 - args.epsilon) * n)
-    if not (1 <= m <= n):
-        print(f"error: derived m={m} outside [1, n]", file=sys.stderr)
-        return 1
-    rng = np.random.default_rng(args.seed)
-    J = random_latin_rectangle(n, m, rng)
+    m = _derived_m(args)
     cfg = _config_from_args(args)
+    check_arithmetic(args.n, cfg)
+    J = random_latin_rectangle(args.n, m, np.random.default_rng(args.seed))
     with _open_trajectory_csv(args.out, cfg) as fh:
         outcome = run_process(J, epsilon=args.epsilon, seed=args.seed,
                               config=cfg)

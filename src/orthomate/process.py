@@ -210,6 +210,13 @@ def check_epsilon(epsilon) -> float:
     return epsilon
 
 
+def check_arithmetic(n: int, config: ProcessConfig) -> None:
+    """ValueError when config asks for exact arithmetic at an order n above
+    EXACT_MAX_N; callers run it before they open outputs or fork workers."""
+    if config.arithmetic == "exact" and n > EXACT_MAX_N:
+        raise ValueError(f"exact arithmetic supported for n <= {EXACT_MAX_N}")
+
+
 def gamma_bounds(n: int, epsilon: float, a_coeff: float = 1.1,
                  b_slack: float = 1.0, c_slack: float = 1.0):
     """(A upper bound, B low, B high, C upper bound) for the goodness region."""
@@ -444,9 +451,8 @@ def run_process(J: LatinRectangle, epsilon: Optional[float] = None,
     m, n = shape.m, shape.n
     if epsilon is None:
         epsilon = shape.epsilon
+    check_arithmetic(n, config)
     exact = config.arithmetic == "exact"
-    if exact and n > EXACT_MAX_N:
-        raise ValueError(f"exact arithmetic supported for n <= {EXACT_MAX_N}")
     if rng is None:
         rng = np.random.default_rng(seed)
 

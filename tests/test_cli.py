@@ -1,17 +1,76 @@
 """Command-line contract: exit codes, file formats, determinism."""
 
+import ctypes
 import json
+import multiprocessing
+import os
+import sys
 
 import pytest
 
 from orthomate import parse_rectangle, verify_latin, verify_orthogonal
 from orthomate import cli
-from orthomate.cli import main
+from orthomate.cli import main, run_single_trial
 
 
 def read(path):
     with open(path) as fh:
         return fh.read()
+
+
+#: get-threads entry points of the OpenBLAS builds numpy and scipy ship
+OPENBLAS_GET_THREADS = ("scipy_openblas_get_num_threads64_",
+                        "scipy_openblas_get_num_threads",
+                        "openblas_get_num_threads")
+
+needs_proc = pytest.mark.skipif(not sys.platform.startswith("linux"),
+                                reason="reads /proc")
+
+
+def openblas_thread_counts():
+    """Threads reported by each OpenBLAS mapped into this process, read
+    through each library's own get entry point."""
+    with open("/proc/self/maps") as fh:
+        paths = {line.split(maxsplit=5)[5].strip() for line in fh
+                 if "openblas" in line}
+    counts = []
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for name in OPENBLAS_GET_THREADS:
+            get_threads = getattr(lib, name, None)
+            if get_threads is not None:
+                counts.append(get_threads())
+                break
+    return counts
+
+
+def trial_reporting_blas_threads(job):
+    """Pool stand-in for run_single_trial: the real trial, its detail field
+    replaced by the worker's OpenBLAS thread counts."""
+    rec = run_single_trial(job)
+    rec.detail = " ".join(map(str, openblas_thread_counts()))
+    return rec
+
+
+def worker_dies(job):
+    """Pool stand-in for run_single_trial: the worker exits at once."""
+    os._exit(1)
+
+
+def child_pids(pid):
+    """Pids of the live or unreaped processes whose parent is pid."""
+    kids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                stat = fh.read()
+        except OSError:  # exited while listing
+            continue
+        if int(stat.rsplit(")", 1)[1].split()[1]) == pid:
+            kids.append(int(entry))
+    return kids
 
 
 def strip_wall_time(csv_text):
@@ -227,7 +286,7 @@ class TestTrials:
         main(["trials", "--n", "8", "--epsilon", "0.75", "--count", "2",
               "--seed", "0", "--out", str(out)])
         lines = read(out).splitlines()
-        assert lines[0] == "# orthomate-trials-v1"
+        assert lines[0].startswith("# orthomate-trials-v2 ")
         assert lines[1].startswith("trial,seed,n,m,epsilon,algorithm,outcome")
 
     def test_hall_algorithm(self, tmp_path, capsys):
@@ -241,6 +300,69 @@ class TestTrials:
         assert main(["trials", "--n", "16", "--epsilon", "0.75", "--count",
                      "20", "--seed", "0", "--out", str(out)]) == 0
         assert "1.0000" in capsys.readouterr().out
+
+    def test_provenance_header(self, tmp_path):
+        from orthomate import ProcessConfig, __version__
+
+        out = tmp_path / "t.csv"
+        assert main(["trials", "--n", "8", "--epsilon", "0.75", "--count",
+                     "2", "--seed", "5", "--eta-max", "8", "--out",
+                     str(out)]) == 0
+        schema, version, seed, config = read(out).splitlines()[0][2:].split(
+            " ", 3)
+        assert schema == "orthomate-trials-v2"
+        assert version == f"orthomate={__version__}"
+        assert seed == "seed=5+trial"
+        assert config.startswith("config=")
+        assert ProcessConfig.from_json(json.loads(config[7:])) == \
+            ProcessConfig(eta_max=8.0)
+
+    @needs_proc
+    def test_pool_workers_run_one_blas_thread(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "run_single_trial",
+                            trial_reporting_blas_threads)
+        out = tmp_path / "t.csv"
+        assert main(["trials", "--n", "8", "--epsilon", "0.75", "--count",
+                     "4", "--jobs", "2", "--out", str(out)]) == 0
+        details = [row.split(",")[8] for row in read(out).splitlines()[2:]]
+        assert len(details) == 4
+        for detail in details:
+            assert detail.split() and set(detail.split()) == {"1"}
+
+    @needs_proc
+    def test_pool_leaves_no_process(self, tmp_path):
+        out = tmp_path / "t.csv"
+        assert main(["trials", "--n", "8", "--epsilon", "0.75", "--count",
+                     "4", "--jobs", "2", "--out", str(out)]) == 0
+        assert child_pids(os.getpid()) == []
+        assert multiprocessing.active_children() == []
+
+    def test_no_more_workers_than_trials(self, tmp_path, monkeypatch):
+        sizes = []
+        pool = cli.ProcessPoolExecutor
+
+        def recording_pool(max_workers, **kwargs):
+            sizes.append(max_workers)
+            return pool(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", recording_pool)
+        out = tmp_path / "t.csv"
+        assert main(["trials", "--n", "8", "--epsilon", "0.75", "--count",
+                     "2", "--jobs", "4", "--out", str(out)]) == 0
+        assert sizes == [2]
+
+    def test_dead_worker_is_an_error_line(self, tmp_path, capsys,
+                                          monkeypatch):
+        monkeypatch.setattr(cli, "run_single_trial", worker_dies)
+        out = tmp_path / "t.csv"
+        assert main(["trials", "--n", "8", "--epsilon", "0.75", "--count",
+                     "2", "--jobs", "2", "--out", str(out)]) == \
+            cli.EXIT_WORKER_DIED
+        err = capsys.readouterr().err
+        assert err.startswith("error: a trials worker died")
+        assert err.count("\n") == 1
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
 
 
 class TestDiag:
@@ -304,3 +426,24 @@ class TestOutputOpenedBeforeRun:
                      "--out", str(out)]) == 1
         assert calls == []
         assert "missing_dir" in capsys.readouterr().err
+
+
+class TestNoOutputOnUsageError:
+    @pytest.mark.parametrize("argv", [
+        ["mate", "--in", "{J16}", "--exact", "--diag", "{out}"],
+        ["trials", "--n", "16", "--count", "2", "--exact", "--out", "{out}"],
+        ["trials", "--n", "16", "--count", "2", "--exact", "--jobs", "2",
+         "--out", "{out}"],
+        ["trials", "--n", "8", "--m", "9", "--count", "2", "--out", "{out}"],
+        ["diag", "--n", "16", "--exact", "--out", "{out}"],
+    ])
+    def test_no_file_left(self, tmp_path, capsys, argv):
+        jp, out = tmp_path / "J16.txt", tmp_path / "x.csv"
+        main(["gen", "--n", "16", "--m", "8", "--seed", "1", "--out",
+              str(jp)])
+        argv = [a.format(J16=jp, out=out) for a in argv]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "exact arithmetic supported for n <= 12" in err \
+            or "derived m=9 outside [1, n]" in err
+        assert not out.exists()
