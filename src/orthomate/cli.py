@@ -120,6 +120,13 @@ def _open_trajectory_csv(path, cfg: ProcessConfig):
     return contextlib.nullcontext()
 
 
+def _provenance(seed, cfg: ProcessConfig) -> str:
+    """What the first line of a CSV output carries after its schema name:
+    the package version, the seed and the compact config JSON."""
+    return (f"orthomate={__version__} seed={seed} config="
+            + json.dumps(cfg.to_json(), separators=(",", ":")))
+
+
 def _derived_m(args) -> int:
     """--m, or round((1 - epsilon) n); ValueError outside [1, n]."""
     m = args.m if args.m is not None else round((1.0 - args.epsilon) * args.n)
@@ -178,7 +185,8 @@ def cmd_mate(args) -> int:
             outcome = run_process(J, epsilon=args.epsilon, seed=args.seed,
                                   config=cfg)
             if diag_fh is not None:
-                outcome.trajectory.to_csv(diag_fh)
+                outcome.trajectory.to_csv(diag_fh,
+                                          _provenance(args.seed, cfg))
         if outcome.success:
             mate = outcome.rectangle
         else:
@@ -357,8 +365,7 @@ def cmd_trials(args) -> int:
         (i, args.seed + i, n, m, args.epsilon, args.algorithm, cfg.to_json())
         for i in range(args.count)
     ]
-    provenance = (f"orthomate={__version__} seed={args.seed}+trial config="
-                  + json.dumps(cfg.to_json(), separators=(",", ":")))
+    provenance = _provenance(f"{args.seed}+trial", cfg)
     try:
         with _output_file(args.out) as fh:
             records = _run_trials(jobs, min(args.jobs, len(jobs)))
@@ -394,7 +401,7 @@ def cmd_diag(args) -> int:
         outcome = run_process(J, epsilon=args.epsilon, seed=args.seed,
                               config=cfg)
         if fh is not None:
-            outcome.trajectory.to_csv(fh)
+            outcome.trajectory.to_csv(fh, _provenance(args.seed, cfg))
     if outcome.trajectory is not None and outcome.trajectory.records:
         summ = summarize(outcome.trajectory, exit_time=outcome.time)
         print(summ.to_json())

@@ -13,7 +13,18 @@ scale, never enforced, since their theoretical counterparts are asymptotic.
 Both the pre-stop prefix and the stopped tail are recorded for stopped runs.
 
 Kills and survival probabilities come from the step's Transition, line sums
-and pair sums from process.line_statistics.
+and pair sums from process.line_statistics.  run_process computes those
+statistics once per recorded step and hands the same tuple to the next
+check_gamma, which constrains the same rows.
+
+The martingale residual over all rows > t uses the Transition's own survival
+probabilities, so it can only see the rounding of the division that made
+them.  A spot check at a fixed sample of points (min(n, 64) per row > t)
+recomputes the survival probability from q and J and the kill rule from the
+placed row, without the Transition, and folds its residual into the same
+number: a transition that divides by a wrong survival probability or kills
+the wrong points shows there.  On a correct transition each sampled value
+equals the full pass's value at that point, so the record does not move.
 
 Tracking every central line and every column pair would be O(n^2) and
 O(n^3) bookkeeping per step, so a deterministic sample of min(n, 64) lines
@@ -27,6 +38,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field, asdict
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -40,7 +52,7 @@ class EmptyTrajectory(OrthomateError):
     """summarize() needs at least one recorded step."""
 
 
-CSV_SCHEMA = "orthomate-trajectory-v1"
+CSV_SCHEMA = "orthomate-trajectory-v2"
 
 CSV_COLUMNS = (
     "t", "b_min", "b_max", "c_max", "p_max", "kills_this_step", "eta_used",
@@ -80,8 +92,14 @@ class TrajectoryStats:
     def steps_executed(self) -> int:
         return len(self.records)
 
-    def to_csv(self, fh) -> None:
-        fh.write(f"# {CSV_SCHEMA}\n")
+    def to_csv(self, fh, provenance: str = "") -> None:
+        """Write the schema line, then the header and one row per step.
+
+        provenance, when given, follows the schema name on the first line:
+        the package version, seed and config that reproduce the run.
+        """
+        fh.write(f"# {CSV_SCHEMA} {provenance}\n" if provenance
+                 else f"# {CSV_SCHEMA}\n")
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for rec in self.records:
@@ -157,30 +175,37 @@ class TrajectoryRecorder:
         self.Jinv = J.row_inverse()
         k = min(n, tracked_lines)
         # deterministic samples: lines (j, j); triples (j % m, j, j+1 mod n)
-        self.lines = [(j, j) for j in range(k)]
-        self.triples = [(j % m, j, (j + 1) % n) for j in range(k) if n >= 2]
-        self.S_cs = np.zeros((n, n))
-        self.S_ds = np.zeros((n, n))
-        self.logpi_cs = np.zeros((n, n))
-        self.logpi_ds = np.zeros((n, n))
-        self.alive_cs = np.ones((n, n), dtype=bool)
-        self.alive_ds = np.ones((n, n), dtype=bool)
+        self.lines = np.arange(k)
+        self.triples = np.array(
+            [(j % m, j, (j + 1) % n) for j in range(k) if n >= 2],
+            dtype=np.int64).reshape(-1, 3).T
+        # S, log survival product and liveness of the tracked lines; row 0
+        # holds the CS lines, row 1 the DS lines
+        self.S = np.zeros((2, k))
+        self.logpi = np.zeros((2, k))
+        self.alive = np.ones((2, k), dtype=bool)
         self.drift_c_cum = 0.0
+        self._frozen_rows, self._frozen_max = 0, -math.inf
 
     def record_step(self, before: GuidanceState, q_row, L_row: np.ndarray,
-                    after: GuidanceState, eta_used: float = math.nan
-                    ) -> StepRecord:
+                    after: GuidanceState, eta_used: float = math.nan, *,
+                    stats: Optional[tuple] = None) -> StepRecord:
         """Record the transition before -> after under (q_row, L_row).
 
-        after must still carry the Transition advance_state gave it.
+        after must still carry the Transition advance_state gave it.  stats
+        is line_statistics of the float64 rows > t of after.p when the
+        caller has it (run_process hands the same tuple to the next
+        check_gamma); it is computed here when None.  Steps of one run are
+        recorded in order.
         """
-        m = self.m
+        m, n = self.m, self.n
         t = before.t
         tr = after.transition
         if tr is None or tr.t != t:
             raise ValueError(f"after carries no transition from step {t}")
-        q = q_row.q if isinstance(q_row, FractionalMatching) else q_row
-        q = np.asarray(q, dtype=np.float64)
+        q_raw = np.asarray(q_row.q if isinstance(q_row, FractionalMatching)
+                           else q_row)
+        q = np.asarray(q_raw, dtype=np.float64)
         p_before = np.asarray(before.p, dtype=np.float64)
         p_after = np.asarray(after.p, dtype=np.float64)
         L_row = np.asarray(L_row, dtype=np.int64)
@@ -188,41 +213,58 @@ class TrajectoryRecorder:
         b_min = b_max = c_max = math.nan
         kills_line_max = c_kills_max = kills_total = 0
         mart_res, growth_max, b_dev_max = 0.0, 1.0, 0.0
+        pa = p_after[t + 1:]
         if t + 1 < m:
             # statistics of the new state over rows that can still change
-            b_rc, b_rs, gram = line_statistics(p_after[t + 1:])
+            b_rc, b_rs, gram = (line_statistics(pa) if stats is None
+                                else stats)
             b_min = float(min(b_rc.min(), b_rs.min()))
             b_max = float(max(b_rc.max(), b_rs.max()))
             c_max = float(gram.max())
 
-            # kill counts per local line and the pairwise C bound
-            killed = tr.killed
-            kc_rc = killed.sum(axis=2)  # kills on line (row, col)
-            kc_rs = killed.sum(axis=1)  # kills on line (row, sym)
+            # kill counts per local line and the pairwise C bound, from the
+            # flat indices (i * n + k) * n + g of the killed points
+            rows = m - t - 1
+            hit = np.flatnonzero(tr.killed)
+            kills_total = hit.size
+            kc_rc = np.bincount(hit // n, minlength=rows * n).reshape(rows, n)
+            kc_rs = np.bincount(hit // (n * n) * n + hit % n,
+                                minlength=rows * n).reshape(rows, n)
             kills_line_max = int(max(kc_rc.max(), kc_rs.max()))
             top2 = np.sort(kc_rc, axis=1)[:, -2:]
             c_kills_max = int(top2.sum(axis=1).max())
-            kills_total = int(killed.sum())
 
-            # martingale residual: two-branch expectation against the old
-            # state where the survival probability is positive; a point whose
-            # projections carry all q mass is certainly killed, and there the
-            # residual term is the kill-consistency |p'|
-            den = np.asarray(tr.den, dtype=np.float64)
             pb = p_before[t + 1:]
-            pa = p_after[t + 1:]
-            pos = den > 0
-            survive_val = np.where(killed, pb / np.where(pos, den, 1.0), pa)
-            resid = np.where(pos, np.abs(den * survive_val - pb), np.abs(pa))
-            mart_res = float(resid.max())
-            alive = ~killed & (pb > 0)
-            if alive.any():
-                growth_max = float((pa[alive] / pb[alive]).max())
-            b_dev_max = float(max(
-                np.abs((pa - pb).sum(axis=2)).max(),
-                np.abs((pa - pb).sum(axis=1)).max(),
-            ))
-        p_max = float(p_after.max())
+            den = np.asarray(tr.den, dtype=np.float64)
+            buf = np.empty_like(pa)  # one work array for the three passes
+            flat = buf.reshape(-1)
+            mart_res = self._martingale_residual(pb, pa, den, hit, buf)
+            spot = self._spot_residual(before, q_raw, L_row, pb, pa)
+            if spot.size:
+                mart_res = np.maximum(mart_res, spot.max())
+            mart_res = float(mart_res)
+
+            # largest survivor ratio p' / p; killed points and points of
+            # zero mass (0 / 0) are nan and ignored
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.divide(pa, pb, out=buf)
+            flat[hit] = math.nan
+            ratio = np.fmax.reduce(flat)
+            if not math.isnan(ratio):
+                growth_max = float(ratio)
+
+            np.subtract(pa, pb, out=buf)
+            b_dev_max = float(max(np.abs(buf.sum(axis=2)).max(),
+                                  np.abs(buf.sum(axis=1)).max()))
+
+        # rows <= t are frozen from now on: fold each into a running maximum
+        # once instead of scanning it again on every later step
+        frozen = p_after[self._frozen_rows:t + 1]
+        if frozen.size:
+            self._frozen_max = np.maximum(self._frozen_max, frozen.max())
+        self._frozen_rows = max(self._frozen_rows, t + 1)
+        p_max = float(np.maximum(self._frozen_max, pa.max()) if pa.size
+                      else self._frozen_max)
 
         c_dev_max = self._tracked_c_deviation(p_before, p_after, q, t)
         s_err = self._update_central_sums(p_before, L_row, t)
@@ -238,74 +280,122 @@ class TrajectoryRecorder:
         self.stats.records.append(rec)
         return rec
 
+    @staticmethod
+    def _martingale_residual(pb, pa, den, hit, buf):
+        """max |den * p' - p| over the rows > t, with the Transition's den.
+
+        A point of positive survival probability contributes
+        |den * s - p|, where s is p' if it survived and p / den if it was
+        killed: the two branches of the expectation.  Where den <= 0 the
+        point is certainly killed and the term is the kill consistency
+        |p'|.  hit holds the flat indices of the killed points.
+        """
+        np.multiply(den, pa, out=buf)
+        np.subtract(buf, pb, out=buf)
+        np.abs(buf, out=buf)
+        flat = buf.reshape(-1)
+        d = den.reshape(-1)[hit]
+        b = pb.reshape(-1)[hit]
+        flat[hit] = np.abs(d * (b / np.where(d > 0, d, 1.0)) - b)
+        if not den.min() > 0:  # nan takes this branch too, as den > 0 fails
+            low = ~(den > 0)
+            buf[low] = np.abs(pa[low])
+        return buf.max()
+
+    def _spot_residual(self, before, q, L_row, pb, pa) -> np.ndarray:
+        """The martingale residual at the sample points, independent of the
+        Transition.
+
+        In every row i > t the points (i, j, (i + j) mod n) for the columns
+        j of the tracked lines are checked: their survival
+        probability 1 - q(rho_cs) - q(rho_ds) is recomputed from q and the
+        recorder's own row inverse of J, in the same order and dtype as
+        advance_state, and their kill indicator from L_row.  A point the
+        rule kills must also be zero in the new state.  On a correct
+        transition every value equals the full pass's value at that point.
+        """
+        t = before.t
+        n = self.n
+        i = np.arange(t + 1, self.m)[:, None]
+        k = self.lines[None, :]
+        g = (i + k) % n
+        k2 = self.Jinv[t][self.J.grid[i, k]]
+        one = Fraction(1) if before.exact else 1.0
+        den = np.asarray((one - q[k, g]) - q[k2, g], dtype=np.float64)
+        killed = (g == L_row[k]) | (g == L_row[k2])
+        b = pb[i - t - 1, k, g]
+        a = pa[i - t - 1, k, g]
+        pos = den > 0
+        survive = np.where(killed, b / np.where(pos, den, 1.0), a)
+        resid = np.where(pos, np.abs(den * survive - b), np.abs(a))
+        return np.where(killed, np.maximum(resid, np.abs(a)), resid)
+
     def _tracked_c_deviation(self, p_before, p_after, q, t):
         """|X^{t+1} - E_t[X^{t+1}]| for the sampled C sums.
 
         The joint kill expectation is exactly expressible from q: the two
         kill indicators can only coincide when one point's diagonal crosses
         the other's column on the active row, in which case the shared
-        projection point's q mass is the joint probability.
+        projection point's q mass is the joint probability.  All triples in
+        rows > t are evaluated at once; each pair sum is a dot product of
+        two state lines, and the drift is accumulated in triple order.
         """
-        J = self.J
-        worst = 0.0
+        i, k, l = self.triples
+        live = (i > t) & (k != l)
+        i, k, l = i[live], k[live], l[live]
+        grid = self.J.grid
         inv_t = self.Jinv[t]
-        for (i, k, l) in self.triples:
-            if i <= t or k == l:
-                continue
-            pk = p_before[i, k, :]
-            pl = p_before[i, l, :]
-            x_now = float(pk @ pl)
-            x_next = float(p_after[i, k, :] @ p_after[i, l, :])
-            k2k = int(inv_t[J.grid[i, k]])
-            k2l = int(inv_t[J.grid[i, l]])
-            rk = q[k, :] + q[k2k, :]
-            rl = q[l, :] + q[k2l, :]
-            joint = np.zeros(self.n)
-            if k == k2l:
-                joint += q[k, :]
-            if k2k == l:
-                joint += q[k2k, :]
-            den_k = 1.0 - rk
-            den_l = 1.0 - rl
-            ok = (den_k > 0) & (den_l > 0)
-            factor = np.where(ok, (1.0 - rk - rl + joint) /
-                              np.where(ok, den_k * den_l, 1.0), 0.0)
-            expected = float((pk * pl * factor).sum())
-            worst = max(worst, abs(x_next - expected))
-            x0 = 1.0 / self.n
-            self.drift_c_cum += max(0.0, expected - x_now) / max(x_now, x0)
+        pk = p_before[i, k, :]
+        pl = p_before[i, l, :]
+        x_now = np.matmul(pk[:, None, :], pl[:, :, None])[:, 0, 0]
+        x_next = np.matmul(p_after[i, k, None, :],
+                           p_after[i, l, :, None])[:, 0, 0]
+        k2k = inv_t[grid[i, k]]
+        k2l = inv_t[grid[i, l]]
+        rk = q[k, :] + q[k2k, :]
+        rl = q[l, :] + q[k2l, :]
+        joint = np.zeros((i.size, self.n))
+        joint += np.where((k == k2l)[:, None], q[k, :], 0.0)
+        joint += np.where((k2k == l)[:, None], q[k2k, :], 0.0)
+        den_k = 1.0 - rk
+        den_l = 1.0 - rl
+        ok = (den_k > 0) & (den_l > 0)
+        factor = np.where(ok, (1.0 - rk - rl + joint) /
+                          np.where(ok, den_k * den_l, 1.0), 0.0)
+        expected = (pk * pl * factor).sum(axis=1)
+        worst = 0.0
+        x0 = 1.0 / self.n
+        for now, nxt, exp in zip(x_now.tolist(), x_next.tolist(),
+                                 expected.tolist()):
+            worst = max(worst, abs(nxt - exp))
+            self.drift_c_cum += max(0.0, exp - now) / max(now, x0)
         self.stats.drift_c_cumulative = self.drift_c_cum
         return worst
 
     def _update_central_sums(self, p_before, L_row, t):
-        """Advance S and the survival product; return the identity error."""
-        n = self.n
+        """Advance S and the survival product of the tracked lines; return
+        the identity error."""
+        j = self.lines
         inv_t = self.Jinv[t]
-        # active-row state values indexed by line: CS line (k, g) meets the
-        # active row at (t, k, g); DS line (d, g) at (t, inv_t[d], g)
-        p_cs = p_before[t]
-        p_ds = p_before[t][inv_t, :]
-        for S, logpi, alive, pact in (
-            (self.S_cs, self.logpi_cs, self.alive_cs, p_cs),
-            (self.S_ds, self.logpi_ds, self.alive_ds, p_ds),
-        ):
-            upd = alive & (pact < 1.0)
-            S[upd] += (1.0 - S[upd]) * pact[upd]
-            logpi[upd] -= np.log1p(-pact[upd])
-            alive[alive & ~(pact < 1.0)] = False  # saturated line, stop tracking
-        # the placed row kills the lines through its cells
-        cols = np.arange(n)
-        self.alive_cs[cols, L_row] = False
-        self.alive_ds[self.J.grid[t], L_row] = False
+        # active-row state values of the tracked lines: CS line (j, j) meets
+        # the active row at (t, j, j), DS line (j, j) at (t, inv_t[j], j)
+        pact = np.stack([p_before[t, j, j], p_before[t, inv_t[j], j]])
+        S, logpi, alive = self.S, self.logpi, self.alive
+        upd = alive & (pact < 1.0)
+        S[upd] += (1.0 - S[upd]) * pact[upd]
+        logpi[upd] -= np.log1p(-pact[upd])
+        alive &= pact < 1.0  # saturated line, stop tracking
+        # the placed row kills the lines through its cells: CS line (k, g)
+        # for g = L_row[k], DS line (J[t, k], g) for g = L_row[k]
+        alive[0] &= L_row[j] != j
+        alive[1] &= L_row[inv_t[j]] != j
 
         err = 0.0
-        for (a, b) in self.lines:
-            if self.alive_cs[a, b]:
-                lhs = math.exp(self.logpi_cs[a, b]) * (1.0 - self.S_cs[a, b])
-                err = max(err, abs(lhs - 1.0))
-            if self.alive_ds[a, b]:
-                lhs = math.exp(self.logpi_ds[a, b]) * (1.0 - self.S_ds[a, b])
-                err = max(err, abs(lhs - 1.0))
+        for on, lp, s in zip(alive.T, logpi.T, S.T):
+            for line in (0, 1):  # CS, then DS
+                if on[line]:
+                    lhs = math.exp(lp[line]) * (1.0 - s[line])
+                    err = max(err, abs(lhs - 1.0))
         return err
 
 

@@ -240,23 +240,38 @@ def line_statistics(rows: np.ndarray):
     return rows.sum(axis=2), rows.sum(axis=1), gram
 
 
+def uncoloured_rows(state: GuidanceState) -> np.ndarray:
+    """The rows >= t of p as float64, the rows check_gamma constrains."""
+    sub = state.p[state.t:]
+    return sub.astype(np.float64) if state.exact else sub
+
+
 def check_gamma(state: GuidanceState, epsilon: float,
                 a_coeff: float = 1.1, b_slack: float = 1.0,
                 c_slack: float = 1.0,
-                max_violations: Optional[int] = None) -> GammaReport:
+                max_violations: Optional[int] = None, *,
+                stats: Optional[tuple] = None) -> GammaReport:
     """Evaluate the three goodness families and report every violation.
 
     All three are checked on uncoloured rows only (>= t).  A coloured row
     was checked for A while it was still uncoloured and is frozen since, so
     checking it again could not find anything new.  max_violations
-    optionally truncates the list per family.
+    optionally truncates the list per family.  stats is
+    line_statistics(uncoloured_rows(state)) when the caller already has it
+    (run_process hands it on from the recorder); it is computed when None.
+
+    Raises:
+        ValueError: stats covers a different number of rows than state.
     """
     n, t = state.shape.n, state.t
     a_bound, b_lo, b_hi, c_bound = gamma_bounds(n, epsilon, a_coeff,
                                                 b_slack, c_slack)
-    sub = state.p[t:]
-    if state.exact:
-        sub = sub.astype(np.float64)
+    sub = uncoloured_rows(state)
+    if stats is None:
+        stats = line_statistics(sub)
+    elif stats[2].shape[0] != sub.shape[0]:
+        raise ValueError(f"stats cover {stats[2].shape[0]} rows; state has "
+                         f"{sub.shape[0]} uncoloured rows")
     cap = slice(None, max_violations)
     violations = []
 
@@ -269,7 +284,7 @@ def check_gamma(state: GuidanceState, epsilon: float,
                     "A_x", (int(i_off) + t, int(k), int(g)), lhs,
                     (None, a_bound), lhs - a_bound))
 
-    rc, rs, gram = line_statistics(sub)
+    rc, rs, gram = stats
     for cls, sums in (("RC", rc), ("RS", rs)):
         bad = (sums < b_lo) | (sums > b_hi)
         if bad.any():
@@ -466,10 +481,13 @@ def run_process(J: LatinRectangle, epsilon: Optional[float] = None,
     grid = np.zeros((m, n), dtype=np.int64)
     etas = []
     outcome = None
+    stats = None  # line_statistics of the state's uncoloured rows, if known
 
     for t in range(m):
         report = check_gamma(state, epsilon, config.gamma_a_coeff,
-                             config.gamma_b_slack, config.gamma_c_slack)
+                             config.gamma_b_slack, config.gamma_c_slack,
+                             stats=stats)
+        stats = None  # as large as the Gram tensor; do not carry it on
         if not report.good:
             state.stopped_at = t
             outcome = ProcessOutcome(kind="gamma_exit", time=t,
@@ -502,7 +520,12 @@ def run_process(J: LatinRectangle, epsilon: Optional[float] = None,
                                      detail=f"degenerate_denominator: {exc}")
             break
         if recorder is not None:
-            recorder.record_step(state, q, L_row, after, eta_used=eta_used)
+            # one Gram tensor of the rows > t for the record and the next
+            # Gamma check
+            if t + 1 < m:
+                stats = line_statistics(uncoloured_rows(after))
+            recorder.record_step(state, q, L_row, after, eta_used=eta_used,
+                                 stats=stats)
         after.transition = None  # as large as p[t + 1:]; do not carry it on
         state = after
 

@@ -143,7 +143,7 @@ class TestMate:
         main(["mate", "--in", str(jp), "--seed", "4", "--out",
               str(tmp_path / "L.txt"), "--diag", str(dg)])
         text = read(dg)
-        assert text.startswith("# orthomate-trajectory-v1")
+        assert text.startswith("# orthomate-trajectory-v2 ")
 
     def test_guided_failure_report(self, tmp_path, capsys):
         jp = tmp_path / "J.txt"
@@ -372,7 +372,30 @@ class TestDiag:
                      "--out", str(out)]) == 0
         blob = json.loads(capsys.readouterr().out)
         assert blob["n"] == 12
-        assert read(out).startswith("# orthomate-trajectory-v1")
+        assert read(out).startswith("# orthomate-trajectory-v2 ")
+
+    @pytest.mark.parametrize("command", ["mate", "diag"])
+    def test_provenance_header(self, tmp_path, command):
+        from orthomate import ProcessConfig, __version__
+
+        traj = tmp_path / "traj.csv"
+        if command == "mate":
+            jp = tmp_path / "J.txt"
+            main(["gen", "--n", "8", "--m", "4", "--seed", "2", "--out",
+                  str(jp)])
+            argv = ["mate", "--in", str(jp), "--out", str(tmp_path / "L.txt"),
+                    "--diag", str(traj)]
+        else:
+            argv = ["diag", "--n", "8", "--epsilon", "0.5", "--out", str(traj)]
+        main(argv + ["--seed", "7", "--eta-max", "8"])
+        schema, version, seed, config = read(traj).splitlines()[0][2:].split(
+            " ", 3)
+        assert schema == "orthomate-trajectory-v2"
+        assert version == f"orthomate={__version__}"
+        assert seed == "seed=7"
+        assert config.startswith("config=")
+        assert ProcessConfig.from_json(json.loads(config[7:])) == \
+            ProcessConfig(eta_max=8.0)
 
 
 class TestUsage:

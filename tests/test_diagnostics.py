@@ -76,6 +76,36 @@ class TestRecordStep:
         for r in rec.stats.records:
             assert r.s_identity_err <= 1e-7
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_wrong_survival_probability_is_caught(self, monkeypatch, seed):
+        # a transition that divides by the survival probability of the
+        # wrong diagonal (k2 rolled by one column) and kills by it is no
+        # martingale; its own den still fits it, so only the recorder's
+        # independent spot check can see it
+        from orthomate import process
+
+        n, m = 16, 8
+        J = random_rect(n, m, seed)
+        rng = np.random.default_rng(seed)
+        state = init_state(J.shape)
+        rec = TrajectoryRecorder(J)
+        for t in range(3):
+            q, eta = build_fractional_matching(normalize_row(state, t))
+            L_row = sample_matching_lazy(q, rng)
+            after = advance_state(state, q, L_row, J)
+            assert rec.record_step(state, q, L_row, after
+                                   ).martingale_residual <= 1e-9
+            state = after
+        q, eta = build_fractional_matching(normalize_row(state, 3))
+        L_row = sample_matching_lazy(q, rng)
+        column_map = process.diag_column_map
+        monkeypatch.setattr(
+            process, "diag_column_map",
+            lambda *args: np.roll(column_map(*args), 1, axis=1))
+        after = advance_state(state, q, L_row, J)
+        assert rec.record_step(state, q, L_row, after
+                               ).martingale_residual > 1e-9
+
     def test_standalone_record_step(self):
         J = random_rect(6, 3, seed=4)
         state = init_state(J.shape)
@@ -167,7 +197,7 @@ class TestExports:
         out.trajectory.to_csv(buf)
         text = buf.getvalue()
         lines = text.strip().splitlines()
-        assert lines[0].startswith("# orthomate-trajectory-v1")
+        assert lines[0].startswith("# orthomate-trajectory-v2")
         header = lines[1].split(",")
         assert tuple(header) == CSV_COLUMNS
         assert len(lines) == 2 + out.trajectory.steps_executed

@@ -4,14 +4,16 @@ Each reference below is the plain dense version of a function the guided
 loop calls on every row: the support matching through
 ``scipy.sparse.csr_matrix(mask)``, the Birkhoff walk that truncates the
 whole matrix after every term, the state transition that builds the full
-kill mask and divides the whole state, and the Gamma check that scans every
-row for A.  The package versions do less work and must agree with them bit
-for bit on seeded random inputs, including the failure cases.
+kill mask and divides the whole state, the Gamma check that scans every
+row for A, and the trajectory recorder that evaluates each record with its
+own masks and gathers.  The package versions do less work and must agree
+with them bit for bit on seeded random inputs, including the failure cases.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -22,20 +24,25 @@ from orthomate import (
     GammaReport,
     GammaViolation,
     GuidanceState,
+    ProcessConfig,
+    StepRecord,
+    TrajectoryRecorder,
     advance_state,
     build_fractional_matching,
     check_gamma,
     init_state,
     normalize_row,
+    run_process,
     sample_matching_lazy,
 )
+from orthomate import diagnostics, process
 from orthomate.bipartite import perfect_matching_on_mask, perfect_matching_scipy
 from orthomate.matching import (
     FractionalMatching,
     NoSupportMatching,
     birkhoff_terms,
 )
-from orthomate.process import gamma_bounds
+from orthomate.process import gamma_bounds, line_statistics
 
 from conftest import random_rect
 
@@ -150,6 +157,137 @@ def gamma_reference(state, epsilon, a_coeff=1.1, b_slack=1.0, c_slack=1.0,
                 "C_ikl", (int(r) + t, int(k), int(l)), lhs,
                 (None, c_bound), lhs - c_bound))
     return GammaReport(not violations, tuple(violations))
+
+
+class RecorderReference(TrajectoryRecorder):
+    """record_step with a mask, a gather or a fresh array per quantity:
+    np.where chains for the martingale residual, boolean gathers for the
+    growth ratio, pa - pb twice, kill counts from the mask, p_max over
+    every row, its own line statistics, one sampled C sum at a time, and S
+    sums kept for every central line, of which the tracked ones are read."""
+
+    def __init__(self, J, tracked_lines=64):
+        super().__init__(J, tracked_lines)
+        n = self.n
+        self.lines = [(j, j) for j in range(min(n, tracked_lines))]
+        self.S_cs = np.zeros((n, n))
+        self.S_ds = np.zeros((n, n))
+        self.logpi_cs = np.zeros((n, n))
+        self.logpi_ds = np.zeros((n, n))
+        self.alive_cs = np.ones((n, n), dtype=bool)
+        self.alive_ds = np.ones((n, n), dtype=bool)
+
+    def record_step(self, before, q_row, L_row, after, eta_used=math.nan):
+        m = self.m
+        t = before.t
+        tr = after.transition
+        q = q_row.q if isinstance(q_row, FractionalMatching) else q_row
+        q = np.asarray(q, dtype=np.float64)
+        p_before = np.asarray(before.p, dtype=np.float64)
+        p_after = np.asarray(after.p, dtype=np.float64)
+        L_row = np.asarray(L_row, dtype=np.int64)
+
+        b_min = b_max = c_max = math.nan
+        kills_line_max = c_kills_max = kills_total = 0
+        mart_res, growth_max, b_dev_max = 0.0, 1.0, 0.0
+        if t + 1 < m:
+            b_rc, b_rs, gram = line_statistics(p_after[t + 1:])
+            b_min = float(min(b_rc.min(), b_rs.min()))
+            b_max = float(max(b_rc.max(), b_rs.max()))
+            c_max = float(gram.max())
+            killed = tr.killed
+            kc_rc = killed.sum(axis=2)
+            kc_rs = killed.sum(axis=1)
+            kills_line_max = int(max(kc_rc.max(), kc_rs.max()))
+            top2 = np.sort(kc_rc, axis=1)[:, -2:]
+            c_kills_max = int(top2.sum(axis=1).max())
+            kills_total = int(killed.sum())
+            den = np.asarray(tr.den, dtype=np.float64)
+            pb = p_before[t + 1:]
+            pa = p_after[t + 1:]
+            pos = den > 0
+            survive_val = np.where(killed, pb / np.where(pos, den, 1.0), pa)
+            resid = np.where(pos, np.abs(den * survive_val - pb), np.abs(pa))
+            mart_res = float(resid.max())
+            alive = ~killed & (pb > 0)
+            if alive.any():
+                growth_max = float((pa[alive] / pb[alive]).max())
+            b_dev_max = float(max(
+                np.abs((pa - pb).sum(axis=2)).max(),
+                np.abs((pa - pb).sum(axis=1)).max(),
+            ))
+        p_max = float(p_after.max())
+
+        c_dev_max = self._tracked_c_deviation(p_before, p_after, q, t)
+        s_err = self._update_central_sums(p_before, L_row, t)
+        rec = StepRecord(
+            t=t, b_min=b_min, b_max=b_max, c_max=c_max, p_max=p_max,
+            kills_this_step=kills_total, eta_used=float(eta_used),
+            kills_line_max=kills_line_max, c_kills_max=c_kills_max,
+            martingale_residual=mart_res, b_dev_max=b_dev_max,
+            c_dev_max=c_dev_max, s_identity_err=s_err,
+            growth_max=growth_max,
+        )
+        self.stats.records.append(rec)
+        return rec
+
+    def _tracked_c_deviation(self, p_before, p_after, q, t):
+        J = self.J
+        worst = 0.0
+        inv_t = self.Jinv[t]
+        for (i, k, l) in zip(*self.triples.tolist()):
+            if i <= t or k == l:
+                continue
+            pk = p_before[i, k, :]
+            pl = p_before[i, l, :]
+            x_now = float(pk @ pl)
+            x_next = float(p_after[i, k, :] @ p_after[i, l, :])
+            k2k = int(inv_t[J.grid[i, k]])
+            k2l = int(inv_t[J.grid[i, l]])
+            rk = q[k, :] + q[k2k, :]
+            rl = q[l, :] + q[k2l, :]
+            joint = np.zeros(self.n)
+            if k == k2l:
+                joint += q[k, :]
+            if k2k == l:
+                joint += q[k2k, :]
+            den_k = 1.0 - rk
+            den_l = 1.0 - rl
+            ok = (den_k > 0) & (den_l > 0)
+            factor = np.where(ok, (1.0 - rk - rl + joint) /
+                              np.where(ok, den_k * den_l, 1.0), 0.0)
+            expected = float((pk * pl * factor).sum())
+            worst = max(worst, abs(x_next - expected))
+            x0 = 1.0 / self.n
+            self.drift_c_cum += max(0.0, expected - x_now) / max(x_now, x0)
+        self.stats.drift_c_cumulative = self.drift_c_cum
+        return worst
+
+    def _update_central_sums(self, p_before, L_row, t):
+        n = self.n
+        inv_t = self.Jinv[t]
+        p_cs = p_before[t]
+        p_ds = p_before[t][inv_t, :]
+        for S, logpi, alive, pact in (
+            (self.S_cs, self.logpi_cs, self.alive_cs, p_cs),
+            (self.S_ds, self.logpi_ds, self.alive_ds, p_ds),
+        ):
+            upd = alive & (pact < 1.0)
+            S[upd] += (1.0 - S[upd]) * pact[upd]
+            logpi[upd] -= np.log1p(-pact[upd])
+            alive[alive & ~(pact < 1.0)] = False
+        cols = np.arange(n)
+        self.alive_cs[cols, L_row] = False
+        self.alive_ds[self.J.grid[t], L_row] = False
+        err = 0.0
+        for (a, b) in self.lines:
+            if self.alive_cs[a, b]:
+                lhs = math.exp(self.logpi_cs[a, b]) * (1.0 - self.S_cs[a, b])
+                err = max(err, abs(lhs - 1.0))
+            if self.alive_ds[a, b]:
+                lhs = math.exp(self.logpi_ds[a, b]) * (1.0 - self.S_ds[a, b])
+                err = max(err, abs(lhs - 1.0))
+        return err
 
 
 # ------------------------------------------------------------------ helpers
@@ -408,3 +546,101 @@ class TestGammaReference:
         old = gamma_reference(frozen, 0.5)
         assert [(v.ineq, v.location) for v in old.violations] == [
             ("A_x", (0, 0, 0))]
+
+
+# ----------------------------------------------------------------- recorder
+
+def assert_same_record(got, want):
+    """Field by field; repr tells -0.0 from 0.0, an int from a numpy int,
+    and prints every nan alike."""
+    for f in fields(StepRecord):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert repr(a) == repr(b), (got.t, f.name, a, b)
+
+
+@pytest.fixture
+def paired_recorders(monkeypatch):
+    """Make run_process record every step twice, by the package and by the
+    reference, and evaluate every Gamma check with and without the handed
+    statistics.  Returns the list of (package, reference) recorders."""
+    pairs = []
+    check = process.check_gamma
+
+    class Paired(TrajectoryRecorder):
+        def __init__(self, J, tracked_lines=64):
+            super().__init__(J, tracked_lines)
+            self.reference = RecorderReference(J, tracked_lines)
+            pairs.append((self, self.reference))
+
+        def record_step(self, before, q_row, L_row, after, eta_used=math.nan,
+                        *, stats=None):
+            rec = super().record_step(before, q_row, L_row, after,
+                                      eta_used, stats=stats)
+            want = self.reference.record_step(before, q_row, L_row, after,
+                                              eta_used)
+            assert_same_record(rec, want)
+            return rec
+
+    def checked_gamma(state, *args, stats=None, **kwargs):
+        got = check(state, *args, stats=stats, **kwargs)
+        assert got == check(state, *args, **kwargs)
+        return got
+
+    monkeypatch.setattr(diagnostics, "TrajectoryRecorder", Paired)
+    monkeypatch.setattr(process, "check_gamma", checked_gamma)
+    return pairs
+
+
+def recorded_run(arithmetic, n, epsilon, seed):
+    J = random_rect(n, round((1.0 - epsilon) * n), seed)
+    cfg = ProcessConfig(arithmetic=arithmetic)
+    return run_process(J, epsilon=epsilon, seed=seed, config=cfg)
+
+
+class TestRecorderReference:
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    @pytest.mark.parametrize("epsilon", [0.5, 0.75])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_float_runs(self, paired_recorders, n, epsilon, seed):
+        out = recorded_run("float64", n, epsilon, seed)
+        (rec, ref), = paired_recorders
+        assert len(rec.stats.records) == len(out.trajectory.records) > 0
+        assert repr(rec.stats.drift_c_cumulative) == repr(
+            ref.stats.drift_c_cumulative)
+
+    @pytest.mark.parametrize("epsilon, seed", [(0.5, 1), (0.75, 0)])
+    def test_exact_runs(self, paired_recorders, epsilon, seed):
+        out = recorded_run("exact", 8, epsilon, seed)
+        (rec, ref), = paired_recorders
+        assert out.trajectory.records
+        assert repr(rec.stats.drift_c_cumulative) == repr(
+            ref.stats.drift_c_cumulative)
+
+    @pytest.mark.parametrize("arithmetic, n, epsilon, seed", [
+        ("float64", 32, 0.75, 1), ("exact", 8, 0.75, 0)])
+    def test_last_step(self, paired_recorders, arithmetic, n, epsilon, seed):
+        out = recorded_run(arithmetic, n, epsilon, seed)
+        assert out.success
+        assert out.trajectory.records[-1].t == out.rectangle.shape.m - 1
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_permutation_q_with_nonpositive_denominators(self, exact, seed):
+        # q is the placed permutation itself: every killed point has
+        # survival probability 0, and the |p'| branch decides the residual
+        n, m, steps = 12, 6, 2
+        J, state, _, _ = evolved(n, m, steps, seed, exact=exact)
+        rec, ref = TrajectoryRecorder(J), RecorderReference(J)
+        perm = np.random.default_rng(seed).permutation(n)
+        q = np.zeros((n, n), dtype=np.int64)
+        q[np.arange(n), perm] = 1
+        after = advance_state(state, q, perm, J)
+        assert (after.transition.den <= 0).any()
+        assert_same_record(rec.record_step(state, q, perm, after),
+                           ref.record_step(state, q, perm, after))
+
+    def test_handed_statistics_must_match_the_rows(self):
+        state = evolved(16, 8, 3, seed=0)[1]
+        stale = line_statistics(state.p[state.t + 1:])
+        with pytest.raises(ValueError, match="rows"):
+            check_gamma(state, 0.5, stats=stale)
