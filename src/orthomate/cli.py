@@ -135,19 +135,30 @@ def _derived_m(args) -> int:
     return m
 
 
+def _node_limit_arg(text: str) -> int:
+    """argparse type of --node-limit: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _config_from_args(args) -> ProcessConfig:
     """The --config file with flag overrides; ValueError on a bad value."""
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
             cfg = ProcessConfig.from_json(json.load(fh))
     else:
         cfg = ProcessConfig()
     overrides = {}
-    if getattr(args, "eta_initial", None) is not None:
+    if args.eta_initial is not None:
         overrides["eta_initial"] = args.eta_initial
-    if getattr(args, "eta_max", None) is not None:
+    if args.eta_max is not None:
         overrides["eta_max"] = args.eta_max
-    if getattr(args, "exact", False):
+    if args.exact:
         overrides["arithmetic"] = "exact"
     return replace(cfg, **overrides)  # re-runs the validation
 
@@ -419,26 +430,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # the ProcessConfig options of every command that runs the guided process
+    p_cfg = argparse.ArgumentParser(add_help=False)
+    p_cfg.add_argument("--eta-initial", type=float, default=None)
+    p_cfg.add_argument("--eta-max", type=float, default=None)
+    p_cfg.add_argument("--exact", action="store_true",
+                       help="exact rational state arithmetic (n <= 12)")
+    p_cfg.add_argument("--config", default=None,
+                       help="ProcessConfig JSON file; flags override")
+
     p_gen = sub.add_parser("gen", help="write a random Latin rectangle")
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--m", type=int, required=True)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", required=True)
 
-    p_mate = sub.add_parser("mate", help="construct an orthogonal mate")
+    p_mate = sub.add_parser("mate", parents=[p_cfg],
+                            help="construct an orthogonal mate")
     p_mate.add_argument("--in", dest="input", required=True,
                         help="path of the reference rectangle J")
     p_mate.add_argument("--algorithm", default="guided",
                         choices=("guided", "hall", "backtrack"))
     p_mate.add_argument("--epsilon", type=_epsilon_arg, default=None)
     p_mate.add_argument("--seed", type=int, default=0)
-    p_mate.add_argument("--eta-initial", type=float, default=None)
-    p_mate.add_argument("--eta-max", type=float, default=None)
-    p_mate.add_argument("--exact", action="store_true",
-                        help="exact rational state arithmetic (n <= 12)")
-    p_mate.add_argument("--node-limit", type=int, default=2_000_000)
-    p_mate.add_argument("--config", default=None,
-                        help="ProcessConfig JSON file; flags override")
+    p_mate.add_argument("--node-limit", type=_node_limit_arg,
+                        default=2_000_000)
     p_mate.add_argument("--out", default=None)
     p_mate.add_argument("--diag", default=None,
                         help="write the trajectory CSV here")
@@ -447,7 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--j", dest="j_path", required=True)
     p_ver.add_argument("--l", dest="l_path", required=True)
 
-    p_tr = sub.add_parser("trials", help="run a seeded trial ensemble")
+    p_tr = sub.add_parser("trials", parents=[p_cfg],
+                          help="run a seeded trial ensemble")
     p_tr.add_argument("--n", type=int, required=True)
     p_tr.add_argument("--m", type=int, default=None)
     p_tr.add_argument("--epsilon", type=_epsilon_arg, default=0.5)
@@ -455,22 +472,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("--seed", type=int, default=0)
     p_tr.add_argument("--algorithm", default="guided",
                       choices=("guided", "hall"))
-    p_tr.add_argument("--eta-initial", type=float, default=None)
-    p_tr.add_argument("--eta-max", type=float, default=None)
-    p_tr.add_argument("--exact", action="store_true")
     p_tr.add_argument("--jobs", type=int, default=1)
-    p_tr.add_argument("--config", default=None)
     p_tr.add_argument("--out", required=True)
 
-    p_di = sub.add_parser("diag", help="one guided run with full diagnostics")
+    p_di = sub.add_parser("diag", parents=[p_cfg],
+                          help="one guided run with full diagnostics")
     p_di.add_argument("--n", type=int, required=True)
     p_di.add_argument("--m", type=int, default=None)
     p_di.add_argument("--epsilon", type=_epsilon_arg, default=0.5)
     p_di.add_argument("--seed", type=int, default=0)
-    p_di.add_argument("--eta-initial", type=float, default=None)
-    p_di.add_argument("--eta-max", type=float, default=None)
-    p_di.add_argument("--exact", action="store_true")
-    p_di.add_argument("--config", default=None)
     p_di.add_argument("--out", default=None,
                       help="write the trajectory CSV here")
     return parser

@@ -3,9 +3,8 @@
 Per step this records: the extremes of the local line sums (B statistic),
 the largest quasi-random pair sum (C statistic), the largest state entry
 (A statistic), kill counts per local line and per C sum, the martingale
-residual of the transition, step deviations of the tracked sums from their
-conditional expectations, and a telescoping identity relating the survival
-product along a central line to a running sum S of rescaled state values.
+residual of the transition, and step deviations of the tracked sums from
+their conditional expectations.
 
 Kill counts obey structural bounds (at most 2 per local line, 4 per C sum);
 the deviation and drift numbers are reported against the log n / sqrt n
@@ -19,16 +18,17 @@ check_gamma, which constrains the same rows.
 
 The martingale residual over all rows > t uses the Transition's own survival
 probabilities, so it can only see the rounding of the division that made
-them.  A spot check at a fixed sample of points (min(n, 64) per row > t)
-recomputes the survival probability from q and J and the kill rule from the
-placed row, without the Transition, and folds its residual into the same
-number: a transition that divides by a wrong survival probability or kills
-the wrong points shows there.  On a correct transition each sampled value
+them.  A spot check at a fixed sample of points (min(n, TRACKED_LINES) per
+row > t) recomputes the survival probability from q and J and the kill rule
+from the placed row, without the Transition, and folds its residual into the
+same number: a transition that divides by a wrong survival probability or
+kills the wrong points shows there.  On a correct transition each sampled value
 equals the full pass's value at that point, so the record does not move.
 
-Tracking every central line and every column pair would be O(n^2) and
-O(n^3) bookkeeping per step, so a deterministic sample of min(n, 64) lines
-per central class and as many (row, column pair) triples is tracked.
+Recomputing every point would redo the transition, and the expectation of
+every C sum costs O(n^4) per step, so a deterministic sample of
+min(n, TRACKED_LINES) columns per row and as many (row, column pair) triples
+is checked.
 """
 
 from __future__ import annotations
@@ -52,12 +52,15 @@ class EmptyTrajectory(OrthomateError):
     """summarize() needs at least one recorded step."""
 
 
-CSV_SCHEMA = "orthomate-trajectory-v2"
+CSV_SCHEMA = "orthomate-trajectory-v3"
+
+#: sample size of the spot check and of the tracked C sums
+TRACKED_LINES = 64
 
 CSV_COLUMNS = (
     "t", "b_min", "b_max", "c_max", "p_max", "kills_this_step", "eta_used",
     "kills_line_max", "c_kills_max", "martingale_residual",
-    "b_dev_max", "c_dev_max", "s_identity_err", "growth_max",
+    "b_dev_max", "c_dev_max", "growth_max",
 )
 
 
@@ -75,7 +78,6 @@ class StepRecord:
     martingale_residual: float
     b_dev_max: float
     c_dev_max: float
-    s_identity_err: float
     growth_max: float
 
 
@@ -140,7 +142,6 @@ class SummaryReport:
     kills_line_max: int
     c_kills_max: int
     martingale_residual_max: float
-    s_identity_err_max: float
     xi_b_empirical: float     # kills * max-term / X0 + growth excess, X0 = 1
     xi_c_empirical: float     # same for the C sums, X0 = 1/n
     drift_c_cumulative: float
@@ -158,32 +159,21 @@ class SummaryReport:
 
 
 class TrajectoryRecorder:
-    """Accumulates StepRecords plus the cross-step central-line sums.
+    """Accumulates the StepRecords of one run; each step also checks a
+    deterministic sample of min(n, TRACKED_LINES) columns and C sums."""
 
-    For each sampled central line (column/symbol and diagonal/symbol) it
-    maintains the running sum S built from the survival-rescaled state at
-    the line's active-row point, and the product of survival factors; the
-    two are linked by  prod (1 - p)^{-1} = 1 / (1 - S)  while the line is
-    alive, which is checked each step as a wiring diagnostic.
-    """
-
-    def __init__(self, J: LatinRectangle, tracked_lines: int = 64):
+    def __init__(self, J: LatinRectangle):
         self.J = J
         n, m = J.shape.n, J.shape.m
         self.n, self.m = n, m
         self.stats = TrajectoryStats(n=n, m=m)
         self.Jinv = J.row_inverse()
-        k = min(n, tracked_lines)
-        # deterministic samples: lines (j, j); triples (j % m, j, j+1 mod n)
+        k = min(n, TRACKED_LINES)
+        # deterministic samples: columns j; triples (j % m, j, j+1 mod n)
         self.lines = np.arange(k)
         self.triples = np.array(
             [(j % m, j, (j + 1) % n) for j in range(k) if n >= 2],
             dtype=np.int64).reshape(-1, 3).T
-        # S, log survival product and liveness of the tracked lines; row 0
-        # holds the CS lines, row 1 the DS lines
-        self.S = np.zeros((2, k))
-        self.logpi = np.zeros((2, k))
-        self.alive = np.ones((2, k), dtype=bool)
         self.drift_c_cum = 0.0
         self._frozen_rows, self._frozen_max = 0, -math.inf
 
@@ -267,15 +257,13 @@ class TrajectoryRecorder:
                       else self._frozen_max)
 
         c_dev_max = self._tracked_c_deviation(p_before, p_after, q, t)
-        s_err = self._update_central_sums(p_before, L_row, t)
 
         rec = StepRecord(
             t=t, b_min=b_min, b_max=b_max, c_max=c_max, p_max=p_max,
             kills_this_step=kills_total, eta_used=float(eta_used),
             kills_line_max=kills_line_max, c_kills_max=c_kills_max,
             martingale_residual=mart_res, b_dev_max=b_dev_max,
-            c_dev_max=c_dev_max, s_identity_err=s_err,
-            growth_max=growth_max,
+            c_dev_max=c_dev_max, growth_max=growth_max,
         )
         self.stats.records.append(rec)
         return rec
@@ -307,8 +295,8 @@ class TrajectoryRecorder:
         Transition.
 
         In every row i > t the points (i, j, (i + j) mod n) for the columns
-        j of the tracked lines are checked: their survival
-        probability 1 - q(rho_cs) - q(rho_ds) is recomputed from q and the
+        j in self.lines are checked: their survival probability
+        1 - q(rho_cs) - q(rho_ds) is recomputed from q and the
         recorder's own row inverse of J, in the same order and dtype as
         advance_state, and their kill indicator from L_row.  A point the
         rule kills must also be zero in the new state.  On a correct
@@ -372,32 +360,6 @@ class TrajectoryRecorder:
         self.stats.drift_c_cumulative = self.drift_c_cum
         return worst
 
-    def _update_central_sums(self, p_before, L_row, t):
-        """Advance S and the survival product of the tracked lines; return
-        the identity error."""
-        j = self.lines
-        inv_t = self.Jinv[t]
-        # active-row state values of the tracked lines: CS line (j, j) meets
-        # the active row at (t, j, j), DS line (j, j) at (t, inv_t[j], j)
-        pact = np.stack([p_before[t, j, j], p_before[t, inv_t[j], j]])
-        S, logpi, alive = self.S, self.logpi, self.alive
-        upd = alive & (pact < 1.0)
-        S[upd] += (1.0 - S[upd]) * pact[upd]
-        logpi[upd] -= np.log1p(-pact[upd])
-        alive &= pact < 1.0  # saturated line, stop tracking
-        # the placed row kills the lines through its cells: CS line (k, g)
-        # for g = L_row[k], DS line (J[t, k], g) for g = L_row[k]
-        alive[0] &= L_row[j] != j
-        alive[1] &= L_row[inv_t[j]] != j
-
-        err = 0.0
-        for on, lp, s in zip(alive.T, logpi.T, S.T):
-            for line in (0, 1):  # CS, then DS
-                if on[line]:
-                    lhs = math.exp(lp[line]) * (1.0 - s[line])
-                    err = max(err, abs(lhs - 1.0))
-        return err
-
 
 def summarize(stats: TrajectoryStats, exit_time: Optional[int] = None
               ) -> SummaryReport:
@@ -426,7 +388,6 @@ def summarize(stats: TrajectoryStats, exit_time: Optional[int] = None
         growth_max=growth_excess + 1.0,
         kills_line_max=kills_line, c_kills_max=c_kills,
         martingale_residual_max=max(r.martingale_residual for r in recs),
-        s_identity_err_max=max(r.s_identity_err for r in recs),
         xi_b_empirical=kills_line * p_max + growth_excess,
         xi_c_empirical=c_kills * p_max ** 2 * n + growth_excess * 2.0,
         drift_c_cumulative=stats.drift_c_cumulative,

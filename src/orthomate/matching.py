@@ -207,15 +207,11 @@ def default_eta_initial(n: int) -> float:
     return 4.0 * math.sqrt(math.log(n) / math.sqrt(n))
 
 
-def eta_schedule(n: int, policy: str = "doubling",
-                 eta_initial: Optional[float] = None,
+def eta_schedule(n: int, eta_initial: Optional[float] = None,
                  eta_max: float = 64.0):
-    """The sequence of eta values tried by build_fractional_matching."""
+    """The sequence of eta values tried by build_fractional_matching:
+    eta_initial (default_eta_initial(n) when None), doubling up to eta_max."""
     eta0 = default_eta_initial(n) if eta_initial is None else float(eta_initial)
-    if policy == "fixed":
-        return [eta0]
-    if policy != "doubling":
-        raise ValueError(f"unknown eta policy {policy!r}")
     etas = [min(eta0, eta_max)]
     while etas[-1] < eta_max:
         nxt = etas[-1] * 2 if etas[-1] > 0 else 0.25
@@ -273,8 +269,7 @@ def solve_fixed_eta(d, eta, backend: str = "auto") -> Optional[np.ndarray]:
     return _solve_caps(_scale_caps(w, 1 + eta), backend=backend)
 
 
-def build_fractional_matching(d, eta_policy: str = "doubling",
-                              eta_initial: Optional[float] = None,
+def build_fractional_matching(d, eta_initial: Optional[float] = None,
                               eta_max: float = 64.0
                               ) -> Tuple[FractionalMatching, float]:
     """Construct q <= (1 + eta) * d doubly stochastic, escalating eta.
@@ -298,7 +293,7 @@ def build_fractional_matching(d, eta_policy: str = "doubling",
     d_obj = d if isinstance(d, RowDistribution) else RowDistribution(np.asarray(d))
     w = d_obj.weights
     n = d_obj.n
-    etas = eta_schedule(n, eta_policy, eta_initial, eta_max)
+    etas = eta_schedule(n, eta_initial, eta_max)
     q = None
     for eta in etas:
         q = solve_fixed_eta(w, eta)

@@ -58,12 +58,6 @@ from .matching import (
 
 EXACT_MAX_N = 12
 
-#: allowed values of the ProcessConfig string fields
-CONFIG_CHOICES = {
-    "eta_policy": ("doubling", "fixed"),
-    "arithmetic": ("float64", "exact"),
-}
-
 
 class RowAlreadyColoured(OrthomateError):
     """Projection requested for a point whose row is already placed."""
@@ -81,7 +75,6 @@ class ProcessConfig:
         ValueError: a field holds a value outside its documented range.
     """
 
-    eta_policy: str = "doubling"
     eta_initial: Optional[float] = None
     eta_max: float = 64.0
     arithmetic: str = "float64"  # or "exact" (Fractions, n <= 12)
@@ -89,14 +82,11 @@ class ProcessConfig:
     gamma_b_slack: float = 1.0
     gamma_c_slack: float = 1.0
     record_trajectory: bool = True
-    tracked_lines: int = 64
 
     def __post_init__(self):
-        for name, allowed in CONFIG_CHOICES.items():
-            value = getattr(self, name)
-            if value not in allowed:
-                raise ValueError(f"{name} must be one of {', '.join(allowed)}; "
-                                 f"got {value!r}")
+        if self.arithmetic not in ("float64", "exact"):
+            raise ValueError(f"arithmetic must be one of float64, exact; "
+                             f"got {self.arithmetic!r}")
         if not (isinstance(self.eta_max, numbers.Real)
                 and 0 < self.eta_max < math.inf):
             raise ValueError(f"eta_max must be a finite number > 0; "
@@ -115,10 +105,9 @@ class ProcessConfig:
             if not (isinstance(value, numbers.Real) and 0 <= value < math.inf):
                 raise ValueError(f"{name} must be a finite number >= 0; "
                                  f"got {value!r}")
-        if not (isinstance(self.tracked_lines, int)
-                and self.tracked_lines >= 0):
-            raise ValueError(f"tracked_lines must be an integer >= 0; "
-                             f"got {self.tracked_lines!r}")
+        if not isinstance(self.record_trajectory, bool):
+            raise ValueError(f"record_trajectory must be true or false; "
+                             f"got {self.record_trajectory!r}")
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -475,7 +464,7 @@ def run_process(J: LatinRectangle, epsilon: Optional[float] = None,
     if config.record_trajectory:
         from .diagnostics import TrajectoryRecorder
 
-        recorder = TrajectoryRecorder(J, tracked_lines=config.tracked_lines)
+        recorder = TrajectoryRecorder(J)
 
     state = init_state(shape, exact=exact)
     grid = np.zeros((m, n), dtype=np.int64)
@@ -502,8 +491,7 @@ def run_process(J: LatinRectangle, epsilon: Optional[float] = None,
             break
         try:
             q, eta_used = build_fractional_matching(
-                d, eta_policy=config.eta_policy,
-                eta_initial=config.eta_initial, eta_max=config.eta_max)
+                d, eta_initial=config.eta_initial, eta_max=config.eta_max)
         except Infeasible as exc:
             state.stopped_at = t
             outcome = ProcessOutcome(kind="infeasible_row", time=t,

@@ -126,6 +126,17 @@ class TestMate:
         blob = json.loads(capsys.readouterr().out)
         assert blob["outcome"] == "exhausted"
 
+    @pytest.mark.parametrize("limit", ["-3", "0"])
+    def test_non_positive_node_limit_is_usage_error(self, tmp_path, capsys,
+                                                    limit):
+        jp = tmp_path / "J.txt"
+        jp.write_text("0 1 2\n1 2 0\n")
+        code = main(["mate", "--in", str(jp), "--algorithm", "backtrack",
+                     "--node-limit", limit])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "--node-limit" in err
+
     def test_hall_quarter_regime(self, tmp_path):
         jp, lp = tmp_path / "J.txt", tmp_path / "L.txt"
         main(["gen", "--n", "16", "--m", "4", "--seed", "3", "--out", str(jp)])
@@ -143,7 +154,7 @@ class TestMate:
         main(["mate", "--in", str(jp), "--seed", "4", "--out",
               str(tmp_path / "L.txt"), "--diag", str(dg)])
         text = read(dg)
-        assert text.startswith("# orthomate-trajectory-v2 ")
+        assert text.startswith("# orthomate-trajectory-v3 ")
 
     def test_guided_failure_report(self, tmp_path, capsys):
         jp = tmp_path / "J.txt"
@@ -157,7 +168,7 @@ class TestMate:
     def test_config_file(self, tmp_path):
         jp, lp = tmp_path / "J.txt", tmp_path / "L.txt"
         cfgp = tmp_path / "cfg.json"
-        cfgp.write_text(json.dumps({"eta_max": 8.0, "eta_policy": "doubling"}))
+        cfgp.write_text(json.dumps({"eta_max": 8.0}))
         main(["gen", "--n", "12", "--m", "3", "--seed", "1", "--out", str(jp)])
         assert main(["mate", "--in", str(jp), "--config", str(cfgp),
                      "--out", str(lp)]) == 0
@@ -176,6 +187,7 @@ class TestMate:
         ({"gamma_b_slack": -1}, "gamma_b_slack"),
         ({"gamma_a_coeff": 0}, "gamma_a_coeff"),
         ({"gamma_c_slack": -0.5}, "gamma_c_slack"),
+        ({"record_trajectory": "false"}, "record_trajectory"),
     ])
     def test_bad_config_is_usage_error(self, tmp_path, capsys, blob, message):
         jp, cfgp = tmp_path / "J.txt", tmp_path / "cfg.json"
@@ -372,7 +384,7 @@ class TestDiag:
                      "--out", str(out)]) == 0
         blob = json.loads(capsys.readouterr().out)
         assert blob["n"] == 12
-        assert read(out).startswith("# orthomate-trajectory-v2 ")
+        assert read(out).startswith("# orthomate-trajectory-v3 ")
 
     @pytest.mark.parametrize("command", ["mate", "diag"])
     def test_provenance_header(self, tmp_path, command):
@@ -390,7 +402,7 @@ class TestDiag:
         main(argv + ["--seed", "7", "--eta-max", "8"])
         schema, version, seed, config = read(traj).splitlines()[0][2:].split(
             " ", 3)
-        assert schema == "orthomate-trajectory-v2"
+        assert schema == "orthomate-trajectory-v3"
         assert version == f"orthomate={__version__}"
         assert seed == "seed=7"
         assert config.startswith("config=")

@@ -71,11 +71,6 @@ class TestRecordStep:
         for r in rec.stats.records:
             assert r.b_dev_max <= 2 * r.p_max + 8 * r.p_max * (r.growth_max - 1.0) + 1e-12
 
-    def test_s_identity(self):
-        J, rec = run_with_recorder(10, 5, seed=2)
-        for r in rec.stats.records:
-            assert r.s_identity_err <= 1e-7
-
     @pytest.mark.parametrize("seed", range(3))
     def test_wrong_survival_probability_is_caught(self, monkeypatch, seed):
         # a transition that divides by the survival probability of the
@@ -197,7 +192,7 @@ class TestExports:
         out.trajectory.to_csv(buf)
         text = buf.getvalue()
         lines = text.strip().splitlines()
-        assert lines[0].startswith("# orthomate-trajectory-v2")
+        assert lines[0].startswith("# orthomate-trajectory-v3")
         header = lines[1].split(",")
         assert tuple(header) == CSV_COLUMNS
         assert len(lines) == 2 + out.trajectory.steps_executed

@@ -163,19 +163,7 @@ class RecorderReference(TrajectoryRecorder):
     """record_step with a mask, a gather or a fresh array per quantity:
     np.where chains for the martingale residual, boolean gathers for the
     growth ratio, pa - pb twice, kill counts from the mask, p_max over
-    every row, its own line statistics, one sampled C sum at a time, and S
-    sums kept for every central line, of which the tracked ones are read."""
-
-    def __init__(self, J, tracked_lines=64):
-        super().__init__(J, tracked_lines)
-        n = self.n
-        self.lines = [(j, j) for j in range(min(n, tracked_lines))]
-        self.S_cs = np.zeros((n, n))
-        self.S_ds = np.zeros((n, n))
-        self.logpi_cs = np.zeros((n, n))
-        self.logpi_ds = np.zeros((n, n))
-        self.alive_cs = np.ones((n, n), dtype=bool)
-        self.alive_ds = np.ones((n, n), dtype=bool)
+    every row, its own line statistics and one sampled C sum at a time."""
 
     def record_step(self, before, q_row, L_row, after, eta_used=math.nan):
         m = self.m
@@ -219,14 +207,12 @@ class RecorderReference(TrajectoryRecorder):
         p_max = float(p_after.max())
 
         c_dev_max = self._tracked_c_deviation(p_before, p_after, q, t)
-        s_err = self._update_central_sums(p_before, L_row, t)
         rec = StepRecord(
             t=t, b_min=b_min, b_max=b_max, c_max=c_max, p_max=p_max,
             kills_this_step=kills_total, eta_used=float(eta_used),
             kills_line_max=kills_line_max, c_kills_max=c_kills_max,
             martingale_residual=mart_res, b_dev_max=b_dev_max,
-            c_dev_max=c_dev_max, s_identity_err=s_err,
-            growth_max=growth_max,
+            c_dev_max=c_dev_max, growth_max=growth_max,
         )
         self.stats.records.append(rec)
         return rec
@@ -262,32 +248,6 @@ class RecorderReference(TrajectoryRecorder):
             self.drift_c_cum += max(0.0, expected - x_now) / max(x_now, x0)
         self.stats.drift_c_cumulative = self.drift_c_cum
         return worst
-
-    def _update_central_sums(self, p_before, L_row, t):
-        n = self.n
-        inv_t = self.Jinv[t]
-        p_cs = p_before[t]
-        p_ds = p_before[t][inv_t, :]
-        for S, logpi, alive, pact in (
-            (self.S_cs, self.logpi_cs, self.alive_cs, p_cs),
-            (self.S_ds, self.logpi_ds, self.alive_ds, p_ds),
-        ):
-            upd = alive & (pact < 1.0)
-            S[upd] += (1.0 - S[upd]) * pact[upd]
-            logpi[upd] -= np.log1p(-pact[upd])
-            alive[alive & ~(pact < 1.0)] = False
-        cols = np.arange(n)
-        self.alive_cs[cols, L_row] = False
-        self.alive_ds[self.J.grid[t], L_row] = False
-        err = 0.0
-        for (a, b) in self.lines:
-            if self.alive_cs[a, b]:
-                lhs = math.exp(self.logpi_cs[a, b]) * (1.0 - self.S_cs[a, b])
-                err = max(err, abs(lhs - 1.0))
-            if self.alive_ds[a, b]:
-                lhs = math.exp(self.logpi_ds[a, b]) * (1.0 - self.S_ds[a, b])
-                err = max(err, abs(lhs - 1.0))
-        return err
 
 
 # ------------------------------------------------------------------ helpers
@@ -567,9 +527,9 @@ def paired_recorders(monkeypatch):
     check = process.check_gamma
 
     class Paired(TrajectoryRecorder):
-        def __init__(self, J, tracked_lines=64):
-            super().__init__(J, tracked_lines)
-            self.reference = RecorderReference(J, tracked_lines)
+        def __init__(self, J):
+            super().__init__(J)
+            self.reference = RecorderReference(J)
             pairs.append((self, self.reference))
 
         def record_step(self, before, q_row, L_row, after, eta_used=math.nan,

@@ -180,9 +180,8 @@ class TestFlowConstruction:
         assert mismatches == 0
 
     def test_eta_schedule(self):
-        etas = eta_schedule(16, "doubling", eta_initial=0.5, eta_max=3.0)
+        etas = eta_schedule(16, eta_initial=0.5, eta_max=3.0)
         assert etas == [0.5, 1.0, 2.0, 3.0]
-        assert eta_schedule(16, "fixed", eta_initial=0.7) == [0.7]
         assert default_eta_initial(16) == pytest.approx(
             4.0 * math.sqrt(math.log(16) / 4.0))
         assert default_eta_initial(1) == 0.0

@@ -450,14 +450,11 @@ class TestConfig:
 
     @pytest.mark.parametrize("field, value", [
         ("arithmetic", "exakt"),
-        ("eta_policy", "tripling"),
         ("eta_max", 0.0),
         ("eta_max", float("inf")),
         ("eta_max", "64"),
         ("eta_initial", -0.1),
         ("eta_initial", float("nan")),
-        ("tracked_lines", -1),
-        ("tracked_lines", 2.5),
         ("gamma_a_coeff", 0.0),
         ("gamma_a_coeff", -1.1),
         ("gamma_a_coeff", float("inf")),
@@ -469,12 +466,14 @@ class TestConfig:
         ("gamma_c_slack", -0.5),
         ("gamma_c_slack", float("inf")),
         ("gamma_c_slack", None),
+        ("record_trajectory", "false"),
     ])
     def test_rejects_out_of_range_values(self, field, value):
         with pytest.raises(ValueError, match=field):
             ProcessConfig(**{field: value})
 
-    @pytest.mark.parametrize("key", ["sampler", "zero_tol", "eta_maxx"])
+    @pytest.mark.parametrize("key", ["sampler", "zero_tol", "eta_maxx",
+                                     "eta_policy", "tracked_lines"])
     def test_from_json_rejects_unknown_keys(self, key):
         with pytest.raises(ValueError, match=key):
             ProcessConfig.from_json({key: 1, "eta_max": 8.0})
