@@ -100,8 +100,8 @@ def _epsilon_arg(text: str) -> float:
 @contextlib.contextmanager
 def _output_file(path):
     """path opened for writing before the run, so that a bad path costs no
-    compute, and removed again if the run fails, so no partial or empty
-    file is left behind."""
+    compute, and removed again if the run fails or writes nothing, so no
+    partial or empty file is left behind."""
     fh = open(path, "w", newline="")
     try:
         with fh:
@@ -110,14 +110,26 @@ def _output_file(path):
         if os.path.isfile(path):  # never a device such as /dev/null
             os.unlink(path)
         raise
+    if os.path.isfile(path) and os.path.getsize(path) == 0:
+        os.unlink(path)
 
 
-def _open_trajectory_csv(path, cfg: ProcessConfig):
-    """The trajectory CSV file as an _output_file; a null context when
-    there is nothing to write."""
-    if path and cfg.record_trajectory:
-        return _output_file(path)
-    return contextlib.nullcontext()
+def _optional_output(path):
+    """An _output_file for path; a null context yielding None without."""
+    return _output_file(path) if path else contextlib.nullcontext()
+
+
+def _check_trajectory_path(flag: str, path, cfg: ProcessConfig,
+                           algorithm: str = "guided") -> None:
+    """ValueError when flag names a trajectory CSV the run cannot write."""
+    if not path:
+        return
+    if algorithm != "guided":
+        raise ValueError(f"{flag}: --algorithm {algorithm} records no "
+                         "trajectory")
+    if not cfg.record_trajectory:
+        raise ValueError(f"{flag}: the config turns record_trajectory off, "
+                         "so there is no trajectory to write")
 
 
 def _provenance(seed, cfg: ProcessConfig) -> str:
@@ -181,6 +193,43 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _find_mate(args, J: LatinRectangle, cfg: ProcessConfig):
+    """(mate, {}) from the chosen algorithm, or (None, failure report)."""
+    if args.algorithm == "guided":
+        with _optional_output(args.diag) as diag_fh:
+            outcome = run_process(J, epsilon=args.epsilon, seed=args.seed,
+                                  config=cfg)
+            if diag_fh is not None:
+                outcome.trajectory.to_csv(diag_fh,
+                                          _provenance(args.seed, cfg))
+        if outcome.success:
+            return outcome.rectangle, {}
+        return None, {
+            "outcome": outcome.kind,
+            "exit_time": outcome.time,
+            "detail": outcome.detail,
+            "violations": [
+                {"inequality": v.ineq, "location": list(v.location),
+                 "lhs": v.lhs, "margin": v.margin}
+                for v in (outcome.gamma_report.violations
+                          if outcome.gamma_report else ())
+            ],
+        }
+    if args.algorithm == "hall":
+        try:
+            return hall_greedy(J, rng=np.random.default_rng(args.seed)), {}
+        except NoPerfectMatching as exc:
+            return None, {"outcome": "baseline_failure", "detail": str(exc)}
+    try:
+        mate = backtrack_mate(J, node_limit=args.node_limit)
+    except OrthomateError as exc:
+        return None, {"outcome": "baseline_failure", "detail": str(exc)}
+    if mate is None:
+        return None, {"outcome": "exhausted",
+                      "detail": "search space exhausted: no orthogonal mate"}
+    return mate, {}
+
+
 def cmd_mate(args) -> int:
     try:
         J = _read_rectangle(args.input)
@@ -188,58 +237,19 @@ def cmd_mate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     cfg = _config_from_args(args)
-    mate = None
-    failure = {}
+    _check_trajectory_path("--diag", args.diag, cfg, args.algorithm)
     if args.algorithm == "guided":
         check_arithmetic(J.shape.n, cfg)
-        with _open_trajectory_csv(args.diag, cfg) as diag_fh:
-            outcome = run_process(J, epsilon=args.epsilon, seed=args.seed,
-                                  config=cfg)
-            if diag_fh is not None:
-                outcome.trajectory.to_csv(diag_fh,
-                                          _provenance(args.seed, cfg))
-        if outcome.success:
-            mate = outcome.rectangle
-        else:
-            failure = {
-                "outcome": outcome.kind,
-                "exit_time": outcome.time,
-                "detail": outcome.detail,
-                "violations": [
-                    {"inequality": v.ineq, "location": list(v.location),
-                     "lhs": v.lhs, "margin": v.margin}
-                    for v in (outcome.gamma_report.violations
-                              if outcome.gamma_report else ())
-                ],
-            }
-    elif args.algorithm == "hall":
-        try:
-            mate = hall_greedy(J, rng=np.random.default_rng(args.seed))
-        except NoPerfectMatching as exc:
-            failure = {"outcome": "baseline_failure", "detail": str(exc)}
-    elif args.algorithm == "backtrack":
-        try:
-            mate = backtrack_mate(J, node_limit=args.node_limit)
-        except OrthomateError as exc:
-            failure = {"outcome": "baseline_failure", "detail": str(exc)}
-        if mate is None and not failure:
-            failure = {"outcome": "exhausted",
-                       "detail": "search space exhausted: no orthogonal mate"}
-    else:
-        print(f"error: unknown algorithm {args.algorithm}", file=sys.stderr)
-        return 1
-
-    if mate is None:
-        print(json.dumps(failure, indent=2))
-        return 2
-    if not (verify_latin(mate).ok and verify_orthogonal(mate, J).ok):
-        print("error: constructed mate failed re-verification", file=sys.stderr)
-        return 2
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(mate.to_text())
-    else:
-        sys.stdout.write(mate.to_text())
+    with _optional_output(args.out) as out_fh:
+        mate, failure = _find_mate(args, J, cfg)
+        if mate is None:
+            print(json.dumps(failure, indent=2))
+            return 2
+        if not (verify_latin(mate).ok and verify_orthogonal(mate, J).ok):
+            print("error: constructed mate failed re-verification",
+                  file=sys.stderr)
+            return 2
+        (out_fh or sys.stdout).write(mate.to_text())
     return 0
 
 
@@ -406,9 +416,10 @@ def cmd_trials(args) -> int:
 def cmd_diag(args) -> int:
     m = _derived_m(args)
     cfg = _config_from_args(args)
+    _check_trajectory_path("--out", args.out, cfg)
     check_arithmetic(args.n, cfg)
     J = random_latin_rectangle(args.n, m, np.random.default_rng(args.seed))
-    with _open_trajectory_csv(args.out, cfg) as fh:
+    with _optional_output(args.out) as fh:
         outcome = run_process(J, epsilon=args.epsilon, seed=args.seed,
                               config=cfg)
         if fh is not None:

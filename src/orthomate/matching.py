@@ -7,7 +7,12 @@ Given the guidance state restricted to one row, the pipeline is:
                   -> doubly stochastic q with q <= (1 + eta) * d, found as a
                      max flow with middle capacities (1 + eta) * d(k, g);
                      eta starts at 4 * sqrt(log n / sqrt n) and doubles until
-                     the flow saturates or eta_max is reached
+                     the flow saturates or eta_max is reached, then a short
+                     balance search lowers the cap ratio.  Its feasibility
+                     questions are answered by the certificates of
+                     maxflow.certified_status where they apply (a cut, or a
+                     Sinkhorn scaling of d as the witness), so a row costs
+                     about two flow solves: the schedule's and the final one
   birkhoff_terms  -> express q as a convex combination of permutations by a
                      threshold-greedy elimination walk; birkhoff_decompose
                      collects every term, sample_matching_lazy stops at the
@@ -26,6 +31,7 @@ enumeration from 4^n to 2^n * n log n.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,6 +57,9 @@ DS_TOL = 1e-9
 
 #: flow/cut feasibility tolerance (aligned between solver and oracle)
 FEAS_TOL = 1e-9
+
+#: Sinkhorn-Knopp iterations spent on one row's feasibility witness
+SINKHORN_MAX_ITER = 60
 
 
 class DeadSymbol(OrthomateError):
@@ -219,6 +228,34 @@ def eta_schedule(n: int, eta_initial: Optional[float] = None,
     return etas
 
 
+def sinkhorn_witness(w) -> Optional[np.ndarray]:
+    """diag(x) w diag(y) by Sinkhorn-Knopp scaling, or None.
+
+    w is a float (column, symbol) array whose symbol sums are 1.  The
+    iteration alternately rescales the columns' and the symbols' sums to 1
+    (Sinkhorn and Knopp, Pacific J. Math. 21, 1967) and stops once every
+    column sum is within 4 eps of 1 or after SINKHORN_MAX_ITER rounds.  The
+    result is only a witness for maxflow.witness_certifies_feasible, which
+    checks it; it is not a certified matching by itself.  None when a line
+    of w has no mass.
+    """
+    tol = 4 * np.finfo(np.float64).eps
+    y = np.ones(w.shape[1])
+    wy = w.sum(axis=1)
+    for _ in range(SINKHORN_MAX_ITER):
+        if not (wy > 0).all():
+            return None
+        x = 1.0 / wy
+        xw = x @ w
+        if not (xw > 0).all():
+            return None
+        y = 1.0 / xw
+        wy = w @ y
+        if np.abs(x * wy - 1).max() <= tol:
+            break
+    return x[:, None] * w * y[None, :]
+
+
 def _solve_caps(caps, backend: str = "auto") -> Optional[np.ndarray]:
     """Max flow under explicit middle capacities; q (n, n) or None.
 
@@ -282,6 +319,16 @@ def build_fractional_matching(d, eta_initial: Optional[float] = None,
     of the guided state at finite n; balancing also makes q = d whenever d
     is itself doubly stochastic.
 
+    The search tries beta = 1, then 1 + log n / sqrt n, then up to four
+    bisection points.  For float rows solved by scipy (n >= 24) each "is
+    there a flow under beta * d?" is first put to maxflow.certified_status,
+    which proves the verdict the solve would give by a cut or by the
+    Sinkhorn witness (sinkhorn_witness, computed at most once per row); only
+    the questions neither settles are solved.  The flow is then solved once
+    at the final beta, unless that point was solved already, so q and
+    eta_used are bit for bit those of solving every point.  Fraction rows
+    and the pure solver (n < 24) solve every point.
+
     Returns:
         (matching, eta_used) where 1 + eta_used is the certified entrywise
         cap ratio of the returned q (eta_used is at most the schedule value
@@ -289,6 +336,8 @@ def build_fractional_matching(d, eta_initial: Optional[float] = None,
 
     Raises:
         Infeasible: max flow below n even at eta_max.
+        OrthomateError: the final solve found no flow at a ratio a
+            certificate proved feasible (an internal error, never hidden).
     """
     d_obj = d if isinstance(d, RowDistribution) else RowDistribution(np.asarray(d))
     w = d_obj.weights
@@ -306,29 +355,51 @@ def build_fractional_matching(d, eta_initial: Optional[float] = None,
     if eta <= 0:
         return FractionalMatching(q), eta
 
-    # balance: smallest feasible cap ratio, tried tight-first
-    q_ds = _solve_caps(_scale_caps(w, 1))
-    if q_ds is not None:
-        return FractionalMatching(q_ds), 0.0
+    # balance: smallest feasible cap ratio, tried tight-first.  Each
+    # question "a flow under (1 + x) * d?" is answered by a certificate of
+    # the verdict the solve would give where one applies, and by the solve
+    # otherwise; the flow itself is solved once, where the search ends.
+    solved = {eta: q}
+    certify = w.dtype != object and n >= SCIPY_FLOW_MIN_N
+    witness = functools.cache(lambda: sinkhorn_witness(w))
+
+    def feasible(x):
+        if x in solved:
+            return solved[x] is not None
+        caps = _scale_caps(w, 1 + x)
+        if certify:
+            status = maxflow.certified_status(caps, witness)
+            if status is not None:
+                return status == "feasible"
+        solved[x] = _solve_caps(caps)
+        return solved[x] is not None
+
     log_term = math.log(n) / math.sqrt(n) if n > 1 else 0.0
     lo, hi = 0.0, float(eta)  # lo infeasible, hi feasible
-    natural = min(log_term, hi)
-    if natural > lo:
-        q_nat = _solve_caps(_scale_caps(w, 1 + natural))
-        if q_nat is not None:
-            hi, q = natural, q_nat
-        else:
-            lo = natural
-    for _ in range(4):
-        if hi - lo <= 0.05 * max(hi, 1e-9):
-            break
-        mid = (lo + hi) / 2
-        q_mid = _solve_caps(_scale_caps(w, 1 + mid))
-        if q_mid is not None:
-            hi, q = mid, q_mid
-        else:
-            lo = mid
-    return FractionalMatching(q), hi
+    if feasible(0.0):
+        hi = 0.0
+    else:
+        natural = min(log_term, hi)
+        if natural > lo:
+            if feasible(natural):
+                hi = natural
+            else:
+                lo = natural
+        for _ in range(4):
+            if hi - lo <= 0.05 * max(hi, 1e-9):
+                break
+            mid = (lo + hi) / 2
+            if feasible(mid):
+                hi = mid
+            else:
+                lo = mid
+    if hi not in solved:
+        solved[hi] = _solve_caps(_scale_caps(w, 1 + hi))
+        if solved[hi] is None:
+            raise OrthomateError(
+                f"internal: ratio 1 + {hi!r} was certified feasible but the "
+                "flow solve found none")
+    return FractionalMatching(solved[hi]), hi
 
 
 def birkhoff_terms(q, zero_tol: Optional[float] = None):

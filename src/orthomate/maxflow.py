@@ -12,9 +12,26 @@ Two solvers share this contract:
   Fraction arithmetic (tolerance 0);
 * an integer-scaled scipy solver for larger instances.  scipy's Dinic
   silently misbehaves once any capacity reaches 2**31, so capacities are
-  floor-scaled by a power of two kept below that limit.  Scaling makes the
-  feasibility verdict conservative in a narrow band; verdicts inside the
-  band are reported as ambiguous and the caller re-solves exactly.
+  floor-scaled by a power of two kept below that limit (scaled_caps).
+  Scaling makes the feasibility verdict conservative in a narrow band;
+  verdicts inside the band are reported as ambiguous and the caller
+  re-solves exactly.  The network's CSR arrays are built directly
+  (transport_csr), in the order a COO-to-CSR conversion would give.
+
+certified_status tells scipy_transport's verdict without solving, where
+a certificate proves it, on the same scaled integer network:
+
+* infeasible: one of the two one-sided cuts (every column, or every
+  symbol, cut at the cheaper of its unit edge and its middle edges) is
+  below full - nnz, so the max flow is too (cut_certifies_infeasible);
+* feasible: a nearly doubly stochastic witness (a Sinkhorn scaling of the
+  row), shrunk to fit the scaled capacities, is a real flow of value above
+  full - 1; an integer network's max flow is an integer at least that, so
+  it is full (witness_certifies_feasible, which states the float margins).
+
+Either proof fixes the verdict the exact integer solve would return, so a
+caller may skip the solve and keep every outcome bit-identical.  Cases
+neither certificate settles, the ambiguous band among them, are solved.
 """
 
 from __future__ import annotations
@@ -24,6 +41,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 AUGMENT_TOL = 1e-12
+
+_EPS = float(np.finfo(np.float64).eps)
 
 
 class _Net:
@@ -118,6 +137,51 @@ def solve_transport(mid_caps, one=1.0, tol: float = AUGMENT_TOL):
     return value, flow
 
 
+def scaled_caps(mid_caps: np.ndarray) -> Tuple[int, np.ndarray]:
+    """(scale, mid_int): the integer network scipy_transport solves.
+
+    mid_caps is nonnegative.  scale is the largest power of two (at most
+    2**30) keeping every scaled capacity strictly below 2**31, and
+    mid_int = floor(scale * mid_caps).
+    The source and sink edges carry scale, so the scaled max flow is
+    full = n * scale exactly when the real network saturates up to the
+    flooring loss.
+    """
+    cmax = float(mid_caps.max(initial=0.0))
+    s = 30
+    while cmax * (1 << s) >= 2 ** 31 - 1 and s > 1:
+        s -= 1
+    scale = 1 << s
+    return scale, np.floor(mid_caps * scale).astype(np.int64)
+
+
+def transport_csr(scale: int, mid_int: np.ndarray):
+    """The scaled transport network as a CSR matrix, built directly.
+
+    Node k < n is column k, node n + g symbol g, 2n the source and 2n + 1
+    the sink.  Rows are laid out as ``csr_matrix((data, (rows, cols)))``
+    would sort the same edges: each column's positive middle edges in
+    symbol order, each symbol's sink edge, the source's n edges, and an
+    empty sink row.
+    """
+    import scipy.sparse as sp
+
+    n = mid_int.shape[0]
+    positive = mid_int > 0
+    _, gg = np.nonzero(positive)
+    nnz = len(gg)
+    indptr = np.empty(2 * n + 3, dtype=np.int32)
+    indptr[0] = 0
+    np.cumsum(np.count_nonzero(positive, axis=1), out=indptr[1:n + 1])
+    indptr[n + 1:2 * n + 1] = nnz + np.arange(1, n + 1)
+    indptr[2 * n + 1:] = nnz + 2 * n
+    indices = np.concatenate([gg + n, np.full(n, 2 * n + 1), np.arange(n)]
+                             ).astype(np.int32)
+    data = np.concatenate([mid_int[positive],
+                           np.full(2 * n, scale, dtype=np.int64)])
+    return sp.csr_matrix((data, indices, indptr), shape=(2 * n + 2, 2 * n + 2))
+
+
 def scipy_transport(mid_caps: np.ndarray) -> Tuple[str, Optional[np.ndarray]]:
     """Integer-scaled scipy max flow.
 
@@ -125,36 +189,93 @@ def scipy_transport(mid_caps: np.ndarray) -> Tuple[str, Optional[np.ndarray]]:
     summation, ("infeasible", None), or ("ambiguous", None) when the scaled
     verdict falls inside the rounding band and an exact solver must decide.
     """
-    import scipy.sparse as sp
     from scipy.sparse.csgraph import maximum_flow
 
     n = mid_caps.shape[0]
-    cmax = float(mid_caps.max(initial=0.0))
-    # largest power of two keeping every capacity strictly below 2**31
-    s = 30
-    while cmax * (1 << s) >= 2 ** 31 - 1 and s > 1:
-        s -= 1
-    scale = 1 << s
-    mid_int = np.floor(mid_caps * scale).astype(np.int64)
-    src, snk = 2 * n, 2 * n + 1
-    kk, gg = np.nonzero(mid_int > 0)
-    rows = np.concatenate([np.full(n, src), np.arange(n) + n, kk])
-    cols = np.concatenate([np.arange(n), np.full(n, snk), gg + n])
-    data = np.concatenate(
-        [
-            np.full(n, scale, dtype=np.int64),
-            np.full(n, scale, dtype=np.int64),
-            mid_int[kk, gg],
-        ]
-    )
-    graph = sp.csr_matrix((data, (rows, cols)), shape=(2 * n + 2, 2 * n + 2))
-    res = maximum_flow(graph, src, snk)
+    scale, mid_int = scaled_caps(mid_caps)
+    graph = transport_csr(scale, mid_int)
+    res = maximum_flow(graph, 2 * n, 2 * n + 1)
     full = n * scale
     if res.flow_value == full:
         q = res.flow.toarray()[0:n, n : 2 * n].astype(np.float64) / scale
         return "feasible", q
     # flooring can have cost at most one unit per positive middle edge on
     # any cut, so a deficit beyond that certifies true infeasibility
-    if res.flow_value < full - int(len(kk)):
+    if res.flow_value < full - (graph.nnz - 2 * n):
         return "infeasible", None
     return "ambiguous", None
+
+
+def cut_certifies_infeasible(scale: int, mid_int: np.ndarray) -> bool:
+    """True when a one-sided cut proves scipy_transport says "infeasible".
+
+    Cutting, for each column k, the cheaper of its source edge (scale) and
+    its middle edges (row sum of mid_int) separates source from sink, and
+    so does the same choice on the symbol side.  The max flow is at most
+    either cut, so a cut below full - nnz (nnz the positive middle edges)
+    forces scipy_transport's "infeasible" branch.  Exact int64 arithmetic.
+    """
+    n = mid_int.shape[0]
+    cut = min(np.minimum(mid_int.sum(axis=1), scale).sum(),
+              np.minimum(mid_int.sum(axis=0), scale).sum())
+    return int(cut) < n * scale - int(np.count_nonzero(mid_int))
+
+
+def witness_certifies_feasible(scale: int, mid_int: np.ndarray,
+                               witness: np.ndarray) -> bool:
+    """True when witness proves scipy_transport says "feasible".
+
+    witness is a nonnegative, nearly doubly stochastic (n, n) matrix.  Let
+    f = (1 - delta) * scale * witness, with 1 - delta the reciprocal of the
+    witness's largest line sum (slightly inflated).  If
+
+      (a) 0 <= f <= mid_int entrywise,
+      (b) every row and column sum of f is at most scale, and
+      (c) sum(f) > full - 1,
+
+    then f is a real flow of the scaled network with value above full - 1.
+    The network's capacities are integers, so its max flow is an integer
+    no smaller than any real flow's value, hence full, and scipy's exact
+    integer solver takes the "feasible" branch.
+
+    The float64 f is checked as stored, so (a) is an exact comparison
+    (mid_int < 2**31 converts exactly).  A float sum of m nonnegative terms
+    is within (m - 1) u of the true sum relative to it (u = 2**-53), so the
+    line sums are checked against scale * (1 - r) and the total, a sum of
+    row sums at most full by (b), against full - 1 + 2 r full, with
+    r = 2 n eps = 4 n u: that covers the 2n - 2 roundings of the total
+    and the rounding of the threshold itself.  Anything not certified this
+    way is left to the solver.
+    """
+    n = mid_int.shape[0]
+    r = 2 * n * _EPS
+    rows = witness.sum(axis=1)
+    peak = max(float(rows.max()), float(witness.sum(axis=0).max()))
+    if not peak > 0:
+        return False
+    f = witness * (scale / (peak * (1 + 2 * r)))
+    if not (f.min() >= 0 and (f <= mid_int).all()):
+        return False
+    rows = f.sum(axis=1)
+    bound = scale * (1 - r)
+    if rows.max() > bound or f.sum(axis=0).max() > bound:
+        return False
+    full = n * scale
+    return float(rows.sum()) > full - 1 + 2 * r * full
+
+
+def certified_status(mid_caps: np.ndarray, witness) -> Optional[str]:
+    """scipy_transport's status for mid_caps when a certificate proves it.
+
+    "infeasible" by cut_certifies_infeasible, "feasible" by
+    witness_certifies_feasible on witness() (called only when the cut does
+    not decide; it may return None for no witness), None when neither
+    certificate applies and only a solve can tell.
+    """
+    scale, mid_int = scaled_caps(mid_caps)
+    if cut_certifies_infeasible(scale, mid_int):
+        return "infeasible"
+    q = witness()
+    if q is not None and witness_certifies_feasible(scale, mid_int, q):
+        return "feasible"
+    return None

@@ -455,6 +455,14 @@ class TestOutputOpenedBeforeRun:
         assert calls == []
         assert "missing_dir" in capsys.readouterr().err
 
+    def test_mate_unwritable_out(self, tmp_path, capsys, calls):
+        jp = tmp_path / "J.txt"
+        main(["gen", "--n", "8", "--m", "4", "--seed", "2", "--out", str(jp)])
+        out = tmp_path / "missing_dir" / "L.txt"
+        assert main(["mate", "--in", str(jp), "--out", str(out)]) == 1
+        assert calls == []
+        assert "missing_dir" in capsys.readouterr().err
+
     def test_diag_unwritable_out(self, tmp_path, capsys, calls):
         out = tmp_path / "missing_dir" / "traj.csv"
         assert main(["diag", "--n", "12", "--epsilon", "0.5",
@@ -482,3 +490,73 @@ class TestNoOutputOnUsageError:
         assert "exact arithmetic supported for n <= 12" in err \
             or "derived m=9 outside [1, n]" in err
         assert not out.exists()
+
+
+class TestNoMateNoOutFile:
+    @pytest.mark.parametrize("algorithm", ["guided", "backtrack"])
+    def test_failed_mate_leaves_no_file(self, tmp_path, capsys, algorithm):
+        jp, lp = tmp_path / "J.txt", tmp_path / "L.txt"
+        jp.write_text("0 1\n1 0\n")
+        assert main(["mate", "--in", str(jp), "--algorithm", algorithm,
+                     "--out", str(lp)]) == 2
+        assert json.loads(capsys.readouterr().out)["outcome"]
+        assert not lp.exists()
+
+    def test_failed_reverification_leaves_no_file(self, tmp_path, capsys,
+                                                  monkeypatch):
+        class Rejected:
+            ok = False
+
+        monkeypatch.setattr(cli, "verify_orthogonal", lambda L, J: Rejected())
+        jp, lp = tmp_path / "J.txt", tmp_path / "L.txt"
+        main(["gen", "--n", "8", "--m", "2", "--seed", "1", "--out", str(jp)])
+        assert main(["mate", "--in", str(jp), "--out", str(lp)]) == 2
+        assert "failed re-verification" in capsys.readouterr().err
+        assert not lp.exists()
+
+    def test_failed_guided_run_keeps_its_trajectory(self, tmp_path):
+        jp, lp, dg = (tmp_path / name for name in ("J.txt", "L.txt", "t.csv"))
+        jp.write_text("0 1\n1 0\n")
+        assert main(["mate", "--in", str(jp), "--out", str(lp),
+                     "--diag", str(dg)]) == 2
+        assert not lp.exists()
+        assert read(dg).startswith("# orthomate-trajectory-v3 ")
+
+
+class TestTrajectoryPathNeedsRecording:
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        runs = []
+        for name in ("run_process", "hall_greedy", "backtrack_mate"):
+            monkeypatch.setattr(cli, name,
+                                lambda *a, _n=name, **kw: runs.append(_n))
+        return runs
+
+    @pytest.mark.parametrize("argv, message", [
+        (["mate", "--in", "{J}", "--algorithm", "hall", "--diag", "{out}"],
+         "--algorithm hall records no trajectory"),
+        (["mate", "--in", "{J}", "--algorithm", "backtrack",
+          "--diag", "{out}"],
+         "--algorithm backtrack records no trajectory"),
+        (["mate", "--in", "{J}", "--config", "{cfg}", "--diag", "{out}"],
+         "record_trajectory off"),
+        (["diag", "--n", "8", "--config", "{cfg}", "--out", "{out}"],
+         "record_trajectory off"),
+    ])
+    def test_usage_error_before_any_run(self, tmp_path, capsys, runs, argv,
+                                        message):
+        jp, cfgp, out = (tmp_path / name
+                         for name in ("J.txt", "cfg.json", "t.csv"))
+        main(["gen", "--n", "8", "--m", "4", "--seed", "2", "--out", str(jp)])
+        cfgp.write_text(json.dumps({"record_trajectory": False}))
+        argv = [a.format(J=jp, cfg=cfgp, out=out) for a in argv]
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
+        assert runs == []
+        assert not out.exists()
+
+    def test_recording_off_without_a_path_still_runs(self, tmp_path, capsys):
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({"record_trajectory": False}))
+        assert main(["diag", "--n", "8", "--config", str(cfgp)]) == 0
+        assert json.loads(capsys.readouterr().out)["outcome"]

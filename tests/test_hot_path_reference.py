@@ -5,8 +5,9 @@ loop calls on every row: the support matching through
 ``scipy.sparse.csr_matrix(mask)``, the Birkhoff walk that truncates the
 whole matrix after every term, the state transition that builds the full
 kill mask and divides the whole state, the Gamma check that scans every
-row for A, and the trajectory recorder that evaluates each record with its
-own masks and gathers.  The package versions do less work and must agree
+row for A, the trajectory recorder that evaluates each record with its
+own masks and gathers, and the balance search that solves a max flow at
+every ratio it tries.  The package versions do less work and must agree
 with them bit for bit on seeded random inputs, including the failure cases.
 """
 
@@ -35,12 +36,17 @@ from orthomate import (
     run_process,
     sample_matching_lazy,
 )
-from orthomate import diagnostics, process
+from orthomate import diagnostics, maxflow, process
 from orthomate.bipartite import perfect_matching_on_mask, perfect_matching_scipy
 from orthomate.matching import (
     FractionalMatching,
+    Infeasible,
     NoSupportMatching,
+    _scale_caps,
+    _solve_caps,
     birkhoff_terms,
+    eta_schedule,
+    solve_fixed_eta,
 )
 from orthomate.process import gamma_bounds, line_statistics
 
@@ -92,6 +98,42 @@ def birkhoff_reference(Q, zero_tol):
         Q[cols, match] -= c
         Q[Q < zero_tol] = 0
     raise NoSupportMatching("Birkhoff walk failed to terminate")
+
+
+def balance_reference(d):
+    """build_fractional_matching with a max-flow solve at every ratio."""
+    w = d.weights
+    n = d.n
+    for eta in eta_schedule(n):
+        q = solve_fixed_eta(w, eta)
+        if q is not None:
+            break
+    if q is None:
+        raise Infeasible("no fractional matching")
+    if eta <= 0:
+        return q, eta
+    q_ds = _solve_caps(_scale_caps(w, 1))
+    if q_ds is not None:
+        return q_ds, 0.0
+    log_term = math.log(n) / math.sqrt(n) if n > 1 else 0.0
+    lo, hi = 0.0, float(eta)
+    natural = min(log_term, hi)
+    if natural > lo:
+        q_nat = _solve_caps(_scale_caps(w, 1 + natural))
+        if q_nat is not None:
+            hi, q = natural, q_nat
+        else:
+            lo = natural
+    for _ in range(4):
+        if hi - lo <= 0.05 * max(hi, 1e-9):
+            break
+        mid = (lo + hi) / 2
+        q_mid = _solve_caps(_scale_caps(w, 1 + mid))
+        if q_mid is not None:
+            hi, q = mid, q_mid
+        else:
+            lo = mid
+    return q, hi
 
 
 def advance_reference(state, q_row, L_row, J, den_tol=1e-12):
@@ -506,6 +548,38 @@ class TestGammaReference:
         old = gamma_reference(frozen, 0.5)
         assert [(v.ineq, v.location) for v in old.violations] == [
             ("A_x", (0, 0, 0))]
+
+
+# ------------------------------------------------------------- flow search
+
+class TestBalanceSearchReference:
+    @pytest.mark.parametrize("n, m, steps, seed", [
+        (24, 12, 0, 0), (24, 12, 1, 1), (24, 12, 7, 2), (64, 32, 1, 3),
+        (64, 32, 12, 4), (128, 64, 6, 5), (192, 96, 3, 6)])
+    def test_same_q_and_eta_as_solving_every_ratio(self, n, m, steps, seed):
+        state = evolved(n, m, steps, seed)[1]
+        for row in range(state.t, min(state.t + 3, m)):
+            d = normalize_row(state, row)
+            got, got_eta = build_fractional_matching(d)
+            want, want_eta = balance_reference(d)
+            assert repr(got_eta) == repr(want_eta)
+            assert same_array(got.q, want)
+
+    def test_scipy_solves_per_row(self, monkeypatch):
+        solves, rows = [], []
+        scipy_transport = maxflow.scipy_transport
+        build = process.build_fractional_matching
+        monkeypatch.setattr(maxflow, "scipy_transport",
+                            lambda caps: solves.append(1)
+                            or scipy_transport(caps))
+        monkeypatch.setattr(process, "build_fractional_matching",
+                            lambda *a, **kw: rows.append(1)
+                            or build(*a, **kw))
+        J = random_rect(64, 32, 0)
+        run_process(J, epsilon=0.5, seed=0,
+                    config=ProcessConfig(record_trajectory=False))
+        assert len(rows) > 10
+        assert len(solves) <= 2.5 * len(rows)
 
 
 # ----------------------------------------------------------------- recorder
