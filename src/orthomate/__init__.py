@@ -40,7 +40,6 @@ from .process import (
     GammaReport,
     GammaViolation,
     GuidanceState,
-    KillMask,
     ProcessConfig,
     ProcessOutcome,
     RowAlreadyColoured,

@@ -34,7 +34,6 @@ is checked.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from dataclasses import dataclass, field, asdict
@@ -107,11 +106,6 @@ class TrajectoryStats:
         for rec in self.records:
             d = asdict(rec)
             writer.writerow([d[c] for c in CSV_COLUMNS])
-
-    def to_csv_string(self) -> str:
-        buf = io.StringIO()
-        self.to_csv(buf)
-        return buf.getvalue()
 
     def to_json(self) -> str:
         return json.dumps(
@@ -213,9 +207,12 @@ class TrajectoryRecorder:
             c_max = float(gram.max())
 
             # kill counts per local line and the pairwise C bound, from the
-            # flat indices (i * n + k) * n + g of the killed points
+            # flat indices (i * n + k) * n + g of the killed points, each
+            # once, as the two symbols of a cell differ; nothing below
+            # depends on their order
             rows = m - t - 1
-            hit = np.flatnonzero(tr.killed)
+            cells = np.arange(0, rows * n * n, n, dtype=np.int64)
+            hit = (cells.reshape(rows, n, 1) + tr.killed).reshape(-1)
             kills_total = hit.size
             kc_rc = np.bincount(hit // n, minlength=rows * n).reshape(rows, n)
             kc_rs = np.bincount(hit // (n * n) * n + hit % n,

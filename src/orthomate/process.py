@@ -67,6 +67,11 @@ class DegenerateDenominator(OrthomateError):
     """Survival probability <= 0 for a surviving point; process failure."""
 
 
+def _is_number(value) -> bool:
+    """A real number and not a bool: JSON true/false must not pass as 1/0."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass
 class ProcessConfig:
     """Knobs of the guided process; serializable as JSON.
@@ -78,33 +83,20 @@ class ProcessConfig:
     eta_initial: Optional[float] = None
     eta_max: float = 64.0
     arithmetic: str = "float64"  # or "exact" (Fractions, n <= 12)
-    gamma_a_coeff: float = 1.1
-    gamma_b_slack: float = 1.0
-    gamma_c_slack: float = 1.0
     record_trajectory: bool = True
 
     def __post_init__(self):
         if self.arithmetic not in ("float64", "exact"):
             raise ValueError(f"arithmetic must be one of float64, exact; "
                              f"got {self.arithmetic!r}")
-        if not (isinstance(self.eta_max, numbers.Real)
-                and 0 < self.eta_max < math.inf):
+        if not (_is_number(self.eta_max) and 0 < self.eta_max < math.inf):
             raise ValueError(f"eta_max must be a finite number > 0; "
                              f"got {self.eta_max!r}")
         if self.eta_initial is not None and not (
-                isinstance(self.eta_initial, numbers.Real)
+                _is_number(self.eta_initial)
                 and 0 <= self.eta_initial < math.inf):
             raise ValueError(f"eta_initial must be a finite number >= 0 or "
                              f"null; got {self.eta_initial!r}")
-        if not (isinstance(self.gamma_a_coeff, numbers.Real)
-                and 0 < self.gamma_a_coeff < math.inf):
-            raise ValueError(f"gamma_a_coeff must be a finite number > 0; "
-                             f"got {self.gamma_a_coeff!r}")
-        for name in ("gamma_b_slack", "gamma_c_slack"):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and 0 <= value < math.inf):
-                raise ValueError(f"{name} must be a finite number >= 0; "
-                                 f"got {value!r}")
         if not isinstance(self.record_trajectory, bool):
             raise ValueError(f"record_trajectory must be true or false; "
                              f"got {self.record_trajectory!r}")
@@ -126,12 +118,17 @@ class ProcessConfig:
 
 @dataclass(frozen=True)
 class Transition:
-    """Kill indicators and survival probabilities 1 - q(rho_cs) - q(rho_ds)
-    of the rows > t, as advance_state computed them placing row t."""
+    """Killed symbols and survival probabilities 1 - q(rho_cs) - q(rho_ds)
+    of the rows > t, as advance_state computed them placing row t.
+
+    killed[i, k] holds the two symbols that die in cell (t + 1 + i, k).
+    They differ: the two projections lie in different columns of row t
+    (see central_projections), and the placed row is a permutation.
+    """
 
     t: int
-    killed: np.ndarray  # (m - t - 1, n, n) bool
-    den: np.ndarray  # same shape, dtype of 1 - q; degenerate values kept
+    killed: np.ndarray  # (m - t - 1, n, 2) int64
+    den: np.ndarray  # (m - t - 1, n, n), dtype of 1 - q; degenerate kept
 
 
 @dataclass
@@ -154,14 +151,6 @@ class GuidanceState:
     @property
     def exact(self) -> bool:
         return self.p.dtype == object
-
-
-@dataclass(frozen=True)
-class KillMask:
-    """Kill indicators for points in rows beyond the active one."""
-
-    t: int
-    killed: np.ndarray  # (m, n, n) bool; rows <= t all False
 
 
 @dataclass(frozen=True)
@@ -193,7 +182,7 @@ def check_epsilon(epsilon) -> float:
     """epsilon if it is a finite number >= 0, else ValueError: a nan would
     switch A off silently, a negative value would act as its absolute value.
     """
-    if not (isinstance(epsilon, numbers.Real) and 0 <= epsilon < math.inf):
+    if not (_is_number(epsilon) and 0 <= epsilon < math.inf):
         raise ValueError(f"epsilon must be a finite number >= 0; "
                          f"got {epsilon!r}")
     return epsilon
@@ -206,18 +195,12 @@ def check_arithmetic(n: int, config: ProcessConfig) -> None:
         raise ValueError(f"exact arithmetic supported for n <= {EXACT_MAX_N}")
 
 
-def gamma_bounds(n: int, epsilon: float, a_coeff: float = 1.1,
-                 b_slack: float = 1.0, c_slack: float = 1.0):
+def gamma_bounds(n: int, epsilon: float):
     """(A upper bound, B low, B high, C upper bound) for the goodness region."""
     check_epsilon(epsilon)
     log_term = math.log(n) / math.sqrt(n) if n > 1 else 0.0
-    a_bound = math.inf if epsilon == 0 else a_coeff / (epsilon ** 2 * n)
-    return (
-        a_bound,
-        1.0 - b_slack * log_term,
-        1.0 + b_slack * log_term,
-        (1.0 + c_slack * log_term) / n,
-    )
+    a_bound = math.inf if epsilon == 0 else 1.1 / (epsilon ** 2 * n)
+    return a_bound, 1.0 - log_term, 1.0 + log_term, (1.0 + log_term) / n
 
 
 def line_statistics(rows: np.ndarray):
@@ -235,17 +218,13 @@ def uncoloured_rows(state: GuidanceState) -> np.ndarray:
     return sub.astype(np.float64) if state.exact else sub
 
 
-def check_gamma(state: GuidanceState, epsilon: float,
-                a_coeff: float = 1.1, b_slack: float = 1.0,
-                c_slack: float = 1.0,
-                max_violations: Optional[int] = None, *,
+def check_gamma(state: GuidanceState, epsilon: float, *,
                 stats: Optional[tuple] = None) -> GammaReport:
     """Evaluate the three goodness families and report every violation.
 
     All three are checked on uncoloured rows only (>= t).  A coloured row
     was checked for A while it was still uncoloured and is frozen since, so
-    checking it again could not find anything new.  max_violations
-    optionally truncates the list per family.  stats is
+    checking it again could not find anything new.  stats is
     line_statistics(uncoloured_rows(state)) when the caller already has it
     (run_process hands it on from the recorder); it is computed when None.
 
@@ -253,21 +232,19 @@ def check_gamma(state: GuidanceState, epsilon: float,
         ValueError: stats covers a different number of rows than state.
     """
     n, t = state.shape.n, state.t
-    a_bound, b_lo, b_hi, c_bound = gamma_bounds(n, epsilon, a_coeff,
-                                                b_slack, c_slack)
+    a_bound, b_lo, b_hi, c_bound = gamma_bounds(n, epsilon)
     sub = uncoloured_rows(state)
     if stats is None:
         stats = line_statistics(sub)
     elif stats[2].shape[0] != sub.shape[0]:
         raise ValueError(f"stats cover {stats[2].shape[0]} rows; state has "
                          f"{sub.shape[0]} uncoloured rows")
-    cap = slice(None, max_violations)
     violations = []
 
     if a_bound != math.inf:
         bad = sub > a_bound
         if bad.any():
-            for i_off, k, g in np.argwhere(bad)[cap]:
+            for i_off, k, g in np.argwhere(bad):
                 lhs = float(sub[i_off, k, g])
                 violations.append(GammaViolation(
                     "A_x", (int(i_off) + t, int(k), int(g)), lhs,
@@ -277,7 +254,7 @@ def check_gamma(state: GuidanceState, epsilon: float,
     for cls, sums in (("RC", rc), ("RS", rs)):
         bad = (sums < b_lo) | (sums > b_hi)
         if bad.any():
-            for i_off, j in np.argwhere(bad)[cap]:
+            for i_off, j in np.argwhere(bad):
                 lhs = float(sums[i_off, j])
                 margin = max(b_lo - lhs, lhs - b_hi)
                 violations.append(GammaViolation(
@@ -285,7 +262,7 @@ def check_gamma(state: GuidanceState, epsilon: float,
                     (b_lo, b_hi), margin))
     bad = gram > c_bound
     if bad.any():
-        for r, k, l in np.argwhere(bad)[cap]:
+        for r, k, l in np.argwhere(bad):
             lhs = float(gram[r, k, l])
             violations.append(GammaViolation(
                 "C_ikl", (int(r) + t, int(k), int(l)), lhs,
@@ -318,33 +295,36 @@ def central_projections(x: Point, t: int, J: LatinRectangle):
 
 
 def kill_mask(L_row: np.ndarray, t: int, J: LatinRectangle,
-              shape: Shape) -> KillMask:
-    """Kill indicators induced by placing L_row at the active row t.
+              shape: Shape) -> np.ndarray:
+    """(m, n, n) bool kill indicators induced by placing L_row at row t.
 
     A point x in a later row dies iff the placed row occupies the point of
     x's column/symbol line or of x's diagonal/symbol line on row t.  Per
-    local line of a later row this kills at most 2 points.
+    local line of a later row this kills at most 2 points; rows <= t are
+    all False.  The dense form of Transition.killed, kept as its oracle.
     """
     m, n = shape.m, shape.n
+    L_row = np.asarray(L_row, dtype=np.int64)
     killed = np.zeros((m, n, n), dtype=bool)
     if t + 1 < m:
-        killed[t + 1:] = _later_kills(L_row, diag_column_map(J, t, t + 1))
-    return KillMask(t=t, killed=killed)
+        i, k = np.ogrid[t + 1:m, :n]
+        killed[i, k, L_row[k]] = True
+        killed[i, k, L_row[diag_column_map(J, t, t + 1)]] = True
+    return killed
 
 
 def _later_kills(L_row: np.ndarray, k2: np.ndarray) -> np.ndarray:
-    """Kill indicators on the rows whose diagonal column map is k2.
+    """The two killed symbols of each cell of the rows whose diagonal
+    column map is k2, as an (rows, n, 2) int64 array.
 
     Point (i, k, g) dies iff g = L_row[k] (its column/symbol line meets the
     placed cell (t, k)) or g = L_row[k2[i, k]] (its diagonal/symbol line
     meets the placed cell on its diagonal).
     """
     L_row = np.asarray(L_row, dtype=np.int64)
-    rows, n = k2.shape
-    killed = np.zeros((rows, n, n), dtype=bool)
-    i, k = np.ogrid[:rows, :n]
-    killed[i, k, L_row[k]] = True
-    killed[i, k, L_row[k2]] = True
+    killed = np.empty(k2.shape + (2,), dtype=np.int64)
+    killed[:, :, 0] = L_row
+    killed[:, :, 1] = L_row[k2]
     return killed
 
 
@@ -357,7 +337,8 @@ def advance_state(state: GuidanceState, q_row, L_row: np.ndarray,
     coloured rows stay frozen and are copied as they are.  Survivors can
     only grow, since the divisor never exceeds 1.  A point with zero mass
     stays at zero whatever its survival probability.  The new state
-    carries the kill mask and survival probabilities as its Transition.
+    carries the killed symbols and survival probabilities as its
+    Transition.
 
     The same code runs on float64 and on Fraction states; den_tol applies
     to floats, Fractions are degenerate only at survival probability <= 0.
@@ -387,22 +368,25 @@ def advance_state(state: GuidanceState, q_row, L_row: np.ndarray,
     one_minus_q = one - q
     den = q[k2, :].astype(one_minus_q.dtype, copy=False)
     np.subtract(one_minus_q, den, out=den)
-    low = den <= tol
-    divisor = den
-    if low.any():
-        degenerate = low & ~killed & (p_sub > 0)
+    # the points with den <= tol, looked for only when some den is that low
+    # (or nan); divide by one there, so that a zero stays +0 instead of
+    # turning into -0 or nan; den keeps the raw values for the recorder's
+    # martingale residual
+    low = None if den.min(initial=math.inf) > tol else den <= tol
+    divisor = den if low is None else np.where(low, one, den)
+    new_sub = new_p[t + 1:]
+    np.divide(p_sub, divisor, out=new_sub)
+    np.put_along_axis(new_sub, killed, 0 * one, axis=2)
+    if low is not None:
+        # a low point is fine if it was killed or has p = 0; it kept p
+        # there, so what is still positive is a survivor
+        degenerate = low & (new_sub > 0)
         if degenerate.any():
             i, k, g = np.argwhere(degenerate)[0]
             raise DegenerateDenominator(
                 f"surviving point ({int(i) + t + 1}, {int(k)}, {int(g)}) "
                 f"has survival probability {float(den[i, k, g]):.3e}"
             )
-        # what is left there is killed or has p = 0: divide by one so that
-        # a zero stays +0 instead of turning into -0 or nan; den keeps the
-        # raw values for the recorder's martingale residual
-        divisor = np.where(low, one, den)
-    np.divide(p_sub, divisor, out=new_p[t + 1:])
-    new_p[t + 1:][killed] = 0 * one
     return GuidanceState(shape=state.shape, t=t + 1, p=new_p,
                          transition=Transition(t, killed, den))
 
@@ -473,9 +457,7 @@ def run_process(J: LatinRectangle, epsilon: Optional[float] = None,
     stats = None  # line_statistics of the state's uncoloured rows, if known
 
     for t in range(m):
-        report = check_gamma(state, epsilon, config.gamma_a_coeff,
-                             config.gamma_b_slack, config.gamma_c_slack,
-                             stats=stats)
+        report = check_gamma(state, epsilon, stats=stats)
         stats = None  # as large as the Gram tensor; do not carry it on
         if not report.good:
             state.stopped_at = t

@@ -182,6 +182,8 @@ class TestMate:
         ({"eta_policy": "tripling"}, "eta_policy"),
         ({"eta_max": 0}, "eta_max"),
         ({"eta_initial": -0.5}, "eta_initial"),
+        ({"eta_initial": False}, "eta_initial"),
+        ({"eta_max": True}, "eta_max"),
         ({"tracked_lines": -1}, "tracked_lines"),
         ([1, 2], "JSON object"),
         ({"gamma_b_slack": -1}, "gamma_b_slack"),

@@ -99,15 +99,6 @@ class TestCheckGamma:
         rep = check_gamma(state, 0.0)
         assert not any(v.ineq == "A_x" for v in rep.violations)
 
-    def test_constant_overrides(self):
-        # n = 4: the uniform sums 4 * 0.25 are exactly 1.0 in binary
-        state = init_state(Shape(n=4, m=2))
-        assert check_gamma(state, 0.5).good
-        rep = check_gamma(state, 0.5, b_slack=0.0)
-        assert rep.good
-        state.p[1, 0, 0] *= 1.001
-        assert not check_gamma(state, 0.5, b_slack=0.0).good
-
 
 class TestProjections:
     def test_derived_example_z3(self, z3):
@@ -167,7 +158,7 @@ class TestKillMask:
         L_row = np.array([0, 1, 2])
         mask = kill_mask(L_row, 0, z3, z3.shape)
         expected = brute_force_kills(L_row, 0, z3)
-        got = {tuple(idx) for idx in np.argwhere(mask.killed)}
+        got = {tuple(idx) for idx in np.argwhere(mask)}
         assert got == expected
 
     def test_per_line_bound(self):
@@ -175,7 +166,7 @@ class TestKillMask:
             J = random_rect(6, 4, seed)
             rng = np.random.default_rng(seed)
             L_row = rng.permutation(6)
-            mask = kill_mask(L_row, 0, J, J.shape).killed
+            mask = kill_mask(L_row, 0, J, J.shape)
             assert mask[0].sum() == 0
             assert int(mask.sum(axis=2).max()) <= 2  # RC lines
             assert int(mask.sum(axis=1).max()) <= 2  # RS lines
@@ -183,7 +174,7 @@ class TestKillMask:
     def test_last_row_empty(self, z3):
         rect = LatinRectangle.cyclic(3, 1)
         mask = kill_mask(np.array([0, 1, 2]), 0, rect, rect.shape)
-        assert not mask.killed.any()
+        assert not mask.any()
 
 
 class TestAdvanceState:
@@ -199,7 +190,7 @@ class TestAdvanceState:
     def test_killed_points_zeroed(self):
         J, state, q, L_row = self._setup()
         after = advance_state(state, q, L_row, J)
-        mask = kill_mask(L_row, 0, J, J.shape).killed
+        mask = kill_mask(L_row, 0, J, J.shape)
         assert (after.p[mask] == 0).all()
         assert after.t == 1
 
@@ -218,7 +209,7 @@ class TestAdvanceState:
         for seed in range(5):
             J, state, q, L_row = self._setup(n=6, m=4, seed=seed)
             after = advance_state(state, q, L_row, J)
-            mask = kill_mask(L_row, 0, J, J.shape).killed
+            mask = kill_mask(L_row, 0, J, J.shape)
             alive = ~mask & (state.p > 0)
             alive[0] = False
             assert (after.p[alive] >= state.p[alive]).all()
@@ -455,17 +446,8 @@ class TestConfig:
         ("eta_max", "64"),
         ("eta_initial", -0.1),
         ("eta_initial", float("nan")),
-        ("gamma_a_coeff", 0.0),
-        ("gamma_a_coeff", -1.1),
-        ("gamma_a_coeff", float("inf")),
-        ("gamma_a_coeff", float("nan")),
-        ("gamma_a_coeff", "1.1"),
-        ("gamma_b_slack", -1.0),
-        ("gamma_b_slack", float("inf")),
-        ("gamma_b_slack", float("nan")),
-        ("gamma_c_slack", -0.5),
-        ("gamma_c_slack", float("inf")),
-        ("gamma_c_slack", None),
+        ("eta_initial", False),
+        ("eta_max", True),
         ("record_trajectory", "false"),
     ])
     def test_rejects_out_of_range_values(self, field, value):
@@ -473,14 +455,17 @@ class TestConfig:
             ProcessConfig(**{field: value})
 
     @pytest.mark.parametrize("key", ["sampler", "zero_tol", "eta_maxx",
-                                     "eta_policy", "tracked_lines"])
+                                     "eta_policy", "tracked_lines",
+                                     "gamma_a_coeff", "gamma_b_slack",
+                                     "gamma_c_slack"])
     def test_from_json_rejects_unknown_keys(self, key):
         with pytest.raises(ValueError, match=key):
             ProcessConfig.from_json({key: 1, "eta_max": 8.0})
 
 
 class TestEpsilon:
-    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -0.5, None])
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -0.5, None,
+                                     True])
     def test_bad_epsilon_rejected(self, eps):
         with pytest.raises(ValueError, match="epsilon"):
             gamma_bounds(16, eps)
@@ -498,7 +483,8 @@ class TestEpsilon:
 
 
 class TestTransition:
-    """advance_state hands the recorder its kill mask and denominators."""
+    """advance_state hands the recorder its killed symbols and
+    denominators."""
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_killed_matches_kill_mask_on_every_row(self, exact):
@@ -511,9 +497,12 @@ class TestTransition:
             after = advance_state(state, q, L_row, J)
             tr = after.transition
             assert tr.t == t
-            assert tr.killed.shape == tr.den.shape == (3 - t, 6, 6)
-            assert (tr.killed == kill_mask(L_row, t, J, J.shape).killed[t + 1:]
-                    ).all()
+            assert tr.killed.shape == (3 - t, 6, 2)
+            assert tr.den.shape == (3 - t, 6, 6)
+            assert (tr.killed[:, :, 0] != tr.killed[:, :, 1]).all()
+            mask = np.zeros(tr.den.shape, dtype=bool)
+            np.put_along_axis(mask, tr.killed, True, axis=2)
+            assert (mask == kill_mask(L_row, t, J, J.shape)[t + 1:]).all()
             state = after
 
     def test_den_keeps_degenerate_values(self, z3):
