@@ -182,14 +182,14 @@ class TestMate:
         ({"eta_policy": "tripling"}, "eta_policy"),
         ({"eta_max": 0}, "eta_max"),
         ({"eta_initial": -0.5}, "eta_initial"),
-        ({"eta_initial": False}, "eta_initial"),
-        ({"eta_max": True}, "eta_max"),
         ({"tracked_lines": -1}, "tracked_lines"),
         ([1, 2], "JSON object"),
         ({"gamma_b_slack": -1}, "gamma_b_slack"),
         ({"gamma_a_coeff": 0}, "gamma_a_coeff"),
         ({"gamma_c_slack": -0.5}, "gamma_c_slack"),
         ({"record_trajectory": "false"}, "record_trajectory"),
+        ({"eta_initial": False}, "eta_initial"),
+        ({"eta_max": True}, "eta_max"),
     ])
     def test_bad_config_is_usage_error(self, tmp_path, capsys, blob, message):
         jp, cfgp = tmp_path / "J.txt", tmp_path / "cfg.json"

@@ -522,6 +522,25 @@ class TestGammaReference:
         assert {v.ineq for v in want.violations} == {"A_x", "B_line", "C_ikl"}
         assert got == want
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_epsilon_moves_the_a_bound(self, seed):
+        # a smaller epsilon raises the A bound 1.1 / (epsilon^2 n): the A
+        # violations can only shrink, and the planted 0.5 entries pass at
+        # epsilon = 0.25; B and C do not depend on epsilon
+        state = spoiled(32, 16, 6, seed)
+        epsilons = (0.5, 0.4, 0.3, 0.25, 0.0)
+        reports = [check_gamma(state, eps) for eps in epsilons]
+        for eps, rep in zip(epsilons, reports):
+            assert rep == gamma_reference(state, eps)
+        a_sets = [{v.location for v in rep.violations if v.ineq == "A_x"}
+                  for rep in reports]
+        assert all(later <= earlier
+                   for earlier, later in zip(a_sets, a_sets[1:]))
+        assert a_sets[0] and not a_sets[3] and not a_sets[4]
+        others = {tuple(v for v in rep.violations if v.ineq != "A_x")
+                  for rep in reports}
+        assert len(others) == 1
+
     @pytest.mark.parametrize("steps", [0, 1, 2])
     def test_fraction_states(self, steps):
         state = spoiled(6, 4, steps, seed=steps, exact=True)

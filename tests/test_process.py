@@ -1,5 +1,6 @@
 """Guidance state, kills, Gamma region, transitions, and the main loop."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -447,7 +448,9 @@ class TestConfig:
         ("eta_initial", -0.1),
         ("eta_initial", float("nan")),
         ("eta_initial", False),
+        ("eta_initial", True),
         ("eta_max", True),
+        ("eta_max", False),
         ("record_trajectory", "false"),
     ])
     def test_rejects_out_of_range_values(self, field, value):
@@ -462,10 +465,48 @@ class TestConfig:
         with pytest.raises(ValueError, match=key):
             ProcessConfig.from_json({key: 1, "eta_max": 8.0})
 
+    @pytest.mark.parametrize("key, value", [
+        ("eta_initial", False), ("eta_max", True), ("record_trajectory", 1)])
+    def test_from_json_rejects_json_bools_as_numbers(self, key, value):
+        # json.load reads true/false as Python bools, which are ints too
+        with pytest.raises(ValueError, match=key):
+            ProcessConfig.from_json({key: value})
+
+    def test_four_fields(self):
+        assert [f.name for f in dataclasses.fields(ProcessConfig)] == [
+            "eta_initial", "eta_max", "arithmetic", "record_trajectory"]
+
+
+class TestGammaBounds:
+    # A: 1.1 / (epsilon^2 n), off at epsilon = 0; B: 1 -/+ log n / sqrt n;
+    # C: (1 + log n / sqrt n) / n
+    @pytest.mark.parametrize("n, eps, expected", [
+        (1, 0.5, (4.4, 1.0, 1.0, 1.0)),
+        (16, 0.0, (math.inf, 0.3068528194400547, 1.6931471805599454,
+                   0.10582169878499659)),
+        (16, 0.5, (0.275, 0.3068528194400547, 1.6931471805599454,
+                   0.10582169878499659)),
+        (64, 0.75, (0.030555555555555558, 0.48013961458004106,
+                    1.519860385419959, 0.02374781852218686)),
+        (192, 0.5, (0.02291666666666667, 0.6205729539620686,
+                    1.3794270460379314, 0.0071845158647808926)),
+        (256, 0.75, (0.0076388888888888895, 0.6534264097200273,
+                     1.3465735902799727, 0.005260053087031143)),
+    ])
+    def test_paper_constants(self, n, eps, expected):
+        assert gamma_bounds(n, eps) == expected
+
+    @pytest.mark.parametrize("knob", ["a_coeff", "b_slack", "c_slack",
+                                      "max_violations"])
+    def test_check_gamma_takes_no_constant_overrides(self, knob):
+        state = init_state(Shape(n=4, m=2))
+        with pytest.raises(TypeError, match=knob):
+            check_gamma(state, 0.5, **{knob: 1})
+
 
 class TestEpsilon:
     @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -0.5, None,
-                                     True])
+                                     True, False])
     def test_bad_epsilon_rejected(self, eps):
         with pytest.raises(ValueError, match="epsilon"):
             gamma_bounds(16, eps)
@@ -503,6 +544,32 @@ class TestTransition:
             mask = np.zeros(tr.den.shape, dtype=bool)
             np.put_along_axis(mask, tr.killed, True, axis=2)
             assert (mask == kill_mask(L_row, t, J, J.shape)[t + 1:]).all()
+            state = after
+
+    @pytest.mark.parametrize("n, m", [(8, 5), (12, 7), (16, 9)])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_killed_symbols_on_random_rows(self, n, m, seed):
+        # a uniform q gives every point survival probability 1 - 2/n, so
+        # any permutation can be placed at every row
+        J = random_rect(n, m, seed)
+        state = init_state(J.shape)
+        q = np.full((n, n), 1.0 / n)
+        den = (1.0 - 1.0 / n) - 1.0 / n
+        rng = np.random.default_rng(seed)
+        for t in range(m):
+            L_row = rng.permutation(n)
+            after = advance_state(state, q, L_row, J)
+            killed = after.transition.killed
+            assert killed.dtype == np.int64
+            assert killed.shape == (m - t - 1, n, 2)
+            # two kills per later cell, so the mask's symbols of each cell,
+            # in row-major order, are the sorted pair
+            mask = kill_mask(L_row, t, J, J.shape)[t + 1:]
+            syms = np.nonzero(mask)[2].reshape(killed.shape)
+            assert (np.sort(killed, axis=2) == syms).all()
+            assert (after.p[t + 1:][mask] == 0).all()
+            assert (after.p[t + 1:][~mask]
+                    == state.p[t + 1:][~mask] / den).all()
             state = after
 
     def test_den_keeps_degenerate_values(self, z3):
