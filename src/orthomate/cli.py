@@ -159,20 +159,13 @@ def _node_limit_arg(text: str) -> int:
 
 
 def _config_from_args(args) -> ProcessConfig:
-    """The --config file with flag overrides; ValueError on a bad value."""
+    """The --config file, --exact overriding; ValueError on a bad value."""
     if args.config:
         with open(args.config) as fh:
             cfg = ProcessConfig.from_json(json.load(fh))
     else:
         cfg = ProcessConfig()
-    overrides = {}
-    if args.eta_initial is not None:
-        overrides["eta_initial"] = args.eta_initial
-    if args.eta_max is not None:
-        overrides["eta_max"] = args.eta_max
-    if args.exact:
-        overrides["arithmetic"] = "exact"
-    return replace(cfg, **overrides)  # re-runs the validation
+    return replace(cfg, arithmetic="exact") if args.exact else cfg
 
 
 def cmd_gen(args) -> int:
@@ -443,12 +436,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     # the ProcessConfig options of every command that runs the guided process
     p_cfg = argparse.ArgumentParser(add_help=False)
-    p_cfg.add_argument("--eta-initial", type=float, default=None)
-    p_cfg.add_argument("--eta-max", type=float, default=None)
     p_cfg.add_argument("--exact", action="store_true",
                        help="exact rational state arithmetic (n <= 12)")
     p_cfg.add_argument("--config", default=None,
-                       help="ProcessConfig JSON file; flags override")
+                       help="ProcessConfig JSON file; --exact overrides")
 
     p_gen = sub.add_parser("gen", help="write a random Latin rectangle")
     p_gen.add_argument("--n", type=int, required=True)

@@ -7,12 +7,13 @@ Given the guidance state restricted to one row, the pipeline is:
                   -> doubly stochastic q with q <= (1 + eta) * d, found as a
                      max flow with middle capacities (1 + eta) * d(k, g);
                      eta starts at 4 * sqrt(log n / sqrt n) and doubles until
-                     the flow saturates or eta_max is reached, then a short
-                     balance search lowers the cap ratio.  Its feasibility
-                     questions are answered by the certificates of
-                     maxflow.certified_status where they apply (a cut, or a
-                     Sinkhorn scaling of d as the witness), so a row costs
-                     about two flow solves: the schedule's and the final one
+                     the flow saturates or ETA_MAX is reached, then a short
+                     balance search lowers the cap ratio.  Every feasibility
+                     question, the schedule's and the search's, goes to one
+                     oracle that asks the certificates of
+                     maxflow.certified_status first where they apply (a cut,
+                     or a Sinkhorn scaling of d as the witness), so a row
+                     costs about one flow solve: the final one
   birkhoff_terms  -> express q as a convex combination of permutations by a
                      threshold-greedy elimination walk; birkhoff_decompose
                      collects every term, sample_matching_lazy stops at the
@@ -31,7 +32,6 @@ enumeration from 4^n to 2^n * n log n.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -61,6 +61,9 @@ FEAS_TOL = 1e-9
 #: Sinkhorn-Knopp iterations spent on one row's feasibility witness
 SINKHORN_MAX_ITER = 60
 
+#: last and largest eta of the schedule; Infeasible beyond it
+ETA_MAX = 64.0
+
 
 class DeadSymbol(OrthomateError):
     """A symbol with zero total mass on the row; a fatal B-line breakdown."""
@@ -71,7 +74,7 @@ class TooLarge(OrthomateError):
 
 
 class Infeasible(OrthomateError):
-    """No fractional matching under the capacity bound at eta_max."""
+    """No fractional matching under the capacity bound at ETA_MAX."""
 
 
 class NoSupportMatching(OrthomateError):
@@ -216,15 +219,13 @@ def default_eta_initial(n: int) -> float:
     return 4.0 * math.sqrt(math.log(n) / math.sqrt(n))
 
 
-def eta_schedule(n: int, eta_initial: Optional[float] = None,
-                 eta_max: float = 64.0):
+def eta_schedule(n: int):
     """The sequence of eta values tried by build_fractional_matching:
-    eta_initial (default_eta_initial(n) when None), doubling up to eta_max."""
-    eta0 = default_eta_initial(n) if eta_initial is None else float(eta_initial)
-    etas = [min(eta0, eta_max)]
-    while etas[-1] < eta_max:
+    default_eta_initial(n), doubling up to ETA_MAX."""
+    etas = [min(default_eta_initial(n), ETA_MAX)]
+    while etas[-1] < ETA_MAX:
         nxt = etas[-1] * 2 if etas[-1] > 0 else 0.25
-        etas.append(min(nxt, eta_max))
+        etas.append(min(nxt, ETA_MAX))
     return etas
 
 
@@ -256,43 +257,6 @@ def sinkhorn_witness(w) -> Optional[np.ndarray]:
     return x[:, None] * w * y[None, :]
 
 
-def _solve_caps(caps, backend: str = "auto") -> Optional[np.ndarray]:
-    """Max flow under explicit middle capacities; q (n, n) or None.
-
-    backend "auto" picks scipy for float instances with n >= 24 and the pure
-    solver otherwise; "python" and "scipy" force a choice.  Ambiguous scipy
-    verdicts (within the integer rounding band) re-solve exactly.
-    """
-    caps_arr = np.asarray(caps)
-    n = caps_arr.shape[0]
-    if caps_arr.dtype == object:
-        one = Fraction(1)
-        value, flow = maxflow.solve_transport(caps_arr.tolist(), one=one, tol=0)
-        if value == n:
-            q = np.empty((n, n), dtype=object)
-            for k in range(n):
-                for g in range(n):
-                    q[k, g] = flow[k][g]
-            return q
-        return None
-    caps_arr = caps_arr.astype(np.float64)
-    use_scipy = backend == "scipy" or (
-        backend == "auto" and n >= SCIPY_FLOW_MIN_N
-    )
-    if use_scipy:
-        status, q = maxflow.scipy_transport(caps_arr)
-        if status == "feasible":
-            return q
-        if status == "infeasible":
-            return None
-        # ambiguous: fall through to the exact float solver
-    value, flow = maxflow.solve_transport(caps_arr.tolist(), one=1.0,
-                                          tol=maxflow.AUGMENT_TOL)
-    if n - value <= FEAS_TOL:
-        return np.array(flow, dtype=np.float64)
-    return None
-
-
 def _scale_caps(w, factor):
     if np.asarray(w).dtype == object:
         f = factor if isinstance(factor, Fraction) else Fraction(factor)
@@ -301,33 +265,62 @@ def _scale_caps(w, factor):
 
 
 def solve_fixed_eta(d, eta, backend: str = "auto") -> Optional[np.ndarray]:
-    """One feasibility solve: q <= (1 + eta) * d doubly stochastic, or None."""
+    """One feasibility solve: q <= (1 + eta) * d doubly stochastic, or None.
+
+    The max flow under middle capacities (1 + eta) * d.  backend "auto"
+    picks scipy for float instances with n >= 24 and the pure solver
+    otherwise; "python" and "scipy" force a choice.  Ambiguous scipy
+    verdicts (within the integer rounding band) re-solve exactly.  Fraction
+    weights solve exactly in Fractions.
+    """
     w = d.weights if isinstance(d, RowDistribution) else d
-    return _solve_caps(_scale_caps(w, 1 + eta), backend=backend)
+    caps = _scale_caps(w, 1 + eta)
+    n = caps.shape[0]
+    if caps.dtype == object:
+        value, flow = maxflow.solve_transport(caps.tolist(), one=Fraction(1),
+                                              tol=0)
+        if value == n:
+            q = np.empty((n, n), dtype=object)
+            for k in range(n):
+                for g in range(n):
+                    q[k, g] = flow[k][g]
+            return q
+        return None
+    if backend == "scipy" or (backend == "auto" and n >= SCIPY_FLOW_MIN_N):
+        status, q = maxflow.scipy_transport(caps)
+        if status == "feasible":
+            return q
+        if status == "infeasible":
+            return None
+        # ambiguous: fall through to the exact float solver
+    value, flow = maxflow.solve_transport(caps.tolist(), one=1.0,
+                                          tol=maxflow.AUGMENT_TOL)
+    if n - value <= FEAS_TOL:
+        return np.array(flow, dtype=np.float64)
+    return None
 
 
-def build_fractional_matching(d, eta_initial: Optional[float] = None,
-                              eta_max: float = 64.0
-                              ) -> Tuple[FractionalMatching, float]:
+def build_fractional_matching(d) -> Tuple[FractionalMatching, float]:
     """Construct q <= (1 + eta) * d doubly stochastic, escalating eta.
 
-    The eta schedule certifies feasibility; among the max flows at the
-    feasible level, the returned q is additionally balanced: a short binary
-    search finds (nearly) the smallest ratio beta with a flow q <= beta * d
-    and returns that flow.  An unbalanced max flow may pile mass at the
-    capacity ceiling on a few entries, which needlessly inflates the growth
-    of the guided state at finite n; balancing also makes q = d whenever d
-    is itself doubly stochastic.
+    The eta schedule (eta_schedule) finds a feasible level; among the max
+    flows under the cap, the returned q is additionally balanced: a short
+    binary search finds (nearly) the smallest ratio beta with a flow
+    q <= beta * d and returns that flow.  An unbalanced max flow may pile
+    mass at the capacity ceiling on a few entries, which needlessly
+    inflates the growth of the guided state at finite n; balancing also
+    makes q = d whenever d is itself doubly stochastic.
 
     The search tries beta = 1, then 1 + log n / sqrt n, then up to four
-    bisection points.  For float rows solved by scipy (n >= 24) each "is
-    there a flow under beta * d?" is first put to maxflow.certified_status,
-    which proves the verdict the solve would give by a cut or by the
-    Sinkhorn witness (sinkhorn_witness, computed at most once per row); only
-    the questions neither settles are solved.  The flow is then solved once
-    at the final beta, unless that point was solved already, so q and
-    eta_used are bit for bit those of solving every point.  Fraction rows
-    and the pure solver (n < 24) solve every point.
+    bisection points.  The schedule and the search put every "is there a
+    flow under beta * d?" to one oracle.  For float rows solved by scipy
+    (n >= 24) it asks maxflow.certified_status first, which proves the
+    verdict the solve would give by a cut or by the row's Sinkhorn witness
+    (sinkhorn_witness, computed once per row); a question neither settles,
+    and every question on Fraction rows or on the pure solver (n < 24), is
+    solved by solve_fixed_eta and its flow kept.  The flow is then solved
+    once at the final beta, unless that point was solved already, so q and
+    eta_used are bit for bit those of solving every point.
 
     Returns:
         (matching, eta_used) where 1 + eta_used is the certified entrywise
@@ -335,45 +328,34 @@ def build_fractional_matching(d, eta_initial: Optional[float] = None,
         that proved feasibility).
 
     Raises:
-        Infeasible: max flow below n even at eta_max.
+        Infeasible: max flow below n even at ETA_MAX.
         OrthomateError: the final solve found no flow at a ratio a
             certificate proved feasible (an internal error, never hidden).
     """
     d_obj = d if isinstance(d, RowDistribution) else RowDistribution(np.asarray(d))
     w = d_obj.weights
     n = d_obj.n
-    etas = eta_schedule(n, eta_initial, eta_max)
-    q = None
-    for eta in etas:
-        q = solve_fixed_eta(w, eta)
-        if q is not None:
-            break
-    if q is None:
-        raise Infeasible(
-            f"no fractional matching within (1+eta)*d for eta up to {etas[-1]:g}"
-        )
-    if eta <= 0:
-        return FractionalMatching(q), eta
-
-    # balance: smallest feasible cap ratio, tried tight-first.  Each
-    # question "a flow under (1 + x) * d?" is answered by a certificate of
-    # the verdict the solve would give where one applies, and by the solve
-    # otherwise; the flow itself is solved once, where the search ends.
-    solved = {eta: q}
     certify = w.dtype != object and n >= SCIPY_FLOW_MIN_N
-    witness = functools.cache(lambda: sinkhorn_witness(w))
+    witness = sinkhorn_witness(w) if certify else None
+    solved = {}  # ratio - 1 -> the solved flow, None when infeasible
 
     def feasible(x):
         if x in solved:
             return solved[x] is not None
-        caps = _scale_caps(w, 1 + x)
         if certify:
-            status = maxflow.certified_status(caps, witness)
+            status = maxflow.certified_status(_scale_caps(w, 1 + x), witness)
             if status is not None:
                 return status == "feasible"
-        solved[x] = _solve_caps(caps)
+        solved[x] = solve_fixed_eta(w, x)
         return solved[x] is not None
 
+    eta = next((x for x in eta_schedule(n) if feasible(x)), None)
+    if eta is None:
+        raise Infeasible(
+            f"no fractional matching within (1+eta)*d for eta up to {ETA_MAX:g}"
+        )
+
+    # balance: smallest feasible cap ratio, tried tight-first
     log_term = math.log(n) / math.sqrt(n) if n > 1 else 0.0
     lo, hi = 0.0, float(eta)  # lo infeasible, hi feasible
     if feasible(0.0):
@@ -394,7 +376,7 @@ def build_fractional_matching(d, eta_initial: Optional[float] = None,
             else:
                 lo = mid
     if hi not in solved:
-        solved[hi] = _solve_caps(_scale_caps(w, 1 + hi))
+        solved[hi] = solve_fixed_eta(w, hi)
         if solved[hi] is None:
             raise OrthomateError(
                 f"internal: ratio 1 + {hi!r} was certified feasible but the "

@@ -264,18 +264,18 @@ def witness_certifies_feasible(scale: int, mid_int: np.ndarray,
     return float(rows.sum()) > full - 1 + 2 * r * full
 
 
-def certified_status(mid_caps: np.ndarray, witness) -> Optional[str]:
+def certified_status(mid_caps: np.ndarray,
+                     witness: Optional[np.ndarray]) -> Optional[str]:
     """scipy_transport's status for mid_caps when a certificate proves it.
 
     "infeasible" by cut_certifies_infeasible, "feasible" by
-    witness_certifies_feasible on witness() (called only when the cut does
-    not decide; it may return None for no witness), None when neither
-    certificate applies and only a solve can tell.
+    witness_certifies_feasible on witness (None for no witness), None when
+    neither certificate applies and only a solve can tell.
     """
     scale, mid_int = scaled_caps(mid_caps)
     if cut_certifies_infeasible(scale, mid_int):
         return "infeasible"
-    q = witness()
-    if q is not None and witness_certifies_feasible(scale, mid_int, q):
+    if witness is not None and witness_certifies_feasible(scale, mid_int,
+                                                          witness):
         return "feasible"
     return None

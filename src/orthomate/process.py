@@ -80,8 +80,6 @@ class ProcessConfig:
         ValueError: a field holds a value outside its documented range.
     """
 
-    eta_initial: Optional[float] = None
-    eta_max: float = 64.0
     arithmetic: str = "float64"  # or "exact" (Fractions, n <= 12)
     record_trajectory: bool = True
 
@@ -89,14 +87,6 @@ class ProcessConfig:
         if self.arithmetic not in ("float64", "exact"):
             raise ValueError(f"arithmetic must be one of float64, exact; "
                              f"got {self.arithmetic!r}")
-        if not (_is_number(self.eta_max) and 0 < self.eta_max < math.inf):
-            raise ValueError(f"eta_max must be a finite number > 0; "
-                             f"got {self.eta_max!r}")
-        if self.eta_initial is not None and not (
-                _is_number(self.eta_initial)
-                and 0 <= self.eta_initial < math.inf):
-            raise ValueError(f"eta_initial must be a finite number >= 0 or "
-                             f"null; got {self.eta_initial!r}")
         if not isinstance(self.record_trajectory, bool):
             raise ValueError(f"record_trajectory must be true or false; "
                              f"got {self.record_trajectory!r}")
@@ -241,14 +231,13 @@ def check_gamma(state: GuidanceState, epsilon: float, *,
                          f"{sub.shape[0]} uncoloured rows")
     violations = []
 
-    if a_bound != math.inf:
-        bad = sub > a_bound
-        if bad.any():
-            for i_off, k, g in np.argwhere(bad):
-                lhs = float(sub[i_off, k, g])
-                violations.append(GammaViolation(
-                    "A_x", (int(i_off) + t, int(k), int(g)), lhs,
-                    (None, a_bound), lhs - a_bound))
+    # the max first: the (rows, n, n) mask is built only when A fails
+    if a_bound != math.inf and sub.size and sub.max() > a_bound:
+        for i_off, k, g in np.argwhere(sub > a_bound):
+            lhs = float(sub[i_off, k, g])
+            violations.append(GammaViolation(
+                "A_x", (int(i_off) + t, int(k), int(g)), lhs,
+                (None, a_bound), lhs - a_bound))
 
     rc, rs, gram = stats
     for cls, sums in (("RC", rc), ("RS", rs)):
@@ -431,7 +420,7 @@ def run_process(J: LatinRectangle, epsilon: Optional[float] = None,
     Returns:
         ProcessOutcome; kind "success" carries a verified mate, "gamma_exit"
         the violated inequalities, "infeasible_row" the failing step and a
-        reason (flow infeasible at eta_max, dead symbol, or degenerate
+        reason (flow infeasible at ETA_MAX, dead symbol, or degenerate
         survival probability).
     """
     config = config or ProcessConfig()
@@ -472,8 +461,7 @@ def run_process(J: LatinRectangle, epsilon: Optional[float] = None,
                                      detail=f"dead_symbol: {exc}")
             break
         try:
-            q, eta_used = build_fractional_matching(
-                d, eta_initial=config.eta_initial, eta_max=config.eta_max)
+            q, eta_used = build_fractional_matching(d)
         except Infeasible as exc:
             state.stopped_at = t
             outcome = ProcessOutcome(kind="infeasible_row", time=t,

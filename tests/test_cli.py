@@ -168,7 +168,7 @@ class TestMate:
     def test_config_file(self, tmp_path):
         jp, lp = tmp_path / "J.txt", tmp_path / "L.txt"
         cfgp = tmp_path / "cfg.json"
-        cfgp.write_text(json.dumps({"eta_max": 8.0}))
+        cfgp.write_text(json.dumps({"record_trajectory": False}))
         main(["gen", "--n", "12", "--m", "3", "--seed", "1", "--out", str(jp)])
         assert main(["mate", "--in", str(jp), "--config", str(cfgp),
                      "--out", str(lp)]) == 0
@@ -190,6 +190,7 @@ class TestMate:
         ({"record_trajectory": "false"}, "record_trajectory"),
         ({"eta_initial": False}, "eta_initial"),
         ({"eta_max": True}, "eta_max"),
+        ({"eta_initial": 0.5}, "unknown config key(s): eta_initial"),
     ])
     def test_bad_config_is_usage_error(self, tmp_path, capsys, blob, message):
         jp, cfgp = tmp_path / "J.txt", tmp_path / "cfg.json"
@@ -198,11 +199,12 @@ class TestMate:
         assert main(["mate", "--in", str(jp), "--config", str(cfgp)]) == 1
         assert message in capsys.readouterr().err
 
-    def test_bad_flag_override_is_usage_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flag", ["--eta-max", "--eta-initial"])
+    def test_removed_eta_flag_is_usage_error(self, tmp_path, capsys, flag):
         jp = tmp_path / "J.txt"
         main(["gen", "--n", "8", "--m", "2", "--seed", "1", "--out", str(jp)])
-        assert main(["mate", "--in", str(jp), "--eta-max", "-1"]) == 1
-        assert "eta_max" in capsys.readouterr().err
+        assert main(["mate", "--in", str(jp), flag, "8"]) == 1
+        assert f"unrecognized arguments: {flag} 8" in capsys.readouterr().err
 
     def test_exact_mode(self, tmp_path):
         jp, lp = tmp_path / "J.txt", tmp_path / "L.txt"
@@ -320,7 +322,7 @@ class TestTrials:
 
         out = tmp_path / "t.csv"
         assert main(["trials", "--n", "8", "--epsilon", "0.75", "--count",
-                     "2", "--seed", "5", "--eta-max", "8", "--out",
+                     "2", "--seed", "5", "--exact", "--out",
                      str(out)]) == 0
         schema, version, seed, config = read(out).splitlines()[0][2:].split(
             " ", 3)
@@ -329,7 +331,7 @@ class TestTrials:
         assert seed == "seed=5+trial"
         assert config.startswith("config=")
         assert ProcessConfig.from_json(json.loads(config[7:])) == \
-            ProcessConfig(eta_max=8.0)
+            ProcessConfig(arithmetic="exact")
 
     @needs_proc
     def test_pool_workers_run_one_blas_thread(self, tmp_path, monkeypatch):
@@ -401,7 +403,7 @@ class TestDiag:
                     "--diag", str(traj)]
         else:
             argv = ["diag", "--n", "8", "--epsilon", "0.5", "--out", str(traj)]
-        main(argv + ["--seed", "7", "--eta-max", "8"])
+        main(argv + ["--seed", "7", "--exact"])
         schema, version, seed, config = read(traj).splitlines()[0][2:].split(
             " ", 3)
         assert schema == "orthomate-trajectory-v3"
@@ -409,7 +411,7 @@ class TestDiag:
         assert seed == "seed=7"
         assert config.startswith("config=")
         assert ProcessConfig.from_json(json.loads(config[7:])) == \
-            ProcessConfig(eta_max=8.0)
+            ProcessConfig(arithmetic="exact")
 
 
 class TestUsage:

@@ -43,8 +43,6 @@ from orthomate.matching import (
     FractionalMatching,
     Infeasible,
     NoSupportMatching,
-    _scale_caps,
-    _solve_caps,
     birkhoff_terms,
     eta_schedule,
     solve_fixed_eta,
@@ -113,14 +111,14 @@ def balance_reference(d):
         raise Infeasible("no fractional matching")
     if eta <= 0:
         return q, eta
-    q_ds = _solve_caps(_scale_caps(w, 1))
+    q_ds = solve_fixed_eta(w, 0.0)
     if q_ds is not None:
         return q_ds, 0.0
     log_term = math.log(n) / math.sqrt(n) if n > 1 else 0.0
     lo, hi = 0.0, float(eta)
     natural = min(log_term, hi)
     if natural > lo:
-        q_nat = _solve_caps(_scale_caps(w, 1 + natural))
+        q_nat = solve_fixed_eta(w, natural)
         if q_nat is not None:
             hi, q = natural, q_nat
         else:
@@ -129,7 +127,7 @@ def balance_reference(d):
         if hi - lo <= 0.05 * max(hi, 1e-9):
             break
         mid = (lo + hi) / 2
-        q_mid = _solve_caps(_scale_caps(w, 1 + mid))
+        q_mid = solve_fixed_eta(w, mid)
         if q_mid is not None:
             hi, q = mid, q_mid
         else:
@@ -596,7 +594,7 @@ class TestBalanceSearchReference:
         run_process(J, epsilon=0.5, seed=0,
                     config=ProcessConfig(record_trajectory=False))
         assert len(rows) > 10
-        assert len(solves) <= 2.5 * len(rows)
+        assert len(solves) <= 1.1 * len(rows)
 
 
 # ----------------------------------------------------------------- recorder

@@ -20,6 +20,7 @@ from orthomate import (
     sample_matching_lazy,
 )
 from orthomate.matching import (
+    ETA_MAX,
     default_eta_initial,
     eta_schedule,
     solve_fixed_eta,
@@ -129,10 +130,9 @@ class TestFlowConstruction:
     def test_uniform_gives_uniform(self):
         # balanced selection returns d itself whenever d is doubly stochastic
         d = np.full((5, 5), 0.2)
-        for eta_init in (None, 0.0):
-            q, eta = build_fractional_matching(d, eta_initial=eta_init)
-            assert np.allclose(q.q, 0.2, atol=1e-12)
-            assert eta == 0.0
+        q, eta = build_fractional_matching(d)
+        assert np.allclose(q.q, 0.2, atol=1e-12)
+        assert eta == 0.0
 
     def test_doubly_stochastic_returned_exactly(self):
         d = random_doubly_stochastic(6, seed=1)
@@ -158,7 +158,7 @@ class TestFlowConstruction:
         d[0, 0] = d[0, 1] = 1.0  # two symbols live only on column 0
         d[:, 2] = d[:, 3] = 0.25
         with pytest.raises(Infeasible):
-            build_fractional_matching(d, eta_max=8.0)
+            build_fractional_matching(d)
 
     def test_backend_agreement_small(self):
         for seed in range(8):
@@ -179,12 +179,25 @@ class TestFlowConstruction:
                 mismatches += feas_flow != feas_cut
         assert mismatches == 0
 
-    def test_eta_schedule(self):
-        etas = eta_schedule(16, eta_initial=0.5, eta_max=3.0)
-        assert etas == [0.5, 1.0, 2.0, 3.0]
-        assert default_eta_initial(16) == pytest.approx(
-            4.0 * math.sqrt(math.log(16) / 4.0))
-        assert default_eta_initial(1) == 0.0
+    @pytest.mark.parametrize("n, etas", [
+        (1, [0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]),
+        (16, [3.3302184446307908, 6.6604368892615815, 13.320873778523163,
+              26.641747557046326, 53.28349511409265, 64.0]),
+        (192, [2.4639059918363166, 4.927811983672633, 9.855623967345267,
+               19.711247934690533, 39.422495869381066, 64.0]),
+    ])
+    def test_eta_schedule(self, n, etas):
+        # 4 sqrt(log n / sqrt n), doubling, capped at ETA_MAX = 64
+        got = eta_schedule(n)
+        assert got == pytest.approx(etas, rel=1e-14)
+        assert got[0] == default_eta_initial(n) and got[-1] == ETA_MAX
+
+    @pytest.mark.parametrize("knob", ["eta_initial", "eta_max"])
+    def test_eta_knobs_are_gone(self, knob):
+        with pytest.raises(TypeError, match=knob):
+            build_fractional_matching(np.full((4, 4), 0.25), **{knob: 1.0})
+        with pytest.raises(TypeError, match=knob):
+            eta_schedule(16, **{knob: 1.0})
 
     def test_exact_flow(self):
         n = 3

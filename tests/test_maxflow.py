@@ -1,6 +1,5 @@
 """Transport max-flow solvers: pure, scipy-scaled, exact Fractions."""
 
-import functools
 from fractions import Fraction
 
 import numpy as np
@@ -185,7 +184,7 @@ class TestCertificates:
         certified = {"feasible": 0, "infeasible": 0}
         for _ in range(4):
             d = make(n, rng)
-            witness = functools.cache(lambda: sinkhorn_witness(d))
+            witness = sinkhorn_witness(d)
             for beta in np.linspace(1.0, 1.0 + default_eta_initial(n), 12):
                 caps = d * beta
                 status = maxflow.certified_status(caps, witness)
@@ -237,28 +236,27 @@ class TestCertificates:
         d = np.ones((n, n)) - np.eye(n) - np.eye(n, k=1) - np.eye(n, k=1 - n)
         d /= n - 2
         assert maxflow.scipy_transport(d)[0] == "ambiguous"
-        assert maxflow.certified_status(d, lambda: sinkhorn_witness(d)) is None
-        assert maxflow.certified_status(d * 1.001,
-                                        lambda: sinkhorn_witness(d)) \
+        assert maxflow.certified_status(d, sinkhorn_witness(d)) is None
+        assert maxflow.certified_status(d * 1.001, sinkhorn_witness(d)) \
             == "feasible"
 
     def test_no_witness_for_an_empty_line(self):
         d = np.full((24, 24), 1.0 / 23)
         d[3, :] = 0.0
         assert sinkhorn_witness(d) is None
-        assert maxflow.certified_status(d * 2, lambda: None) in (
+        assert maxflow.certified_status(d * 2, None) in (
             None, maxflow.scipy_transport(d * 2)[0])
 
     def test_certified_feasible_ratio_the_solver_rejects_raises(
             self, monkeypatch):
-        real = matching._solve_caps
+        real = matching.solve_fixed_eta
         calls = []
 
-        def schedule_only(caps, backend="auto"):
-            calls.append(caps)
-            return real(caps, backend) if len(calls) == 1 else None
+        def schedule_only(d, eta, backend="auto"):
+            calls.append(eta)
+            return real(d, eta, backend) if len(calls) == 1 else None
 
-        monkeypatch.setattr(matching, "_solve_caps", schedule_only)
+        monkeypatch.setattr(matching, "solve_fixed_eta", schedule_only)
         monkeypatch.setattr(maxflow, "certified_status",
                             lambda caps, witness: "feasible")
         d = near_doubly_stochastic(24, np.random.default_rng(0))

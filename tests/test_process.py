@@ -9,6 +9,7 @@ import pytest
 
 from orthomate import (
     DegenerateDenominator,
+    GammaReport,
     LatinRectangle,
     Point,
     ProcessConfig,
@@ -99,6 +100,12 @@ class TestCheckGamma:
         assert a_bound == math.inf
         rep = check_gamma(state, 0.0)
         assert not any(v.ineq == "A_x" for v in rep.violations)
+
+    def test_finished_state_has_nothing_to_check(self):
+        # a successful run's final state has no uncoloured row left
+        out = run_process(random_rect(8, 2, 0), epsilon=0.75, seed=0)
+        assert out.success and out.final_state.t == 2
+        assert check_gamma(out.final_state, 0.75) == GammaReport(True, ())
 
 
 class TestProjections:
@@ -436,21 +443,14 @@ class TestRunProcess:
 
 class TestConfig:
     def test_json_roundtrip(self):
-        cfg = ProcessConfig(eta_initial=0.5, eta_max=8.0, arithmetic="exact")
+        cfg = ProcessConfig(arithmetic="exact", record_trajectory=False)
         again = ProcessConfig.from_json(cfg.to_json())
         assert again == cfg
 
     @pytest.mark.parametrize("field, value", [
         ("arithmetic", "exakt"),
-        ("eta_max", 0.0),
-        ("eta_max", float("inf")),
-        ("eta_max", "64"),
-        ("eta_initial", -0.1),
-        ("eta_initial", float("nan")),
-        ("eta_initial", False),
-        ("eta_initial", True),
-        ("eta_max", True),
-        ("eta_max", False),
+        ("arithmetic", None),
+        ("arithmetic", 1),
         ("record_trajectory", "false"),
     ])
     def test_rejects_out_of_range_values(self, field, value):
@@ -460,21 +460,25 @@ class TestConfig:
     @pytest.mark.parametrize("key", ["sampler", "zero_tol", "eta_maxx",
                                      "eta_policy", "tracked_lines",
                                      "gamma_a_coeff", "gamma_b_slack",
-                                     "gamma_c_slack"])
+                                     "gamma_c_slack", "eta_initial",
+                                     "eta_max"])
     def test_from_json_rejects_unknown_keys(self, key):
-        with pytest.raises(ValueError, match=key):
-            ProcessConfig.from_json({key: 1, "eta_max": 8.0})
+        with pytest.raises(ValueError, match=f"unknown config key.*{key}"):
+            ProcessConfig.from_json({key: 1, "arithmetic": "float64"})
 
-    @pytest.mark.parametrize("key, value", [
-        ("eta_initial", False), ("eta_max", True), ("record_trajectory", 1)])
-    def test_from_json_rejects_json_bools_as_numbers(self, key, value):
-        # json.load reads true/false as Python bools, which are ints too
-        with pytest.raises(ValueError, match=key):
-            ProcessConfig.from_json({key: value})
+    def test_from_json_rejects_a_number_as_bool(self):
+        # json.load reads 1 as an int; only true/false are bools
+        with pytest.raises(ValueError, match="record_trajectory"):
+            ProcessConfig.from_json({"record_trajectory": 1})
 
-    def test_four_fields(self):
+    @pytest.mark.parametrize("knob", ["eta_initial", "eta_max"])
+    def test_eta_knobs_are_gone(self, knob):
+        with pytest.raises(TypeError, match=knob):
+            ProcessConfig(**{knob: 8.0})
+
+    def test_two_fields(self):
         assert [f.name for f in dataclasses.fields(ProcessConfig)] == [
-            "eta_initial", "eta_max", "arithmetic", "record_trajectory"]
+            "arithmetic", "record_trajectory"]
 
 
 class TestGammaBounds:
