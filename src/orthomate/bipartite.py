@@ -1,10 +1,10 @@
 """Bipartite perfect matchings on column/symbol graphs.
 
-A single Hopcroft-Karp implementation serves every matching need in the
-package: support matchings inside the Birkhoff decomposition (deterministic
-vertex order, so decompositions are reproducible), legality matchings in the
-Hall-regime greedy and availability matchings in the random rectangle
-generator (both with an rng-shuffled left-vertex order).
+hopcroft_karp, the pure matcher, serves the Hall-regime greedy (rng-shuffled
+left-vertex order) and, through perfect_matching_on_mask in a fixed order,
+the Birkhoff walk below n = 16; from n = 16 on the walk uses scipy's C
+Hopcroft-Karp (perfect_matching_scipy).  The random rectangle generator
+matches nothing here: baselines._random_row and _augment build its rows.
 """
 
 from __future__ import annotations
@@ -74,9 +74,7 @@ def hopcroft_karp(adj: Sequence[Sequence[int]], n_right: int,
     return match_l
 
 
-def perfect_matching_on_mask(mask: np.ndarray,
-                             order: Optional[Sequence[int]] = None
-                             ) -> Optional[np.ndarray]:
+def perfect_matching_on_mask(mask: np.ndarray) -> Optional[np.ndarray]:
     """Perfect matching columns -> symbols on a boolean support mask.
 
     Returns match[k] = symbol matched to column k, or None if no perfect
@@ -84,7 +82,7 @@ def perfect_matching_on_mask(mask: np.ndarray,
     """
     n = mask.shape[0]
     adj = [np.nonzero(mask[k])[0].tolist() for k in range(n)]
-    match = hopcroft_karp(adj, n, order=order)
+    match = hopcroft_karp(adj, n)
     if (match < 0).any():
         return None
     return match

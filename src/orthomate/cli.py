@@ -22,7 +22,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, asdict, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -54,12 +54,14 @@ OPENBLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_",
                         "scipy_openblas_set_num_threads",
                         "openblas_set_num_threads")
 
-TRIAL_COLUMNS = (
-    "trial", "seed", "n", "m", "epsilon", "algorithm", "outcome",
-    "exit_time", "detail", "eta_max_used", "eta_mean_used",
-    "b_rel_dev_max", "c_rel_dev_max", "p_max", "kills_line_max",
-    "wall_time_s",
-)
+#: node budget of --algorithm backtrack unless --node-limit sets one
+NODE_LIMIT = 2_000_000
+
+#: the TrialRecord fields copied from a run's TrajectorySummary, with the
+#: values of a run that recorded no step
+SUMMARY_DEFAULTS = dict(eta_max_used=math.nan, eta_mean_used=math.nan,
+                        b_rel_dev_max=math.nan, c_rel_dev_max=math.nan,
+                        p_max=math.nan, kills_line_max=0)
 
 
 @dataclass
@@ -70,7 +72,7 @@ class TrialRecord:
     m: int
     epsilon: float
     algorithm: str
-    # success | gamma_exit | infeasible_row | baseline_failure
+    # success | gamma_exit | infeasible_row | baseline_failure | exhausted
     # | verification_failed
     outcome: str
     exit_time: object
@@ -82,6 +84,9 @@ class TrialRecord:
     p_max: float
     kills_line_max: int
     wall_time_s: float
+
+
+TRIAL_COLUMNS = tuple(f.name for f in fields(TrialRecord))
 
 
 def _read_rectangle(path: str) -> LatinRectangle:
@@ -147,8 +152,8 @@ def _derived_m(args) -> int:
     return m
 
 
-def _node_limit_arg(text: str) -> int:
-    """argparse type of --node-limit: an integer >= 1."""
+def _positive_int(text: str) -> int:
+    """argparse type of --node-limit, --count and --jobs: an integer >= 1."""
     try:
         value = int(text)
     except ValueError:
@@ -174,9 +179,6 @@ def cmd_gen(args) -> int:
               file=sys.stderr)
         return 1
     rect = random_latin_rectangle(args.n, args.m, np.random.default_rng(args.seed))
-    if not verify_latin(rect).ok:
-        print("error: generated rectangle failed verification", file=sys.stderr)
-        return 2
     try:
         with open(args.out, "w") as fh:
             fh.write(rect.to_text())
@@ -186,44 +188,89 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _find_mate(args, J: LatinRectangle, cfg: ProcessConfig):
-    """(mate, {}) from the chosen algorithm, or (None, failure report)."""
-    if args.algorithm == "guided":
-        with _optional_output(args.diag) as diag_fh:
-            outcome = run_process(J, epsilon=args.epsilon, seed=args.seed,
-                                  config=cfg)
-            if diag_fh is not None:
-                outcome.trajectory.to_csv(diag_fh,
-                                          _provenance(args.seed, cfg))
-        if outcome.success:
-            return outcome.rectangle, {}
-        return None, {
-            "outcome": outcome.kind,
-            "exit_time": outcome.time,
-            "detail": outcome.detail,
-            "violations": [
-                {"inequality": v.ineq, "location": list(v.location),
-                 "lhs": v.lhs, "margin": v.margin}
-                for v in (outcome.gamma_report.violations
-                          if outcome.gamma_report else ())
-            ],
-        }
-    if args.algorithm == "hall":
+def _check_distinct_files(*flag_paths) -> None:
+    """ValueError when two (flag, path) pairs name the same regular file,
+    existing or to be created; a device such as /dev/null may repeat."""
+    seen = {}
+    for flag, path in flag_paths:
+        if path is None:
+            continue
+        if os.path.isfile(path):
+            st = os.stat(path)
+            key = (st.st_dev, st.st_ino)
+        elif os.path.exists(path):
+            continue  # a device or a directory
+        else:
+            key = os.path.realpath(path)
+        if key in seen:
+            raise ValueError(f"{seen[key]} and {flag} name the same file "
+                             f"{path}")
+        seen[key] = flag
+
+
+def _run_guided(J: LatinRectangle, epsilon, seed, cfg: ProcessConfig,
+                csv_path):
+    """run_process on J; its trajectory CSV goes to csv_path if one is
+    given, opened before the run."""
+    with _optional_output(csv_path) as fh:
+        outcome = run_process(J, epsilon=epsilon, seed=seed, config=cfg)
+        if fh is not None:
+            outcome.trajectory.to_csv(fh, _provenance(seed, cfg))
+    return outcome
+
+
+def _run_baseline(J: LatinRectangle, algorithm: str, seed, node_limit):
+    """(mate, outcome kind, detail) of the hall or backtrack baseline; the
+    mate is None unless the kind is "success".
+
+    Raises:
+        ValueError: algorithm is neither hall nor backtrack.
+    """
+    if algorithm == "hall":
         try:
-            return hall_greedy(J, rng=np.random.default_rng(args.seed)), {}
+            mate = hall_greedy(J, rng=np.random.default_rng(seed))
         except NoPerfectMatching as exc:
-            return None, {"outcome": "baseline_failure", "detail": str(exc)}
-    try:
-        mate = backtrack_mate(J, node_limit=args.node_limit)
-    except OrthomateError as exc:
-        return None, {"outcome": "baseline_failure", "detail": str(exc)}
-    if mate is None:
-        return None, {"outcome": "exhausted",
-                      "detail": "search space exhausted: no orthogonal mate"}
-    return mate, {}
+            return None, "baseline_failure", str(exc)
+    elif algorithm == "backtrack":
+        try:
+            mate = backtrack_mate(J, node_limit=node_limit)
+        except OrthomateError as exc:
+            return None, "baseline_failure", str(exc)
+        if mate is None:
+            return (None, "exhausted",
+                    "search space exhausted: no orthogonal mate")
+    else:
+        raise ValueError(f"unsupported algorithm {algorithm}")
+    return mate, "success", ""
+
+
+def _find_mate(args, J: LatinRectangle, cfg: ProcessConfig):
+    """(mate or None, the failure report printed when there is no mate)."""
+    if args.algorithm != "guided":
+        mate, kind, detail = _run_baseline(J, args.algorithm, args.seed,
+                                           args.node_limit)
+        return mate, {"outcome": kind, "detail": detail}
+    outcome = _run_guided(J, args.epsilon, args.seed, cfg, args.diag)
+    return outcome.rectangle, {
+        "outcome": outcome.kind,
+        "exit_time": outcome.time,
+        "detail": outcome.detail,
+        "violations": [
+            {"inequality": v.ineq, "location": list(v.location),
+             "lhs": v.lhs, "margin": v.margin}
+            for v in (outcome.gamma_report.violations
+                      if outcome.gamma_report else ())
+        ],
+    }
+
+
+def _is_mate(L: LatinRectangle, J: LatinRectangle) -> bool:
+    return verify_latin(L).ok and verify_orthogonal(L, J).ok
 
 
 def cmd_mate(args) -> int:
+    _check_distinct_files(("--in", args.input), ("--out", args.out),
+                          ("--diag", args.diag))
     try:
         J = _read_rectangle(args.input)
     except (OSError, ParseError, NotLatin) as exc:
@@ -238,7 +285,7 @@ def cmd_mate(args) -> int:
         if mate is None:
             print(json.dumps(failure, indent=2))
             return 2
-        if not (verify_latin(mate).ok and verify_orthogonal(mate, J).ok):
+        if not _is_mate(mate, J):
             print("error: constructed mate failed re-verification",
                   file=sys.stderr)
             return 2
@@ -253,70 +300,41 @@ def cmd_verify(args) -> int:
     except (OSError, ParseError, NotLatin) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    problems = []
-    for name, rect in (("J", J), ("L", L)):
-        rep = verify_latin(rect)
-        problems += [f"{name}: {v}" for v in rep.violations]
-    if not problems:
-        try:
-            rep = verify_orthogonal(L, J)
-            problems += list(rep.violations)
-        except ShapeMismatch as exc:
-            problems.append(f"ShapeMismatch: {exc}")
+    try:
+        problems = list(verify_orthogonal(L, J).violations)
+    except ShapeMismatch as exc:
+        problems = [f"ShapeMismatch: {exc}"]
     if problems:
-        for p in problems:
-            print(p)
+        print(*problems, sep="\n")
         return 2
     print("ok")
     return 0
-
-
-def _is_mate(L: LatinRectangle, J: LatinRectangle) -> bool:
-    return verify_latin(L).ok and verify_orthogonal(L, J).ok
 
 
 def run_single_trial(packed) -> TrialRecord:
     """One trial; module-level so process pools can pickle it."""
     (trial, seed, n, m, epsilon, algorithm, cfg_json) = packed
     t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
-    J = random_latin_rectangle(n, m, rng)
-    cfg = ProcessConfig.from_json(cfg_json)
-    outcome_kind, exit_time, detail = "success", "", ""
-    eta_max_used = eta_mean_used = math.nan
-    b_dev = c_dev = p_max = math.nan
-    kills_max = 0
+    J = random_latin_rectangle(n, m, np.random.default_rng(seed))
+    summary = SUMMARY_DEFAULTS
     if algorithm == "guided":
-        res = run_process(J, epsilon=epsilon, seed=seed, config=cfg)
-        outcome_kind = res.kind
+        res = run_process(J, epsilon=epsilon, seed=seed,
+                          config=ProcessConfig.from_json(cfg_json))
+        mate, kind, detail = res.rectangle, res.kind, res.detail
         exit_time = res.time if res.time is not None else ""
-        detail = res.detail
         if res.trajectory is not None and res.trajectory.records:
             summ = summarize(res.trajectory, exit_time=res.time)
-            eta_max_used = summ.eta_max_used
-            eta_mean_used = summ.eta_mean_used
-            b_dev = summ.b_rel_dev_max
-            c_dev = summ.c_rel_dev_max
-            p_max = summ.p_max
-            kills_max = summ.kills_line_max
-        if res.success and not _is_mate(res.rectangle, J):
-            outcome_kind = "verification_failed"
-    elif algorithm == "hall":
-        try:
-            mate = hall_greedy(J, rng=np.random.default_rng(seed))
-            if not _is_mate(mate, J):
-                outcome_kind = "verification_failed"
-        except NoPerfectMatching as exc:
-            outcome_kind, detail = "baseline_failure", str(exc)
+            summary = {k: getattr(summ, k) for k in SUMMARY_DEFAULTS}
     else:
-        raise ValueError(f"unsupported trial algorithm {algorithm}")
+        mate, kind, detail = _run_baseline(J, algorithm, seed, NODE_LIMIT)
+        exit_time = ""
+    if mate is not None and not _is_mate(mate, J):
+        kind = "verification_failed"
     wall = time.perf_counter() - t0
     return TrialRecord(
         trial=trial, seed=seed, n=n, m=m, epsilon=epsilon,
-        algorithm=algorithm, outcome=outcome_kind, exit_time=exit_time,
-        detail=detail, eta_max_used=eta_max_used, eta_mean_used=eta_mean_used,
-        b_rel_dev_max=b_dev, c_rel_dev_max=c_dev, p_max=p_max,
-        kills_line_max=kills_max, wall_time_s=wall,
+        algorithm=algorithm, outcome=kind, exit_time=exit_time,
+        detail=detail, **summary, wall_time_s=wall,
     )
 
 
@@ -364,12 +382,6 @@ def _run_trials(jobs, workers: int) -> list:
 
 
 def cmd_trials(args) -> int:
-    if args.count < 1:
-        print("error: --count must be >= 1", file=sys.stderr)
-        return 1
-    if args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return 1
     n = args.n
     m = _derived_m(args)
     cfg = _config_from_args(args)
@@ -386,9 +398,7 @@ def cmd_trials(args) -> int:
             fh.write(f"# {TRIALS_SCHEMA} {provenance}\n")
             writer = csv.writer(fh)
             writer.writerow(TRIAL_COLUMNS)
-            for rec in records:
-                d = asdict(rec)
-                writer.writerow([d[c] for c in TRIAL_COLUMNS])
+            writer.writerows(astuple(rec) for rec in records)
     except BrokenProcessPool as exc:
         print(f"error: a trials worker died: {exc}", file=sys.stderr)
         return EXIT_WORKER_DIED
@@ -412,11 +422,7 @@ def cmd_diag(args) -> int:
     _check_trajectory_path("--out", args.out, cfg)
     check_arithmetic(args.n, cfg)
     J = random_latin_rectangle(args.n, m, np.random.default_rng(args.seed))
-    with _optional_output(args.out) as fh:
-        outcome = run_process(J, epsilon=args.epsilon, seed=args.seed,
-                              config=cfg)
-        if fh is not None:
-            outcome.trajectory.to_csv(fh, _provenance(args.seed, cfg))
+    outcome = _run_guided(J, args.epsilon, args.seed, cfg, args.out)
     if outcome.trajectory is not None and outcome.trajectory.records:
         summ = summarize(outcome.trajectory, exit_time=outcome.time)
         print(summ.to_json())
@@ -455,8 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=("guided", "hall", "backtrack"))
     p_mate.add_argument("--epsilon", type=_epsilon_arg, default=None)
     p_mate.add_argument("--seed", type=int, default=0)
-    p_mate.add_argument("--node-limit", type=_node_limit_arg,
-                        default=2_000_000)
+    p_mate.add_argument("--node-limit", type=_positive_int,
+                        default=NODE_LIMIT)
     p_mate.add_argument("--out", default=None)
     p_mate.add_argument("--diag", default=None,
                         help="write the trajectory CSV here")
@@ -470,11 +476,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("--n", type=int, required=True)
     p_tr.add_argument("--m", type=int, default=None)
     p_tr.add_argument("--epsilon", type=_epsilon_arg, default=0.5)
-    p_tr.add_argument("--count", type=int, required=True)
+    p_tr.add_argument("--count", type=_positive_int, required=True)
     p_tr.add_argument("--seed", type=int, default=0)
     p_tr.add_argument("--algorithm", default="guided",
                       choices=("guided", "hall"))
-    p_tr.add_argument("--jobs", type=int, default=1)
+    p_tr.add_argument("--jobs", type=_positive_int, default=1)
     p_tr.add_argument("--out", required=True)
 
     p_di = sub.add_parser("diag", parents=[p_cfg],

@@ -168,7 +168,6 @@ class TrajectoryRecorder:
         self.triples = np.array(
             [(j % m, j, (j + 1) % n) for j in range(k) if n >= 2],
             dtype=np.int64).reshape(-1, 3).T
-        self.drift_c_cum = 0.0
         self._frozen_rows, self._frozen_max = 0, -math.inf
 
     def record_step(self, before: GuidanceState, q_row, L_row: np.ndarray,
@@ -350,11 +349,11 @@ class TrajectoryRecorder:
         expected = (pk * pl * factor).sum(axis=1)
         worst = 0.0
         x0 = 1.0 / self.n
+        stats = self.stats
         for now, nxt, exp in zip(x_now.tolist(), x_next.tolist(),
                                  expected.tolist()):
             worst = max(worst, abs(nxt - exp))
-            self.drift_c_cum += max(0.0, exp - now) / max(now, x0)
-        self.stats.drift_c_cumulative = self.drift_c_cum
+            stats.drift_c_cumulative += max(0.0, exp - now) / max(now, x0)
         return worst
 
 

@@ -52,9 +52,6 @@ CUT_BRUTEFORCE_MAX_N = 14
 #: entries below this are truncated to zero before decompositions
 ZERO_TOL = 1e-12
 
-#: |row sum - 1| and |column sum - 1| tolerance for stochastic matrices
-DS_TOL = 1e-9
-
 #: flow/cut feasibility tolerance (aligned between solver and oracle)
 FEAS_TOL = 1e-9
 
@@ -149,14 +146,13 @@ def normalize_row(state, row: int) -> RowDistribution:
     return RowDistribution(p_row / totals[None, :])
 
 
-def cut_check_bruteforce(d, eta, feas_tol: float = FEAS_TOL
-                         ) -> Tuple[bool, Optional[tuple]]:
+def cut_check_bruteforce(d, eta) -> Tuple[bool, Optional[tuple]]:
     """Exhaustive cut-condition check; the flow solver's independent oracle.
 
     Args:
         d: RowDistribution or raw (n, n) weights array [column, symbol].
-        eta: capacity inflation.
-        feas_tol: violations smaller than this are ignored (0 => exact).
+        eta: capacity inflation; float violations below the flow solver's
+            FEAS_TOL are ignored, Fraction weights are checked exactly.
 
     Returns:
         (feasible, witness); witness is (symbols A, columns B) for the first
@@ -187,7 +183,7 @@ def cut_check_bruteforce(d, eta, feas_tol: float = FEAS_TOL
         - sizes[:, None]
         + (1.0 + eta) * prefix
     )
-    viol = slack < -feas_tol
+    viol = slack < -FEAS_TOL
     if not viol.any():
         return True, None
     b_idx, s_idx = np.argwhere(viol)[0]
@@ -450,15 +446,15 @@ def birkhoff_terms(q, zero_tol: Optional[float] = None):
     raise NoSupportMatching("Birkhoff walk failed to terminate")
 
 
-def birkhoff_decompose(q, zero_tol: Optional[float] = None,
-                       ds_tol: float = 1e-6) -> BirkhoffDecomposition:
+def birkhoff_decompose(q, zero_tol: Optional[float] = None
+                       ) -> BirkhoffDecomposition:
     """All terms of the birkhoff_terms walk as a BirkhoffDecomposition.
 
     The float dust left when the walk ends is added to the last
     coefficient, so the coefficients sum to 1.
 
     Raises:
-        ValueError: a row or column sum differs from 1 by more than ds_tol.
+        ValueError: a row or column sum differs from 1 by more than 1e-6.
         NoSupportMatching: the positive support has no perfect matching.
     """
     q_arr = q.q if isinstance(q, FractionalMatching) else q
@@ -467,9 +463,9 @@ def birkhoff_decompose(q, zero_tol: Optional[float] = None,
         Q = Q.astype(np.float64)
     row_err = np.abs(Q.sum(axis=1) - 1).max()
     col_err = np.abs(Q.sum(axis=0) - 1).max()
-    if max(row_err, col_err) > ds_tol:
+    if max(row_err, col_err) > 1e-6:
         raise ValueError(
-            f"input not doubly stochastic within {ds_tol:g} "
+            "input not doubly stochastic within 1e-06 "
             f"(row err {float(row_err):.2e}, col err {float(col_err):.2e})"
         )
     terms = list(birkhoff_terms(Q, zero_tol))
@@ -489,7 +485,7 @@ def sample_matching(dec: BirkhoffDecomposition, rng) -> np.ndarray:
     return np.asarray(dec.terms[-1][1])
 
 
-def sample_matching_lazy(q, rng, zero_tol: Optional[float] = None) -> np.ndarray:
+def sample_matching_lazy(q, rng) -> np.ndarray:
     """Draw from the Birkhoff distribution without materializing all terms.
 
     Walks birkhoff_terms only up to the cumulative coefficient the uniform
@@ -499,7 +495,7 @@ def sample_matching_lazy(q, rng, zero_tol: Optional[float] = None) -> np.ndarray
     """
     u = rng.random()
     acc = 0
-    for c, match in birkhoff_terms(q, zero_tol):
+    for c, match in birkhoff_terms(q):
         acc += c
         if u < acc:
             return match

@@ -58,6 +58,9 @@ from .matching import (
 
 EXACT_MAX_N = 12
 
+#: a float survival probability at or below this is degenerate
+DEN_TOL = 1e-12
+
 
 class RowAlreadyColoured(OrthomateError):
     """Projection requested for a point whose row is already placed."""
@@ -65,6 +68,15 @@ class RowAlreadyColoured(OrthomateError):
 
 class DegenerateDenominator(OrthomateError):
     """Survival probability <= 0 for a surviving point; process failure."""
+
+
+#: the detail prefix of an infeasible_row outcome, by the exception that
+#: stopped the row
+ROW_FAILURES = {
+    DeadSymbol: "dead_symbol",
+    Infeasible: "flow_infeasible",
+    DegenerateDenominator: "degenerate_denominator",
+}
 
 
 def _is_number(value) -> bool:
@@ -318,7 +330,7 @@ def _later_kills(L_row: np.ndarray, k2: np.ndarray) -> np.ndarray:
 
 
 def advance_state(state: GuidanceState, q_row, L_row: np.ndarray,
-                  J: LatinRectangle, den_tol: float = 1e-12) -> GuidanceState:
+                  J: LatinRectangle) -> GuidanceState:
     """One transition of the state under the placed row.
 
     Surviving points in uncoloured rows are divided by their survival
@@ -329,13 +341,13 @@ def advance_state(state: GuidanceState, q_row, L_row: np.ndarray,
     carries the killed symbols and survival probabilities as its
     Transition.
 
-    The same code runs on float64 and on Fraction states; den_tol applies
+    The same code runs on float64 and on Fraction states; DEN_TOL applies
     to floats, Fractions are degenerate only at survival probability <= 0.
 
     Raises:
         DegenerateDenominator: a surviving point has survival probability
-            <= den_tol (<= 0 for Fractions) under q, i.e. q places mass
-            >= 1 - den_tol (>= 1) on its two projections.
+            <= DEN_TOL (<= 0 for Fractions) under q, i.e. q places mass
+            >= 1 - DEN_TOL (>= 1) on its two projections.
     """
     if state.stopped_at is not None:
         raise ValueError("cannot advance a stopped state")
@@ -348,7 +360,7 @@ def advance_state(state: GuidanceState, q_row, L_row: np.ndarray,
     new_p = np.empty_like(p)
     new_p[:t + 1] = p[:t + 1]
     one = Fraction(1) if state.exact else 1.0
-    tol = 0 if state.exact else den_tol
+    tol = 0 if state.exact else DEN_TOL
     k2 = diag_column_map(J, t, t + 1)
     killed = _later_kills(L_row, k2)
     p_sub = p[t + 1:]
@@ -403,25 +415,25 @@ class ProcessOutcome:
 
 
 def run_process(J: LatinRectangle, epsilon: Optional[float] = None,
-                seed: int = 0, config: Optional[ProcessConfig] = None,
-                rng: Optional[np.random.Generator] = None) -> ProcessOutcome:
+                seed: int = 0, config: Optional[ProcessConfig] = None
+                ) -> ProcessOutcome:
     """Run the full guided construction of an orthogonal mate for J.
 
-    All randomness is drawn from a single generator in a fixed order: one
-    uniform per row for the Birkhoff coefficient sampling.  Identical
-    (J, epsilon, seed, config) reproduce the outcome exactly.
+    All randomness is drawn from one generator seeded with seed, in a
+    fixed order: one uniform per row for the Birkhoff coefficient sampling.
+    Identical (J, epsilon, seed, config) reproduce the outcome exactly.
 
     Args:
         J: the reference rectangle.
         epsilon: the epsilon used in the A bound; defaults to 1 - m/n.
-        seed: seeds a fresh generator when rng is not given.
+        seed: seeds the run's generator.
         config: process knobs; defaults to ProcessConfig().
 
     Returns:
         ProcessOutcome; kind "success" carries a verified mate, "gamma_exit"
         the violated inequalities, "infeasible_row" the failing step and a
         reason (flow infeasible at ETA_MAX, dead symbol, or degenerate
-        survival probability).
+        survival probability; see ROW_FAILURES).
     """
     config = config or ProcessConfig()
     shape = J.shape
@@ -430,8 +442,7 @@ def run_process(J: LatinRectangle, epsilon: Optional[float] = None,
         epsilon = shape.epsilon
     check_arithmetic(n, config)
     exact = config.arithmetic == "exact"
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
 
     recorder = None
     if config.record_trajectory:
@@ -449,34 +460,21 @@ def run_process(J: LatinRectangle, epsilon: Optional[float] = None,
         report = check_gamma(state, epsilon, stats=stats)
         stats = None  # as large as the Gram tensor; do not carry it on
         if not report.good:
-            state.stopped_at = t
             outcome = ProcessOutcome(kind="gamma_exit", time=t,
                                      gamma_report=report)
             break
         try:
             d = normalize_row(state, t)
-        except DeadSymbol as exc:
-            state.stopped_at = t
-            outcome = ProcessOutcome(kind="infeasible_row", time=t,
-                                     detail=f"dead_symbol: {exc}")
-            break
-        try:
             q, eta_used = build_fractional_matching(d)
-        except Infeasible as exc:
-            state.stopped_at = t
-            outcome = ProcessOutcome(kind="infeasible_row", time=t,
-                                     detail=f"flow_infeasible: {exc}")
-            break
-        etas.append(eta_used)
-        L_row = sample_matching_lazy(q, rng)
-        grid[t] = L_row
-        try:
+            etas.append(eta_used)
+            L_row = sample_matching_lazy(q, rng)
             after = advance_state(state, q, L_row, J)
-        except DegenerateDenominator as exc:
-            state.stopped_at = t
-            outcome = ProcessOutcome(kind="infeasible_row", time=t,
-                                     detail=f"degenerate_denominator: {exc}")
+        except tuple(ROW_FAILURES) as exc:
+            outcome = ProcessOutcome(
+                kind="infeasible_row", time=t,
+                detail=f"{ROW_FAILURES[type(exc)]}: {exc}")
             break
+        grid[t] = L_row
         if recorder is not None:
             # one Gram tensor of the rows > t for the record and the next
             # Gamma check
@@ -493,6 +491,8 @@ def run_process(J: LatinRectangle, epsilon: Optional[float] = None,
             raise OrthomateError(
                 "internal error: constructed rectangle failed verification")
         outcome = ProcessOutcome(kind="success", rectangle=L)
+    else:
+        state.stopped_at = outcome.time
 
     outcome.eta_used = tuple(etas)
     outcome.final_state = state

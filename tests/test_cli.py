@@ -241,6 +241,15 @@ class TestVerify:
         jp.write_text("0 x\n")
         assert main(["verify", "--j", str(jp), "--l", str(jp)]) == 1
 
+    def test_non_latin_l_is_usage_error(self, tmp_path, capsys):
+        jp, lp = tmp_path / "J.txt", tmp_path / "L.txt"
+        jp.write_text("0 1 2\n1 2 0\n")
+        lp.write_text("0 1 2\n1 1 0\n")
+        assert main(["verify", "--j", str(jp), "--l", str(lp)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: row 1: symbol 1 occurs 2 times, expected 1\n"
+
 
 class TestTrials:
     def test_csv_determinism(self, tmp_path, capsys):
@@ -564,3 +573,38 @@ class TestTrajectoryPathNeedsRecording:
         cfgp.write_text(json.dumps({"record_trajectory": False}))
         assert main(["diag", "--n", "8", "--config", str(cfgp)]) == 0
         assert json.loads(capsys.readouterr().out)["outcome"]
+
+
+class TestSameFile:
+    @pytest.mark.parametrize("argv", [
+        ["--out", "{J}", "--algorithm", "backtrack"],
+        ["--diag", "{J}"],
+        ["--out", "{link}", "--algorithm", "hall"],
+        ["--out", "{out}", "--diag", "{out}"],
+        ["--out", "{out}", "--diag", "{sub}/../{out_name}"],
+    ])
+    def test_input_kept_and_no_output(self, tmp_path, capsys, argv):
+        jp, out = tmp_path / "J.txt", tmp_path / "o.txt"
+        jp.write_text("0 1\n1 0\n")
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "link.txt").symlink_to(jp)
+        argv = [a.format(J=jp, link=tmp_path / "link.txt", out=out,
+                         sub=tmp_path / "sub", out_name=out.name)
+                for a in argv]
+        assert main(["mate", "--in", str(jp)] + argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "name the same file" in lines[0]
+        assert jp.read_text() == "0 1\n1 0\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "J.txt", "link.txt", "sub"]
+
+    @pytest.mark.skipif(not os.path.exists(os.devnull),
+                        reason="needs a null device")
+    def test_null_device_may_repeat(self, tmp_path):
+        jp = tmp_path / "J.txt"
+        main(["gen", "--n", "8", "--m", "2", "--seed", "1", "--out", str(jp)])
+        assert main(["mate", "--in", str(jp), "--out", os.devnull,
+                     "--diag", os.devnull]) == 0

@@ -258,6 +258,7 @@ class RecorderReference(TrajectoryRecorder):
 
     def _tracked_c_deviation(self, p_before, p_after, q, t):
         J = self.J
+        stats = self.stats
         worst = 0.0
         inv_t = self.Jinv[t]
         for (i, k, l) in zip(*self.triples.tolist()):
@@ -284,8 +285,8 @@ class RecorderReference(TrajectoryRecorder):
             expected = float((pk * pl * factor).sum())
             worst = max(worst, abs(x_next - expected))
             x0 = 1.0 / self.n
-            self.drift_c_cum += max(0.0, expected - x_now) / max(x_now, x0)
-        self.stats.drift_c_cumulative = self.drift_c_cum
+            stats.drift_c_cumulative += (max(0.0, expected - x_now)
+                                         / max(x_now, x0))
         return worst
 
 

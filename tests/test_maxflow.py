@@ -249,19 +249,21 @@ class TestCertificates:
 
     def test_certified_feasible_ratio_the_solver_rejects_raises(
             self, monkeypatch):
-        real = matching.solve_fixed_eta
         calls = []
 
-        def schedule_only(d, eta, backend="auto"):
+        def no_flow(d, eta, backend="auto"):
             calls.append(eta)
-            return real(d, eta, backend) if len(calls) == 1 else None
+            return None
 
-        monkeypatch.setattr(matching, "solve_fixed_eta", schedule_only)
+        monkeypatch.setattr(matching, "solve_fixed_eta", no_flow)
         monkeypatch.setattr(maxflow, "certified_status",
                             lambda caps, witness: "feasible")
         d = near_doubly_stochastic(24, np.random.default_rng(0))
         with pytest.raises(OrthomateError, match="internal"):
             build_fractional_matching(d)
+        # every ratio is certified, so the search ends at ratio 1 and the
+        # one solve is the final one
+        assert calls == [0.0]
 
 
 class TestHypothesisCutMonotone:

@@ -608,3 +608,34 @@ class TestTransition:
         after.transition = None
         with pytest.raises(ValueError, match="transition"):
             TrajectoryRecorder(J).record_step(state, q, L_row, after)
+
+
+def _removed_keyword_calls():
+    """One call per library function whose keyword knob nothing set, each
+    passing that keyword with an otherwise valid argument list."""
+    from orthomate.bipartite import perfect_matching_on_mask
+    from orthomate.matching import cut_check_bruteforce
+
+    J = LatinRectangle.cyclic(4, 2)
+    rng = np.random.default_rng(0)
+    return {
+        "run_process(rng=)": lambda: run_process(J, rng=rng),
+        "advance_state(den_tol=)": lambda: advance_state(
+            init_state(J.shape), np.full((4, 4), 0.25), np.arange(4), J,
+            den_tol=1e-12),
+        "cut_check_bruteforce(feas_tol=)": lambda: cut_check_bruteforce(
+            np.full((3, 3), 1 / 3), 0.0, feas_tol=0.0),
+        "birkhoff_decompose(ds_tol=)": lambda: birkhoff_decompose(
+            np.eye(3), ds_tol=1e-6),
+        "sample_matching_lazy(zero_tol=)": lambda: sample_matching_lazy(
+            np.eye(3), rng, zero_tol=1e-12),
+        "perfect_matching_on_mask(order=)": lambda: perfect_matching_on_mask(
+            np.eye(3, dtype=bool), order=[2, 1, 0]),
+    }
+
+
+class TestRemovedKeywords:
+    @pytest.mark.parametrize("name", sorted(_removed_keyword_calls()))
+    def test_removed_keyword_is_a_type_error(self, name):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            _removed_keyword_calls()[name]()
