@@ -3,8 +3,12 @@
 hopcroft_karp, the pure matcher, serves the Hall-regime greedy (rng-shuffled
 left-vertex order) and, through perfect_matching_on_mask in a fixed order,
 the Birkhoff walk below n = 16; from n = 16 on the walk uses scipy's C
-Hopcroft-Karp (perfect_matching_scipy).  The random rectangle generator
-matches nothing here: baselines._random_row and _augment build its rows.
+Hopcroft-Karp (perfect_matching_scipy).  The walk keeps each threshold
+level's support as one SupportGraph: a CSR graph built once per level, from
+which it deletes the matched edges that leave the level after each term, in
+place of converting a fresh mask for every matching.  The random rectangle
+generator matches nothing here: baselines._random_row and _augment build
+its rows.
 """
 
 from __future__ import annotations
@@ -88,25 +92,63 @@ def perfect_matching_on_mask(mask: np.ndarray) -> Optional[np.ndarray]:
     return match
 
 
-def perfect_matching_scipy(mask: np.ndarray) -> Optional[np.ndarray]:
-    """scipy-accelerated variant of perfect_matching_on_mask (C Hopcroft-Karp).
+class SupportGraph:
+    """The CSR graph of a boolean (column, symbol) mask, with edge deletion.
 
-    mask must be boolean.  The CSR graph is built directly from it: indptr
-    from the per-row counts, indices from the row-major nonzero positions.
-    That is the same graph, in the same edge order, that
-    scipy.sparse.csr_matrix(mask) builds through its slower dense
-    conversion, so the matching is the same too.
+    Built once from the mask: indptr from the per-row counts, indices from
+    the row-major nonzero positions.  That is the graph, in the same edge
+    order, that scipy.sparse.csr_matrix(mask) builds through its slower
+    dense conversion.  drop deletes edges from that one CSR object and
+    keeps the order, so the graph stays equal to the CSR of the shrunken
+    mask rebuilt from scratch; mask itself is kept current too.
+
+    Raises:
+        ValueError: an edge key, row << bits(n_cols - 1) | column, would not
+            fit in int32 (a mask of about 2^31 entries or more).
     """
-    import scipy.sparse as sp
+
+    def __init__(self, mask: np.ndarray):
+        import scipy.sparse as sp
+
+        self.mask = mask
+        n_rows, n_cols = mask.shape
+        # edge (k, j) has the key k << shift | j: sorted like the edges, and
+        # its low bits are the column scipy reads
+        self._shift = max(n_cols - 1, 1).bit_length()
+        if n_rows << self._shift > np.iinfo(np.int32).max:
+            raise ValueError(f"mask {mask.shape} too large for int32 keys")
+        k, j = np.nonzero(mask)
+        self._keys = ((k << self._shift) | j).astype(np.int32)
+        self._ones = np.ones(self._keys.size, dtype=bool)
+        indptr = np.zeros(n_rows + 1, dtype=np.int32)
+        np.cumsum(mask.sum(axis=1), out=indptr[1:])
+        self.csr = sp.csr_matrix((self._ones, j.astype(np.int32), indptr),
+                                 shape=mask.shape)
+
+    def drop(self, rows: np.ndarray, cols: np.ndarray) -> None:
+        """Delete the distinct edges (rows[i], cols[i]), all in the graph."""
+        gone = ((rows << self._shift) | cols).astype(np.int32)
+        keep = np.ones(self._keys.size, dtype=bool)
+        keep[np.searchsorted(self._keys, gone)] = False
+        self._keys = self._keys[keep]
+        csr = self.csr
+        csr.indices = self._keys & ((1 << self._shift) - 1)
+        csr.data = self._ones[:self._keys.size]
+        csr.indptr[1:] -= np.cumsum(
+            np.bincount(rows, minlength=self.mask.shape[0]), dtype=np.int32)
+        self.mask[rows, cols] = False
+
+
+def perfect_matching_scipy(graph: SupportGraph) -> Optional[np.ndarray]:
+    """Perfect matching columns -> symbols by scipy's C Hopcroft-Karp.
+
+    Returns match[k] = symbol matched to column k, or None if no perfect
+    matching exists.  scipy reads the graph's CSR object as it stands, so
+    the matching is the one csr_matrix(graph.mask) would give.
+    """
     from scipy.sparse.csgraph import maximum_bipartite_matching
 
-    rows, cols = mask.shape
-    indptr = np.zeros(rows + 1, dtype=np.int32)
-    np.cumsum(mask.sum(axis=1), out=indptr[1:])
-    indices = (np.flatnonzero(mask) % cols).astype(np.int32)
-    csr = sp.csr_matrix((np.ones(indices.size, dtype=bool), indices, indptr),
-                        shape=mask.shape)
-    match = maximum_bipartite_matching(csr, perm_type="column")
+    match = maximum_bipartite_matching(graph.csr, perm_type="column")
     if (match < 0).any():
         return None
     return match.astype(np.int64)

@@ -33,7 +33,6 @@ from .core import (
     NotLatin,
     ShapeMismatch,
     parse_rectangle,
-    verify_latin,
     verify_orthogonal,
 )
 from .baselines import NoPerfectMatching, backtrack_mate, hall_greedy, \
@@ -264,13 +263,9 @@ def _find_mate(args, J: LatinRectangle, cfg: ProcessConfig):
     }
 
 
-def _is_mate(L: LatinRectangle, J: LatinRectangle) -> bool:
-    return verify_latin(L).ok and verify_orthogonal(L, J).ok
-
-
 def cmd_mate(args) -> int:
-    _check_distinct_files(("--in", args.input), ("--out", args.out),
-                          ("--diag", args.diag))
+    _check_distinct_files(("--in", args.input), ("--config", args.config),
+                          ("--out", args.out), ("--diag", args.diag))
     try:
         J = _read_rectangle(args.input)
     except (OSError, ParseError, NotLatin) as exc:
@@ -285,7 +280,7 @@ def cmd_mate(args) -> int:
         if mate is None:
             print(json.dumps(failure, indent=2))
             return 2
-        if not _is_mate(mate, J):
+        if not verify_orthogonal(mate, J).ok:
             print("error: constructed mate failed re-verification",
                   file=sys.stderr)
             return 2
@@ -328,7 +323,7 @@ def run_single_trial(packed) -> TrialRecord:
     else:
         mate, kind, detail = _run_baseline(J, algorithm, seed, NODE_LIMIT)
         exit_time = ""
-    if mate is not None and not _is_mate(mate, J):
+    if mate is not None and not verify_orthogonal(mate, J).ok:
         kind = "verification_failed"
     wall = time.perf_counter() - t0
     return TrialRecord(
@@ -382,6 +377,7 @@ def _run_trials(jobs, workers: int) -> list:
 
 
 def cmd_trials(args) -> int:
+    _check_distinct_files(("--config", args.config), ("--out", args.out))
     n = args.n
     m = _derived_m(args)
     cfg = _config_from_args(args)
@@ -417,6 +413,7 @@ def cmd_trials(args) -> int:
 
 
 def cmd_diag(args) -> int:
+    _check_distinct_files(("--config", args.config), ("--out", args.out))
     m = _derived_m(args)
     cfg = _config_from_args(args)
     _check_trajectory_path("--out", args.out, cfg)

@@ -9,7 +9,9 @@ their conditional expectations.
 Kill counts obey structural bounds (at most 2 per local line, 4 per C sum);
 the deviation and drift numbers are reported against the log n / sqrt n
 scale, never enforced, since their theoretical counterparts are asymptotic.
-Both the pre-stop prefix and the stopped tail are recorded for stopped runs.
+A stopped run is recorded only up to its exit: one record per placed row,
+none for the row where run_process stopped (a Gamma exit or an infeasible
+row) or for any row after it.
 
 Kills and survival probabilities come from the step's Transition, line sums
 and pair sums from process.line_statistics.  run_process computes those

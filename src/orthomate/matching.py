@@ -15,10 +15,12 @@ Given the guidance state restricted to one row, the pipeline is:
                      or a Sinkhorn scaling of d as the witness), so a row
                      costs about one flow solve: the final one
   birkhoff_terms  -> express q as a convex combination of permutations by a
-                     threshold-greedy elimination walk; birkhoff_decompose
-                     collects every term, sample_matching_lazy stops at the
-                     term a uniform draw selects, so both share one
-                     elimination order in float and in Fraction arithmetic
+                     threshold-greedy elimination walk on one support graph
+                     per threshold level, pruned of each term's spent edges;
+                     birkhoff_decompose collects every term,
+                     sample_matching_lazy stops at the term a uniform draw
+                     selects, so both share one elimination order in float
+                     and in Fraction arithmetic
 
 cut_check_bruteforce is the independent oracle for the flow step: it tests
 the cut inequality  2n - |A| - |B| + (1 + eta) * sum_{g in A, k in B} d(k, g)
@@ -41,7 +43,8 @@ import numpy as np
 
 from .core import OrthomateError
 from . import maxflow
-from .bipartite import perfect_matching_on_mask, perfect_matching_scipy
+from .bipartite import (SupportGraph, perfect_matching_on_mask,
+                        perfect_matching_scipy)
 
 #: instance size above which the float flow path uses the scipy solver
 SCIPY_FLOW_MIN_N = 24
@@ -392,6 +395,13 @@ def birkhoff_terms(q, zero_tol: Optional[float] = None):
     n >= 16 and from the pure solver's fixed vertex order below that; both
     are deterministic, so the walk is reproducible.
 
+    Each threshold level's support is built once, as a SupportGraph.  A
+    term changes only its matched entries, and only lowers them, so after
+    each term the walk deletes from the graph the matched edges that left
+    the level (fell below the threshold, or to 0 on the full support);
+    the graph stays the CSR of the level's mask rebuilt from scratch.  A
+    miss halves the threshold and builds the next level's graph.
+
     q may hold float64 or Fraction entries.  zero_tol defaults to ZERO_TOL
     for floats and 0 for Fractions; entries below it are truncated to zero.
     The walk ends when the coefficients sum to 1 (within 1e-12 for floats)
@@ -412,15 +422,19 @@ def birkhoff_terms(q, zero_tol: Optional[float] = None):
     n = Q.shape[0]
     Q[Q < zero_tol] = 0
     cols = np.arange(n)
-    find = perfect_matching_scipy if n >= 16 else perfect_matching_on_mask
+    find = perfect_matching_scipy if n >= 16 else (
+        lambda graph: perfect_matching_on_mask(graph.mask))
     acc = 0
     walked = False
     theta = Q.max() / 2
+    graph = None  # the support of the current threshold level
     for _ in range(n * n + 2 * n + 80):
-        mask = (Q > 0) if theta <= zero_tol else (Q >= theta)
-        match = find(mask)
+        full = theta <= zero_tol
+        if graph is None:
+            graph = SupportGraph((Q > 0) if full else (Q >= theta))
+        match = find(graph)
         if match is None:
-            if theta <= zero_tol:
+            if full:
                 if walked and 1 - acc <= dust_tol:
                     return
                 raise NoSupportMatching(
@@ -429,7 +443,8 @@ def birkhoff_terms(q, zero_tol: Optional[float] = None):
             pos = Q[Q > 0]
             theta = theta / 2
             if pos.size == 0 or theta < pos.min():
-                theta = 0  # next mask is the full support
+                theta = 0  # next level is the full support
+            graph = None
             continue
         matched = Q[cols, match]
         c = matched.min()
@@ -439,10 +454,12 @@ def birkhoff_terms(q, zero_tol: Optional[float] = None):
         if 1 - acc <= stop_tol:
             return
         # only the matched entries change, so only they can fall below
-        # zero_tol; every other entry is already 0 or at least zero_tol
+        # zero_tol or leave the level; every other entry keeps its place
         matched -= c
         matched[matched < zero_tol] = 0
         Q[cols, match] = matched
+        gone = np.flatnonzero(~(matched > 0) if full else ~(matched >= theta))
+        graph.drop(gone, match[gone])
     raise NoSupportMatching("Birkhoff walk failed to terminate")
 
 

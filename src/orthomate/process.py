@@ -44,7 +44,6 @@ from .core import (
     OrthomateError,
     Point,
     Shape,
-    verify_latin,
     verify_orthogonal,
 )
 from .matching import (
@@ -487,7 +486,7 @@ def run_process(J: LatinRectangle, epsilon: Optional[float] = None,
 
     if outcome is None:
         L = LatinRectangle(shape, grid)
-        if not (verify_latin(L).ok and verify_orthogonal(L, J).ok):
+        if not verify_orthogonal(L, J).ok:
             raise OrthomateError(
                 "internal error: constructed rectangle failed verification")
         outcome = ProcessOutcome(kind="success", rectangle=L)

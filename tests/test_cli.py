@@ -601,6 +601,31 @@ class TestSameFile:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "J.txt", "link.txt", "sub"]
 
+    @pytest.mark.parametrize("argv", [
+        ["mate", "--in", "{J}", "--config", "{cfg}", "--out", "{cfg}"],
+        ["trials", "--n", "8", "--count", "1", "--config", "{cfg}",
+         "--out", "{cfg}"],
+        ["diag", "--n", "8", "--config", "{cfg}", "--out", "{cfg}"],
+    ])
+    def test_config_kept_and_nothing_run(self, tmp_path, capsys, monkeypatch,
+                                         argv):
+        runs = []
+        for name in ("run_process", "_run_trials"):
+            monkeypatch.setattr(cli, name,
+                                lambda *a, _n=name, **kw: runs.append(_n))
+        jp, cfgp = tmp_path / "J.txt", tmp_path / "cfg.json"
+        jp.write_text("0 1\n1 0\n")
+        cfg_text = json.dumps({"arithmetic": "float64"})
+        cfgp.write_text(cfg_text)
+        argv = [a.format(J=jp, cfg=cfgp) for a in argv]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "--config and --out name the same file" in err
+        assert runs == []
+        assert cfgp.read_text() == cfg_text
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "J.txt", "cfg.json"]
+
     @pytest.mark.skipif(not os.path.exists(os.devnull),
                         reason="needs a null device")
     def test_null_device_may_repeat(self, tmp_path):

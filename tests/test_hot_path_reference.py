@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import fields
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -37,9 +38,14 @@ from orthomate import (
     run_process,
     sample_matching_lazy,
 )
-from orthomate import diagnostics, maxflow, process
-from orthomate.bipartite import perfect_matching_on_mask, perfect_matching_scipy
+from orthomate import diagnostics, matching, maxflow, process
+from orthomate.bipartite import (
+    SupportGraph,
+    perfect_matching_on_mask,
+    perfect_matching_scipy,
+)
 from orthomate.matching import (
+    ZERO_TOL,
     FractionalMatching,
     Infeasible,
     NoSupportMatching,
@@ -292,17 +298,22 @@ class RecorderReference(TrajectoryRecorder):
 
 # ------------------------------------------------------------------ helpers
 
-def evolved(n, m, steps, seed, exact=False):
-    """(J, state after `steps` guided rows, q and L_row for the next row)."""
+def guided(n, m, seed, exact=False):
+    """Yield (J, state, q, L_row) for each row of a guided run, in order."""
     J = random_rect(n, m, seed)
     state = init_state(J.shape, exact=exact)
     rng = np.random.default_rng(seed)
     while True:
         q, _ = build_fractional_matching(normalize_row(state, state.t))
         L_row = sample_matching_lazy(q, rng)
-        if state.t == steps:
-            return J, state, q, L_row
+        yield J, state, q, L_row
         state = advance_state(state, q, L_row, J)
+
+
+def evolved(n, m, steps, seed, exact=False):
+    """(J, state after `steps` guided rows, q and L_row for the next row)."""
+    return next(row for row in guided(n, m, seed, exact)
+                if row[1].t == steps)
 
 
 def same_array(a, b):
@@ -355,26 +366,61 @@ def random_masks(n, rng):
     return masks
 
 
+def assert_same_matching(graph, mask):
+    got, want = perfect_matching_scipy(graph), matching_reference(mask)
+    if want is None:
+        assert got is None
+    else:
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+
+
 class TestMatchingReference:
     @pytest.mark.parametrize("n", [16, 64, 192])
     @pytest.mark.parametrize("seed", range(3))
     def test_equals_csr_matrix_matching(self, n, seed):
         rng = np.random.default_rng(1000 * n + seed)
         for mask in random_masks(n, rng):
-            got, want = perfect_matching_scipy(mask), matching_reference(mask)
-            if want is None:
-                assert got is None
-            else:
-                assert got.dtype == np.int64
-                assert np.array_equal(got, want)
+            assert_same_matching(SupportGraph(mask), mask)
 
     @pytest.mark.parametrize("n", [16, 64, 192])
     def test_failure_cases_return_none(self, n):
         rng = np.random.default_rng(n)
         *_, empty_row, hall = random_masks(n, rng)
-        assert perfect_matching_scipy(empty_row) is None
-        assert perfect_matching_scipy(hall) is None
-        assert perfect_matching_scipy(np.zeros((n, n), dtype=bool)) is None
+        for mask in (empty_row, hall, np.zeros((n, n), dtype=bool)):
+            assert perfect_matching_scipy(SupportGraph(mask)) is None
+
+
+class TestSupportGraph:
+    @pytest.mark.parametrize("n", [16, 64, 192])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_drops_equal_the_rebuilt_csr(self, n, seed):
+        import scipy.sparse as sp
+
+        rng = np.random.default_rng(7000 * n + seed)
+        for mask in random_masks(n, rng):
+            graph = SupportGraph(mask.copy())
+            want = mask.copy()
+            while want.any():
+                # a random subset of the edges, in random order, several
+                # per row at times; the first drop may delete nothing
+                edges = np.flatnonzero(want)
+                gone = rng.choice(edges, rng.integers(edges.size // 4 + 2),
+                                  replace=False)
+                rows, cols = np.divmod(gone, n)
+                graph.drop(rows, cols)
+                want[rows, cols] = False
+                ref = sp.csr_matrix(want)
+                assert np.array_equal(graph.csr.indptr, ref.indptr)
+                assert np.array_equal(graph.csr.indices, ref.indices)
+                assert np.array_equal(graph.mask, want)
+                assert_same_matching(graph, want)
+
+    def test_keys_that_overflow_int32_are_refused(self):
+        # a read-only view: the shape is refused before any edge is read
+        mask = np.broadcast_to(False, (1 << 16, 1 << 16))
+        with pytest.raises(ValueError, match="too large for int32 keys"):
+            SupportGraph(mask)
 
 
 # ------------------------------------------------------------ Birkhoff walk
@@ -406,6 +452,30 @@ class TestBirkhoffReference:
             q[np.arange(n), rng.permutation(n)] += c
         got = walk(birkhoff_terms(q, zero_tol))
         assert got == walk(birkhoff_reference(q, zero_tol))
+
+    @pytest.mark.parametrize("n,m,rows", [(16, 8, range(2, 8)),
+                                          (64, 12, (2, 3, 6)),
+                                          (192, 4, (2,))])
+    def test_guided_rows_equal_dense_truncation_walk(self, monkeypatch, n, m,
+                                                     rows):
+        # rows a guided run samples from: the first two are near uniform,
+        # later ones miss at many threshold levels before the walk ends
+        qs = [q.q for _, state, q, _ in islice(guided(n, m, seed=n),
+                                               max(rows) + 1)
+              if state.t in rows]
+        misses = []
+
+        def counted(graph):
+            match = perfect_matching_scipy(graph)
+            misses.append(match is None)
+            return match
+
+        monkeypatch.setattr(matching, "perfect_matching_scipy", counted)
+        for q in qs:
+            misses.clear()
+            got = walk(birkhoff_terms(q))
+            assert got == walk(birkhoff_reference(q, ZERO_TOL))
+            assert sum(misses) >= 10
 
 
 # --------------------------------------------------------------- transition
