@@ -23,7 +23,7 @@ agree = 0
 for trial in range(200):
     d = rng.dirichlet(np.ones(n), size=n).T
     for eta in (0.0, 0.25):
-        flow_ok = solve_fixed_eta(d, eta, backend="python") is not None
+        flow_ok = solve_fixed_eta(d, eta) is not None
         cut_ok, _ = cut_check_bruteforce(d, eta)
         agree += flow_ok == cut_ok
 print(f"  {agree} / 400 verdicts identical")
@@ -32,9 +32,9 @@ print(f"  {agree} / 400 verdicts identical")
 d = rng.dirichlet(np.ones(n), size=n).T
 q, eta_used = build_fractional_matching(d)
 print(f"\nfeasible instance: eta_used = {eta_used:.3f}")
-print(f"  row sum error    {np.abs(q.q.sum(axis=1) - 1).max():.2e}")
-print(f"  column sum error {np.abs(q.q.sum(axis=0) - 1).max():.2e}")
-print(f"  q <= (1+eta) d   {(q.q <= (1 + eta_used) * d + 1e-12).all()}")
+print(f"  row sum error    {np.abs(q.sum(axis=1) - 1).max():.2e}")
+print(f"  column sum error {np.abs(q.sum(axis=0) - 1).max():.2e}")
+print(f"  q <= (1+eta) d   {(q <= (1 + eta_used) * d + 1e-12).all()}")
 
 # two symbols supported on one shared column: infeasible at every eta,
 # and the oracle produces the violating subset pair as a witness

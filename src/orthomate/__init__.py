@@ -22,10 +22,8 @@ from .core import (
 from .matching import (
     BirkhoffDecomposition,
     DeadSymbol,
-    FractionalMatching,
     Infeasible,
     NoSupportMatching,
-    RowDistribution,
     TooLarge,
     birkhoff_decompose,
     birkhoff_terms,

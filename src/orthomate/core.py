@@ -193,14 +193,15 @@ def parse_rectangle(text: str) -> LatinRectangle:
     for idx, row in enumerate(rows):
         if len(row) != n:
             raise ParseError(f"row {idx} has {len(row)} entries, expected {n}")
-    grid = np.array(rows, dtype=np.int64)
-    m = grid.shape[0]
+    m = len(rows)
     if m > n:
         raise NotLatin(f"more rows ({m}) than columns ({n})")
-    if grid.min() < 0 or grid.max() >= n:
-        bad = np.argwhere((grid < 0) | (grid >= n))[0]
-        raise NotLatin(f"symbol out of range at cell ({bad[0]}, {bad[1]})")
-    return LatinRectangle(Shape(n=n, m=m), grid)
+    # on the Python ints, before an entry beyond int64 reaches numpy
+    bad = next(((i, k) for i, row in enumerate(rows)
+                for k, v in enumerate(row) if not 0 <= v < n), None)
+    if bad is not None:
+        raise NotLatin(f"symbol out of range at cell {bad}")
+    return LatinRectangle(Shape(n=n, m=m), np.array(rows, dtype=np.int64))
 
 
 def verify_latin_grid(grid: np.ndarray, n: int) -> VerifyReport:

@@ -45,7 +45,6 @@ from typing import Optional
 import numpy as np
 
 from .core import LatinRectangle, OrthomateError
-from .matching import FractionalMatching
 from .process import GuidanceState, line_statistics
 
 
@@ -188,8 +187,7 @@ class TrajectoryRecorder:
         tr = after.transition
         if tr is None or tr.t != t:
             raise ValueError(f"after carries no transition from step {t}")
-        q_raw = np.asarray(q_row.q if isinstance(q_row, FractionalMatching)
-                           else q_row)
+        q_raw = np.asarray(q_row)
         q = np.asarray(q_raw, dtype=np.float64)
         p_before = np.asarray(before.p, dtype=np.float64)
         p_after = np.asarray(after.p, dtype=np.float64)

@@ -82,31 +82,6 @@ class NoSupportMatching(OrthomateError):
 
 
 @dataclass(frozen=True)
-class RowDistribution:
-    """Nonnegative (column, symbol) weights, each symbol summing to 1."""
-
-    weights: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.weights.shape[0]
-
-
-@dataclass(frozen=True)
-class FractionalMatching:
-    """Nonnegative (column, symbol) matrix with all row/column sums 1."""
-
-    q: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.q.shape[0]
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "q": np.asarray(self.q, dtype=float).tolist()}
-
-
-@dataclass(frozen=True)
 class BirkhoffDecomposition:
     """Convex combination of permutations: sum of coeff * perm-matrix."""
 
@@ -123,18 +98,10 @@ class BirkhoffDecomposition:
             out[cols, perm] += float(c)
         return out
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "terms": [
-                {"coefficient": float(c), "permutation": [int(v) for v in perm]}
-                for c, perm in self.terms
-            ],
-        }
 
-
-def normalize_row(state, row: int) -> RowDistribution:
-    """Per-symbol normalization of the state restricted to one row.
+def normalize_row(state, row: int) -> np.ndarray:
+    """Per-symbol normalization of the state restricted to one row: the
+    (column, symbol) weights d, each symbol summing to 1.
 
     Raises:
         DeadSymbol: some symbol has zero total mass on the row.
@@ -146,14 +113,14 @@ def normalize_row(state, row: int) -> RowDistribution:
     dead = [g for g in range(p_row.shape[1]) if not totals[g] > 0]
     if dead:
         raise DeadSymbol(f"row {row}: symbols {dead} have zero mass")
-    return RowDistribution(p_row / totals[None, :])
+    return p_row / totals[None, :]
 
 
 def cut_check_bruteforce(d, eta) -> Tuple[bool, Optional[tuple]]:
     """Exhaustive cut-condition check; the flow solver's independent oracle.
 
     Args:
-        d: RowDistribution or raw (n, n) weights array [column, symbol].
+        d: (n, n) weights array [column, symbol].
         eta: capacity inflation; float violations below the flow solver's
             FEAS_TOL are ignored, Fraction weights are checked exactly.
 
@@ -164,8 +131,7 @@ def cut_check_bruteforce(d, eta) -> Tuple[bool, Optional[tuple]]:
     Raises:
         TooLarge: n > 14.
     """
-    w = d.weights if isinstance(d, RowDistribution) else d
-    w = np.asarray(w)
+    w = np.asarray(d)
     n = len(w)
     if n > CUT_BRUTEFORCE_MAX_N:
         raise TooLarge(f"cut enumeration capped at n={CUT_BRUTEFORCE_MAX_N}, got {n}")
@@ -263,17 +229,23 @@ def _scale_caps(w, factor):
     return np.asarray(w, dtype=np.float64) * float(factor)
 
 
-def solve_fixed_eta(d, eta, backend: str = "auto") -> Optional[np.ndarray]:
+def _scipy_solves(w) -> bool:
+    """The one solver rule: scipy for float rows with n >= SCIPY_FLOW_MIN_N,
+    the pure solver for smaller float rows and for Fraction rows.  The
+    certificates of build_fractional_matching prove scipy's verdict, so
+    they are asked exactly where this holds."""
+    return w.dtype != object and w.shape[0] >= SCIPY_FLOW_MIN_N
+
+
+def solve_fixed_eta(d, eta) -> Optional[np.ndarray]:
     """One feasibility solve: q <= (1 + eta) * d doubly stochastic, or None.
 
-    The max flow under middle capacities (1 + eta) * d.  backend "auto"
-    picks scipy for float instances with n >= 24 and the pure solver
-    otherwise; "python" and "scipy" force a choice.  Ambiguous scipy
-    verdicts (within the integer rounding band) re-solve exactly.  Fraction
-    weights solve exactly in Fractions.
+    The max flow under middle capacities (1 + eta) * d, solved by the
+    solver _scipy_solves picks.  Ambiguous scipy verdicts (within the
+    integer rounding band) re-solve with the pure solver.  Fraction weights
+    solve exactly in Fractions.
     """
-    w = d.weights if isinstance(d, RowDistribution) else d
-    caps = _scale_caps(w, 1 + eta)
+    caps = _scale_caps(d, 1 + eta)
     n = caps.shape[0]
     if caps.dtype == object:
         value, flow = maxflow.solve_transport(caps.tolist(), one=Fraction(1),
@@ -285,7 +257,7 @@ def solve_fixed_eta(d, eta, backend: str = "auto") -> Optional[np.ndarray]:
                     q[k, g] = flow[k][g]
             return q
         return None
-    if backend == "scipy" or (backend == "auto" and n >= SCIPY_FLOW_MIN_N):
+    if _scipy_solves(caps):
         status, q = maxflow.scipy_transport(caps)
         if status == "feasible":
             return q
@@ -299,7 +271,7 @@ def solve_fixed_eta(d, eta, backend: str = "auto") -> Optional[np.ndarray]:
     return None
 
 
-def build_fractional_matching(d) -> Tuple[FractionalMatching, float]:
+def build_fractional_matching(d) -> Tuple[np.ndarray, float]:
     """Construct q <= (1 + eta) * d doubly stochastic, escalating eta.
 
     The eta schedule (eta_schedule) finds a feasible level; among the max
@@ -312,29 +284,28 @@ def build_fractional_matching(d) -> Tuple[FractionalMatching, float]:
 
     The search tries beta = 1, then 1 + log n / sqrt n, then up to four
     bisection points.  The schedule and the search put every "is there a
-    flow under beta * d?" to one oracle.  For float rows solved by scipy
-    (n >= 24) it asks maxflow.certified_status first, which proves the
-    verdict the solve would give by a cut or by the row's Sinkhorn witness
-    (sinkhorn_witness, computed once per row); a question neither settles,
-    and every question on Fraction rows or on the pure solver (n < 24), is
-    solved by solve_fixed_eta and its flow kept.  The flow is then solved
-    once at the final beta, unless that point was solved already, so q and
+    flow under beta * d?" to one oracle.  Where scipy solves the row
+    (_scipy_solves) it asks maxflow.certified_status first, which proves
+    the verdict the solve would give by a cut or by the row's Sinkhorn
+    witness (sinkhorn_witness, computed once per row); a question neither
+    settles, and every question the pure solver answers, is solved by
+    solve_fixed_eta and its flow kept.  The flow is then solved once at
+    the final beta, unless that point was solved already, so q and
     eta_used are bit for bit those of solving every point.
 
     Returns:
-        (matching, eta_used) where 1 + eta_used is the certified entrywise
-        cap ratio of the returned q (eta_used is at most the schedule value
-        that proved feasibility).
+        (q, eta_used): q is an (n, n) array with all line sums 1, and
+        1 + eta_used its certified entrywise cap ratio (eta_used is at most
+        the schedule value that proved feasibility).
 
     Raises:
         Infeasible: max flow below n even at ETA_MAX.
         OrthomateError: the final solve found no flow at a ratio a
             certificate proved feasible (an internal error, never hidden).
     """
-    d_obj = d if isinstance(d, RowDistribution) else RowDistribution(np.asarray(d))
-    w = d_obj.weights
-    n = d_obj.n
-    certify = w.dtype != object and n >= SCIPY_FLOW_MIN_N
+    w = np.asarray(d)
+    n = w.shape[0]
+    certify = _scipy_solves(w)
     witness = sinkhorn_witness(w) if certify else None
     solved = {}  # ratio - 1 -> the solved flow, None when infeasible
 
@@ -380,7 +351,7 @@ def build_fractional_matching(d) -> Tuple[FractionalMatching, float]:
             raise OrthomateError(
                 f"internal: ratio 1 + {hi!r} was certified feasible but the "
                 "flow solve found none")
-    return FractionalMatching(solved[hi]), hi
+    return solved[hi], hi
 
 
 def birkhoff_terms(q, zero_tol: Optional[float] = None):
@@ -411,8 +382,7 @@ def birkhoff_terms(q, zero_tol: Optional[float] = None):
     Raises:
         NoSupportMatching: the positive support has no perfect matching.
     """
-    q_arr = q.q if isinstance(q, FractionalMatching) else q
-    Q = np.array(q_arr, copy=True)
+    Q = np.array(q, copy=True)
     exact = Q.dtype == object
     if not exact:
         Q = Q.astype(np.float64)
@@ -474,8 +444,7 @@ def birkhoff_decompose(q, zero_tol: Optional[float] = None
         ValueError: a row or column sum differs from 1 by more than 1e-6.
         NoSupportMatching: the positive support has no perfect matching.
     """
-    q_arr = q.q if isinstance(q, FractionalMatching) else q
-    Q = np.asarray(q_arr)
+    Q = np.asarray(q)
     if Q.dtype != object:
         Q = Q.astype(np.float64)
     row_err = np.abs(Q.sum(axis=1) - 1).max()

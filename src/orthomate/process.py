@@ -48,7 +48,6 @@ from .core import (
 )
 from .matching import (
     DeadSymbol,
-    FractionalMatching,
     Infeasible,
     build_fractional_matching,
     normalize_row,
@@ -197,10 +196,16 @@ def check_arithmetic(n: int, config: ProcessConfig) -> None:
 
 
 def gamma_bounds(n: int, epsilon: float):
-    """(A upper bound, B low, B high, C upper bound) for the goodness region."""
+    """(A upper bound, B low, B high, C upper bound) for the goodness region;
+    where eps^2 n leaves the float range, A's bound is its float limit."""
     check_epsilon(epsilon)
     log_term = math.log(n) / math.sqrt(n) if n > 1 else 0.0
-    a_bound = math.inf if epsilon == 0 else 1.1 / (epsilon ** 2 * n)
+    try:
+        a_bound = 1.1 / (epsilon ** 2 * n)
+    except ZeroDivisionError:  # eps = 0 or eps^2 n rounds to 0: A is off
+        a_bound = math.inf
+    except OverflowError:  # eps^2 overflows: every point with p > 0 fails A
+        a_bound = 0.0
     return a_bound, 1.0 - log_term, 1.0 + log_term, (1.0 + log_term) / n
 
 
@@ -328,7 +333,7 @@ def _later_kills(L_row: np.ndarray, k2: np.ndarray) -> np.ndarray:
     return killed
 
 
-def advance_state(state: GuidanceState, q_row, L_row: np.ndarray,
+def advance_state(state: GuidanceState, q, L_row: np.ndarray,
                   J: LatinRectangle) -> GuidanceState:
     """One transition of the state under the placed row.
 
@@ -354,7 +359,6 @@ def advance_state(state: GuidanceState, q_row, L_row: np.ndarray,
     m = state.shape.m
     if t >= m:
         raise ValueError(f"no row left to place at t={t}")
-    q = q_row.q if isinstance(q_row, FractionalMatching) else q_row
     p = state.p
     new_p = np.empty_like(p)
     new_p[:t + 1] = p[:t + 1]

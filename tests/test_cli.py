@@ -241,6 +241,16 @@ class TestVerify:
         jp.write_text("0 x\n")
         assert main(["verify", "--j", str(jp), "--l", str(jp)]) == 1
 
+    def test_symbol_beyond_int64_is_usage_error(self, tmp_path, capsys):
+        jp = tmp_path / "J.txt"
+        jp.write_text("99999999999999999999 0\n0 1\n")
+        for argv in (["verify", "--j", str(jp), "--l", str(jp)],
+                     ["mate", "--in", str(jp)]):
+            assert main(argv) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == "error: symbol out of range at cell (0, 0)\n"
+
     def test_non_latin_l_is_usage_error(self, tmp_path, capsys):
         jp, lp = tmp_path / "J.txt", tmp_path / "L.txt"
         jp.write_text("0 1 2\n1 2 0\n")
@@ -445,6 +455,22 @@ class TestEpsilonFlag:
             assert "epsilon must be a finite number >= 0" in \
                 capsys.readouterr().err
         assert not out.exists()
+
+    def test_epsilon_below_float_range_turns_a_off(self, capsys):
+        assert main(["diag", "--n", "8", "--epsilon", "1e-200"]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_epsilon_beyond_float_range_is_a_gamma_exit(self, tmp_path,
+                                                        capsys):
+        jp = tmp_path / "J.txt"
+        main(["gen", "--n", "8", "--m", "4", "--out", str(jp)])
+        capsys.readouterr()
+        assert main(["mate", "--in", str(jp), "--epsilon", "1e200"]) == 2
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        assert report["outcome"] == "gamma_exit"
+        assert report["exit_time"] == 0
+        assert "Traceback" not in err
 
     def test_epsilon_zero_accepted(self, tmp_path):
         out = tmp_path / "t.csv"

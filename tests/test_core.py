@@ -62,6 +62,10 @@ class TestParse:
         with pytest.raises(NotLatin):
             parse_rectangle("0 5\n1 0")
 
+    def test_symbol_beyond_int64(self):
+        with pytest.raises(NotLatin, match=r"out of range at cell \(1, 0\)"):
+            parse_rectangle("0 1\n99999999999999999999 0")
+
     def test_row_repeat_rejected(self):
         with pytest.raises(NotLatin):
             parse_rectangle("0 0 1\n1 2 0")

@@ -46,7 +46,6 @@ from orthomate.bipartite import (
 )
 from orthomate.matching import (
     ZERO_TOL,
-    FractionalMatching,
     Infeasible,
     NoSupportMatching,
     birkhoff_terms,
@@ -105,10 +104,9 @@ def birkhoff_reference(Q, zero_tol):
     raise NoSupportMatching("Birkhoff walk failed to terminate")
 
 
-def balance_reference(d):
+def balance_reference(w):
     """build_fractional_matching with a max-flow solve at every ratio."""
-    w = d.weights
-    n = d.n
+    n = w.shape[0]
     for eta in eta_schedule(n):
         q = solve_fixed_eta(w, eta)
         if q is not None:
@@ -141,10 +139,9 @@ def balance_reference(d):
     return q, hi
 
 
-def advance_reference(state, q_row, L_row, J, den_tol=1e-12):
+def advance_reference(state, q, L_row, J, den_tol=1e-12):
     t = state.t
     m, n = state.shape.m, state.shape.n
-    q = q_row.q if isinstance(q_row, FractionalMatching) else q_row
     exact = state.p.dtype == object
     positive = ((lambda a: np.vectorize(lambda v: v > 0)(a)) if exact
                 else (lambda a: a > 0))
@@ -214,8 +211,7 @@ class RecorderReference(TrajectoryRecorder):
         m = self.m
         t = before.t
         tr = after.transition
-        q = q_row.q if isinstance(q_row, FractionalMatching) else q_row
-        q = np.asarray(q, dtype=np.float64)
+        q = np.asarray(q_row, dtype=np.float64)
         p_before = np.asarray(before.p, dtype=np.float64)
         p_after = np.asarray(after.p, dtype=np.float64)
         L_row = np.asarray(L_row, dtype=np.int64)
@@ -460,8 +456,8 @@ class TestBirkhoffReference:
                                                      rows):
         # rows a guided run samples from: the first two are near uniform,
         # later ones miss at many threshold levels before the walk ends
-        qs = [q.q for _, state, q, _ in islice(guided(n, m, seed=n),
-                                               max(rows) + 1)
+        qs = [q for _, state, q, _ in islice(guided(n, m, seed=n),
+                                             max(rows) + 1)
               if state.t in rows]
         misses = []
 
@@ -491,7 +487,7 @@ class TestAdvanceReference:
     @pytest.mark.parametrize("n,m,steps", [(5, 3, 0), (6, 4, 1), (7, 4, 2)])
     def test_fraction_states(self, n, m, steps):
         J, state, q, L_row = evolved(n, m, steps, seed=n, exact=True)
-        assert state.p.dtype == object and q.q.dtype == object
+        assert state.p.dtype == object and q.dtype == object
         assert_same_advance(state, q, L_row, J)
 
     @pytest.mark.parametrize("exact", [False, True])
@@ -649,7 +645,7 @@ class TestBalanceSearchReference:
             got, got_eta = build_fractional_matching(d)
             want, want_eta = balance_reference(d)
             assert repr(got_eta) == repr(want_eta)
-            assert same_array(got.q, want)
+            assert same_array(got, want)
 
     def test_scipy_solves_per_row(self, monkeypatch):
         solves, rows = [], []

@@ -17,10 +17,13 @@ from orthomate import (
     init_state,
     normalize_row,
     sample_matching,
+    maxflow,
     sample_matching_lazy,
 )
 from orthomate.matching import (
     ETA_MAX,
+    FEAS_TOL,
+    SCIPY_FLOW_MIN_N,
     default_eta_initial,
     eta_schedule,
     solve_fixed_eta,
@@ -28,7 +31,7 @@ from orthomate.matching import (
 
 
 def random_distribution(n, seed):
-    """Per-symbol Dirichlet weights: a generic RowDistribution matrix."""
+    """Per-symbol Dirichlet weights: a generic (column, symbol) row matrix."""
     rng = np.random.default_rng(seed)
     return rng.dirichlet(np.ones(n), size=n).T.copy()
 
@@ -49,16 +52,16 @@ class TestNormalizeRow:
     def test_uniform(self):
         state = init_state(Shape(n=4, m=2))
         d = normalize_row(state, 0)
-        assert np.allclose(d.weights, 0.25)
-        assert np.allclose(d.weights.sum(axis=0), 1.0)
+        assert np.allclose(d, 0.25)
+        assert np.allclose(d.sum(axis=0), 1.0)
 
     def test_killed_column_renormalizes(self):
         state = init_state(Shape(n=4, m=2))
         state.p = state.p.copy()
         state.p[1, 0, 2] = 0.0  # kill symbol 2 at column 0 of row 1
         d = normalize_row(state, 1)
-        assert np.allclose(d.weights[1:, 2], 1.0 / 3.0)
-        assert d.weights[0, 2] == 0.0
+        assert np.allclose(d[1:, 2], 1.0 / 3.0)
+        assert d[0, 2] == 0.0
 
     def test_dead_symbol(self):
         state = init_state(Shape(n=3, m=1))
@@ -113,7 +116,7 @@ class TestCutOracle:
             d = rng.dirichlet(np.ones(12), size=12).T.copy()
             for eta in (0.0, 0.3):
                 feas_cut, _ = cut_check_bruteforce(d, eta)
-                feas_flow = solve_fixed_eta(d, eta, backend="python") is not None
+                feas_flow = solve_fixed_eta(d, eta) is not None
                 assert feas_cut == feas_flow
 
     def test_exact_fraction_path(self):
@@ -131,14 +134,14 @@ class TestFlowConstruction:
         # balanced selection returns d itself whenever d is doubly stochastic
         d = np.full((5, 5), 0.2)
         q, eta = build_fractional_matching(d)
-        assert np.allclose(q.q, 0.2, atol=1e-12)
+        assert np.allclose(q, 0.2, atol=1e-12)
         assert eta == 0.0
 
     def test_doubly_stochastic_returned_exactly(self):
         d = random_doubly_stochastic(6, seed=1)
         q, eta = build_fractional_matching(d)
         assert eta == 0.0
-        assert np.allclose(q.q, d, atol=1e-9)
+        assert np.allclose(q, d, atol=1e-9)
 
     def test_invariants_on_random_inputs(self):
         for seed in range(10):
@@ -148,10 +151,10 @@ class TestFlowConstruction:
                 q, eta = build_fractional_matching(d)
             except Infeasible:
                 continue
-            assert np.abs(q.q.sum(axis=1) - 1.0).max() <= 1e-9
-            assert np.abs(q.q.sum(axis=0) - 1.0).max() <= 1e-9
-            assert (q.q <= (1.0 + eta) * d + 1e-12).all()
-            assert (q.q >= -1e-15).all()
+            assert np.abs(q.sum(axis=1) - 1.0).max() <= 1e-9
+            assert np.abs(q.sum(axis=0) - 1.0).max() <= 1e-9
+            assert (q <= (1.0 + eta) * d + 1e-12).all()
+            assert (q >= -1e-15).all()
 
     def test_infeasible_support(self):
         d = np.zeros((4, 4))
@@ -160,13 +163,66 @@ class TestFlowConstruction:
         with pytest.raises(Infeasible):
             build_fractional_matching(d)
 
-    def test_backend_agreement_small(self):
+    def test_backend_agreement_small(self, monkeypatch):
+        # at n = SCIPY_FLOW_MIN_N solve_fixed_eta asks scipy, and its
+        # verdict must be the one of the pure solver's flow value
+        n = SCIPY_FLOW_MIN_N
+        statuses = []
+        scipy_transport = maxflow.scipy_transport
+
+        def counted(caps):
+            result = scipy_transport(caps)
+            statuses.append(result[0])
+            return result
+
+        monkeypatch.setattr(maxflow, "scipy_transport", counted)
+        verdicts = set()
         for seed in range(8):
-            d = random_distribution(6, seed + 50)
-            for eta in (0.0, 0.1, 0.5):
-                fp = solve_fixed_eta(d, eta, backend="python") is not None
-                fs = solve_fixed_eta(d, eta, backend="scipy") is not None
-                assert fp == fs
+            d = random_distribution(n, seed + 50)
+            for eta in (0.0, 0.5, 2.0):
+                value, _ = maxflow.solve_transport(
+                    (d * (1 + eta)).tolist(), one=1.0, tol=maxflow.AUGMENT_TOL)
+                feasible = solve_fixed_eta(d, eta) is not None
+                assert feasible == (n - value <= FEAS_TOL)
+                verdicts.add(feasible)
+        assert len(statuses) == 24 and verdicts == {False, True}
+
+    @pytest.mark.parametrize("n, exact, scipy_solves", [
+        (SCIPY_FLOW_MIN_N - 1, False, False),
+        (SCIPY_FLOW_MIN_N, False, True),
+        (6, True, False),
+    ])
+    def test_one_solver_rule(self, monkeypatch, n, exact, scipy_solves):
+        # the certificates prove scipy's verdict, so they are asked on the
+        # rows scipy solves and on no other row
+        certified, scipy_flows = [], []
+        certified_status = maxflow.certified_status
+        scipy_transport = maxflow.scipy_transport
+
+        def counted_certificates(caps, witness):
+            certified.append(caps.shape[0])
+            return certified_status(caps, witness)
+
+        def counted_scipy(caps):
+            result = scipy_transport(caps)
+            scipy_flows.append(result[1])
+            return result
+
+        monkeypatch.setattr(maxflow, "certified_status", counted_certificates)
+        monkeypatch.setattr(maxflow, "scipy_transport", counted_scipy)
+        d = random_distribution(n, seed=7)
+        if exact:
+            w = np.random.default_rng(7).integers(1, 10, size=(n, n))
+            d = np.array([[Fraction(int(v), int(s)) for v, s in
+                           zip(row, w.sum(axis=0))] for row in w],
+                         dtype=object)
+        q, _ = build_fractional_matching(d)
+        if scipy_solves:
+            assert certified
+            # the final solve is scipy's: q is the flow it returned
+            assert any(flow is q for flow in scipy_flows)
+        else:
+            assert certified == [] and scipy_flows == []
 
     def test_flow_matches_cut_oracle(self):
         mismatches = 0
@@ -174,7 +230,7 @@ class TestFlowConstruction:
             n = 4 + seed % 4
             d = random_distribution(n, seed + 800)
             for eta in (0.0, 0.1, 0.5):
-                feas_flow = solve_fixed_eta(d, eta, backend="python") is not None
+                feas_flow = solve_fixed_eta(d, eta) is not None
                 feas_cut, _ = cut_check_bruteforce(d, eta)
                 mismatches += feas_flow != feas_cut
         assert mismatches == 0
@@ -206,7 +262,7 @@ class TestFlowConstruction:
             for g in range(n):
                 w[k, g] = Fraction(1, n)
         q, eta = build_fractional_matching(w)
-        sums = [sum(q.q[k, g] for g in range(n)) for k in range(n)]
+        sums = [sum(q[k, g] for g in range(n)) for k in range(n)]
         assert all(s == 1 for s in sums)
 
 

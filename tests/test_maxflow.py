@@ -87,22 +87,27 @@ class TestScipySolver:
         assert status == "feasible"
         assert np.abs(q.sum(axis=1) - 1.0).max() <= 1e-9
 
-    def test_exactly_tight_instance_is_ambiguous(self):
+    def test_exactly_tight_instance_is_ambiguous(self, monkeypatch):
         # capacities equal to a doubly stochastic matrix make the max flow
         # exactly n; integer flooring loses mass, so the scaled verdict must
         # come back ambiguous rather than a wrong "infeasible"
         rng = np.random.default_rng(3)
-        n = 5
-        q0 = np.zeros((n, n))
-        cols = np.arange(n)
-        for c in rng.dirichlet(np.ones(7)):
-            q0[cols, rng.permutation(n)] += c
+        n = matching.SCIPY_FLOW_MIN_N
+        q0 = permutation_mix(n, rng, terms=30)
         status, _ = maxflow.scipy_transport(q0)
         assert status == "ambiguous"
-        # the production entry point falls back to the exact solver
-        from orthomate.matching import solve_fixed_eta
+        # the production entry point, which asks scipy at this n, falls
+        # back to the pure solver
+        pure_solves = []
+        solve_transport = maxflow.solve_transport
 
-        q = solve_fixed_eta(q0, 0.0, backend="scipy")
+        def counted(*args, **kwargs):
+            pure_solves.append(args)
+            return solve_transport(*args, **kwargs)
+
+        monkeypatch.setattr(maxflow, "solve_transport", counted)
+        q = matching.solve_fixed_eta(q0, 0.0)
+        assert len(pure_solves) == 1
         assert q is not None
         assert np.abs(q.sum(axis=1) - 1.0).max() <= 1e-9
         assert (q <= q0 + 1e-12).all()
@@ -251,7 +256,7 @@ class TestCertificates:
             self, monkeypatch):
         calls = []
 
-        def no_flow(d, eta, backend="auto"):
+        def no_flow(d, eta):
             calls.append(eta)
             return None
 
@@ -275,7 +280,7 @@ class TestHypothesisCutMonotone:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(3, 7))
         d = rng.dirichlet(np.ones(n), size=n).T.copy()
-        feas = [solve_fixed_eta(d, eta, backend="python") is not None
+        feas = [solve_fixed_eta(d, eta) is not None
                 for eta in (0.0, 0.25, 1.0, 4.0)]
         # capacity growth only ever helps
         assert feas == sorted(feas)

@@ -30,7 +30,6 @@ from orthomate import (
     verify_orthogonal,
 )
 from orthomate.core import LineId
-from orthomate.matching import FractionalMatching
 from orthomate.process import gamma_bounds
 
 from conftest import random_rect
@@ -206,7 +205,7 @@ class TestAdvanceState:
         state = init_state(z3.shape)
         q = np.zeros((3, 3))
         q[np.arange(3), [0, 1, 2]] = 1.0  # all mass on the identity row
-        after = advance_state(state, FractionalMatching(q), np.array([0, 1, 2]), z3)
+        after = advance_state(state, q, np.array([0, 1, 2]), z3)
         # (1, 0, 2): projections (0, 0, 2) and (0, 1, 2) both carry no q mass
         x = Point(1, 0, 2)
         rho_cs, rho_ds = central_projections(x, 0, z3)
@@ -233,14 +232,13 @@ class TestAdvanceState:
         q[np.arange(3), [0, 1, 2]] = 1.0  # claims the identity a.s.
         # a row that contradicts q: survivors see probability-zero survival
         with pytest.raises(DegenerateDenominator):
-            advance_state(state, FractionalMatching(q), np.array([1, 2, 0]), z3)
+            advance_state(state, q, np.array([1, 2, 0]), z3)
 
     def test_stopped_state_rejected(self, z3):
         state = init_state(z3.shape)
         state.stopped_at = 0
         with pytest.raises(ValueError):
-            advance_state(state, FractionalMatching(np.eye(3)),
-                          np.array([0, 1, 2]), z3)
+            advance_state(state, np.eye(3), np.array([0, 1, 2]), z3)
 
 
 class TestMartingale:
@@ -280,7 +278,7 @@ class TestMartingale:
         # whose projections carry all of q's mass is certainly killed and
         # must average to exactly zero instead
         from orthomate.process import diag_column_map
-        den = 1.0 - q.q[None, :, :] - q.q[diag_column_map(J, 2, 3), :]
+        den = 1.0 - q[None, :, :] - q[diag_column_map(J, 2, 3), :]
         pos = den > 1e-12
         assert np.abs((expected[3:] - state.p[3:])[pos]).max() <= 1e-9
         assert np.abs(expected[3:][~pos]).max() <= 1e-9
@@ -340,8 +338,7 @@ class TestRunProcess:
         assert out.final_state.stopped_at == out.time
         assert out.final_state.t == out.time
         with pytest.raises(ValueError):
-            advance_state(out.final_state, FractionalMatching(np.eye(32)),
-                          np.arange(32), J)
+            advance_state(out.final_state, np.eye(32), np.arange(32), J)
 
     def test_zero_absorption_prefix_legality(self):
         # compose the pipeline manually; placed rows never use killed points
@@ -500,6 +497,17 @@ class TestGammaBounds:
     def test_paper_constants(self, n, eps, expected):
         assert gamma_bounds(n, eps) == expected
 
+    @pytest.mark.parametrize("eps, a_bound", [
+        (1e-200, math.inf),  # eps^2 n rounds to 0: A off, as at eps = 0
+        (1e200, 0.0),  # eps^2 overflows: every p > 0 violates A
+    ])
+    def test_a_bound_float_limits(self, eps, a_bound):
+        assert gamma_bounds(8, eps)[0] == a_bound
+        state = init_state(Shape(n=8, m=4))
+        a_hits = [v for v in check_gamma(state, eps).violations
+                  if v.ineq == "A_x"]
+        assert len(a_hits) == (0 if a_bound else 4 * 8 * 8)
+
     @pytest.mark.parametrize("knob", ["a_coeff", "b_slack", "c_slack",
                                       "max_violations"])
     def test_check_gamma_takes_no_constant_overrides(self, knob):
@@ -582,8 +590,7 @@ class TestTransition:
         state = init_state(z3.shape)
         q = np.zeros((3, 3))
         q[np.arange(3), [0, 1, 2]] = 1.0
-        after = advance_state(state, FractionalMatching(q),
-                              np.array([0, 1, 2]), z3)
+        after = advance_state(state, q, np.array([0, 1, 2]), z3)
         from orthomate.process import diag_column_map
         expected = 1.0 - q[None, :, :] - q[diag_column_map(z3, 0, 1), :]
         assert (expected <= 0).any()
@@ -614,7 +621,7 @@ def _removed_keyword_calls():
     """One call per library function whose keyword knob nothing set, each
     passing that keyword with an otherwise valid argument list."""
     from orthomate.bipartite import perfect_matching_on_mask
-    from orthomate.matching import cut_check_bruteforce
+    from orthomate.matching import cut_check_bruteforce, solve_fixed_eta
 
     J = LatinRectangle.cyclic(4, 2)
     rng = np.random.default_rng(0)
@@ -631,6 +638,8 @@ def _removed_keyword_calls():
             np.eye(3), rng, zero_tol=1e-12),
         "perfect_matching_on_mask(order=)": lambda: perfect_matching_on_mask(
             np.eye(3, dtype=bool), order=[2, 1, 0]),
+        "solve_fixed_eta(backend=)": lambda: solve_fixed_eta(
+            np.full((3, 3), 1 / 3), 0.0, backend="python"),
     }
 
 
