@@ -20,7 +20,6 @@ from .core import (
     verify_orthogonal,
 )
 from .matching import (
-    BirkhoffDecomposition,
     DeadSymbol,
     Infeasible,
     NoSupportMatching,

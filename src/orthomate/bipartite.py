@@ -1,12 +1,13 @@
 """Bipartite perfect matchings on column/symbol graphs.
 
 hopcroft_karp, the pure matcher, serves the Hall-regime greedy (rng-shuffled
-left-vertex order) and, through perfect_matching_on_mask in a fixed order,
+left-vertex order) and, through perfect_matching_pure in a fixed order,
 the Birkhoff walk below n = 16; from n = 16 on the walk uses scipy's C
 Hopcroft-Karp (perfect_matching_scipy).  The walk keeps each threshold
 level's support as one SupportGraph: a CSR graph built once per level, from
 which it deletes the matched edges that leave the level after each term, in
-place of converting a fresh mask for every matching.  The random rectangle
+place of converting a fresh mask for every matching.  Both Birkhoff
+matchers read that CSR and nothing else.  The random rectangle
 generator matches nothing here: baselines._random_row and _augment build
 its rows.
 """
@@ -78,20 +79,6 @@ def hopcroft_karp(adj: Sequence[Sequence[int]], n_right: int,
     return match_l
 
 
-def perfect_matching_on_mask(mask: np.ndarray) -> Optional[np.ndarray]:
-    """Perfect matching columns -> symbols on a boolean support mask.
-
-    Returns match[k] = symbol matched to column k, or None if no perfect
-    matching exists.
-    """
-    n = mask.shape[0]
-    adj = [np.nonzero(mask[k])[0].tolist() for k in range(n)]
-    match = hopcroft_karp(adj, n)
-    if (match < 0).any():
-        return None
-    return match
-
-
 class SupportGraph:
     """The CSR graph of a boolean (column, symbol) mask, with edge deletion.
 
@@ -100,7 +87,7 @@ class SupportGraph:
     order, that scipy.sparse.csr_matrix(mask) builds through its slower
     dense conversion.  drop deletes edges from that one CSR object and
     keeps the order, so the graph stays equal to the CSR of the shrunken
-    mask rebuilt from scratch; mask itself is kept current too.
+    mask rebuilt from scratch.
 
     Raises:
         ValueError: an edge key, row << bits(n_cols - 1) | column, would not
@@ -110,7 +97,6 @@ class SupportGraph:
     def __init__(self, mask: np.ndarray):
         import scipy.sparse as sp
 
-        self.mask = mask
         n_rows, n_cols = mask.shape
         # edge (k, j) has the key k << shift | j: sorted like the edges, and
         # its low bits are the column scipy reads
@@ -135,8 +121,23 @@ class SupportGraph:
         csr.indices = self._keys & ((1 << self._shift) - 1)
         csr.data = self._ones[:self._keys.size]
         csr.indptr[1:] -= np.cumsum(
-            np.bincount(rows, minlength=self.mask.shape[0]), dtype=np.int32)
-        self.mask[rows, cols] = False
+            np.bincount(rows, minlength=csr.shape[0]), dtype=np.int32)
+
+
+def perfect_matching_pure(graph: SupportGraph) -> Optional[np.ndarray]:
+    """Perfect matching columns -> symbols by hopcroft_karp on the graph's
+    CSR rows, whose symbols ascend as in np.nonzero of the mask's rows.
+
+    Returns match[k] = symbol matched to column k, or None if no perfect
+    matching exists.
+    """
+    csr = graph.csr
+    ptr, idx = csr.indptr.tolist(), csr.indices.tolist()
+    adj = [idx[ptr[k]:ptr[k + 1]] for k in range(csr.shape[0])]
+    match = hopcroft_karp(adj, csr.shape[1])
+    if (match < 0).any():
+        return None
+    return match
 
 
 def perfect_matching_scipy(graph: SupportGraph) -> Optional[np.ndarray]:
@@ -144,7 +145,7 @@ def perfect_matching_scipy(graph: SupportGraph) -> Optional[np.ndarray]:
 
     Returns match[k] = symbol matched to column k, or None if no perfect
     matching exists.  scipy reads the graph's CSR object as it stands, so
-    the matching is the one csr_matrix(graph.mask) would give.
+    the matching is the one csr_matrix of the current mask would give.
     """
     from scipy.sparse.csgraph import maximum_bipartite_matching
 

@@ -130,17 +130,6 @@ class LatinRectangle:
     def to_text(self) -> str:
         return "\n".join(" ".join(str(int(v)) for v in row) for row in self.grid) + "\n"
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.shape.n,
-            "m": self.shape.m,
-            "grid": self.grid.tolist(),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "LatinRectangle":
-        return cls(Shape(n=int(obj["n"]), m=int(obj["m"])), np.array(obj["grid"]))
-
 
 @dataclass(frozen=True)
 class PartialTransversal:

@@ -38,7 +38,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, astuple, fields
 from fractions import Fraction
 from typing import Optional
 
@@ -57,12 +57,6 @@ CSV_SCHEMA = "orthomate-trajectory-v3"
 #: sample size of the spot check and of the tracked C sums
 TRACKED_LINES = 64
 
-CSV_COLUMNS = (
-    "t", "b_min", "b_max", "c_max", "p_max", "kills_this_step", "eta_used",
-    "kills_line_max", "c_kills_max", "martingale_residual",
-    "b_dev_max", "c_dev_max", "growth_max",
-)
-
 
 @dataclass(frozen=True)
 class StepRecord:
@@ -79,6 +73,9 @@ class StepRecord:
     b_dev_max: float
     c_dev_max: float
     growth_max: float
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(StepRecord))
 
 
 @dataclass
@@ -104,21 +101,7 @@ class TrajectoryStats:
                  else f"# {CSV_SCHEMA}\n")
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for rec in self.records:
-            d = asdict(rec)
-            writer.writerow([d[c] for c in CSV_COLUMNS])
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "schema": CSV_SCHEMA,
-                "n": self.n,
-                "m": self.m,
-                "drift_c_cumulative": self.drift_c_cumulative,
-                "records": [asdict(r) for r in self.records],
-            },
-            indent=2,
-        )
+        writer.writerows(astuple(rec) for rec in self.records)
 
 
 @dataclass(frozen=True)
@@ -145,12 +128,6 @@ class SummaryReport:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
-
-    def to_csv(self, fh) -> None:
-        d = asdict(self)
-        writer = csv.writer(fh)
-        writer.writerow(d.keys())
-        writer.writerow(d.values())
 
 
 class TrajectoryRecorder:

@@ -17,10 +17,10 @@ Given the guidance state restricted to one row, the pipeline is:
   birkhoff_terms  -> express q as a convex combination of permutations by a
                      threshold-greedy elimination walk on one support graph
                      per threshold level, pruned of each term's spent edges;
-                     birkhoff_decompose collects every term,
-                     sample_matching_lazy stops at the term a uniform draw
-                     selects, so both share one elimination order in float
-                     and in Fraction arithmetic
+                     birkhoff_decompose collects every (coefficient,
+                     permutation) pair, sample_matching_lazy stops at the
+                     term a uniform draw selects, so both share one
+                     elimination order in float and in Fraction arithmetic
 
 cut_check_bruteforce is the independent oracle for the flow step: it tests
 the cut inequality  2n - |A| - |B| + (1 + eta) * sum_{g in A, k in B} d(k, g)
@@ -35,7 +35,6 @@ enumeration from 4^n to 2^n * n log n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
@@ -43,7 +42,7 @@ import numpy as np
 
 from .core import OrthomateError
 from . import maxflow
-from .bipartite import (SupportGraph, perfect_matching_on_mask,
+from .bipartite import (SupportGraph, perfect_matching_pure,
                         perfect_matching_scipy)
 
 #: instance size above which the float flow path uses the scipy solver
@@ -79,24 +78,6 @@ class Infeasible(OrthomateError):
 
 class NoSupportMatching(OrthomateError):
     """Support of a nominally doubly stochastic matrix violates Hall."""
-
-
-@dataclass(frozen=True)
-class BirkhoffDecomposition:
-    """Convex combination of permutations: sum of coeff * perm-matrix."""
-
-    terms: tuple  # ((coefficient, perm array col -> sym), ...)
-    n: int
-
-    def coefficient_sum(self):
-        return sum(c for c, _ in self.terms)
-
-    def reconstruct(self) -> np.ndarray:
-        out = np.zeros((self.n, self.n))
-        cols = np.arange(self.n)
-        for c, perm in self.terms:
-            out[cols, perm] += float(c)
-        return out
 
 
 def normalize_row(state, row: int) -> np.ndarray:
@@ -354,7 +335,7 @@ def build_fractional_matching(d) -> Tuple[np.ndarray, float]:
     return solved[hi], hi
 
 
-def birkhoff_terms(q, zero_tol: Optional[float] = None):
+def birkhoff_terms(q):
     """Yield the (coefficient, permutation) terms of a Birkhoff decomposition.
 
     The single elimination walk behind birkhoff_decompose and
@@ -373,8 +354,8 @@ def birkhoff_terms(q, zero_tol: Optional[float] = None):
     the graph stays the CSR of the level's mask rebuilt from scratch.  A
     miss halves the threshold and builds the next level's graph.
 
-    q may hold float64 or Fraction entries.  zero_tol defaults to ZERO_TOL
-    for floats and 0 for Fractions; entries below it are truncated to zero.
+    q may hold float64 or Fraction entries.  Entries below zero_tol, ZERO_TOL
+    for floats and 0 for Fractions, are truncated to zero.
     The walk ends when the coefficients sum to 1 (within 1e-12 for floats)
     or, for floats, when no support matching is left and the residual mass
     is float dust below 1e-9.
@@ -386,14 +367,12 @@ def birkhoff_terms(q, zero_tol: Optional[float] = None):
     exact = Q.dtype == object
     if not exact:
         Q = Q.astype(np.float64)
-    if zero_tol is None:
-        zero_tol = 0 if exact else ZERO_TOL
+    zero_tol = 0 if exact else ZERO_TOL
     stop_tol, dust_tol = (0, 0) if exact else (1e-12, 1e-9)
     n = Q.shape[0]
     Q[Q < zero_tol] = 0
     cols = np.arange(n)
-    find = perfect_matching_scipy if n >= 16 else (
-        lambda graph: perfect_matching_on_mask(graph.mask))
+    find = perfect_matching_scipy if n >= 16 else perfect_matching_pure
     acc = 0
     walked = False
     theta = Q.max() / 2
@@ -433,9 +412,9 @@ def birkhoff_terms(q, zero_tol: Optional[float] = None):
     raise NoSupportMatching("Birkhoff walk failed to terminate")
 
 
-def birkhoff_decompose(q, zero_tol: Optional[float] = None
-                       ) -> BirkhoffDecomposition:
-    """All terms of the birkhoff_terms walk as a BirkhoffDecomposition.
+def birkhoff_decompose(q) -> tuple:
+    """All terms of the birkhoff_terms walk as a tuple of (coefficient,
+    permutation column -> symbol) pairs.
 
     The float dust left when the walk ends is added to the last
     coefficient, so the coefficients sum to 1.
@@ -454,21 +433,21 @@ def birkhoff_decompose(q, zero_tol: Optional[float] = None
             "input not doubly stochastic within 1e-06 "
             f"(row err {float(row_err):.2e}, col err {float(col_err):.2e})"
         )
-    terms = list(birkhoff_terms(Q, zero_tol))
+    terms = list(birkhoff_terms(Q))
     c_last, m_last = terms[-1]
     terms[-1] = (c_last + (1 - sum(c for c, _ in terms)), m_last)
-    return BirkhoffDecomposition(tuple(terms), Q.shape[0])
+    return tuple(terms)
 
 
-def sample_matching(dec: BirkhoffDecomposition, rng) -> np.ndarray:
+def sample_matching(terms: tuple, rng) -> np.ndarray:
     """Draw a permutation with the convex coefficients as probabilities."""
     u = rng.random()
     acc = 0.0
-    for c, perm in dec.terms:
+    for c, perm in terms:
         acc += float(c)
         if u < acc:
             return np.asarray(perm)
-    return np.asarray(dec.terms[-1][1])
+    return np.asarray(terms[-1][1])
 
 
 def sample_matching_lazy(q, rng) -> np.ndarray:
@@ -477,7 +456,8 @@ def sample_matching_lazy(q, rng) -> np.ndarray:
     Walks birkhoff_terms only up to the cumulative coefficient the uniform
     draw selects, so for the same generator state the draw equals
     sample_matching(birkhoff_decompose(q), rng), which sums the coefficients
-    as floats.
+    as floats.  Each call walks the terms again: many draws from one q
+    take sample_matching on one birkhoff_decompose instead.
     """
     u = rng.random()
     acc = 0

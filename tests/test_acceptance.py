@@ -121,12 +121,15 @@ def test_criterion_4_birkhoff_correctness():
         for c in coeffs:
             q[cols, rng.permutation(n)] += c
         matrices += 1
-        dec = birkhoff_decompose(q)
-        err = np.abs(dec.reconstruct() - q).max()
-        csum = abs(dec.coefficient_sum() - 1.0)
+        terms = birkhoff_decompose(q)
+        rebuilt = np.zeros((n, n))
+        for c, perm in terms:
+            rebuilt[cols, perm] += c
+        err = np.abs(rebuilt - q).max()
+        csum = abs(sum(c for c, _ in terms) - 1.0)
         worst_err = max(worst_err, err)
         worst_coeff = max(worst_coeff, csum)
-        if err > 1e-7 or csum > 1e-9 or len(dec.terms) > n * n - 2 * n + 2:
+        if err > 1e-7 or csum > 1e-9 or len(terms) > n * n - 2 * n + 2:
             count_bad += 1
     report(4, count_bad == 0,
            f"200 matrices, worst reconstruction {worst_err:.2e}, "
@@ -138,13 +141,13 @@ def test_criterion_5_sampler_unbiasedness():
     rng = np.random.default_rng(5)
     d = rng.dirichlet(np.ones(n), size=n).T.copy()
     q, _ = build_fractional_matching(d)
-    dec = birkhoff_decompose(q)
+    terms = birkhoff_decompose(q)
     draws = 20_000
     freq = np.zeros((n, n))
     cols = np.arange(n)
     sample_rng = np.random.default_rng(99)
     for _ in range(draws):
-        freq[cols, sample_matching(dec, sample_rng)] += 1.0
+        freq[cols, sample_matching(terms, sample_rng)] += 1.0
     freq /= draws
     tol = 4.0 * np.sqrt(q * (1.0 - q) / draws) + 1e-9
     dev = np.abs(freq - q)

@@ -441,6 +441,31 @@ class TestUsage:
         assert main([]) == 1
 
 
+class TestOutOfMemory:
+    # a --n too large to allocate; the allocation is simulated, never made
+    @pytest.mark.parametrize("message", [
+        "Unable to allocate 74.5 GiB for an array with shape (100000, 100000)",
+        ""])
+    @pytest.mark.parametrize("argv", [
+        ["diag", "--n", "100000", "--m", "1"],
+        ["gen", "--n", "100000", "--m", "1", "--out", "{out}"],
+        ["trials", "--n", "100000", "--m", "1", "--count", "1",
+         "--out", "{out}"]])
+    def test_is_one_error_line(self, tmp_path, capsys, monkeypatch, argv,
+                               message):
+        def out_of_memory(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "random_latin_rectangle", out_of_memory)
+        out = tmp_path / "out"
+        assert main([a.format(out=out) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: out of memory")
+        assert message in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
+
 class TestEpsilonFlag:
     @pytest.mark.parametrize("eps", ["nan", "inf", "-0.5"])
     def test_bad_epsilon_is_usage_error(self, tmp_path, capsys, eps):

@@ -75,12 +75,6 @@ class TestParse:
         again = parse_rectangle(rect.to_text())
         assert (again.grid == rect.grid).all()
 
-    def test_json_roundtrip(self):
-        rect = random_rect(6, 3, seed=9)
-        again = LatinRectangle.from_json(rect.to_json())
-        assert again.shape == rect.shape
-        assert (again.grid == rect.grid).all()
-
 
 class TestVerifyLatin:
     def test_cyclic_z3_ok(self, z3):

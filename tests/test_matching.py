@@ -12,6 +12,7 @@ from orthomate import (
     Shape,
     TooLarge,
     birkhoff_decompose,
+    birkhoff_terms,
     build_fractional_matching,
     cut_check_bruteforce,
     init_state,
@@ -266,20 +267,33 @@ class TestFlowConstruction:
         assert all(s == 1 for s in sums)
 
 
+def reconstruct(terms, n):
+    """The float sum of c * (permutation matrix) over Birkhoff terms."""
+    out = np.zeros((n, n))
+    cols = np.arange(n)
+    for c, perm in terms:
+        out[cols, perm] += float(c)
+    return out
+
+
+def coefficient_sum(terms):
+    return sum(c for c, _ in terms)
+
+
 class TestBirkhoff:
     def test_permutation_single_term(self):
         q = np.zeros((4, 4))
         q[np.arange(4), [2, 0, 3, 1]] = 1.0
-        dec = birkhoff_decompose(q)
-        assert len(dec.terms) == 1
-        c, perm = dec.terms[0]
+        terms = birkhoff_decompose(q)
+        assert isinstance(terms, tuple) and len(terms) == 1
+        c, perm = terms[0]
         assert c == pytest.approx(1.0)
         assert perm.tolist() == [2, 0, 3, 1]
 
     def test_uniform_n3(self):
-        dec = birkhoff_decompose(np.full((3, 3), 1.0 / 3.0))
-        assert abs(dec.coefficient_sum() - 1.0) <= 1e-9
-        assert np.abs(dec.reconstruct() - 1.0 / 3.0).max() <= 1e-7
+        terms = birkhoff_decompose(np.full((3, 3), 1.0 / 3.0))
+        assert abs(coefficient_sum(terms) - 1.0) <= 1e-9
+        assert np.abs(reconstruct(terms, 3) - 1.0 / 3.0).max() <= 1e-7
 
     def test_two_disjoint_permutations(self):
         m1 = [1, 2, 3, 0]
@@ -287,19 +301,19 @@ class TestBirkhoff:
         q = np.zeros((4, 4))
         q[np.arange(4), m1] += 0.5
         q[np.arange(4), m2] += 0.5
-        dec = birkhoff_decompose(q)
-        assert np.abs(dec.reconstruct() - q).max() <= 1e-7
-        assert len(dec.terms) <= 2
+        terms = birkhoff_decompose(q)
+        assert np.abs(reconstruct(terms, 4) - q).max() <= 1e-7
+        assert len(terms) <= 2
 
     @pytest.mark.parametrize("n", [2, 5, 8, 12])
     def test_random_reconstruction(self, n):
         for seed in range(6):
             q = random_doubly_stochastic(n, seed * 31 + n)
-            dec = birkhoff_decompose(q)
-            assert np.abs(dec.reconstruct() - q).max() <= 1e-7
-            assert abs(dec.coefficient_sum() - 1.0) <= 1e-9
-            assert len(dec.terms) <= n * n - 2 * n + 2
-            assert all(c > 0 for c, _ in dec.terms)
+            terms = birkhoff_decompose(q)
+            assert np.abs(reconstruct(terms, n) - q).max() <= 1e-7
+            assert abs(coefficient_sum(terms) - 1.0) <= 1e-9
+            assert len(terms) <= n * n - 2 * n + 2
+            assert all(c > 0 for c, _ in terms)
 
     def test_exact_decomposition_terminates_at_zero(self):
         n = 4
@@ -307,18 +321,32 @@ class TestBirkhoff:
         for k in range(n):
             for g in range(n):
                 q[k, g] = Fraction(1, n)
-        dec = birkhoff_decompose(q, zero_tol=0)
-        assert dec.coefficient_sum() == 1
-        rec = dec.reconstruct()
-        assert np.abs(rec - 0.25).max() <= 1e-15
+        terms = birkhoff_decompose(q)
+        assert coefficient_sum(terms) == 1
+        assert np.abs(reconstruct(terms, n) - 0.25).max() <= 1e-15
+
+    def test_not_doubly_stochastic_rejected(self):
+        q = np.full((3, 3), 1.0 / 3.0)
+        q[0, 0] += 1e-5
+        with pytest.raises(ValueError, match="doubly stochastic"):
+            birkhoff_decompose(q)
+
+    def test_float_dust_folded_into_last_coefficient(self):
+        # the walk stops short of 1 by the dust it cannot match; that
+        # remainder lands on the last coefficient
+        q = random_doubly_stochastic(6, seed=9) * (1 - 1e-11)
+        walked = sum(c for c, _ in birkhoff_terms(q))
+        assert walked < 1
+        terms = birkhoff_decompose(q)
+        assert coefficient_sum(terms) == pytest.approx(1.0, abs=1e-15)
 
 
 class TestSampling:
     def test_single_term_always(self):
-        dec = birkhoff_decompose(np.eye(3))
+        terms = birkhoff_decompose(np.eye(3))
         rng = np.random.default_rng(0)
         for _ in range(20):
-            assert sample_matching(dec, rng).tolist() == [0, 1, 2]
+            assert sample_matching(terms, rng).tolist() == [0, 1, 2]
 
     def test_two_term_frequencies(self):
         m1 = [1, 2, 3, 0]
@@ -326,19 +354,19 @@ class TestSampling:
         q = np.zeros((4, 4))
         q[np.arange(4), m1] += 0.5
         q[np.arange(4), m2] += 0.5
-        dec = birkhoff_decompose(q)
+        terms = birkhoff_decompose(q)
         rng = np.random.default_rng(7)
         draws = 10_000
-        hits = sum(sample_matching(dec, rng)[0] == m1[0] for _ in range(draws))
+        hits = sum(sample_matching(terms, rng)[0] == m1[0] for _ in range(draws))
         tol = 4.0 * math.sqrt(0.25 / draws)
         assert abs(hits / draws - 0.5) <= tol
 
     def test_determinism(self):
         q = random_doubly_stochastic(5, seed=3)
-        dec = birkhoff_decompose(q)
-        a = [sample_matching(dec, np.random.default_rng(11)).tolist()
+        terms = birkhoff_decompose(q)
+        a = [sample_matching(terms, np.random.default_rng(11)).tolist()
              for _ in range(1)]
-        b = [sample_matching(dec, np.random.default_rng(11)).tolist()
+        b = [sample_matching(terms, np.random.default_rng(11)).tolist()
              for _ in range(1)]
         assert a == b
 
@@ -353,10 +381,10 @@ class TestSampling:
         # one elimination walk serves both; n = 20 matches supports with
         # scipy, n = 6 with the pure solver
         q = random_doubly_stochastic(n, seed=n)
-        dec = birkhoff_decompose(q)
+        terms = birkhoff_decompose(q)
         for s in range(40):
             lazy = sample_matching_lazy(q, np.random.default_rng(s))
-            eager = sample_matching(dec, np.random.default_rng(s))
+            eager = sample_matching(terms, np.random.default_rng(s))
             assert lazy.tolist() == eager.tolist()
 
     def test_lazy_draw_equals_decomposition_draw_exact(self):
@@ -367,11 +395,11 @@ class TestSampling:
         cols = np.arange(n)
         for w in weights:
             q[cols, rng.permutation(n)] += Fraction(int(w), int(weights.sum()))
-        dec = birkhoff_decompose(q)
-        assert dec.coefficient_sum() == 1
+        terms = birkhoff_decompose(q)
+        assert coefficient_sum(terms) == 1
         for s in range(40):
             lazy = sample_matching_lazy(q, np.random.default_rng(s))
-            eager = sample_matching(dec, np.random.default_rng(s))
+            eager = sample_matching(terms, np.random.default_rng(s))
             assert lazy.tolist() == eager.tolist()
 
     def test_lazy_marginal_matches_q(self):

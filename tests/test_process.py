@@ -250,9 +250,9 @@ class TestMartingale:
         state = init_state(J.shape)
         d = normalize_row(state, 0)
         q, _ = build_fractional_matching(d)
-        dec = birkhoff_decompose(q)
+        terms = birkhoff_decompose(q)
         expected = np.zeros_like(state.p)
-        for c, perm in dec.terms:
+        for c, perm in terms:
             after = advance_state(state, q, np.asarray(perm), J)
             expected += float(c) * after.p
         assert np.abs(expected[1:] - state.p[1:]).max() <= 1e-9
@@ -269,9 +269,9 @@ class TestMartingale:
             state = advance_state(state, q, L_row, J)
         d = normalize_row(state, 2)
         q, _ = build_fractional_matching(d)
-        dec = birkhoff_decompose(q)
+        terms = birkhoff_decompose(q)
         expected = np.zeros_like(state.p)
-        for c, perm in dec.terms:
+        for c, perm in terms:
             after = advance_state(state, q, np.asarray(perm), J)
             expected += float(c) * after.p
         # the identity holds where survival probability is positive; a point
@@ -288,11 +288,11 @@ class TestMartingale:
         state = init_state(J.shape, exact=True)
         d = normalize_row(state, 0)
         q, _ = build_fractional_matching(d)
-        dec = birkhoff_decompose(q, zero_tol=0)
-        assert dec.coefficient_sum() == 1
+        terms = birkhoff_decompose(q)
+        assert sum(c for c, _ in terms) == 1
         m, n = J.shape.m, J.shape.n
         expected = np.full((m, n, n), Fraction(0), dtype=object)
-        for c, perm in dec.terms:
+        for c, perm in terms:
             after = advance_state(state, q, np.asarray(perm), J)
             expected = expected + np.vectorize(lambda v: c * v)(after.p)
         diff = expected[1:] - state.p[1:]
@@ -620,8 +620,9 @@ class TestTransition:
 def _removed_keyword_calls():
     """One call per library function whose keyword knob nothing set, each
     passing that keyword with an otherwise valid argument list."""
-    from orthomate.bipartite import perfect_matching_on_mask
-    from orthomate.matching import cut_check_bruteforce, solve_fixed_eta
+    from orthomate.bipartite import SupportGraph, perfect_matching_pure
+    from orthomate.matching import (birkhoff_terms, cut_check_bruteforce,
+                                    solve_fixed_eta)
 
     J = LatinRectangle.cyclic(4, 2)
     rng = np.random.default_rng(0)
@@ -634,10 +635,14 @@ def _removed_keyword_calls():
             np.full((3, 3), 1 / 3), 0.0, feas_tol=0.0),
         "birkhoff_decompose(ds_tol=)": lambda: birkhoff_decompose(
             np.eye(3), ds_tol=1e-6),
+        "birkhoff_decompose(zero_tol=)": lambda: birkhoff_decompose(
+            np.eye(3), zero_tol=1e-12),
+        "birkhoff_terms(zero_tol=)": lambda: birkhoff_terms(
+            np.eye(3), zero_tol=1e-12),
         "sample_matching_lazy(zero_tol=)": lambda: sample_matching_lazy(
             np.eye(3), rng, zero_tol=1e-12),
-        "perfect_matching_on_mask(order=)": lambda: perfect_matching_on_mask(
-            np.eye(3, dtype=bool), order=[2, 1, 0]),
+        "perfect_matching_pure(order=)": lambda: perfect_matching_pure(
+            SupportGraph(np.eye(3, dtype=bool)), order=[2, 1, 0]),
         "solve_fixed_eta(backend=)": lambda: solve_fixed_eta(
             np.full((3, 3), 1 / 3), 0.0, backend="python"),
     }
@@ -648,3 +653,32 @@ class TestRemovedKeywords:
     def test_removed_keyword_is_a_type_error(self, name):
         with pytest.raises(TypeError, match="unexpected keyword"):
             _removed_keyword_calls()[name]()
+
+
+def _removed_names():
+    """(owner, attribute) of each removed second form: the Birkhoff terms
+    are a plain tuple, the support graph keeps only its CSR, and each output
+    has only the format its command writes."""
+    import orthomate
+    from orthomate import bipartite, matching
+    from orthomate.bipartite import SupportGraph
+    from orthomate.diagnostics import SummaryReport, TrajectoryStats
+
+    return {
+        "orthomate.BirkhoffDecomposition": (orthomate, "BirkhoffDecomposition"),
+        "matching.BirkhoffDecomposition": (matching, "BirkhoffDecomposition"),
+        "bipartite.perfect_matching_on_mask": (bipartite,
+                                               "perfect_matching_on_mask"),
+        "SupportGraph().mask": (SupportGraph(np.eye(3, dtype=bool)), "mask"),
+        "LatinRectangle.to_json": (LatinRectangle, "to_json"),
+        "LatinRectangle.from_json": (LatinRectangle, "from_json"),
+        "TrajectoryStats.to_json": (TrajectoryStats, "to_json"),
+        "SummaryReport.to_csv": (SummaryReport, "to_csv"),
+    }
+
+
+class TestRemovedNames:
+    @pytest.mark.parametrize("name", sorted(_removed_names()))
+    def test_name_is_gone(self, name):
+        owner, attr = _removed_names()[name]
+        assert not hasattr(owner, attr)
