@@ -59,6 +59,17 @@ EXACT_MAX_N = 12
 #: a float survival probability at or below this is degenerate
 DEN_TOL = 1e-12
 
+#: relative margin of check_gamma's Cauchy-Schwarz screen of C.  With u =
+#: 2^-53 and gamma_n = n u / (1 - n u), each of the n-term sums of
+#: nonnegative products is computed within a factor 1 +- gamma_n of its
+#: value (the two squared norms and the pair sum), and the norm product
+#: and c_bound^2 (1 - margin) add a few u more.  A skipped row then has
+#: computed pair sums at most c_bound sqrt((1 - margin) (1 + gamma_n)^2
+#: (1 + 4u) / ((1 - gamma_n)^2 (1 - u))), which is at most c_bound while
+#: the margin exceeds about 4 (n + 2) u: 1e-9 covers every n below 2 * 10^6,
+#: far past any state that fits in memory (p alone is n^2 m floats).
+C_SCREEN_MARGIN = 1e-9
+
 
 class RowAlreadyColoured(OrthomateError):
     """Projection requested for a point whose row is already placed."""
@@ -232,7 +243,17 @@ def check_gamma(state: GuidanceState, epsilon: float, *,
     was checked for A while it was still uncoloured and is frozen since, so
     checking it again could not find anything new.  stats is
     line_statistics(uncoloured_rows(state)) when the caller already has it
-    (run_process hands it on from the recorder); it is computed when None.
+    (run_process hands it on from the recorder).
+
+    C is screened by Cauchy-Schwarz: G[i, k, l] <= |p_ik| |p_il|, so row i
+    cannot break C when the product of its two largest squared line norms
+    sum_g p(i, k, g)^2 is at most c_bound^2.  The row is skipped only when
+    that product is at most c_bound^2 (1 - C_SCREEN_MARGIN), which leaves
+    room for the rounding of the norms, the product and the row's pair
+    sums.  A kept row's pair sums are its own product p_i p_i^T with the
+    diagonal zeroed, or its block of the handed Gram tensor.  numpy sends
+    the one-row and the batched product alike to BLAS syrk, so both are
+    the same bits and the report equals the one from the dense tensor.
 
     Raises:
         ValueError: stats covers a different number of rows than state.
@@ -241,10 +262,12 @@ def check_gamma(state: GuidanceState, epsilon: float, *,
     a_bound, b_lo, b_hi, c_bound = gamma_bounds(n, epsilon)
     sub = uncoloured_rows(state)
     if stats is None:
-        stats = line_statistics(sub)
+        rc, rs, gram = sub.sum(axis=2), sub.sum(axis=1), None
     elif stats[2].shape[0] != sub.shape[0]:
         raise ValueError(f"stats cover {stats[2].shape[0]} rows; state has "
                          f"{sub.shape[0]} uncoloured rows")
+    else:
+        rc, rs, gram = stats
     violations = []
 
     # the max first: the (rows, n, n) mask is built only when A fails
@@ -255,7 +278,6 @@ def check_gamma(state: GuidanceState, epsilon: float, *,
                 "A_x", (int(i_off) + t, int(k), int(g)), lhs,
                 (None, a_bound), lhs - a_bound))
 
-    rc, rs, gram = stats
     for cls, sums in (("RC", rc), ("RS", rs)):
         bad = (sums < b_lo) | (sums > b_hi)
         if bad.any():
@@ -265,13 +287,27 @@ def check_gamma(state: GuidanceState, epsilon: float, *,
                 violations.append(GammaViolation(
                     "B_line", (cls, int(i_off) + t, int(j)), lhs,
                     (b_lo, b_hi), margin))
-    bad = gram > c_bound
-    if bad.any():
-        for r, k, l in np.argwhere(bad):
-            lhs = float(gram[r, k, l])
-            violations.append(GammaViolation(
-                "C_ikl", (int(r) + t, int(k), int(l)), lhs,
-                (None, c_bound), lhs - c_bound))
+
+    # C has no pair k != l below n = 2, and no row to check at t = m
+    if n < 2 or not sub.shape[0]:
+        return GammaReport(not violations, tuple(violations))
+    sq = np.einsum("rkg,rkg->rk", sub, sub)
+    top2 = np.partition(sq, n - 2, axis=1)[:, n - 2:]
+    screen = c_bound * c_bound * (1.0 - C_SCREEN_MARGIN)
+    idx = np.arange(n)
+    for r in np.flatnonzero(top2[:, 0] * top2[:, 1] > screen):
+        if gram is None:
+            block = sub[r] @ sub[r].T
+            block[idx, idx] = 0.0
+        else:
+            block = gram[r]
+        bad = block > c_bound
+        if bad.any():
+            for k, l in np.argwhere(bad):
+                lhs = float(block[k, l])
+                violations.append(GammaViolation(
+                    "C_ikl", (int(r) + t, int(k), int(l)), lhs,
+                    (None, c_bound), lhs - c_bound))
 
     return GammaReport(not violations, tuple(violations))
 

@@ -14,6 +14,7 @@ with them bit for bit on seeded random inputs, including the failure cases.
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import fields
 from fractions import Fraction
 from itertools import islice
@@ -27,6 +28,7 @@ from orthomate import (
     GammaViolation,
     GuidanceState,
     ProcessConfig,
+    Shape,
     StepRecord,
     TrajectoryRecorder,
     advance_state,
@@ -573,6 +575,16 @@ class TestAdvanceReference:
 
 # -------------------------------------------------------------------- gamma
 
+def screened_rows(state, epsilon):
+    """Per uncoloured row, whether check_gamma's Cauchy-Schwarz screen
+    keeps it (multiplies its Gram block), written out again here."""
+    c_bound = gamma_bounds(state.shape.n, epsilon)[3]
+    sub = process.uncoloured_rows(state)
+    top2 = np.sort(np.einsum("rkg,rkg->rk", sub, sub), axis=1)[:, -2:]
+    screen = c_bound * c_bound * (1.0 - process.C_SCREEN_MARGIN)
+    return (top2[:, 0] * top2[:, 1] > screen).tolist()
+
+
 def spoiled(n, m, steps, seed, exact=False):
     """An evolved state with A, B and C violations planted in rows >= t."""
     state = evolved(n, m, steps, seed, exact=exact)[1]
@@ -646,6 +658,120 @@ class TestGammaReference:
         old = gamma_reference(frozen, 0.5)
         assert [(v.ineq, v.location) for v in old.violations] == [
             ("A_x", (0, 0, 0))]
+
+    @pytest.mark.parametrize("n, m, exact", [(16, 8, False), (8, 4, True)])
+    @pytest.mark.parametrize("above", [False, True])
+    def test_cauchy_schwarz_equality(self, n, m, exact, above):
+        # two parallel lines k, l alone in a later row: their pair sum
+        # equals the product of their norms, the row's two largest, so the
+        # screen keeps the row by no more than its margin; G is exactly
+        # c_bound (no violation) or the next float above it
+        state = evolved(n, m, 1, seed=n, exact=exact)[1]
+        c_bound = gamma_bounds(n, 0.5)[3]
+        x = 2 * c_bound if not above else np.nextafter(2 * c_bound, 1.0)
+        p = state.p.copy()
+        i, k, l, g = m - 1, 1, n - 2, 3
+        p[i] = 0 * p[i]
+        p[i, k, g] = Fraction(x) if exact else x
+        p[i, l, g] = Fraction(1, 2) if exact else 0.5
+        spot = GuidanceState(shape=state.shape, t=state.t, p=p)
+        got = check_gamma(spot, 0.5)
+        assert got == gamma_reference(spot, 0.5)
+        c_hits = [v for v in got.violations if v.ineq == "C_ikl"]
+        if above:
+            assert [v.location for v in c_hits] == [(i, k, l), (i, l, k)]
+            assert all(v.lhs == np.nextafter(c_bound, 1.0) for v in c_hits)
+        else:
+            assert not c_hits
+        assert screened_rows(spot, 0.5)[i - spot.t]
+
+    def test_one_large_line(self):
+        # row i has one large line and tiny others: the two largest norms
+        # multiply to less than c_bound^2 and the row is skipped; row j has
+        # the same large line beside its evolved lines and breaks C
+        n, m = 32, 16
+        state = evolved(n, m, 4, seed=2)[1]
+        p = state.p.copy()
+        i, j = m - 1, m - 2
+        p[i] = 1e-4
+        p[i, 5] = 0.0
+        p[[i, j], 5, 7] = 0.9
+        spot = GuidanceState(shape=state.shape, t=state.t, p=p)
+        got = check_gamma(spot, 0.5)
+        assert got == gamma_reference(spot, 0.5)
+        kept = screened_rows(spot, 0.5)
+        assert not kept[i - spot.t] and kept[j - spot.t]
+        c_rows = {v.location[0] for v in got.violations if v.ineq == "C_ikl"}
+        assert j in c_rows and i not in c_rows
+
+    @pytest.mark.parametrize("steps", [0, 1, 2])
+    def test_exact_state_with_pair_sums_near_the_bound(self, steps):
+        # a Fraction state in which columns 0 and 1 share one symbol, with
+        # a pair sum just above c_bound in the active row and exactly
+        # c_bound in the next
+        n, m = 10, 5
+        state = evolved(n, m, steps, seed=steps, exact=True)[1]
+        c_bound = gamma_bounds(n, 0.5)[3]
+        p = state.p.copy()
+        t = state.t
+        p[t, :2] = Fraction(0)
+        p[t, 0, 0] = Fraction(np.nextafter(2 * c_bound, 1.0))
+        p[t, 1, 0] = Fraction(1, 2)
+        p[t + 1, :2] = Fraction(0)
+        p[t + 1, 0, 1] = Fraction(2 * c_bound)
+        p[t + 1, 1, 1] = Fraction(1, 2)
+        spot = GuidanceState(shape=state.shape, t=t, p=p)
+        got = check_gamma(spot, 0.5)
+        assert got == gamma_reference(spot, 0.5)
+        c_hits = [v.location for v in got.violations if v.ineq == "C_ikl"]
+        assert c_hits == [(t, 0, 1), (t, 1, 0)]
+
+    def test_no_pair_and_no_row(self):
+        # n = 1 has no pair k != l; a finished run has no uncoloured row
+        one = init_state(Shape(1, 1))
+        assert check_gamma(one, 0.5) == gamma_reference(one, 0.5)
+        out = run_process(random_rect(32, 8, 1), epsilon=0.75, seed=1,
+                          config=ProcessConfig(record_trajectory=False))
+        assert out.success and out.final_state.t == 8
+        final = out.final_state
+        assert check_gamma(final, 0.75) == gamma_reference(final, 0.75)
+
+    def test_guided_runs(self, monkeypatch):
+        # every check of unrecorded guided runs, whose rows sit on both
+        # sides of the screen; the runs end on C
+        check = process.check_gamma
+        kept, exits = [], []
+
+        def checked_gamma(state, epsilon, **kwargs):
+            got = check(state, epsilon, **kwargs)
+            assert got == gamma_reference(state, epsilon)
+            kept.extend(screened_rows(state, epsilon))
+            return got
+
+        monkeypatch.setattr(process, "check_gamma", checked_gamma)
+        for n, seed in ((64, 0), (64, 1), (128, 0)):
+            out = run_process(random_rect(n, n // 2, seed), epsilon=0.5,
+                              seed=seed,
+                              config=ProcessConfig(record_trajectory=False))
+            exits.append(out.gamma_report)
+        assert any(kept) and not all(kept)
+        assert any(rep is not None and any(v.ineq == "C_ikl"
+                                           for v in rep.violations)
+                   for rep in exits)
+
+    def test_no_gram_tensor_without_handed_statistics(self):
+        # the screened check multiplies one row at a time, so its peak is
+        # far below the (rows, n, n) Gram tensor of the uncoloured rows
+        state = evolved(128, 64, 20, seed=0)[1]
+        sub = process.uncoloured_rows(state)
+        assert any(screened_rows(state, 0.5))
+        tracemalloc.start()
+        try:
+            check_gamma(state, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < sub.nbytes / 4
 
 
 # ------------------------------------------------------------- flow search
