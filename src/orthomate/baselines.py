@@ -19,6 +19,7 @@ uniform random permutation.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -190,7 +191,8 @@ def backtrack_mate(J: LatinRectangle, node_limit: int = 2_000_000
         A verified mate, or None once the whole space is exhausted.
 
     Raises:
-        LimitExceeded: node budget spent before exhaustion.
+        LimitExceeded: node budget spent before exhaustion, or the search
+            depth, one frame per cell, beyond Python's recursion limit.
     """
     n, m = J.shape.n, J.shape.m
     inv = J.row_inverse()
@@ -240,6 +242,12 @@ def backtrack_mate(J: LatinRectangle, node_limit: int = 2_000_000
 
         return rec(0)
 
-    if search(0):
+    try:
+        found = search(0)
+    except RecursionError:
+        raise LimitExceeded(
+            f"search depth {m * (n + 1)} (one frame per cell) exceeds the "
+            f"recursion limit {sys.getrecursionlimit()}") from None
+    if found:
         return LatinRectangle(J.shape, grid.copy())
     return None

@@ -13,10 +13,10 @@ A stopped run is recorded only up to its exit: one record per placed row,
 none for the row where run_process stopped (a Gamma exit or an infeasible
 row) or for any row after it.
 
-Kills and survival probabilities come from the step's Transition, line sums
-and pair sums from process.line_statistics.  run_process computes those
-statistics once per recorded step and hands the same tuple to the next
-check_gamma, which constrains the same rows.
+Kills and survival probabilities come from the step's Transition.  The
+largest pair sum is taken row by row with process.pair_sums, the function
+check_gamma uses for the rows its screen keeps, so no (rows, n, n) Gram
+tensor is built.
 
 The martingale residual over all rows > t uses the Transition's own survival
 probabilities, so it can only see the rounding of the division that made
@@ -45,7 +45,7 @@ from typing import Optional
 import numpy as np
 
 from .core import LatinRectangle, OrthomateError
-from .process import GuidanceState, line_statistics
+from .process import GuidanceState, pair_sums
 
 
 class EmptyTrajectory(OrthomateError):
@@ -149,15 +149,13 @@ class TrajectoryRecorder:
         self._frozen_rows, self._frozen_max = 0, -math.inf
 
     def record_step(self, before: GuidanceState, q_row, L_row: np.ndarray,
-                    after: GuidanceState, eta_used: float = math.nan, *,
-                    stats: Optional[tuple] = None) -> StepRecord:
+                    after: GuidanceState, eta_used: float = math.nan
+                    ) -> StepRecord:
         """Record the transition before -> after under (q_row, L_row).
 
-        after must still carry the Transition advance_state gave it.  stats
-        is line_statistics of the float64 rows > t of after.p when the
-        caller has it (run_process hands the same tuple to the next
-        check_gamma); it is computed here when None.  Steps of one run are
-        recorded in order.
+        after must still carry the Transition advance_state gave it.  The
+        line sums and pair sums of the rows > t are taken here, one row's
+        pair sums at a time.  Steps of one run are recorded in order.
         """
         m, n = self.m, self.n
         t = before.t
@@ -176,11 +174,11 @@ class TrajectoryRecorder:
         pa = p_after[t + 1:]
         if t + 1 < m:
             # statistics of the new state over rows that can still change
-            b_rc, b_rs, gram = (line_statistics(pa) if stats is None
-                                else stats)
+            b_rc, b_rs = pa.sum(axis=2), pa.sum(axis=1)
             b_min = float(min(b_rc.min(), b_rs.min()))
             b_max = float(max(b_rc.max(), b_rs.max()))
-            c_max = float(gram.max())
+            # np.max, not max(): a nan row maximum must reach c_max
+            c_max = float(np.max([pair_sums(row).max() for row in pa]))
 
             # kill counts per local line and the pairwise C bound, from the
             # flat indices (i * n + k) * n + g of the killed points, each

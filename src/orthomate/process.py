@@ -220,13 +220,13 @@ def gamma_bounds(n: int, epsilon: float):
     return a_bound, 1.0 - log_term, 1.0 + log_term, (1.0 + log_term) / n
 
 
-def line_statistics(rows: np.ndarray):
-    """(rc, rs, gram) of a float64 stack of rows of p: the (row, col) and
-    (row, sym) line sums and the pair sums G[r, k, l], zero where k = l."""
-    gram = rows @ rows.transpose(0, 2, 1)
-    idx = np.arange(rows.shape[1])
-    gram[:, idx, idx] = 0.0
-    return rows.sum(axis=2), rows.sum(axis=1), gram
+def pair_sums(row: np.ndarray) -> np.ndarray:
+    """The pair sums G[k, l] = sum_g p(k, g) p(l, g) of one float64 (n, n)
+    row of p, zero where k = l.  numpy sends the product to BLAS syrk."""
+    gram = row @ row.T
+    idx = np.arange(row.shape[0])
+    gram[idx, idx] = 0.0
+    return gram
 
 
 def uncoloured_rows(state: GuidanceState) -> np.ndarray:
@@ -235,39 +235,26 @@ def uncoloured_rows(state: GuidanceState) -> np.ndarray:
     return sub.astype(np.float64) if state.exact else sub
 
 
-def check_gamma(state: GuidanceState, epsilon: float, *,
-                stats: Optional[tuple] = None) -> GammaReport:
+def check_gamma(state: GuidanceState, epsilon: float) -> GammaReport:
     """Evaluate the three goodness families and report every violation.
 
     All three are checked on uncoloured rows only (>= t).  A coloured row
     was checked for A while it was still uncoloured and is frozen since, so
-    checking it again could not find anything new.  stats is
-    line_statistics(uncoloured_rows(state)) when the caller already has it
-    (run_process hands it on from the recorder).
+    checking it again could not find anything new.
 
     C is screened by Cauchy-Schwarz: G[i, k, l] <= |p_ik| |p_il|, so row i
     cannot break C when the product of its two largest squared line norms
     sum_g p(i, k, g)^2 is at most c_bound^2.  The row is skipped only when
     that product is at most c_bound^2 (1 - C_SCREEN_MARGIN), which leaves
     room for the rounding of the norms, the product and the row's pair
-    sums.  A kept row's pair sums are its own product p_i p_i^T with the
-    diagonal zeroed, or its block of the handed Gram tensor.  numpy sends
-    the one-row and the batched product alike to BLAS syrk, so both are
-    the same bits and the report equals the one from the dense tensor.
-
-    Raises:
-        ValueError: stats covers a different number of rows than state.
+    sums.  A kept row's pair sums are pair_sums(p_i).  numpy sends the
+    one-row and the batched product alike to BLAS syrk, so the report
+    equals the one from the dense (rows, n, n) Gram tensor.
     """
     n, t = state.shape.n, state.t
     a_bound, b_lo, b_hi, c_bound = gamma_bounds(n, epsilon)
     sub = uncoloured_rows(state)
-    if stats is None:
-        rc, rs, gram = sub.sum(axis=2), sub.sum(axis=1), None
-    elif stats[2].shape[0] != sub.shape[0]:
-        raise ValueError(f"stats cover {stats[2].shape[0]} rows; state has "
-                         f"{sub.shape[0]} uncoloured rows")
-    else:
-        rc, rs, gram = stats
+    rc, rs = sub.sum(axis=2), sub.sum(axis=1)
     violations = []
 
     # the max first: the (rows, n, n) mask is built only when A fails
@@ -294,13 +281,8 @@ def check_gamma(state: GuidanceState, epsilon: float, *,
     sq = np.einsum("rkg,rkg->rk", sub, sub)
     top2 = np.partition(sq, n - 2, axis=1)[:, n - 2:]
     screen = c_bound * c_bound * (1.0 - C_SCREEN_MARGIN)
-    idx = np.arange(n)
     for r in np.flatnonzero(top2[:, 0] * top2[:, 1] > screen):
-        if gram is None:
-            block = sub[r] @ sub[r].T
-            block[idx, idx] = 0.0
-        else:
-            block = gram[r]
+        block = pair_sums(sub[r])
         bad = block > c_bound
         if bad.any():
             for k, l in np.argwhere(bad):
@@ -493,11 +475,9 @@ def run_process(J: LatinRectangle, epsilon: Optional[float] = None,
     grid = np.zeros((m, n), dtype=np.int64)
     etas = []
     outcome = None
-    stats = None  # line_statistics of the state's uncoloured rows, if known
 
     for t in range(m):
-        report = check_gamma(state, epsilon, stats=stats)
-        stats = None  # as large as the Gram tensor; do not carry it on
+        report = check_gamma(state, epsilon)
         if not report.good:
             outcome = ProcessOutcome(kind="gamma_exit", time=t,
                                      gamma_report=report)
@@ -515,12 +495,7 @@ def run_process(J: LatinRectangle, epsilon: Optional[float] = None,
             break
         grid[t] = L_row
         if recorder is not None:
-            # one Gram tensor of the rows > t for the record and the next
-            # Gamma check
-            if t + 1 < m:
-                stats = line_statistics(uncoloured_rows(after))
-            recorder.record_step(state, q, L_row, after, eta_used=eta_used,
-                                 stats=stats)
+            recorder.record_step(state, q, L_row, after, eta_used=eta_used)
         after.transition = None  # as large as p[t + 1:]; do not carry it on
         state = after
 

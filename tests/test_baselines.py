@@ -1,6 +1,7 @@
 """Hall-regime greedy, exhaustive mate search, random rectangle generator."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -92,6 +93,12 @@ class TestBacktrack:
     def test_limit_exceeded(self, z3):
         with pytest.raises(LimitExceeded):
             backtrack_mate(z3, node_limit=2)
+
+    def test_depth_beyond_the_recursion_limit(self):
+        # one frame per cell: a single row wider than the recursion limit
+        J = LatinRectangle.cyclic(sys.getrecursionlimit(), 1)
+        with pytest.raises(LimitExceeded, match="search depth"):
+            backtrack_mate(J)
 
     def test_deterministic(self, z3):
         a = backtrack_mate(z3)

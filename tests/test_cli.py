@@ -126,6 +126,22 @@ class TestMate:
         blob = json.loads(capsys.readouterr().out)
         assert blob["outcome"] == "exhausted"
 
+    def test_backtrack_too_deep_is_a_baseline_failure(self, tmp_path,
+                                                      capsys):
+        # 3 x 330 needs 993 nested frames, beyond the default recursion limit
+        jp, lp = tmp_path / "J.txt", tmp_path / "L.txt"
+        main(["gen", "--n", "330", "--m", "3", "--seed", "1",
+              "--out", str(jp)])
+        code = main(["mate", "--in", str(jp), "--algorithm", "backtrack",
+                     "--out", str(lp)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert "Traceback" not in err
+        blob = json.loads(out)
+        assert blob["outcome"] == "baseline_failure"
+        assert "search depth" in blob["detail"]
+        assert not lp.exists()
+
     @pytest.mark.parametrize("limit", ["-3", "0"])
     def test_non_positive_node_limit_is_usage_error(self, tmp_path, capsys,
                                                     limit):

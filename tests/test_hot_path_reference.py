@@ -55,7 +55,7 @@ from orthomate.matching import (
     eta_schedule,
     solve_fixed_eta,
 )
-from orthomate.process import gamma_bounds, line_statistics
+from orthomate.process import gamma_bounds
 
 from conftest import random_rect
 
@@ -216,8 +216,9 @@ class RecorderReference(TrajectoryRecorder):
     """record_step with a mask, a gather or a fresh array per quantity:
     np.where chains for the martingale residual, boolean gathers for the
     growth ratio, pa - pb twice, kills from the dense kill_mask of the
-    placed row rather than the Transition, p_max over every row, its own
-    line statistics and one sampled C sum at a time."""
+    placed row rather than the Transition, p_max over every row, line sums
+    and a batched (rows, n, n) Gram tensor of its own, and one sampled C sum
+    at a time."""
 
     def record_step(self, before, q_row, L_row, after, eta_used=math.nan):
         m = self.m
@@ -232,7 +233,11 @@ class RecorderReference(TrajectoryRecorder):
         kills_line_max = c_kills_max = kills_total = 0
         mart_res, growth_max, b_dev_max = 0.0, 1.0, 0.0
         if t + 1 < m:
-            b_rc, b_rs, gram = line_statistics(p_after[t + 1:])
+            pa = p_after[t + 1:]
+            b_rc, b_rs = pa.sum(axis=2), pa.sum(axis=1)
+            gram = pa @ pa.transpose(0, 2, 1)
+            idx = np.arange(self.n)
+            gram[:, idx, idx] = 0.0
             b_min = float(min(b_rc.min(), b_rs.min()))
             b_max = float(max(b_rc.max(), b_rs.max()))
             c_max = float(gram.max())
@@ -245,7 +250,6 @@ class RecorderReference(TrajectoryRecorder):
             kills_total = int(killed.sum())
             den = np.asarray(tr.den, dtype=np.float64)
             pb = p_before[t + 1:]
-            pa = p_after[t + 1:]
             pos = den > 0
             survive_val = np.where(killed, pb / np.where(pos, den, 1.0), pa)
             resid = np.where(pos, np.abs(den * survive_val - pb), np.abs(pa))
@@ -759,7 +763,7 @@ class TestGammaReference:
                                            for v in rep.violations)
                    for rep in exits)
 
-    def test_no_gram_tensor_without_handed_statistics(self):
+    def test_no_gram_tensor(self):
         # the screened check multiplies one row at a time, so its peak is
         # far below the (rows, n, n) Gram tensor of the uncoloured rows
         state = evolved(128, 64, 20, seed=0)[1]
@@ -819,8 +823,8 @@ def assert_same_record(got, want):
 @pytest.fixture
 def paired_recorders(monkeypatch):
     """Make run_process record every step twice, by the package and by the
-    reference, and evaluate every Gamma check with and without the handed
-    statistics.  Returns the list of (package, reference) recorders."""
+    reference, and compare every Gamma check with gamma_reference.  Returns
+    the list of (package, reference) recorders."""
     pairs = []
     check = process.check_gamma
 
@@ -830,18 +834,17 @@ def paired_recorders(monkeypatch):
             self.reference = RecorderReference(J)
             pairs.append((self, self.reference))
 
-        def record_step(self, before, q_row, L_row, after, eta_used=math.nan,
-                        *, stats=None):
-            rec = super().record_step(before, q_row, L_row, after,
-                                      eta_used, stats=stats)
+        def record_step(self, before, q_row, L_row, after,
+                        eta_used=math.nan):
+            rec = super().record_step(before, q_row, L_row, after, eta_used)
             want = self.reference.record_step(before, q_row, L_row, after,
                                               eta_used)
             assert_same_record(rec, want)
             return rec
 
-    def checked_gamma(state, *args, stats=None, **kwargs):
-        got = check(state, *args, stats=stats, **kwargs)
-        assert got == check(state, *args, **kwargs)
+    def checked_gamma(state, epsilon):
+        got = check(state, epsilon)
+        assert got == gamma_reference(state, epsilon)
         return got
 
     monkeypatch.setattr(diagnostics, "TrajectoryRecorder", Paired)
@@ -897,8 +900,17 @@ class TestRecorderReference:
         assert_same_record(rec.record_step(state, q, perm, after),
                            ref.record_step(state, q, perm, after))
 
-    def test_handed_statistics_must_match_the_rows(self):
-        state = evolved(16, 8, 3, seed=0)[1]
-        stale = line_statistics(state.p[state.t + 1:])
-        with pytest.raises(ValueError, match="rows"):
-            check_gamma(state, 0.5, stats=stale)
+    def test_no_gram_tensor_in_the_record(self):
+        # the pair sums are taken one row at a time: beside its one work
+        # array the record holds no (rows, n, n) Gram tensor of the rows > t
+        n, m, t = 128, 64, 20
+        J, state, q, L_row = evolved(n, m, t, seed=0)
+        after = advance_state(state, q, L_row, J)
+        rows = after.p[t + 1:]
+        tracemalloc.start()
+        try:
+            TrajectoryRecorder(J).record_step(state, q, L_row, after)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * rows.nbytes

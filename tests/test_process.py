@@ -618,14 +618,18 @@ class TestTransition:
 
 
 def _removed_keyword_calls():
-    """One call per library function whose keyword knob nothing set, each
-    passing that keyword with an otherwise valid argument list."""
+    """One call per library function whose keyword knob nothing set, or
+    that took the recorder's statistics hand-off, each passing that keyword
+    with an otherwise valid argument list."""
     from orthomate.bipartite import SupportGraph, perfect_matching_pure
+    from orthomate.diagnostics import TrajectoryRecorder
     from orthomate.matching import (birkhoff_terms, cut_check_bruteforce,
                                     solve_fixed_eta)
 
     J = LatinRectangle.cyclic(4, 2)
     rng = np.random.default_rng(0)
+    q, row = np.full((4, 4), 0.25), np.arange(4)
+    after = advance_state(init_state(J.shape), q, row, J)
     return {
         "run_process(rng=)": lambda: run_process(J, rng=rng),
         "advance_state(den_tol=)": lambda: advance_state(
@@ -645,6 +649,10 @@ def _removed_keyword_calls():
             SupportGraph(np.eye(3, dtype=bool)), order=[2, 1, 0]),
         "solve_fixed_eta(backend=)": lambda: solve_fixed_eta(
             np.full((3, 3), 1 / 3), 0.0, backend="python"),
+        "check_gamma(stats=)": lambda: check_gamma(
+            init_state(J.shape), 0.5, stats=None),
+        "record_step(stats=)": lambda: TrajectoryRecorder(J).record_step(
+            init_state(J.shape), q, row, after, stats=None),
     }
 
 
@@ -657,10 +665,11 @@ class TestRemovedKeywords:
 
 def _removed_names():
     """(owner, attribute) of each removed second form: the Birkhoff terms
-    are a plain tuple, the support graph keeps only its CSR, and each output
-    has only the format its command writes."""
+    are a plain tuple, the support graph keeps only its CSR, each output
+    has only the format its command writes, and the pair sums are taken by
+    pair_sums alone."""
     import orthomate
-    from orthomate import bipartite, matching
+    from orthomate import bipartite, matching, process
     from orthomate.bipartite import SupportGraph
     from orthomate.diagnostics import SummaryReport, TrajectoryStats
 
@@ -674,6 +683,7 @@ def _removed_names():
         "LatinRectangle.from_json": (LatinRectangle, "from_json"),
         "TrajectoryStats.to_json": (TrajectoryStats, "to_json"),
         "SummaryReport.to_csv": (SummaryReport, "to_csv"),
+        "process.line_statistics": (process, "line_statistics"),
     }
 
 
