@@ -179,6 +179,12 @@ def _augment(k: int, avail, row, owner, rng) -> bool:
     return False
 
 
+def _too_deep(J: LatinRectangle) -> LimitExceeded:
+    return LimitExceeded(
+        f"search depth {J.shape.m * (J.shape.n + 1)} (one frame per cell) "
+        f"exceeds the recursion limit {sys.getrecursionlimit()}")
+
+
 def backtrack_mate(J: LatinRectangle, node_limit: int = 2_000_000
                    ) -> Optional[LatinRectangle]:
     """Exhaustive depth-first search for an orthogonal mate of J.
@@ -193,8 +199,12 @@ def backtrack_mate(J: LatinRectangle, node_limit: int = 2_000_000
     Raises:
         LimitExceeded: node budget spent before exhaustion, or the search
             depth, one frame per cell, beyond Python's recursion limit.
+            A mate takes m (n + 1) nested frames or more, so the search
+            does not start when they exceed the limit.
     """
     n, m = J.shape.n, J.shape.m
+    if m * (n + 1) > sys.getrecursionlimit():
+        raise _too_deep(J)
     inv = J.row_inverse()
     col_used = np.zeros((n, n), dtype=bool)   # [k, g]: g used in column k
     diag_used = np.zeros((n, n), dtype=bool)  # [d, g]: g used on diagonal d
@@ -245,9 +255,7 @@ def backtrack_mate(J: LatinRectangle, node_limit: int = 2_000_000
     try:
         found = search(0)
     except RecursionError:
-        raise LimitExceeded(
-            f"search depth {m * (n + 1)} (one frame per cell) exceeds the "
-            f"recursion limit {sys.getrecursionlimit()}") from None
+        raise _too_deep(J) from None
     if found:
         return LatinRectangle(J.shape, grid.copy())
     return None

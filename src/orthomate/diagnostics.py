@@ -13,18 +13,19 @@ A stopped run is recorded only up to its exit: one record per placed row,
 none for the row where run_process stopped (a Gamma exit or an infeasible
 row) or for any row after it.
 
-Kills and survival probabilities come from the step's Transition.  The
-largest pair sum is taken row by row with process.pair_sums, the function
-check_gamma uses for the rows its screen keeps, so no (rows, n, n) Gram
-tensor is built.
+Kills come from the step's Transition.  The largest pair sum is taken row
+by row with process.pair_sums, the function check_gamma uses for the rows
+its screens keep, so no (rows, n, n) Gram tensor is built.
 
-The martingale residual over all rows > t uses the Transition's own survival
-probabilities, so it can only see the rounding of the division that made
-them.  A spot check at a fixed sample of points (min(n, TRACKED_LINES) per
-row > t) recomputes the survival probability from q and J and the kill rule
-from the placed row, without the Transition, and folds its residual into the
-same number: a transition that divides by a wrong survival probability or
-kills the wrong points shows there.  On a correct transition each sampled value
+The martingale residual over all rows > t takes the survival probabilities
+from process.survival_blocks, the helper the transition divides by, a few
+rows at a time: the record holds no (rows, n, n) array of them, and the
+residual sees the rounding of the division.  A spot check at a fixed sample
+of points (min(n, TRACKED_LINES) per row > t) recomputes the survival
+probability from q and J with its own code and the kill rule from the
+placed row, without the Transition, and folds its residual into the same
+number: a transition that divides by a wrong survival probability or kills
+the wrong points shows there.  On a correct transition each sampled value
 equals the full pass's value at that point, so the record does not move.
 
 Recomputing every point would redo the transition, and the expectation of
@@ -45,7 +46,8 @@ from typing import Optional
 import numpy as np
 
 from .core import LatinRectangle, OrthomateError
-from .process import GuidanceState, pair_sums
+from .process import (GuidanceState, diag_column_map, pair_sums,
+                      survival_blocks)
 
 
 class EmptyTrajectory(OrthomateError):
@@ -155,7 +157,9 @@ class TrajectoryRecorder:
 
         after must still carry the Transition advance_state gave it.  The
         line sums and pair sums of the rows > t are taken here, one row's
-        pair sums at a time.  Steps of one run are recorded in order.
+        pair sums at a time, and the passes that need the survival
+        probabilities or a work array one block of rows at a time.  Steps
+        of one run are recorded in order.
         """
         m, n = self.m, self.n
         t = before.t
@@ -195,28 +199,46 @@ class TrajectoryRecorder:
             top2 = np.sort(kc_rc, axis=1)[:, -2:]
             c_kills_max = int(top2.sum(axis=1).max())
 
+            # the martingale residual, the largest survivor ratio p' / p
+            # and the line sums of p' - p, a block of rows at a time, with
+            # the block's survival probabilities and one block-sized work
+            # array
             pb = p_before[t + 1:]
-            den = np.asarray(tr.den, dtype=np.float64)
-            buf = np.empty_like(pa)  # one work array for the three passes
-            flat = buf.reshape(-1)
-            mart_res = self._martingale_residual(pb, pa, den, hit, buf)
+            one = Fraction(1) if before.exact else 1.0
+            k2 = diag_column_map(self.J, t, t + 1)
+            i_idx = np.arange(rows)[:, None, None]
+            k_idx = np.arange(n)[None, :, None]
+            work = None
+            mart, ratios, dev_rc, dev_rs = [], [], [], []
+            for a, den in survival_blocks(q_raw, k2, one):
+                blk = slice(a, a + len(den))
+                if work is None:
+                    work = np.empty(den.shape)
+                buf = work[:len(den)]
+                kills = (i_idx[:len(den)], k_idx, tr.killed[blk])
+                mart.append(self._martingale_residual(
+                    np.asarray(den, dtype=np.float64), pb[blk], pa[blk],
+                    kills, buf))
+                # killed points and points of zero mass (0 / 0) are nan
+                # and ignored
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    np.divide(pa[blk], pb[blk], out=buf)
+                buf[kills] = math.nan
+                ratios.append(np.fmax.reduce(buf.reshape(-1)))
+                np.subtract(pa[blk], pb[blk], out=buf)
+                dev_rc.append(np.abs(buf.sum(axis=2)).max())
+                dev_rs.append(np.abs(buf.sum(axis=1)).max())
+
+            # np.max, not max(), wherever a nan must reach the record
+            mart_res = np.max(mart)
             spot = self._spot_residual(before, q_raw, L_row, pb, pa)
             if spot.size:
                 mart_res = np.maximum(mart_res, spot.max())
             mart_res = float(mart_res)
-
-            # largest survivor ratio p' / p; killed points and points of
-            # zero mass (0 / 0) are nan and ignored
-            with np.errstate(divide="ignore", invalid="ignore"):
-                np.divide(pa, pb, out=buf)
-            flat[hit] = math.nan
-            ratio = np.fmax.reduce(flat)
+            ratio = np.fmax.reduce(ratios)
             if not math.isnan(ratio):
                 growth_max = float(ratio)
-
-            np.subtract(pa, pb, out=buf)
-            b_dev_max = float(max(np.abs(buf.sum(axis=2)).max(),
-                                  np.abs(buf.sum(axis=1)).max()))
+            b_dev_max = float(max(np.max(dev_rc), np.max(dev_rs)))
 
         # rows <= t are frozen from now on: fold each into a running maximum
         # once instead of scanning it again on every later step
@@ -240,22 +262,20 @@ class TrajectoryRecorder:
         return rec
 
     @staticmethod
-    def _martingale_residual(pb, pa, den, hit, buf):
-        """max |den * p' - p| over the rows > t, with the Transition's den.
+    def _martingale_residual(den, pb, pa, kills, buf):
+        """max |den * p' - p| over one block of the rows > t, in buf.
 
         A point of positive survival probability contributes
         |den * s - p|, where s is p' if it survived and p / den if it was
         killed: the two branches of the expectation.  Where den <= 0 the
         point is certainly killed and the term is the kill consistency
-        |p'|.  hit holds the flat indices of the killed points.
+        |p'|.  kills indexes the block's killed points.
         """
         np.multiply(den, pa, out=buf)
         np.subtract(buf, pb, out=buf)
         np.abs(buf, out=buf)
-        flat = buf.reshape(-1)
-        d = den.reshape(-1)[hit]
-        b = pb.reshape(-1)[hit]
-        flat[hit] = np.abs(d * (b / np.where(d > 0, d, 1.0)) - b)
+        d, b = den[kills], pb[kills]
+        buf[kills] = np.abs(d * (b / np.where(d > 0, d, 1.0)) - b)
         if not den.min() > 0:  # nan takes this branch too, as den > 0 fails
             low = ~(den > 0)
             buf[low] = np.abs(pa[low])

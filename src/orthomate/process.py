@@ -27,6 +27,16 @@ configurations can decouple it from the actual row count.
 A state that survives all m steps yields a rectangle orthogonal to J by
 construction: killed points have p = 0, get weight 0 in every later q, and
 thus never appear in a sampled row.
+
+The survival probabilities of a step are produced by survival_blocks, a
+few rows at a time in one reused buffer; the transition and the recorder's
+martingale residual both read them from there, so no step holds them for
+all rows at once.  run_process owns two (m, n, n) buffers and writes each
+new p into the one the old state is not using.  Each state also carries a
+per-row ceiling on its largest C pair sum: check_gamma sets it from the
+pair sums it computes, the transition multiplies it by the row's growth
+bound, and check_gamma skips a row whose ceiling clears c_bound by the
+rounding margin C_CEILING_MARGIN.
 """
 
 from __future__ import annotations
@@ -59,6 +69,10 @@ EXACT_MAX_N = 12
 #: a float survival probability at or below this is degenerate
 DEN_TOL = 1e-12
 
+#: survival_blocks gathers about this many survival probabilities per block
+#: (at least one row), a few hundred kB of float64 that stay in cache
+BLOCK_ENTRIES = 1 << 16
+
 #: relative margin of check_gamma's Cauchy-Schwarz screen of C.  With u =
 #: 2^-53 and gamma_n = n u / (1 - n u), each of the n-term sums of
 #: nonnegative products is computed within a factor 1 +- gamma_n of its
@@ -69,6 +83,34 @@ DEN_TOL = 1e-12
 #: the margin exceeds about 4 (n + 2) u: 1e-9 covers every n below 2 * 10^6,
 #: far past any state that fits in memory (p alone is n^2 m floats).
 C_SCREEN_MARGIN = 1e-9
+
+#: relative margin of the C ceiling (GuidanceState.c_ceiling).  The ceiling
+#: of row i bounds the exact pair sums sum_g x(k, g) x(l, g) of x, the row
+#: as the float64 array check_gamma reads (p itself, or each Fraction
+#: rounded to nearest), so with u = 2^-53 and gamma_n as above:
+#:   set:  a computed pair sum of n nonnegative terms is within 1 +- gamma_n
+#:         of the exact one, in any summation order, with or without FMA,
+#:         so M (1 + margin), rounded, bounds the exact sums of a row whose
+#:         largest computed pair sum is M while the margin exceeds about
+#:         (n + 1) u;
+#:   grow: a survivor becomes x / d rounded once (a Fraction divides
+#:         exactly and is rounded once, its x once before), d >= dmin, the
+#:         row's least survival probability outside its killed points; a
+#:         killed point or a low one (which must have p = 0) becomes 0.  So
+#:         the exact sums grow at most by (1 + u)^2 / ((1 - u)^2 dmin^2),
+#:         and ceiling * (1 / dmin)^2 * (1 + margin), with its four
+#:         roundings and the rounding of a Fraction's dmin, stays above
+#:         them while the margin exceeds about 10 u; dmin <= 0 or nan makes
+#:         the ceiling +inf;
+#:   skip: a row with ceiling <= c_bound (1 - margin) has computed pair sums
+#:         at most c_bound (1 - margin) (1 + 2u) (1 + gamma_n) <= c_bound
+#:         while the margin exceeds about (n + 2) u.
+#: The terms are nonnegative, as every state a transition makes is; a
+#: product that underflows errs by at most 2^-1074 absolutely, far inside
+#: the margin of c_bound >= 1/n.  So 1e-9 covers every n below 2 * 10^6,
+#: whatever the BLAS kernel, and the report of a skipped row equals the one
+#: its product would give.
+C_CEILING_MARGIN = 1e-9
 
 
 class RowAlreadyColoured(OrthomateError):
@@ -129,17 +171,18 @@ class ProcessConfig:
 
 @dataclass(frozen=True)
 class Transition:
-    """Killed symbols and survival probabilities 1 - q(rho_cs) - q(rho_ds)
-    of the rows > t, as advance_state computed them placing row t.
+    """The killed symbols of the rows > t, as advance_state computed them
+    placing row t.
 
     killed[i, k] holds the two symbols that die in cell (t + 1 + i, k).
     They differ: the two projections lie in different columns of row t
-    (see central_projections), and the placed row is a permutation.
+    (see central_projections), and the placed row is a permutation.  The
+    survival probabilities are not kept: survival_blocks gives them again,
+    block by block, from q and J.
     """
 
     t: int
     killed: np.ndarray  # (m - t - 1, n, 2) int64
-    den: np.ndarray  # (m - t - 1, n, n), dtype of 1 - q; degenerate kept
 
 
 @dataclass
@@ -151,6 +194,14 @@ class GuidanceState:
     time is simply its row index: row i is placed at step t = i.
     advance_state attaches the Transition that led to the state;
     run_process drops it once the step is recorded.
+
+    c_ceiling, when not None, is an (m,) float64 array: c_ceiling[i] is an
+    upper bound on the largest pair sum of row i (see C_CEILING_MARGIN),
+    +inf where none is known.  init_state starts it at +inf, check_gamma
+    lowers it for the rows it multiplies, and advance_state carries it over
+    to the next state.  A state built by hand has None and is checked as a
+    whole; code that writes p of a state with a ceiling in place must reset
+    the ceiling to +inf.
     """
 
     shape: Shape
@@ -158,6 +209,7 @@ class GuidanceState:
     p: np.ndarray
     stopped_at: Optional[int] = None
     transition: Optional[Transition] = None
+    c_ceiling: Optional[np.ndarray] = None
 
     @property
     def exact(self) -> bool:
@@ -186,7 +238,8 @@ def init_state(shape: Shape, exact: bool = False) -> GuidanceState:
         p = np.full((m, n, n), Fraction(1, n), dtype=object)
     else:
         p = np.full((m, n, n), 1.0 / n)
-    return GuidanceState(shape=shape, t=0, p=p)
+    return GuidanceState(shape=shape, t=0, p=p,
+                         c_ceiling=np.full(m, math.inf))
 
 
 def check_epsilon(epsilon) -> float:
@@ -242,14 +295,16 @@ def check_gamma(state: GuidanceState, epsilon: float) -> GammaReport:
     was checked for A while it was still uncoloured and is frozen since, so
     checking it again could not find anything new.
 
-    C is screened by Cauchy-Schwarz: G[i, k, l] <= |p_ik| |p_il|, so row i
-    cannot break C when the product of its two largest squared line norms
-    sum_g p(i, k, g)^2 is at most c_bound^2.  The row is skipped only when
-    that product is at most c_bound^2 (1 - C_SCREEN_MARGIN), which leaves
-    room for the rounding of the norms, the product and the row's pair
-    sums.  A kept row's pair sums are pair_sums(p_i).  numpy sends the
-    one-row and the batched product alike to BLAS syrk, so the report
-    equals the one from the dense (rows, n, n) Gram tensor.
+    C is screened twice before a row is multiplied.  The C ceiling clears a
+    row whose state.c_ceiling is at most c_bound (1 - C_CEILING_MARGIN).
+    Cauchy-Schwarz clears one whose two largest squared line norms
+    sum_g p(i, k, g)^2 multiply to at most c_bound^2 (1 - C_SCREEN_MARGIN):
+    G[i, k, l] <= |p_ik| |p_il|.  Both margins leave room for rounding, so
+    a cleared row cannot break C.  A kept row's pair sums are
+    pair_sums(p_i), and its ceiling becomes their maximum, inflated by
+    C_CEILING_MARGIN.  numpy sends the one-row and the batched product alike
+    to BLAS syrk, so the report equals the one from the dense (rows, n, n)
+    Gram tensor.
     """
     n, t = state.shape.n, state.t
     a_bound, b_lo, b_hi, c_bound = gamma_bounds(n, epsilon)
@@ -278,11 +333,19 @@ def check_gamma(state: GuidanceState, epsilon: float) -> GammaReport:
     # C has no pair k != l below n = 2, and no row to check at t = m
     if n < 2 or not sub.shape[0]:
         return GammaReport(not violations, tuple(violations))
-    sq = np.einsum("rkg,rkg->rk", sub, sub)
-    top2 = np.partition(sq, n - 2, axis=1)[:, n - 2:]
-    screen = c_bound * c_bound * (1.0 - C_SCREEN_MARGIN)
-    for r in np.flatnonzero(top2[:, 0] * top2[:, 1] > screen):
+    ceiling = state.c_ceiling
+    rows = np.arange(sub.shape[0])
+    if ceiling is not None:
+        rows = rows[~(ceiling[t:] <= c_bound * (1.0 - C_CEILING_MARGIN))]
+    if rows.size:
+        sq = np.einsum("rkg,rkg->rk", sub, sub)
+        top2 = np.partition(sq, n - 2, axis=1)[:, n - 2:]
+        screen = c_bound * c_bound * (1.0 - C_SCREEN_MARGIN)
+        rows = rows[(top2[:, 0] * top2[:, 1] > screen)[rows]]
+    for r in rows:
         block = pair_sums(sub[r])
+        if ceiling is not None:
+            ceiling[t + r] = float(block.max()) * (1.0 + C_CEILING_MARGIN)
         bad = block > c_bound
         if bad.any():
             for k, l in np.argwhere(bad):
@@ -351,17 +414,62 @@ def _later_kills(L_row: np.ndarray, k2: np.ndarray) -> np.ndarray:
     return killed
 
 
+def survival_blocks(q, k2: np.ndarray, one):
+    """Yield (a, den) over consecutive blocks of the rows of k2, where
+    den[i - a, k, g] = (1 - q[k, g]) - q[k2[i, k], g] is the survival
+    probability 1 - q(rho_cs) - q(rho_ds) of the point (i, k, g) of the
+    rows whose diagonal column map is k2 (one is 1 in q's arithmetic).
+
+    den takes the dtype of 1 - q, so an integer q (a permutation matrix)
+    still gives float probabilities; degenerate values are kept as they
+    are.  Every block is written into one buffer of about BLOCK_ENTRIES
+    entries, which the next block overwrites.
+    """
+    one_minus_q = one - q
+    q = np.asarray(q).astype(one_minus_q.dtype, copy=False)
+    rows, n = k2.shape
+    step = max(1, BLOCK_ENTRIES // max(1, n * n))
+    buf = np.empty((min(step, rows), n, n), dtype=one_minus_q.dtype)
+    for a in range(0, rows, step):
+        den = buf[:min(step, rows - a)]
+        # k2 holds column indices of q, so no index needs mode="raise",
+        # which would gather into a temporary copy of den first
+        np.take(q, k2[a:a + len(den)], axis=0, out=den, mode="clip")
+        np.subtract(one_minus_q, den, out=den)
+        yield a, den
+
+
+def _grown_ceiling(ceiling: np.ndarray, dmin) -> np.ndarray:
+    """The C ceilings of rows whose least survival probability outside
+    their killed points is dmin, after the transition: each times
+    (1 / dmin)^2 (1 + C_CEILING_MARGIN), and +inf where dmin is <= 0 or
+    nan."""
+    dmin = np.asarray(dmin, dtype=np.float64)
+    pos = dmin > 0
+    with np.errstate(over="ignore"):
+        inv = 1.0 / np.where(pos, dmin, 1.0)
+        return np.where(pos, ceiling * (inv * inv * (1.0 + C_CEILING_MARGIN)),
+                        math.inf)
+
+
 def advance_state(state: GuidanceState, q, L_row: np.ndarray,
-                  J: LatinRectangle) -> GuidanceState:
+                  J: LatinRectangle, out: Optional[np.ndarray] = None
+                  ) -> GuidanceState:
     """One transition of the state under the placed row.
 
     Surviving points in uncoloured rows are divided by their survival
-    probability 1 - q(rho_cs) - q(rho_ds); killed points drop to zero;
-    coloured rows stay frozen and are copied as they are.  Survivors can
-    only grow, since the divisor never exceeds 1.  A point with zero mass
-    stays at zero whatever its survival probability.  The new state
-    carries the killed symbols and survival probabilities as its
-    Transition.
+    probability 1 - q(rho_cs) - q(rho_ds) from survival_blocks; killed
+    points drop to zero; coloured rows stay frozen.  Survivors can only
+    grow, since the divisor never exceeds 1.  A point with zero mass stays
+    at zero whatever its survival probability.  The new state carries the
+    killed symbols as its Transition, and the old state's finite C
+    ceilings, each multiplied by its row's growth bound (see
+    C_CEILING_MARGIN).
+
+    The new p is written into out when it is given: an array of p's shape
+    and dtype, not p itself, that already holds p's rows below t (the
+    state before the previous step, say), so only row t is copied into it.
+    Without out the new p is a fresh array.
 
     The same code runs on float64 and on Fraction states; DEN_TOL applies
     to floats, Fractions are degenerate only at survival probability <= 0.
@@ -369,7 +477,8 @@ def advance_state(state: GuidanceState, q, L_row: np.ndarray,
     Raises:
         DegenerateDenominator: a surviving point has survival probability
             <= DEN_TOL (<= 0 for Fractions) under q, i.e. q places mass
-            >= 1 - DEN_TOL (>= 1) on its two projections.
+            >= 1 - DEN_TOL (>= 1) on its two projections; the first such
+            point in (row, column, symbol) order is named.
     """
     if state.stopped_at is not None:
         raise ValueError("cannot advance a stopped state")
@@ -378,39 +487,51 @@ def advance_state(state: GuidanceState, q, L_row: np.ndarray,
     if t >= m:
         raise ValueError(f"no row left to place at t={t}")
     p = state.p
-    new_p = np.empty_like(p)
-    new_p[:t + 1] = p[:t + 1]
+    if out is None:
+        out = np.empty_like(p)
+        out[:t] = p[:t]
+    out[t] = p[t]
     one = Fraction(1) if state.exact else 1.0
     tol = 0 if state.exact else DEN_TOL
     k2 = diag_column_map(J, t, t + 1)
     killed = _later_kills(L_row, k2)
-    p_sub = p[t + 1:]
-    # den is built in the gathered copy of q; it takes the dtype of 1 - q,
-    # so an integer q (a permutation matrix) still divides as floats
-    one_minus_q = one - q
-    den = q[k2, :].astype(one_minus_q.dtype, copy=False)
-    np.subtract(one_minus_q, den, out=den)
-    # the points with den <= tol, looked for only when some den is that low
-    # (or nan); divide by one there, so that a zero stays +0 instead of
-    # turning into -0 or nan; den keeps the raw values for the recorder's
-    # martingale residual
-    low = None if den.min(initial=math.inf) > tol else den <= tol
-    divisor = den if low is None else np.where(low, one, den)
-    new_sub = new_p[t + 1:]
-    np.divide(p_sub, divisor, out=new_sub)
-    np.put_along_axis(new_sub, killed, 0 * one, axis=2)
-    if low is not None:
-        # a low point is fine if it was killed or has p = 0; it kept p
-        # there, so what is still positive is a survivor
-        degenerate = low & (new_sub > 0)
-        if degenerate.any():
-            i, k, g = np.argwhere(degenerate)[0]
-            raise DegenerateDenominator(
-                f"surviving point ({int(i) + t + 1}, {int(k)}, {int(g)}) "
-                f"has survival probability {float(den[i, k, g]):.3e}"
-            )
-    return GuidanceState(shape=state.shape, t=t + 1, p=new_p,
-                         transition=Transition(t, killed, den))
+    ceiling = None if state.c_ceiling is None else state.c_ceiling.copy()
+    # rounding is monotone, so no computed den is below (1 - q_max) - q_max
+    # computed alike: when that clears tol, no block needs its minimum
+    q_max = np.max(q)
+    all_clear = (one - q_max) - q_max > tol
+    # row and column indices that pair with killed[a:b] to name its points
+    i_idx = np.arange(m)[:, None, None]
+    k_idx = np.arange(state.shape.n)[None, :, None]
+    for a, den in survival_blocks(q, k2, one):
+        lo, hi = t + 1 + a, t + 1 + a + len(den)
+        new = out[lo:hi]
+        kills = (i_idx[:len(den)], k_idx, killed[a:a + len(den)])
+        # the points with den <= tol, looked for only when some den is that
+        # low (or nan); divide by one there, so that a zero stays +0
+        # instead of turning into -0 or nan
+        low = (None if all_clear or den.min(initial=math.inf) > tol
+               else den <= tol)
+        np.divide(p[lo:hi], den if low is None else np.where(low, one, den),
+                  out=new)
+        new[kills] = 0 * one
+        if low is not None:
+            # a low point is fine if it was killed or has p = 0; it kept p
+            # there, so what is still positive is a survivor
+            degenerate = low & (new > 0)
+            if degenerate.any():
+                i, k, g = np.argwhere(degenerate)[0]
+                raise DegenerateDenominator(
+                    f"surviving point ({int(i) + lo}, {int(k)}, {int(g)}) "
+                    f"has survival probability {float(den[i, k, g]):.3e}")
+        if ceiling is not None and (ceiling[lo:hi] < math.inf).any():
+            # the block is spent: +inf at the killed points leaves each
+            # row's least survival probability outside its kills
+            den[kills] = math.inf
+            ceiling[lo:hi] = _grown_ceiling(ceiling[lo:hi],
+                                            den.min(axis=(1, 2)))
+    return GuidanceState(shape=state.shape, t=t + 1, p=out,
+                         transition=Transition(t, killed), c_ceiling=ceiling)
 
 
 @dataclass
@@ -472,6 +593,9 @@ def run_process(J: LatinRectangle, epsilon: Optional[float] = None,
         recorder = TrajectoryRecorder(J)
 
     state = init_state(shape, exact=exact)
+    # the new p of each step goes into the buffer the state does not use;
+    # it holds the state before the last step, whose frozen rows are final
+    spare = np.empty_like(state.p)
     grid = np.zeros((m, n), dtype=np.int64)
     etas = []
     outcome = None
@@ -487,7 +611,7 @@ def run_process(J: LatinRectangle, epsilon: Optional[float] = None,
             q, eta_used = build_fractional_matching(d)
             etas.append(eta_used)
             L_row = sample_matching_lazy(q, rng)
-            after = advance_state(state, q, L_row, J)
+            after = advance_state(state, q, L_row, J, out=spare)
         except tuple(ROW_FAILURES) as exc:
             outcome = ProcessOutcome(
                 kind="infeasible_row", time=t,
@@ -496,8 +620,8 @@ def run_process(J: LatinRectangle, epsilon: Optional[float] = None,
         grid[t] = L_row
         if recorder is not None:
             recorder.record_step(state, q, L_row, after, eta_used=eta_used)
-        after.transition = None  # as large as p[t + 1:]; do not carry it on
-        state = after
+        after.transition = None  # needed by the recorder only
+        spare, state = state.p, after
 
     if outcome is None:
         L = LatinRectangle(shape, grid)

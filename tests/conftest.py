@@ -1,8 +1,11 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from orthomate import LatinRectangle
 from orthomate.baselines import random_latin_rectangle
+from orthomate.process import diag_column_map, survival_blocks
 
 
 @pytest.fixture
@@ -19,3 +22,15 @@ def z2():
 
 def random_rect(n, m, seed):
     return random_latin_rectangle(n, m, np.random.default_rng(seed))
+
+
+def survival(q, J, t, exact=False):
+    """The survival probabilities of the rows > t when row t is placed
+    under q, all blocks of process.survival_blocks in one array."""
+    k2 = diag_column_map(J, t, t + 1)
+    one = Fraction(1) if exact else 1.0
+    dtype = (one - np.asarray(q)).dtype
+    den = np.empty(k2.shape + (k2.shape[1],), dtype=dtype)
+    for a, block in survival_blocks(q, k2, one):
+        den[a:a + len(block)] = block
+    return den

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -96,9 +97,12 @@ class TestBacktrack:
 
     def test_depth_beyond_the_recursion_limit(self):
         # one frame per cell: a single row wider than the recursion limit
+        # fails before the search descends, not at the bottom of it
         J = LatinRectangle.cyclic(sys.getrecursionlimit(), 1)
+        t0 = time.perf_counter()
         with pytest.raises(LimitExceeded, match="search depth"):
             backtrack_mate(J)
+        assert time.perf_counter() - t0 < 0.05
 
     def test_deterministic(self, z3):
         a = backtrack_mate(z3)

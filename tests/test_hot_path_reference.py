@@ -57,7 +57,7 @@ from orthomate.matching import (
 )
 from orthomate.process import gamma_bounds
 
-from conftest import random_rect
+from conftest import random_rect, survival
 
 
 # --------------------------------------------------------------- references
@@ -248,7 +248,8 @@ class RecorderReference(TrajectoryRecorder):
             top2 = np.sort(kc_rc, axis=1)[:, -2:]
             c_kills_max = int(top2.sum(axis=1).max())
             kills_total = int(killed.sum())
-            den = np.asarray(tr.den, dtype=np.float64)
+            den = np.asarray(survival(q_row, self.J, t, before.exact),
+                             dtype=np.float64)
             pb = p_before[t + 1:]
             pos = den > 0
             survive_val = np.where(killed, pb / np.where(pos, den, 1.0), pa)
@@ -343,15 +344,28 @@ def outcome(fn, *args):
         return f"raised: {exc}"
 
 
+def spare_for(state):
+    """A buffer holding the state's rows below t, as run_process's spare
+    does, and junk in the rows advance_state must write."""
+    spare = np.empty_like(state.p)
+    spare[:state.t] = state.p[:state.t]
+    spare[state.t:] = Fraction(7) if state.exact else math.nan
+    return spare
+
+
 def assert_same_advance(state, q, L_row, J):
-    got = outcome(advance_state, state, q, L_row, J)
+    """advance_state, into a fresh array and into a spare buffer, against
+    advance_reference: the same p, or the same DegenerateDenominator."""
     want = outcome(advance_reference, state, q, L_row, J)
-    if isinstance(want, str):
-        assert got == want
-    else:
-        assert not isinstance(got, str), got
-        assert got.t == want.t
-        assert same_array(got.p, want.p)
+    for got in (outcome(advance_state, state, q, L_row, J),
+                outcome(lambda *a: advance_state(*a, out=spare_for(state)),
+                        state, q, L_row, J)):
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert not isinstance(got, str), got
+            assert got.t == want.t
+            assert same_array(got.p, want.p)
 
 
 # ----------------------------------------------------------------- matching
@@ -576,6 +590,39 @@ class TestAdvanceReference:
         J, state, q, L_row = evolved(8, 3, 2, seed=1)
         assert_same_advance(state, q, L_row, J)
 
+    @pytest.mark.parametrize("n, m, exact", [(32, 16, False), (48, 24, False),
+                                             (7, 4, True)])
+    def test_alternating_buffers_over_whole_runs(self, n, m, exact):
+        # run_process's two buffers: each step writes into the one the
+        # state before the last step used, and must equal the reference
+        J = random_rect(n, m, n)
+        state = init_state(J.shape, exact=exact)
+        spare = np.empty_like(state.p)
+        rng = np.random.default_rng(n)
+        for t in range(m):
+            q, _ = build_fractional_matching(normalize_row(state, t))
+            L_row = sample_matching_lazy(q, rng)
+            want = advance_reference(state, q, L_row, J)
+            got = advance_state(state, q, L_row, J, out=spare)
+            assert got.p is spare
+            assert same_array(got.p, want.p)
+            spare, state = state.p, got
+        assert state.t == m
+
+    def test_no_state_sized_temporary(self):
+        # the survival probabilities live in one block-sized buffer and the
+        # new p goes into the spare, so a step allocates a small fraction
+        # of p (a fresh p and a whole den would be twice its size)
+        J, state, q, L_row = evolved(128, 64, 20, seed=0)
+        spare = spare_for(state)
+        tracemalloc.start()
+        try:
+            advance_state(state, q, L_row, J, out=spare)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < state.p.nbytes / 8
+
 
 # -------------------------------------------------------------------- gamma
 
@@ -689,6 +736,95 @@ class TestGammaReference:
             assert not c_hits
         assert screened_rows(spot, 0.5)[i - spot.t]
 
+    @pytest.mark.parametrize("n, m, exact", [(16, 8, False), (8, 4, True)])
+    @pytest.mark.parametrize("ceiling_above", [False, True])
+    @pytest.mark.parametrize("pair_above", [False, True])
+    def test_ceiling_at_the_skip_threshold(self, monkeypatch, n, m, exact,
+                                           ceiling_above, pair_above):
+        # the row of test_cauchy_schwarz_equality, which the Cauchy-Schwarz
+        # screen keeps, with its ceiling set by hand at the skip threshold
+        # or the next float above: the row is multiplied only above it
+        state = evolved(n, m, 1, seed=n, exact=exact)[1]
+        c_bound = gamma_bounds(n, 0.5)[3]
+        x = np.nextafter(2 * c_bound, 1.0) if pair_above else 2 * c_bound
+        p = state.p.copy()
+        i, k, l, g = m - 1, 1, n - 2, 3
+        p[i] = 0 * p[i]
+        p[i, k, g] = Fraction(x) if exact else x
+        p[i, l, g] = Fraction(1, 2) if exact else 0.5
+        threshold = c_bound * (1.0 - process.C_CEILING_MARGIN)
+        ceiling = np.full(m, math.inf)
+        ceiling[i] = np.nextafter(threshold, 1.0) if ceiling_above else threshold
+        spot = GuidanceState(shape=state.shape, t=state.t, p=p,
+                             c_ceiling=ceiling)
+        assert screened_rows(spot, 0.5)[i - spot.t]
+        multiplied = []
+        pair_sums = process.pair_sums
+        monkeypatch.setattr(process, "pair_sums",
+                            lambda row: multiplied.append(row.copy())
+                            or pair_sums(row))
+        got = check_gamma(spot, 0.5)
+        row_i = [row for row in multiplied
+                 if same_array(row, process.uncoloured_rows(spot)[i - spot.t])]
+        want = gamma_reference(spot, 0.5)
+        if ceiling_above:
+            assert row_i and got == want
+            # the product sets the ceiling, above c_bound when C breaks
+            assert spot.c_ceiling[i] == float(c_bound if not pair_above
+                                              else np.nextafter(c_bound, 1.0)
+                                              ) * (1 + process.C_CEILING_MARGIN)
+        else:
+            # the ceiling is trusted and the row is not multiplied: a pair
+            # sum at c_bound breaks nothing, so the report is the
+            # reference's; one a float above goes unreported
+            assert not row_i and spot.c_ceiling[i] == threshold
+            hidden = [v for v in want.violations
+                      if v.ineq == "C_ikl" and v.location[0] == i]
+            assert len(hidden) == (2 if pair_above else 0)
+            assert got.violations == tuple(v for v in want.violations
+                                           if v not in hidden)
+
+    @pytest.mark.parametrize("n, m, exact, x, y", [
+        (16, 8, False, 0.5253080956801089, 0.15423279937722625),
+        (8, 4, True, 0.5253080956801089, 0.23225570201143575)])
+    def test_ceiling_covers_the_rounding_of_a_step(self, n, m, exact, x, y):
+        # lines k and l of a later row share symbol g with p = x and y;
+        # lines a and b sit alone on their own symbols, so the screen keeps
+        # the row, and its product sets the ceiling.  Under a uniform q
+        # every survival probability is d, and x y / d^2 rounds to just
+        # above c_bound, while the ceiling carried without its margin,
+        # fl(fl(x y) (1 / d)^2), stays at or below c_bound: only the
+        # margin keeps the row from being skipped with a C violation
+        J, state, _, _ = evolved(n, m, 1, seed=n, exact=exact)
+        t, i = state.t, m - 1
+        k, l, a, b, g, g1, g2 = 1, 2, 3, 4, 0, 1, 2
+        one = Fraction(1) if exact else 1.0
+        p = state.p.copy()
+        p[i] = 0 * one
+        p[i, k, g], p[i, l, g] = (Fraction(x), Fraction(y)) if exact else (x, y)
+        p[i, a, g1] = p[i, b, g2] = one / 2
+        spot = GuidanceState(shape=state.shape, t=t, p=p,
+                             c_ceiling=np.full(m, math.inf))
+        assert check_gamma(spot, 0.5) == gamma_reference(spot, 0.5)
+        assert spot.c_ceiling[i] < math.inf
+
+        q = np.full((n, n), one / n, dtype=p.dtype)
+        k2 = process.diag_column_map(J, t, t + 1)[i - t - 1]
+        rng = np.random.default_rng(n)
+        while True:  # a placed row that kills neither (i, k, g) nor (i, l, g)
+            L_row = rng.permutation(n)
+            if g not in L_row[[k, l, k2[k], k2[l]]]:
+                break
+        after = advance_state(spot, q, L_row, J)
+        c_bound = gamma_bounds(n, 0.5)[3]
+        d = float((one - one / n) - one / n)
+        new_pair = float(after.p[i, k, g]) * float(after.p[i, l, g])
+        assert new_pair > c_bound >= (x * y) * ((1.0 / d) * (1.0 / d))
+        got = check_gamma(after, 0.5)
+        assert got == gamma_reference(after, 0.5)
+        assert ("C_ikl", (i, k, l)) in [(v.ineq, v.location)
+                                        for v in got.violations]
+
     def test_one_large_line(self):
         # row i has one large line and tiny others: the two largest norms
         # multiply to less than c_bound^2 and the row is skipped; row j has
@@ -742,14 +878,19 @@ class TestGammaReference:
 
     def test_guided_runs(self, monkeypatch):
         # every check of unrecorded guided runs, whose rows sit on both
-        # sides of the screen; the runs end on C
+        # sides of the screen and of the C ceiling; the runs end on C
         check = process.check_gamma
-        kept, exits = [], []
+        kept, exits, by_ceiling = [], [], []
 
         def checked_gamma(state, epsilon, **kwargs):
+            c_bound = gamma_bounds(state.shape.n, epsilon)[3]
+            cleared = state.c_ceiling[state.t:] <= c_bound * (
+                1.0 - process.C_CEILING_MARGIN)
+            screened = screened_rows(state, epsilon)
             got = check(state, epsilon, **kwargs)
             assert got == gamma_reference(state, epsilon)
-            kept.extend(screened_rows(state, epsilon))
+            kept.extend(screened)
+            by_ceiling.extend(cleared & screened)
             return got
 
         monkeypatch.setattr(process, "check_gamma", checked_gamma)
@@ -759,6 +900,8 @@ class TestGammaReference:
                               config=ProcessConfig(record_trajectory=False))
             exits.append(out.gamma_report)
         assert any(kept) and not all(kept)
+        # rows the screen keeps and the ceiling clears
+        assert sum(by_ceiling) > 0
         assert any(rep is not None and any(v.ineq == "C_ikl"
                                            for v in rep.violations)
                    for rep in exits)
@@ -896,13 +1039,15 @@ class TestRecorderReference:
         q = np.zeros((n, n), dtype=np.int64)
         q[np.arange(n), perm] = 1
         after = advance_state(state, q, perm, J)
-        assert (after.transition.den <= 0).any()
+        assert (survival(q, J, steps, exact) <= 0).any()
         assert_same_record(rec.record_step(state, q, perm, after),
                            ref.record_step(state, q, perm, after))
 
     def test_no_gram_tensor_in_the_record(self):
-        # the pair sums are taken one row at a time: beside its one work
-        # array the record holds no (rows, n, n) Gram tensor of the rows > t
+        # the pair sums are taken one row at a time, and the survival
+        # probabilities and the work array of the other passes a block of
+        # rows at a time: the record holds no (rows, n, n) Gram tensor, den
+        # or work array of the rows > t
         n, m, t = 128, 64, 20
         J, state, q, L_row = evolved(n, m, t, seed=0)
         after = advance_state(state, q, L_row, J)
@@ -913,4 +1058,4 @@ class TestRecorderReference:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * rows.nbytes
+        assert peak < rows.nbytes / 2

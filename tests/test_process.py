@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -32,7 +33,7 @@ from orthomate import (
 from orthomate.core import LineId
 from orthomate.process import gamma_bounds
 
-from conftest import random_rect
+from conftest import random_rect, survival
 
 
 class TestInitState:
@@ -536,8 +537,8 @@ class TestEpsilon:
 
 
 class TestTransition:
-    """advance_state hands the recorder its killed symbols and
-    denominators."""
+    """advance_state hands the recorder its killed symbols; the survival
+    probabilities both divide by come from process.survival_blocks."""
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_killed_matches_kill_mask_on_every_row(self, exact):
@@ -551,9 +552,10 @@ class TestTransition:
             tr = after.transition
             assert tr.t == t
             assert tr.killed.shape == (3 - t, 6, 2)
-            assert tr.den.shape == (3 - t, 6, 6)
+            den = survival(q, J, t, exact)
+            assert den.shape == (3 - t, 6, 6)
             assert (tr.killed[:, :, 0] != tr.killed[:, :, 1]).all()
-            mask = np.zeros(tr.den.shape, dtype=bool)
+            mask = np.zeros(den.shape, dtype=bool)
             np.put_along_axis(mask, tr.killed, True, axis=2)
             assert (mask == kill_mask(L_row, t, J, J.shape)[t + 1:]).all()
             state = after
@@ -591,10 +593,11 @@ class TestTransition:
         q = np.zeros((3, 3))
         q[np.arange(3), [0, 1, 2]] = 1.0
         after = advance_state(state, q, np.array([0, 1, 2]), z3)
+        assert after.t == 1
         from orthomate.process import diag_column_map
         expected = 1.0 - q[None, :, :] - q[diag_column_map(z3, 0, 1), :]
         assert (expected <= 0).any()
-        assert (after.transition.den == expected).all()
+        assert (survival(q, z3, 0) == expected).all()
 
     @pytest.mark.parametrize("n, m, seed, record", [
         (8, 4, 2, True), (8, 4, 2, False), (32, 16, 0, False)])
@@ -603,6 +606,23 @@ class TestTransition:
         out = run_process(J, seed=seed,
                           config=ProcessConfig(record_trajectory=record))
         assert out.final_state.transition is None
+
+    @pytest.mark.parametrize("record, bound", [(False, 2.75), (True, 3.5)])
+    def test_run_peak(self, record, bound):
+        # the two state buffers, Gamma's line sums and the flow's network;
+        # the recorder works a block of rows at a time: no step allocates a
+        # fresh p, or the survival probabilities or a work array of all rows
+        cfg = ProcessConfig(record_trajectory=record)
+        run_process(random_rect(16, 8, 0), epsilon=0.5, config=cfg)  # imports
+        J = random_rect(128, 64, 0)
+        tracemalloc.start()
+        try:
+            out = run_process(J, epsilon=0.5, seed=0, config=cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.time is None or out.time > 8
+        assert peak < bound * out.final_state.p.nbytes
 
     def test_recorder_needs_the_transition(self):
         from orthomate import TrajectoryRecorder
