@@ -25,11 +25,11 @@ scale = math.log(n) / math.sqrt(n)
 print(f"n={n} m={m}: outcome = {outcome.kind} at t = {outcome.time}")
 print(f"log n / sqrt n = {scale:.3f}\n")
 
-print("  t   |B-1| max   n*C - 1    p max    kills/line")
+print("  t   |B-1| max   n*C - 1    p max    fresh kills")
 for r in outcome.trajectory.records:
     b_dev = max(abs(r.b_min - 1), abs(r.b_max - 1))
     print(f"{r.t:>3}   {b_dev:>8.3f}   {r.c_max * n - 1:>8.3f}"
-          f"   {r.p_max:>7.4f}   {r.kills_line_max:>5}")
+          f"   {r.p_max:>7.4f}   {r.fresh_kills:>7}")
 
 if outcome.gamma_report is not None:
     v = outcome.gamma_report.violations[0]

@@ -40,7 +40,6 @@ from .process import (
     ProcessConfig,
     ProcessOutcome,
     RowAlreadyColoured,
-    Transition,
     advance_state,
     central_projections,
     check_gamma,

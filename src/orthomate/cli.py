@@ -42,7 +42,7 @@ from . import __version__
 from .process import ProcessConfig, check_arithmetic, check_epsilon, \
     run_process
 
-TRIALS_SCHEMA = "orthomate-trials-v2"
+TRIALS_SCHEMA = "orthomate-trials-v3"
 
 #: exit code of ``trials`` when a pool worker died (killed, crashed)
 EXIT_WORKER_DIED = 3
@@ -60,7 +60,7 @@ NODE_LIMIT = 2_000_000
 #: values of a run that recorded no step
 SUMMARY_DEFAULTS = dict(eta_max_used=math.nan, eta_mean_used=math.nan,
                         b_rel_dev_max=math.nan, c_rel_dev_max=math.nan,
-                        p_max=math.nan, kills_line_max=0)
+                        p_max=math.nan)
 
 
 @dataclass
@@ -81,7 +81,10 @@ class TrialRecord:
     b_rel_dev_max: float
     c_rel_dev_max: float
     p_max: float
-    kills_line_max: int
+    # a gamma_exit's first violation (A, B or C, location, margin), else ""
+    violation_family: str
+    violation_location: str
+    violation_margin: object
     wall_time_s: float
 
 
@@ -311,7 +314,7 @@ def run_single_trial(packed) -> TrialRecord:
     (trial, seed, n, m, epsilon, algorithm, cfg_json) = packed
     t0 = time.perf_counter()
     J = random_latin_rectangle(n, m, np.random.default_rng(seed))
-    summary = SUMMARY_DEFAULTS
+    summary, first = SUMMARY_DEFAULTS, None
     if algorithm == "guided":
         res = run_process(J, epsilon=epsilon, seed=seed,
                           config=ProcessConfig.from_json(cfg_json))
@@ -320,6 +323,8 @@ def run_single_trial(packed) -> TrialRecord:
         if res.trajectory is not None and res.trajectory.records:
             summ = summarize(res.trajectory, exit_time=res.time)
             summary = {k: getattr(summ, k) for k in SUMMARY_DEFAULTS}
+        if res.gamma_report is not None:
+            first = res.gamma_report.violations[0]
     else:
         mate, kind, detail = _run_baseline(J, algorithm, seed, NODE_LIMIT)
         exit_time = ""
@@ -329,7 +334,10 @@ def run_single_trial(packed) -> TrialRecord:
     return TrialRecord(
         trial=trial, seed=seed, n=n, m=m, epsilon=epsilon,
         algorithm=algorithm, outcome=kind, exit_time=exit_time,
-        detail=detail, **summary, wall_time_s=wall,
+        detail=detail, **summary,
+        violation_family=first.ineq[0] if first else "",
+        violation_location=" ".join(map(str, first.location)) if first else "",
+        violation_margin=first.margin if first else "", wall_time_s=wall,
     )
 
 

@@ -2,19 +2,21 @@
 
 Per step this records: the extremes of the local line sums (B statistic),
 the largest quasi-random pair sum (C statistic), the largest state entry
-(A statistic), kill counts per local line and per C sum, the martingale
-residual of the transition, and step deviations of the tracked sums from
-their conditional expectations.
+(A statistic), the fresh kills (points of positive mass the step zeroes),
+the martingale residual of the transition, and step deviations of the
+tracked sums from their conditional expectations.
 
-Kill counts obey structural bounds (at most 2 per local line, 4 per C sum);
-the deviation and drift numbers are reported against the log n / sqrt n
-scale, never enforced, since their theoretical counterparts are asymptotic.
-A stopped run is recorded only up to its exit: one record per placed row,
-none for the row where run_process stopped (a Gamma exit or an infeasible
-row) or for any row after it.
+Kill counts per local line and per C sum are constants of the kill rule
+(KILLS_PER_LINE, KILLS_PER_C_SUM) and are not recorded.  The deviation and
+drift numbers are reported against the log n / sqrt n scale, never
+enforced, since their theoretical counterparts are asymptotic.  A stopped
+run is recorded only up to its exit: one record per placed row, none for
+the row where run_process stopped (a Gamma exit or an infeasible row) or
+for any row after it.
 
-Kills come from the step's Transition.  The largest pair sum is taken row
-by row with process.pair_sums, the function check_gamma uses for the rows
+Everything is taken from (before, q, L_row, after): the kills from
+process.later_kills, as the transition takes them, and the largest pair
+sum row by row from process.pair_sums, as check_gamma takes it for the rows
 its screens keep, so no (rows, n, n) Gram tensor is built.
 
 The martingale residual over all rows > t takes the survival probabilities
@@ -23,7 +25,7 @@ rows at a time: the record holds no (rows, n, n) array of them, and the
 residual sees the rounding of the division.  A spot check at a fixed sample
 of points (min(n, TRACKED_LINES) per row > t) recomputes the survival
 probability from q and J with its own code and the kill rule from the
-placed row, without the Transition, and folds its residual into the same
+placed row, without later_kills, and folds its residual into the same
 number: a transition that divides by a wrong survival probability or kills
 the wrong points shows there.  On a correct transition each sampled value
 equals the full pass's value at that point, so the record does not move.
@@ -46,18 +48,24 @@ from typing import Optional
 import numpy as np
 
 from .core import LatinRectangle, OrthomateError
-from .process import (GuidanceState, diag_column_map, pair_sums,
-                      survival_blocks)
+from .process import (GuidanceState, diag_column_map, later_kills,
+                      pair_sums, survival_blocks)
 
 
 class EmptyTrajectory(OrthomateError):
     """summarize() needs at least one recorded step."""
 
 
-CSV_SCHEMA = "orthomate-trajectory-v3"
+CSV_SCHEMA = "orthomate-trajectory-v4"
 
 #: sample size of the spot check and of the tracked C sums
 TRACKED_LINES = 64
+
+#: kills per local line of a later row, as the placed row is a permutation
+KILLS_PER_LINE = 2
+
+#: kills per C sum at most: those of its two column/symbol lines
+KILLS_PER_C_SUM = 4
 
 
 @dataclass(frozen=True)
@@ -67,10 +75,8 @@ class StepRecord:
     b_max: float
     c_max: float
     p_max: float
-    kills_this_step: int
+    fresh_kills: int          # points with p > 0 that the step zeroes
     eta_used: float
-    kills_line_max: int
-    c_kills_max: int
     martingale_residual: float
     b_dev_max: float
     c_dev_max: float
@@ -119,11 +125,9 @@ class SummaryReport:
     p_max: float
     phi_scale: float          # log n / sqrt n reference scale
     growth_max: float         # largest one-step survivor ratio observed
-    kills_line_max: int
-    c_kills_max: int
     martingale_residual_max: float
-    xi_b_empirical: float     # kills * max-term / X0 + growth excess, X0 = 1
-    xi_c_empirical: float     # same for the C sums, X0 = 1/n
+    xi_b_empirical: float     # KILLS_PER_LINE * max-term + growth excess
+    xi_c_empirical: float     # same, KILLS_PER_C_SUM on C sums, X0 = 1/n
     drift_c_cumulative: float
     eta_max_used: float
     eta_mean_used: float
@@ -155,17 +159,13 @@ class TrajectoryRecorder:
                     ) -> StepRecord:
         """Record the transition before -> after under (q_row, L_row).
 
-        after must still carry the Transition advance_state gave it.  The
-        line sums and pair sums of the rows > t are taken here, one row's
-        pair sums at a time, and the passes that need the survival
-        probabilities or a work array one block of rows at a time.  Steps
-        of one run are recorded in order.
+        The line sums and pair sums of the rows > t are taken here, one
+        row's pair sums at a time, and the passes that need the survival
+        probabilities, the kills or a work array one block of rows at a
+        time.  Steps of one run are recorded in order.
         """
         m, n = self.m, self.n
         t = before.t
-        tr = after.transition
-        if tr is None or tr.t != t:
-            raise ValueError(f"after carries no transition from step {t}")
         q_raw = np.asarray(q_row)
         q = np.asarray(q_raw, dtype=np.float64)
         p_before = np.asarray(before.p, dtype=np.float64)
@@ -173,7 +173,7 @@ class TrajectoryRecorder:
         L_row = np.asarray(L_row, dtype=np.int64)
 
         b_min = b_max = c_max = math.nan
-        kills_line_max = c_kills_max = kills_total = 0
+        fresh_kills = 0
         mart_res, growth_max, b_dev_max = 0.0, 1.0, 0.0
         pa = p_after[t + 1:]
         if t + 1 < m:
@@ -184,29 +184,15 @@ class TrajectoryRecorder:
             # np.max, not max(): a nan row maximum must reach c_max
             c_max = float(np.max([pair_sums(row).max() for row in pa]))
 
-            # kill counts per local line and the pairwise C bound, from the
-            # flat indices (i * n + k) * n + g of the killed points, each
-            # once, as the two symbols of a cell differ; nothing below
-            # depends on their order
-            rows = m - t - 1
-            cells = np.arange(0, rows * n * n, n, dtype=np.int64)
-            hit = (cells.reshape(rows, n, 1) + tr.killed).reshape(-1)
-            kills_total = hit.size
-            kc_rc = np.bincount(hit // n, minlength=rows * n).reshape(rows, n)
-            kc_rs = np.bincount(hit // (n * n) * n + hit % n,
-                                minlength=rows * n).reshape(rows, n)
-            kills_line_max = int(max(kc_rc.max(), kc_rs.max()))
-            top2 = np.sort(kc_rc, axis=1)[:, -2:]
-            c_kills_max = int(top2.sum(axis=1).max())
-
-            # the martingale residual, the largest survivor ratio p' / p
-            # and the line sums of p' - p, a block of rows at a time, with
-            # the block's survival probabilities and one block-sized work
-            # array
+            # the fresh kills, the martingale residual, the largest
+            # survivor ratio p' / p and the line sums of p' - p, a block of
+            # rows at a time, with the block's survival probabilities and
+            # one block-sized work array
             pb = p_before[t + 1:]
             one = Fraction(1) if before.exact else 1.0
             k2 = diag_column_map(self.J, t, t + 1)
-            i_idx = np.arange(rows)[:, None, None]
+            killed = later_kills(L_row, k2)
+            i_idx = np.arange(m - t - 1)[:, None, None]
             k_idx = np.arange(n)[None, :, None]
             work = None
             mart, ratios, dev_rc, dev_rs = [], [], [], []
@@ -215,7 +201,8 @@ class TrajectoryRecorder:
                 if work is None:
                     work = np.empty(den.shape)
                 buf = work[:len(den)]
-                kills = (i_idx[:len(den)], k_idx, tr.killed[blk])
+                kills = (i_idx[:len(den)], k_idx, killed[blk])
+                fresh_kills += int(np.count_nonzero(pb[blk][kills] > 0))
                 mart.append(self._martingale_residual(
                     np.asarray(den, dtype=np.float64), pb[blk], pa[blk],
                     kills, buf))
@@ -253,8 +240,7 @@ class TrajectoryRecorder:
 
         rec = StepRecord(
             t=t, b_min=b_min, b_max=b_max, c_max=c_max, p_max=p_max,
-            kills_this_step=kills_total, eta_used=float(eta_used),
-            kills_line_max=kills_line_max, c_kills_max=c_kills_max,
+            fresh_kills=fresh_kills, eta_used=float(eta_used),
             martingale_residual=mart_res, b_dev_max=b_dev_max,
             c_dev_max=c_dev_max, growth_max=growth_max,
         )
@@ -283,7 +269,7 @@ class TrajectoryRecorder:
 
     def _spot_residual(self, before, q, L_row, pb, pa) -> np.ndarray:
         """The martingale residual at the sample points, independent of the
-        Transition.
+        transition's kill and survival code.
 
         In every row i > t the points (i, j, (i + j) mod n) for the columns
         j in self.lines are checked: their survival probability
@@ -316,8 +302,9 @@ class TrajectoryRecorder:
         kill indicators can only coincide when one point's diagonal crosses
         the other's column on the active row, in which case the shared
         projection point's q mass is the joint probability.  All triples in
-        rows > t are evaluated at once; each pair sum is a dot product of
-        two state lines, and the drift is accumulated in triple order.
+        rows > t are evaluated at once; each pair sum is the numpy sum of
+        the products of two state lines, whose order depends on no BLAS
+        kernel, and the drift is accumulated in triple order.
         """
         i, k, l = self.triples
         live = (i > t) & (k != l)
@@ -326,9 +313,8 @@ class TrajectoryRecorder:
         inv_t = self.Jinv[t]
         pk = p_before[i, k, :]
         pl = p_before[i, l, :]
-        x_now = np.matmul(pk[:, None, :], pl[:, :, None])[:, 0, 0]
-        x_next = np.matmul(p_after[i, k, None, :],
-                           p_after[i, l, :, None])[:, 0, 0]
+        x_now = (pk * pl).sum(axis=1)
+        x_next = (p_after[i, k, :] * p_after[i, l, :]).sum(axis=1)
         k2k = inv_t[grid[i, k]]
         k2l = inv_t[grid[i, l]]
         rk = q[k, :] + q[k2k, :]
@@ -369,18 +355,15 @@ def summarize(stats: TrajectoryStats, exit_time: Optional[int] = None
     c_rel = max((r.c_max * n - 1.0 for r in b_vals), default=0.0)
     p_max = max(r.p_max for r in recs)
     growth_excess = max(r.growth_max - 1.0 for r in recs)
-    kills_line = max(r.kills_line_max for r in recs)
-    c_kills = max(r.c_kills_max for r in recs)
     etas = [r.eta_used for r in recs if not math.isnan(r.eta_used)]
     phi = math.log(n) / math.sqrt(n) if n > 1 else 0.0
     return SummaryReport(
         n=n, m=stats.m, steps_executed=len(recs), exit_time=exit_time,
         b_rel_dev_max=b_rel, c_rel_dev_max=c_rel, p_max=p_max, phi_scale=phi,
         growth_max=growth_excess + 1.0,
-        kills_line_max=kills_line, c_kills_max=c_kills,
         martingale_residual_max=max(r.martingale_residual for r in recs),
-        xi_b_empirical=kills_line * p_max + growth_excess,
-        xi_c_empirical=c_kills * p_max ** 2 * n + growth_excess * 2.0,
+        xi_b_empirical=KILLS_PER_LINE * p_max + growth_excess,
+        xi_c_empirical=KILLS_PER_C_SUM * p_max ** 2 * n + growth_excess * 2.0,
         drift_c_cumulative=stats.drift_c_cumulative,
         eta_max_used=max(etas, default=math.nan),
         eta_mean_used=sum(etas) / len(etas) if etas else math.nan,

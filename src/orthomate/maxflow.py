@@ -64,6 +64,26 @@ class _Net:
         return eid
 
 
+def _push(net: _Net, level, it, snk: int, tol, u: int, limit):
+    """The flow of one augmenting path from u, depth first in the level
+    graph; not a closure, which would hold itself and net in a cycle."""
+    if u == snk:
+        return limit
+    while it[u] < len(net.head[u]):
+        eid = net.head[u][it[u]]
+        v = net.to[eid]
+        if net.cap[eid] > tol and level[v] == level[u] + 1:
+            got = _push(net, level, it, snk, tol, v,
+                        min(limit, net.cap[eid]))
+            if got > tol:
+                net.cap[eid] -= got
+                net.cap[eid ^ 1] += got
+                return got
+        it[u] += 1
+    level[u] = -1
+    return 0
+
+
 def _dinic(net: _Net, src: int, snk: int, tol):
     """Blocking-flow phases until no augmenting path of residual > tol remains."""
     n_nodes = len(net.head)
@@ -81,25 +101,8 @@ def _dinic(net: _Net, src: int, snk: int, tol):
         if level[snk] < 0:
             return total
         it = [0] * n_nodes
-
-        def push(u, limit):
-            if u == snk:
-                return limit
-            while it[u] < len(net.head[u]):
-                eid = net.head[u][it[u]]
-                v = net.to[eid]
-                if net.cap[eid] > tol and level[v] == level[u] + 1:
-                    got = push(v, min(limit, net.cap[eid]))
-                    if got > tol:
-                        net.cap[eid] -= got
-                        net.cap[eid ^ 1] += got
-                        return got
-                it[u] += 1
-            level[u] = -1
-            return 0
-
         while True:
-            pushed = push(src, float("inf"))
+            pushed = _push(net, level, it, snk, tol, src, float("inf"))
             if pushed <= tol:
                 break
             total = total + pushed

@@ -29,9 +29,10 @@ construction: killed points have p = 0, get weight 0 in every later q, and
 thus never appear in a sampled row.
 
 The survival probabilities of a step are produced by survival_blocks, a
-few rows at a time in one reused buffer; the transition and the recorder's
-martingale residual both read them from there, so no step holds them for
-all rows at once.  run_process owns two (m, n, n) buffers and writes each
+few rows at a time in one reused buffer, and the killed symbols by
+later_kills; the transition and the recorder's martingale residual both
+read them from there, so no step holds the probabilities for all rows at
+once.  run_process owns two (m, n, n) buffers and writes each
 new p into the one the old state is not using.  Each state also carries a
 per-row ceiling on its largest C pair sum: check_gamma sets it from the
 pair sums it computes, the transition multiplies it by the row's growth
@@ -169,22 +170,6 @@ class ProcessConfig:
         return cls(**obj)
 
 
-@dataclass(frozen=True)
-class Transition:
-    """The killed symbols of the rows > t, as advance_state computed them
-    placing row t.
-
-    killed[i, k] holds the two symbols that die in cell (t + 1 + i, k).
-    They differ: the two projections lie in different columns of row t
-    (see central_projections), and the placed row is a permutation.  The
-    survival probabilities are not kept: survival_blocks gives them again,
-    block by block, from q and J.
-    """
-
-    t: int
-    killed: np.ndarray  # (m - t - 1, n, 2) int64
-
-
 @dataclass
 class GuidanceState:
     """The vector p at time t, plus stopping bookkeeping.
@@ -192,8 +177,6 @@ class GuidanceState:
     p has shape (m, n, n) indexed [row, col, sym].  Rows below t are frozen;
     entries killed at earlier times are exactly zero.  A point's colouring
     time is simply its row index: row i is placed at step t = i.
-    advance_state attaches the Transition that led to the state;
-    run_process drops it once the step is recorded.
 
     c_ceiling, when not None, is an (m,) float64 array: c_ceiling[i] is an
     upper bound on the largest pair sum of row i (see C_CEILING_MARGIN),
@@ -208,7 +191,6 @@ class GuidanceState:
     t: int
     p: np.ndarray
     stopped_at: Optional[int] = None
-    transition: Optional[Transition] = None
     c_ceiling: Optional[np.ndarray] = None
 
     @property
@@ -387,7 +369,7 @@ def kill_mask(L_row: np.ndarray, t: int, J: LatinRectangle,
     A point x in a later row dies iff the placed row occupies the point of
     x's column/symbol line or of x's diagonal/symbol line on row t.  Per
     local line of a later row this kills at most 2 points; rows <= t are
-    all False.  The dense form of Transition.killed, kept as its oracle.
+    all False.  The dense form of later_kills, kept as its oracle.
     """
     m, n = shape.m, shape.n
     L_row = np.asarray(L_row, dtype=np.int64)
@@ -399,13 +381,14 @@ def kill_mask(L_row: np.ndarray, t: int, J: LatinRectangle,
     return killed
 
 
-def _later_kills(L_row: np.ndarray, k2: np.ndarray) -> np.ndarray:
+def later_kills(L_row: np.ndarray, k2: np.ndarray) -> np.ndarray:
     """The two killed symbols of each cell of the rows whose diagonal
     column map is k2, as an (rows, n, 2) int64 array.
 
     Point (i, k, g) dies iff g = L_row[k] (its column/symbol line meets the
     placed cell (t, k)) or g = L_row[k2[i, k]] (its diagonal/symbol line
-    meets the placed cell on its diagonal).
+    meets the placed cell on its diagonal).  The two symbols differ, as L_row
+    is a permutation and k2[i, k] != k (see central_projections).
     """
     L_row = np.asarray(L_row, dtype=np.int64)
     killed = np.empty(k2.shape + (2,), dtype=np.int64)
@@ -461,8 +444,8 @@ def advance_state(state: GuidanceState, q, L_row: np.ndarray,
     probability 1 - q(rho_cs) - q(rho_ds) from survival_blocks; killed
     points drop to zero; coloured rows stay frozen.  Survivors can only
     grow, since the divisor never exceeds 1.  A point with zero mass stays
-    at zero whatever its survival probability.  The new state carries the
-    killed symbols as its Transition, and the old state's finite C
+    at zero whatever its survival probability.  The killed symbols come
+    from later_kills.  The new state carries the old state's finite C
     ceilings, each multiplied by its row's growth bound (see
     C_CEILING_MARGIN).
 
@@ -494,7 +477,7 @@ def advance_state(state: GuidanceState, q, L_row: np.ndarray,
     one = Fraction(1) if state.exact else 1.0
     tol = 0 if state.exact else DEN_TOL
     k2 = diag_column_map(J, t, t + 1)
-    killed = _later_kills(L_row, k2)
+    killed = later_kills(L_row, k2)
     ceiling = None if state.c_ceiling is None else state.c_ceiling.copy()
     # rounding is monotone, so no computed den is below (1 - q_max) - q_max
     # computed alike: when that clears tol, no block needs its minimum
@@ -531,7 +514,7 @@ def advance_state(state: GuidanceState, q, L_row: np.ndarray,
             ceiling[lo:hi] = _grown_ceiling(ceiling[lo:hi],
                                             den.min(axis=(1, 2)))
     return GuidanceState(shape=state.shape, t=t + 1, p=out,
-                         transition=Transition(t, killed), c_ceiling=ceiling)
+                         c_ceiling=ceiling)
 
 
 @dataclass
@@ -620,7 +603,6 @@ def run_process(J: LatinRectangle, epsilon: Optional[float] = None,
         grid[t] = L_row
         if recorder is not None:
             recorder.record_step(state, q, L_row, after, eta_used=eta_used)
-        after.transition = None  # needed by the recorder only
         spare, state = state.p, after
 
     if outcome is None:

@@ -5,7 +5,7 @@ import pytest
 
 from orthomate import LatinRectangle
 from orthomate.baselines import random_latin_rectangle
-from orthomate.process import diag_column_map, survival_blocks
+from orthomate.process import diag_column_map, kill_mask, survival_blocks
 
 
 @pytest.fixture
@@ -34,3 +34,16 @@ def survival(q, J, t, exact=False):
     for a, block in survival_blocks(q, k2, one):
         den[a:a + len(block)] = block
     return den
+
+
+def kill_counts(L_row, t, J):
+    """(most kills on a local line, most on a C sum) in the rows > t when
+    L_row is placed at row t, from the dense kill_mask; a C sum of row i
+    and columns k, l loses at most the kills of the RC lines (i, k) and
+    (i, l).  (0, 0) at the last row."""
+    killed = kill_mask(L_row, t, J, J.shape)[t + 1:]
+    if not killed.size:
+        return 0, 0
+    rc, rs = killed.sum(axis=2), killed.sum(axis=1)
+    top2 = np.sort(rc, axis=1)[:, -2:].sum(axis=1)
+    return int(max(rc.max(), rs.max())), int(top2.max())

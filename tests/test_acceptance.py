@@ -25,9 +25,12 @@ from orthomate import (
     verify_latin,
     verify_orthogonal,
 )
+from orthomate import process
 from orthomate.baselines import random_latin_rectangle
 from orthomate.cli import main as cli_main
 from orthomate.matching import solve_fixed_eta
+
+from conftest import kill_counts
 
 ENSEMBLE = [
     # (n, epsilon, number of runs)
@@ -43,9 +46,27 @@ def report(num, ok, detail):
     assert ok, detail
 
 
+def run_counting_kills(J, eps, seed):
+    """run_process(J, eps, seed) and the kill_counts of every row it
+    placed, from the dense kill_mask of the row."""
+    kills = []
+    advance = process.advance_state
+
+    def counted(state, q, L_row, J, out=None):
+        after = advance(state, q, L_row, J, out=out)
+        kills.append(kill_counts(L_row, state.t, J))
+        return after
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(process, "advance_state", counted)
+        out = run_process(J, epsilon=eps, seed=seed)
+    return out, kills
+
+
 @pytest.fixture(scope="session")
 def guided_ensemble():
-    """All criterion-1 runs with their reference rectangles and outcomes."""
+    """All criterion-1 runs with their reference rectangles, outcomes and
+    the kill counts of each placed row."""
     runs = []
     seed = 0
     for n, eps, count in ENSEMBLE:
@@ -53,8 +74,7 @@ def guided_ensemble():
         for _ in range(count):
             seed += 1
             J = random_latin_rectangle(n, m, np.random.default_rng(seed))
-            out = run_process(J, epsilon=eps, seed=seed)
-            runs.append((n, eps, J, out))
+            runs.append((n, eps, J, *run_counting_kills(J, eps, seed)))
     return runs
 
 
@@ -62,7 +82,7 @@ def test_criterion_1_exactness_of_success(guided_ensemble):
     total = len(guided_ensemble)
     successes = 0
     bad = 0
-    for n, eps, J, out in guided_ensemble:
+    for n, eps, J, out, kills in guided_ensemble:
         if out.success:
             successes += 1
             if not (verify_latin(out.rectangle).ok
@@ -173,19 +193,18 @@ def test_criterion_6_martingale_identity():
 
 
 def test_criterion_7_kill_bounds(guided_ensemble):
-    worst_line = 0
-    worst_c = 0
-    steps = 0
-    for n, eps, J, out in guided_ensemble:
-        if out.trajectory is None:
-            continue
-        for r in out.trajectory.records:
-            worst_line = max(worst_line, r.kills_line_max)
-            worst_c = max(worst_c, r.c_kills_max)
-            steps += 1
+    # every placed row of the criterion-1 runs, and of guided runs on cyclic
+    # J, whose structure differs from a random J's
+    kills = [k for *_, run_kills in guided_ensemble for k in run_kills]
+    for n, eps in ((8, 0.5), (16, 0.75), (32, 0.5), (64, 0.75)):
+        J = LatinRectangle.cyclic(n, round((1.0 - eps) * n))
+        for seed in range(3):
+            kills += run_counting_kills(J, eps, seed)[1]
+    worst_line = max(line for line, _ in kills)
+    worst_c = max(c for _, c in kills)
     report(7, worst_line <= 2 and worst_c <= 4,
-           f"{steps} recorded steps: max per-line kills {worst_line} (<= 2), "
-           f"max per-C-sum kills {worst_c} (<= 4)")
+           f"{len(kills)} placed rows: max per-line kills {worst_line} "
+           f"(<= 2), max per-C-sum kills {worst_c} (<= 4)")
 
 
 def test_criterion_8_small_n_ground_truth():

@@ -170,7 +170,7 @@ class TestMate:
         main(["mate", "--in", str(jp), "--seed", "4", "--out",
               str(tmp_path / "L.txt"), "--diag", str(dg)])
         text = read(dg)
-        assert text.startswith("# orthomate-trajectory-v3 ")
+        assert text.startswith("# orthomate-trajectory-v4 ")
 
     def test_guided_failure_report(self, tmp_path, capsys):
         jp = tmp_path / "J.txt"
@@ -337,8 +337,45 @@ class TestTrials:
         main(["trials", "--n", "8", "--epsilon", "0.75", "--count", "2",
               "--seed", "0", "--out", str(out)])
         lines = read(out).splitlines()
-        assert lines[0].startswith("# orthomate-trials-v2 ")
+        assert lines[0].startswith("# orthomate-trials-v3 ")
         assert lines[1].startswith("trial,seed,n,m,epsilon,algorithm,outcome")
+        assert lines[1].endswith(",p_max,violation_family,"
+                                 "violation_location,violation_margin,"
+                                 "wall_time_s")
+
+    @pytest.mark.parametrize("n, epsilon, kind", [
+        (24, "0.5", "gamma_exit"), (16, "0.75", "success")])
+    def test_first_violation_columns(self, tmp_path, n, epsilon, kind):
+        # a gamma_exit names the first violation of its report; the
+        # columns stay empty for every other outcome
+        import csv
+
+        import numpy as np
+        from orthomate import run_process
+        from orthomate.baselines import random_latin_rectangle
+
+        out = tmp_path / "t.csv"
+        assert main(["trials", "--n", str(n), "--epsilon", epsilon,
+                     "--count", "4", "--seed", "0", "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh.read().splitlines()[1:]))
+        assert any(row["outcome"] == kind for row in rows)
+        m = round((1.0 - float(epsilon)) * n)
+        for row in rows:
+            seed = int(row["seed"])
+            J = random_latin_rectangle(n, m, np.random.default_rng(seed))
+            res = run_process(J, epsilon=float(epsilon), seed=seed)
+            assert row["outcome"] == res.kind
+            got = (row["violation_family"], row["violation_location"],
+                   row["violation_margin"])
+            if res.kind != "gamma_exit":
+                assert got == ("", "", "")
+                continue
+            first = res.gamma_report.violations[0]
+            assert got == (first.ineq[0],
+                           " ".join(map(str, first.location)),
+                           repr(first.margin))
+            assert got[0] in ("A", "B", "C")
 
     def test_hall_algorithm(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
@@ -361,7 +398,7 @@ class TestTrials:
                      str(out)]) == 0
         schema, version, seed, config = read(out).splitlines()[0][2:].split(
             " ", 3)
-        assert schema == "orthomate-trials-v2"
+        assert schema == "orthomate-trials-v3"
         assert version == f"orthomate={__version__}"
         assert seed == "seed=5+trial"
         assert config.startswith("config=")
@@ -423,7 +460,7 @@ class TestDiag:
                      "--out", str(out)]) == 0
         blob = json.loads(capsys.readouterr().out)
         assert blob["n"] == 12
-        assert read(out).startswith("# orthomate-trajectory-v3 ")
+        assert read(out).startswith("# orthomate-trajectory-v4 ")
 
     @pytest.mark.parametrize("command", ["mate", "diag"])
     def test_provenance_header(self, tmp_path, command):
@@ -441,7 +478,7 @@ class TestDiag:
         main(argv + ["--seed", "7", "--exact"])
         schema, version, seed, config = read(traj).splitlines()[0][2:].split(
             " ", 3)
-        assert schema == "orthomate-trajectory-v3"
+        assert schema == "orthomate-trajectory-v4"
         assert version == f"orthomate={__version__}"
         assert seed == "seed=7"
         assert config.startswith("config=")
@@ -600,7 +637,7 @@ class TestNoMateNoOutFile:
         assert main(["mate", "--in", str(jp), "--out", str(lp),
                      "--diag", str(dg)]) == 2
         assert not lp.exists()
-        assert read(dg).startswith("# orthomate-trajectory-v3 ")
+        assert read(dg).startswith("# orthomate-trajectory-v4 ")
 
 
 class TestTrajectoryPathNeedsRecording:

@@ -9,6 +9,7 @@ import pytest
 
 from orthomate import (
     EmptyTrajectory,
+    LatinRectangle,
     TrajectoryRecorder,
     TrajectoryStats,
     advance_state,
@@ -19,23 +20,29 @@ from orthomate import (
     sample_matching_lazy,
     summarize,
 )
+from orthomate.diagnostics import KILLS_PER_C_SUM, KILLS_PER_LINE
 
-from conftest import random_rect
+from conftest import kill_counts, random_rect
+
+
+def guided_steps(J, seed, steps=None, exact=False):
+    """Yield (state, q, eta, L_row, after) for each step of a guided run
+    of J, up to `steps` rows."""
+    state = init_state(J.shape, exact=exact)
+    rng = np.random.default_rng(seed)
+    for t in range(steps or J.shape.m):
+        q, eta = build_fractional_matching(normalize_row(state, t))
+        L_row = sample_matching_lazy(q, rng)
+        after = advance_state(state, q, L_row, J)
+        yield state, q, eta, L_row, after
+        state = after
 
 
 def run_with_recorder(n, m, seed, steps=None):
     J = random_rect(n, m, seed)
-    state = init_state(J.shape)
-    rng = np.random.default_rng(seed)
     rec = TrajectoryRecorder(J)
-    steps = steps or m
-    for t in range(steps):
-        d = normalize_row(state, t)
-        q, eta = build_fractional_matching(d)
-        L_row = sample_matching_lazy(q, rng)
-        after = advance_state(state, q, L_row, J)
+    for state, q, eta, L_row, after in guided_steps(J, seed, steps):
         rec.record_step(state, q, L_row, after, eta_used=eta)
-        state = after
     return J, rec
 
 
@@ -48,7 +55,8 @@ class TestRecordStep:
         # line lost at most 2 points and survivors only grew
         assert r.b_min >= 1.0 - 2.0 * (1.0 / n) - 1e-12
         assert r.b_max <= 1.0 / (1.0 - 2.0 * r.p_max) + 1e-9
-        assert r.kills_line_max <= 2
+        # every point has mass 1/n, so every kill is fresh
+        assert r.fresh_kills == 2 * n * (m - 1)
         assert r.growth_max >= 1.0
 
     def test_martingale_residual_small(self):
@@ -56,12 +64,19 @@ class TestRecordStep:
         for r in rec.stats.records:
             assert r.martingale_residual <= 1e-9
 
-    def test_kill_bounds(self):
-        for seed in range(5):
-            J, rec = run_with_recorder(8, 4, seed=seed)
-            for r in rec.stats.records:
-                assert r.kills_line_max <= 2
-                assert r.c_kills_max <= 4
+    @pytest.mark.parametrize("family, n, m, seed", [
+        *(("random", 8, 4, seed) for seed in range(5)),
+        ("cyclic", 8, 4, 0), ("cyclic", 9, 5, 1)])
+    def test_kill_bounds(self, family, n, m, seed):
+        # from the dense kill_mask of each placed row: every local line of
+        # a later row loses exactly KILLS_PER_LINE points and no C sum more
+        # than KILLS_PER_C_SUM, the constants summarize() uses
+        J = (random_rect(n, m, seed) if family == "random"
+             else LatinRectangle.cyclic(n, m))
+        for state, q, eta, L_row, after in guided_steps(J, seed):
+            t = state.t
+            want = (0, 0) if t == m - 1 else (KILLS_PER_LINE, KILLS_PER_C_SUM)
+            assert kill_counts(L_row, t, J) == want
 
     def test_b_deviation_identity(self):
         # E_t of a B sum is the current B sum; per-step deviation is bounded
@@ -74,8 +89,9 @@ class TestRecordStep:
     def test_wrong_survival_probability_is_caught(self, monkeypatch, seed):
         # a transition that divides by the survival probability of the
         # wrong diagonal (k2 rolled by one column) and kills by it is no
-        # martingale; its own den still fits it, so only the recorder's
-        # independent spot check can see it
+        # martingale; the recorder takes the survival probabilities and the
+        # kills from J's own column map (and its spot check with its own
+        # code), which the transition's do not fit
         from orthomate import process
 
         n, m = 16, 8
@@ -100,18 +116,23 @@ class TestRecordStep:
         assert rec.record_step(state, q, L_row, after
                                ).martingale_residual > 1e-9
 
-    def test_standalone_record_step(self):
-        J = random_rect(6, 3, seed=4)
-        state = init_state(J.shape)
-        d = normalize_row(state, 0)
-        q, eta = build_fractional_matching(d)
-        L_row = sample_matching_lazy(q, np.random.default_rng(0))
-        after = advance_state(state, q, L_row, J)
-        r = TrajectoryRecorder(J).record_step(state, q, L_row, after,
-                                              eta_used=eta)
-        assert r.t == 0
-        assert r.kills_this_step == int(
-            (after.p[1:] == 0).sum() - (state.p[1:] == 0).sum())
+    @pytest.mark.parametrize("n, m, seed, exact", [
+        (6, 3, 4, False), (16, 8, 1, False), (12, 6, 2, False),
+        (6, 3, 4, True), (8, 4, 0, True)])
+    def test_standalone_record_step(self, n, m, seed, exact):
+        # fresh_kills is the number of points the step zeroes, on every
+        # step up to the last (which zeroes none)
+        J = random_rect(n, m, seed)
+        rec = TrajectoryRecorder(J)
+        steps = 0
+        for state, q, eta, L_row, after in guided_steps(J, seed, exact=exact):
+            r = rec.record_step(state, q, L_row, after, eta_used=eta)
+            assert r.t == state.t
+            assert r.fresh_kills == int(
+                (after.p == 0).sum() - (state.p == 0).sum())
+            steps += 1
+        assert steps == m
+        assert r.fresh_kills == 0
 
 
 class TestGuidedRunDiagnostics:
@@ -121,8 +142,7 @@ class TestGuidedRunDiagnostics:
         assert out.trajectory is not None
         for r in out.trajectory.records:
             assert r.martingale_residual <= 1e-9
-            assert r.kills_line_max <= 2
-            assert r.c_kills_max <= 4
+            assert 0 <= r.fresh_kills <= 2 * 16 * (8 - r.t - 1)
             assert r.growth_max >= 1.0
 
     def test_eta_recorded(self):
@@ -143,7 +163,11 @@ class TestSummarize:
         assert rep.steps_executed == 4
         assert rep.b_rel_dev_max >= 0.0
         assert rep.phi_scale == pytest.approx(math.log(16) / 4.0)
-        assert rep.kills_line_max <= 2
+        excess = rep.growth_max - 1.0
+        assert rep.xi_b_empirical == pytest.approx(
+            KILLS_PER_LINE * rep.p_max + excess)
+        assert rep.xi_c_empirical == pytest.approx(
+            KILLS_PER_C_SUM * rep.p_max ** 2 * 16 + 2.0 * excess)
 
     def test_gamma_exit_run(self):
         J = random_rect(32, 16, seed=0)
@@ -174,13 +198,12 @@ class TestExports:
         out.trajectory.to_csv(buf)
         text = buf.getvalue()
         lines = text.strip().splitlines()
-        assert lines[0].startswith("# orthomate-trajectory-v3")
-        # the v3 column order, spelled out: a reordered or renamed
+        assert lines[0].startswith("# orthomate-trajectory-v4")
+        # the v4 column order, spelled out: a reordered or renamed
         # StepRecord field must change the schema name, not pass here
         assert lines[1] == (
-            "t,b_min,b_max,c_max,p_max,kills_this_step,eta_used,"
-            "kills_line_max,c_kills_max,martingale_residual,"
-            "b_dev_max,c_dev_max,growth_max")
+            "t,b_min,b_max,c_max,p_max,fresh_kills,eta_used,"
+            "martingale_residual,b_dev_max,c_dev_max,growth_max")
         assert len(lines) == 2 + out.trajectory.steps_executed
         for line, rec in zip(lines[2:], out.trajectory.records):
             assert line == ",".join(

@@ -216,21 +216,20 @@ class RecorderReference(TrajectoryRecorder):
     """record_step with a mask, a gather or a fresh array per quantity:
     np.where chains for the martingale residual, boolean gathers for the
     growth ratio, pa - pb twice, kills from the dense kill_mask of the
-    placed row rather than the Transition, p_max over every row, line sums
-    and a batched (rows, n, n) Gram tensor of its own, and one sampled C sum
-    at a time."""
+    placed row rather than later_kills, fresh kills from that mask, p_max
+    over every row, line sums and a batched (rows, n, n) Gram tensor of its
+    own, and one sampled C sum at a time."""
 
     def record_step(self, before, q_row, L_row, after, eta_used=math.nan):
         m = self.m
         t = before.t
-        tr = after.transition
         q = np.asarray(q_row, dtype=np.float64)
         p_before = np.asarray(before.p, dtype=np.float64)
         p_after = np.asarray(after.p, dtype=np.float64)
         L_row = np.asarray(L_row, dtype=np.int64)
 
         b_min = b_max = c_max = math.nan
-        kills_line_max = c_kills_max = kills_total = 0
+        fresh_kills = 0
         mart_res, growth_max, b_dev_max = 0.0, 1.0, 0.0
         if t + 1 < m:
             pa = p_after[t + 1:]
@@ -242,15 +241,10 @@ class RecorderReference(TrajectoryRecorder):
             b_max = float(max(b_rc.max(), b_rs.max()))
             c_max = float(gram.max())
             killed = kill_mask(L_row, t, self.J, self.J.shape)[t + 1:]
-            kc_rc = killed.sum(axis=2)
-            kc_rs = killed.sum(axis=1)
-            kills_line_max = int(max(kc_rc.max(), kc_rs.max()))
-            top2 = np.sort(kc_rc, axis=1)[:, -2:]
-            c_kills_max = int(top2.sum(axis=1).max())
-            kills_total = int(killed.sum())
+            pb = p_before[t + 1:]
+            fresh_kills = int((killed & (pb > 0)).sum())
             den = np.asarray(survival(q_row, self.J, t, before.exact),
                              dtype=np.float64)
-            pb = p_before[t + 1:]
             pos = den > 0
             survive_val = np.where(killed, pb / np.where(pos, den, 1.0), pa)
             resid = np.where(pos, np.abs(den * survive_val - pb), np.abs(pa))
@@ -267,8 +261,7 @@ class RecorderReference(TrajectoryRecorder):
         c_dev_max = self._tracked_c_deviation(p_before, p_after, q, t)
         rec = StepRecord(
             t=t, b_min=b_min, b_max=b_max, c_max=c_max, p_max=p_max,
-            kills_this_step=kills_total, eta_used=float(eta_used),
-            kills_line_max=kills_line_max, c_kills_max=c_kills_max,
+            fresh_kills=fresh_kills, eta_used=float(eta_used),
             martingale_residual=mart_res, b_dev_max=b_dev_max,
             c_dev_max=c_dev_max, growth_max=growth_max,
         )
@@ -285,8 +278,8 @@ class RecorderReference(TrajectoryRecorder):
                 continue
             pk = p_before[i, k, :]
             pl = p_before[i, l, :]
-            x_now = float(pk @ pl)
-            x_next = float(p_after[i, k, :] @ p_after[i, l, :])
+            x_now = float((pk * pl).sum())
+            x_next = float((p_after[i, k, :] * p_after[i, l, :]).sum())
             k2k = int(inv_t[J.grid[i, k]])
             k2l = int(inv_t[J.grid[i, l]])
             rk = q[k, :] + q[k2k, :]

@@ -1,5 +1,7 @@
 """Transport max-flow solvers: pure, scipy-scaled, exact Fractions."""
 
+import gc
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -60,6 +62,25 @@ class TestPureSolver:
         caps = [[Fraction(1, 3), Fraction(0)], [Fraction(1, 3), Fraction(0)]]
         value, _ = maxflow.solve_transport(caps, one=Fraction(1), tol=0)
         assert value == Fraction(2, 3)
+
+    def test_network_freed_without_the_cycle_collector(self):
+        # the solver's network (about 3 MB of lists at n = 128) must go
+        # when solve_transport returns, by reference counting alone
+        n = 128
+        caps = np.random.default_rng(0).random((n, n))
+        caps = (1.2 * caps / caps.sum(axis=1, keepdims=True)).tolist()
+        maxflow.solve_transport(caps)  # warm-up
+        enabled = gc.isenabled()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            maxflow.solve_transport(caps)
+            left = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            if enabled:
+                gc.enable()
+        assert left < 0.1e6
 
 
 class TestScipySolver:

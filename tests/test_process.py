@@ -31,7 +31,7 @@ from orthomate import (
     verify_orthogonal,
 )
 from orthomate.core import LineId
-from orthomate.process import gamma_bounds
+from orthomate.process import diag_column_map, gamma_bounds, later_kills
 
 from conftest import random_rect, survival
 
@@ -537,8 +537,9 @@ class TestEpsilon:
 
 
 class TestTransition:
-    """advance_state hands the recorder its killed symbols; the survival
-    probabilities both divide by come from process.survival_blocks."""
+    """advance_state and the recorder take the killed symbols from
+    process.later_kills and the survival probabilities they divide by from
+    process.survival_blocks."""
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_killed_matches_kill_mask_on_every_row(self, exact):
@@ -549,15 +550,15 @@ class TestTransition:
             q, _ = build_fractional_matching(normalize_row(state, t))
             L_row = sample_matching_lazy(q, rng)
             after = advance_state(state, q, L_row, J)
-            tr = after.transition
-            assert tr.t == t
-            assert tr.killed.shape == (3 - t, 6, 2)
+            killed = later_kills(L_row, diag_column_map(J, t, t + 1))
+            assert killed.shape == (3 - t, 6, 2)
             den = survival(q, J, t, exact)
             assert den.shape == (3 - t, 6, 6)
-            assert (tr.killed[:, :, 0] != tr.killed[:, :, 1]).all()
+            assert (killed[:, :, 0] != killed[:, :, 1]).all()
             mask = np.zeros(den.shape, dtype=bool)
-            np.put_along_axis(mask, tr.killed, True, axis=2)
+            np.put_along_axis(mask, killed, True, axis=2)
             assert (mask == kill_mask(L_row, t, J, J.shape)[t + 1:]).all()
+            assert (after.p[t + 1:][mask] == 0).all()
             state = after
 
     @pytest.mark.parametrize("n, m", [(8, 5), (12, 7), (16, 9)])
@@ -573,7 +574,7 @@ class TestTransition:
         for t in range(m):
             L_row = rng.permutation(n)
             after = advance_state(state, q, L_row, J)
-            killed = after.transition.killed
+            killed = later_kills(L_row, diag_column_map(J, t, t + 1))
             assert killed.dtype == np.int64
             assert killed.shape == (m - t - 1, n, 2)
             # two kills per later cell, so the mask's symbols of each cell,
@@ -594,18 +595,9 @@ class TestTransition:
         q[np.arange(3), [0, 1, 2]] = 1.0
         after = advance_state(state, q, np.array([0, 1, 2]), z3)
         assert after.t == 1
-        from orthomate.process import diag_column_map
         expected = 1.0 - q[None, :, :] - q[diag_column_map(z3, 0, 1), :]
         assert (expected <= 0).any()
         assert (survival(q, z3, 0) == expected).all()
-
-    @pytest.mark.parametrize("n, m, seed, record", [
-        (8, 4, 2, True), (8, 4, 2, False), (32, 16, 0, False)])
-    def test_run_process_drops_the_transition(self, n, m, seed, record):
-        J = random_rect(n, m, seed)
-        out = run_process(J, seed=seed,
-                          config=ProcessConfig(record_trajectory=record))
-        assert out.final_state.transition is None
 
     @pytest.mark.parametrize("record, bound", [(False, 2.75), (True, 3.5)])
     def test_run_peak(self, record, bound):
@@ -623,18 +615,6 @@ class TestTransition:
             tracemalloc.stop()
         assert out.time is None or out.time > 8
         assert peak < bound * out.final_state.p.nbytes
-
-    def test_recorder_needs_the_transition(self):
-        from orthomate import TrajectoryRecorder
-
-        J = random_rect(6, 3, seed=4)
-        state = init_state(J.shape)
-        q, _ = build_fractional_matching(normalize_row(state, 0))
-        L_row = sample_matching_lazy(q, np.random.default_rng(0))
-        after = advance_state(state, q, L_row, J)
-        after.transition = None
-        with pytest.raises(ValueError, match="transition"):
-            TrajectoryRecorder(J).record_step(state, q, L_row, after)
 
 
 def _removed_keyword_calls():
@@ -686,12 +666,18 @@ class TestRemovedKeywords:
 def _removed_names():
     """(owner, attribute) of each removed second form: the Birkhoff terms
     are a plain tuple, the support graph keeps only its CSR, each output
-    has only the format its command writes, and the pair sums are taken by
-    pair_sums alone."""
+    has only the format its command writes, the pair sums are taken by
+    pair_sums alone, the recorder takes the kills from later_kills and no
+    state carries them, and the records keep no kill count that the kill
+    rule fixes."""
     import orthomate
     from orthomate import bipartite, matching, process
     from orthomate.bipartite import SupportGraph
-    from orthomate.diagnostics import SummaryReport, TrajectoryStats
+    from orthomate.diagnostics import (SummaryReport, TrajectoryStats,
+                                       summarize)
+
+    out = run_process(random_rect(8, 4, 0), seed=0)
+    record, summary = out.trajectory.records[0], summarize(out.trajectory)
 
     return {
         "orthomate.BirkhoffDecomposition": (orthomate, "BirkhoffDecomposition"),
@@ -704,6 +690,14 @@ def _removed_names():
         "TrajectoryStats.to_json": (TrajectoryStats, "to_json"),
         "SummaryReport.to_csv": (SummaryReport, "to_csv"),
         "process.line_statistics": (process, "line_statistics"),
+        "orthomate.Transition": (orthomate, "Transition"),
+        "process.Transition": (process, "Transition"),
+        "GuidanceState().transition": (out.final_state, "transition"),
+        "StepRecord().kills_this_step": (record, "kills_this_step"),
+        "StepRecord().kills_line_max": (record, "kills_line_max"),
+        "StepRecord().c_kills_max": (record, "c_kills_max"),
+        "SummaryReport().kills_line_max": (summary, "kills_line_max"),
+        "SummaryReport().c_kills_max": (summary, "c_kills_max"),
     }
 
 
