@@ -351,7 +351,10 @@ def birkhoff_terms(q):
     term changes only its matched entries, and only lowers them, so after
     each term the walk deletes from the graph the matched edges that left
     the level (fell below the threshold, or to 0 on the full support);
-    the graph stays the CSR of the level's mask rebuilt from scratch.  A
+    the graph stays the CSR of the level's mask rebuilt from scratch.  The
+    matched entries are read and written through a flat view of the
+    working copy, and when all of them leave the level, the usual case,
+    the graph deletes them as one matching (SupportGraph.drop_matching).  A
     miss halves the threshold and builds the next level's graph.
 
     q may hold float64 or Fraction entries.  Entries below zero_tol, ZERO_TOL
@@ -363,15 +366,16 @@ def birkhoff_terms(q):
     Raises:
         NoSupportMatching: the positive support has no perfect matching.
     """
-    Q = np.array(q, copy=True)
+    Q = np.array(q, copy=True, order="C")
     exact = Q.dtype == object
     if not exact:
-        Q = Q.astype(np.float64)
+        Q = Q.astype(np.float64, copy=False)
     zero_tol = 0 if exact else ZERO_TOL
     stop_tol, dust_tol = (0, 0) if exact else (1e-12, 1e-9)
     n = Q.shape[0]
     Q[Q < zero_tol] = 0
-    cols = np.arange(n)
+    flat = Q.reshape(-1)  # a view of the C-ordered copy
+    base = np.arange(n) * n
     find = perfect_matching_scipy if n >= 16 else perfect_matching_pure
     acc = 0
     walked = False
@@ -395,7 +399,8 @@ def birkhoff_terms(q):
                 theta = 0  # next level is the full support
             graph = None
             continue
-        matched = Q[cols, match]
+        entries = base + match
+        matched = flat[entries]
         c = matched.min()
         acc += c
         walked = True
@@ -406,9 +411,13 @@ def birkhoff_terms(q):
         # zero_tol or leave the level; every other entry keeps its place
         matched -= c
         matched[matched < zero_tol] = 0
-        Q[cols, match] = matched
-        gone = np.flatnonzero(~(matched > 0) if full else ~(matched >= theta))
-        graph.drop(gone, match[gone])
+        flat[entries] = matched
+        stay = (matched > 0) if full else (matched >= theta)
+        if stay.any():
+            gone = np.flatnonzero(~stay)
+            graph.drop(gone, match[gone])
+        else:
+            graph.drop_matching(match)  # every matched edge leaves
     raise NoSupportMatching("Birkhoff walk failed to terminate")
 
 

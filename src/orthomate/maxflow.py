@@ -9,7 +9,11 @@ Two solvers share this contract:
 
 * a pure shortest-augmenting-path (Dinic) solver, generic over the number
   type, so it runs both in float64 (augmenting tolerance 1e-12) and in exact
-  Fraction arithmetic (tolerance 0);
+  Fraction arithmetic (tolerance 0).  Its first phase is one pass over the
+  rows of capacities, since every first-phase path is source -> column ->
+  symbol -> sink; only the later phases, when there are any, build the
+  adjacency-list network, and their depth-first search keeps its path on
+  an explicit stack, so a long path does not meet the recursion limit;
 * an integer-scaled scipy solver for larger instances.  scipy's Dinic
   silently misbehaves once any capacity reaches 2**31, so capacities are
   floor-scaled by a power of two kept below that limit (scaled_caps).
@@ -53,41 +57,62 @@ class _Net:
         self.to = []
         self.cap = []
 
-    def add_edge(self, u: int, v: int, c) -> int:
+    def add_edge(self, u: int, v: int, c, back=0) -> int:
+        """Edge u -> v of residual c whose reverse edge has residual back."""
         eid = len(self.to)
         self.to.append(v)
         self.cap.append(c)
         self.head[u].append(eid)
         self.to.append(u)
-        self.cap.append(0)
+        self.cap.append(back)
         self.head[v].append(eid + 1)
         return eid
 
 
-def _push(net: _Net, level, it, snk: int, tol, u: int, limit):
-    """The flow of one augmenting path from u, depth first in the level
-    graph; not a closure, which would hold itself and net in a cycle."""
-    if u == snk:
-        return limit
-    while it[u] < len(net.head[u]):
-        eid = net.head[u][it[u]]
-        v = net.to[eid]
-        if net.cap[eid] > tol and level[v] == level[u] + 1:
-            got = _push(net, level, it, snk, tol, v,
-                        min(limit, net.cap[eid]))
-            if got > tol:
-                net.cap[eid] -= got
-                net.cap[eid ^ 1] += got
-                return got
+def _push(net: _Net, level, it, snk: int, tol, src: int):
+    """The flow of one augmenting path from src, depth first in the level
+    graph, or 0 when none is left.
+
+    The path is an explicit stack of edges, so its length is not bounded by
+    the recursion limit.  Edges are tried in adjacency order from it[u]; a
+    node whose edges are all spent is marked dead (level -1) and its parent
+    moves on to its next edge, as a recursive search would.
+    """
+    head, to, cap = net.head, net.to, net.cap
+    path, limits = [], []
+    u, limit = src, float("inf")
+    while u != snk:
+        edges = head[u]
+        i = it[u]
+        while i < len(edges):
+            eid = edges[i]
+            v = to[eid]
+            if cap[eid] > tol and level[v] == level[u] + 1:
+                break
+            i += 1
+        it[u] = i
+        if i < len(edges):
+            path.append(eid)
+            limits.append(limit)
+            limit = min(limit, cap[eid])
+            u = v
+            continue
+        level[u] = -1
+        if not path:
+            return 0
+        limit = limits.pop()
+        u = to[path.pop() ^ 1]
         it[u] += 1
-    level[u] = -1
-    return 0
+    for eid in path:
+        cap[eid] -= limit
+        cap[eid ^ 1] += limit
+    return limit
 
 
-def _dinic(net: _Net, src: int, snk: int, tol):
-    """Blocking-flow phases until no augmenting path of residual > tol remains."""
+def _dinic(net: _Net, src: int, snk: int, tol, total=0):
+    """Blocking-flow phases until no augmenting path of residual > tol
+    remains; returns total plus the flow they push."""
     n_nodes = len(net.head)
-    total = 0
     while True:
         level = [-1] * n_nodes
         level[src] = 0
@@ -102,7 +127,7 @@ def _dinic(net: _Net, src: int, snk: int, tol):
             return total
         it = [0] * n_nodes
         while True:
-            pushed = _push(net, level, it, snk, tol, src, float("inf"))
+            pushed = _push(net, level, it, snk, tol, src)
             if pushed <= tol:
                 break
             total = total + pushed
@@ -111,6 +136,20 @@ def _dinic(net: _Net, src: int, snk: int, tol):
 def solve_transport(mid_caps, one=1.0, tol: float = AUGMENT_TOL):
     """Max flow of the transport network, generic arithmetic.
 
+    Dinic's first phase needs no network.  Its level graph puts every
+    column one level below the source and every symbol with an edge one
+    level below the columns, so each augmenting path is src -> k -> g ->
+    snk, and the depth-first search takes them column by column, each
+    column's edges in symbol order, pushing the least of the three
+    residuals.  Every push empties the column, the edge or the symbol, so
+    an edge carries at most one push: one pass over the rows does the whole
+    phase, keeping only the flow rows and the residuals of the source and
+    sink edges.  Only when a column keeps a source residual above tol can a
+    later phase augment; the network is then built from the residuals, in
+    the edge order the phase would have used, and Dinic continues on it.
+    The value, each flow entry and its type are those of running every
+    phase on the network.
+
     Args:
         mid_caps: n x n capacities, indexed [column, symbol].  Any number
             type supporting +, -, comparison (float, Fraction).
@@ -118,26 +157,59 @@ def solve_transport(mid_caps, one=1.0, tol: float = AUGMENT_TOL):
         tol: residual threshold; 0 for exact arithmetic.
 
     Returns:
-        (value, flow) where flow[k][g] is the flow on the middle edge.
+        (value, flow) where flow[k][g] is the flow on the middle edge: the
+        int 0 on an edge that carries none, one - one where there is no
+        edge (a capacity at most tol).
     """
     n = len(mid_caps)
-    src, snk = 2 * n, 2 * n + 1
-    net = _Net(2 * n + 2)
-    src_edges = [net.add_edge(src, k, one) for k in range(n)]
-    snk_edges = [net.add_edge(n + g, snk, one) for g in range(n)]
-    mid_edges = {}
+    zero = one - one
+    total = 0
+    src_res, snk_res = [one] * n, [one] * n
+    flow = []
     for k in range(n):
         row = mid_caps[k]
-        for g in range(n):
-            c = row[g]
+        f = [0 if c > tol else zero for c in row]
+        res = one
+        if res > tol:
+            for g, c in enumerate(row):
+                if c > tol:
+                    s = snk_res[g]
+                    if s > tol:
+                        # min(min(res, c), s), as a path's limit is taken
+                        got = c if c < res else res
+                        if s < got:
+                            got = s
+                        res -= got
+                        snk_res[g] = s - got
+                        total = total + got
+                        f[g] = got
+                        if not res > tol:
+                            break
+        src_res[k] = res
+        flow.append(f)
+    if not any(res > tol for res in src_res):
+        return total, flow
+    # a later phase, on the network of the residuals.  No augmenting path
+    # enters the source or leaves the sink, so the reverse edges of their
+    # edges stay at 0; a middle edge's reverse residual is its flow
+    src, snk = 2 * n, 2 * n + 1
+    net = _Net(2 * n + 2)
+    for k in range(n):
+        net.add_edge(src, k, src_res[k])
+    for g in range(n):
+        net.add_edge(n + g, snk, snk_res[g])
+    for k, (row, f) in enumerate(zip(mid_caps, flow)):
+        for g, c in enumerate(row):
             if c > tol:
-                mid_edges[(k, g)] = net.add_edge(k, n + g, c)
-    value = _dinic(net, src, snk, tol)
-    zero = one - one
-    flow = [[zero] * n for _ in range(n)]
-    for (k, g), eid in mid_edges.items():
-        flow[k][g] = net.cap[eid ^ 1]  # reverse capacity equals pushed flow
-    return value, flow
+                net.add_edge(k, n + g, c - f[g], f[g])
+    total = _dinic(net, src, snk, tol, total)
+    eid = 4 * n
+    for row, f in zip(mid_caps, flow):
+        for g, c in enumerate(row):
+            if c > tol:
+                f[g] = net.cap[eid + 1]  # reverse residual = pushed flow
+                eid += 2
+    return total, flow
 
 
 def scaled_caps(mid_caps: np.ndarray) -> Tuple[int, np.ndarray]:

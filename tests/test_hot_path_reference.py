@@ -439,6 +439,73 @@ class TestSupportGraph:
                 assert np.array_equal(graph.csr.indices, ref.indices)
                 assert_same_matching(graph, want)
 
+    @pytest.mark.parametrize("n", [8, 16, 64, 192])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_edge_from_every_row(self, n, seed):
+        # the walk's usual term: every matched edge leaves the level, one
+        # per row, through drop_matching and through drop naming every row
+        # once, in random order
+        import scipy.sparse as sp
+
+        rng = np.random.default_rng(9000 * n + seed)
+        for density in (0.1, 0.5, 0.95):
+            mask = rng.random((n, n)) < density
+            mask[np.arange(n), rng.permutation(n)] = True
+            graphs = SupportGraph(mask), SupportGraph(mask)
+            want = mask.copy()
+            while want.any(axis=1).all():
+                # a random edge of each row
+                cols = np.where(want, rng.random((n, n)), -1).argmax(axis=1)
+                graphs[0].drop_matching(cols)
+                order = rng.permutation(n)
+                graphs[1].drop(order, cols[order])
+                want[np.arange(n), cols] = False
+                ref = sp.csr_matrix(want)
+                for graph in graphs:
+                    assert np.array_equal(graph.csr.indptr, ref.indptr)
+                    assert np.array_equal(graph.csr.indices, ref.indices)
+            assert_same_matching(graphs[0], want)
+
+    @pytest.mark.parametrize("n", [8, 16, 64, 192])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_n_edges_from_a_repeated_row(self, n, seed):
+        # as many edges as a matching has, but one row gives two and
+        # another none: the row starts move by the rows actually named
+        import scipy.sparse as sp
+
+        rng = np.random.default_rng(11000 * n + seed)
+        mask = rng.random((n, n)) < 0.6
+        mask[np.arange(n), rng.permutation(n)] = True
+        graph = SupportGraph(mask)
+        want = mask.copy()
+        rounds = 0
+        while True:
+            counts = want.sum(axis=1)
+            twice = np.flatnonzero(counts >= 2)
+            if twice.size == 0:
+                break
+            r = rng.choice(twice)
+            empty = np.flatnonzero(counts == 0)
+            if empty.size > 1 or (empty.size == 1 and empty[0] == r):
+                break
+            s = (empty[0] if empty.size
+                 else rng.choice(np.setdiff1d(np.arange(n), [r])))
+            others = [k for k in range(n) if k != s]
+            first = {k: rng.choice(np.flatnonzero(want[k])) for k in others}
+            second = rng.choice(np.setdiff1d(np.flatnonzero(want[r]),
+                                             [first[r]]))
+            rows = np.array(others + [r])
+            cols = np.array([first[k] for k in others] + [second])
+            order = rng.permutation(n)
+            graph.drop(rows[order], cols[order])
+            want[rows, cols] = False
+            ref = sp.csr_matrix(want)
+            assert np.array_equal(graph.csr.indptr, ref.indptr)
+            assert np.array_equal(graph.csr.indices, ref.indices)
+            rounds += 1
+        assert rounds > 0
+        assert_same_matching(graph, want)
+
     def test_keys_that_overflow_int32_are_refused(self):
         # a read-only view: the shape is refused before any edge is read
         mask = np.broadcast_to(False, (1 << 16, 1 << 16))
@@ -477,6 +544,24 @@ class TestBirkhoffReference:
             q[np.arange(n), rng.permutation(n)] += c
         got = walk(birkhoff_terms(q))
         assert got == walk(birkhoff_reference(q, zero_tol))
+
+    @pytest.mark.parametrize("n", [8, 40])
+    def test_transposed_input(self, n):
+        # the walk works on a flat view of its own C-ordered copy, so a
+        # Fortran-ordered q walks as its contiguous copy does
+        rng = np.random.default_rng(n)
+        q = np.zeros((n, n))
+        for c in rng.dirichlet(np.ones(2 * n)):
+            q[np.arange(n), rng.permutation(n)] += c
+        assert not q.T.flags.c_contiguous
+        want = walk(birkhoff_terms(np.ascontiguousarray(q.T)))
+        assert walk(birkhoff_terms(q.T)) == want
+        assert want == walk(birkhoff_reference(q.T, ZERO_TOL))
+        exact = np.array([[Fraction(int(x), 4) for x in row]
+                          for row in np.eye(n, dtype=int)[::-1] * 4],
+                         dtype=object)
+        assert (walk(birkhoff_terms(exact.T))
+                == walk(birkhoff_terms(np.ascontiguousarray(exact.T))))
 
     @pytest.mark.parametrize("n,m,rows", [(16, 8, range(2, 8)),
                                           (64, 12, (2, 3, 6)),

@@ -8,12 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orthomate import OrthomateError, matching, maxflow
+from orthomate import (OrthomateError, advance_state, init_state, matching,
+                       maxflow, normalize_row, sample_matching_lazy)
 from orthomate.matching import (
     build_fractional_matching,
     default_eta_initial,
     sinkhorn_witness,
 )
+
+from conftest import random_rect
 
 
 def transport_value(mid_caps, tol=1e-12):
@@ -81,6 +84,237 @@ class TestPureSolver:
             if enabled:
                 gc.enable()
         assert left < 0.1e6
+
+
+# --------------------------------------------------------------- reference
+
+class _RefNet:
+    """Adjacency-list flow network with paired reverse edges."""
+
+    def __init__(self, n_nodes):
+        self.head = [[] for _ in range(n_nodes)]
+        self.to = []
+        self.cap = []
+
+    def add_edge(self, u, v, c):
+        eid = len(self.to)
+        self.to.append(v)
+        self.cap.append(c)
+        self.head[u].append(eid)
+        self.to.append(u)
+        self.cap.append(0)
+        self.head[v].append(eid + 1)
+        return eid
+
+
+def _ref_push(net, level, it, snk, tol, u, limit):
+    if u == snk:
+        return limit
+    while it[u] < len(net.head[u]):
+        eid = net.head[u][it[u]]
+        v = net.to[eid]
+        if net.cap[eid] > tol and level[v] == level[u] + 1:
+            got = _ref_push(net, level, it, snk, tol, v,
+                            min(limit, net.cap[eid]))
+            if got > tol:
+                net.cap[eid] -= got
+                net.cap[eid ^ 1] += got
+                return got
+        it[u] += 1
+    level[u] = -1
+    return 0
+
+
+def _ref_dinic(net, src, snk, tol):
+    n_nodes = len(net.head)
+    total = 0
+    while True:
+        level = [-1] * n_nodes
+        level[src] = 0
+        queue = [src]
+        for u in queue:
+            for eid in net.head[u]:
+                v = net.to[eid]
+                if level[v] < 0 and net.cap[eid] > tol:
+                    level[v] = level[u] + 1
+                    queue.append(v)
+        if level[snk] < 0:
+            return total
+        it = [0] * n_nodes
+        while True:
+            pushed = _ref_push(net, level, it, snk, tol, src, float("inf"))
+            if pushed <= tol:
+                break
+            total = total + pushed
+
+
+def transport_reference(mid_caps, one=1.0, tol=1e-12):
+    """solve_transport as every phase of Dinic on the whole network, with a
+    recursive depth-first search: the solver the one-pass first phase must
+    equal bit for bit."""
+    n = len(mid_caps)
+    src, snk = 2 * n, 2 * n + 1
+    net = _RefNet(2 * n + 2)
+    for k in range(n):
+        net.add_edge(src, k, one)
+    for g in range(n):
+        net.add_edge(n + g, snk, one)
+    mid_edges = {}
+    for k in range(n):
+        row = mid_caps[k]
+        for g in range(n):
+            c = row[g]
+            if c > tol:
+                mid_edges[(k, g)] = net.add_edge(k, n + g, c)
+    value = _ref_dinic(net, src, snk, tol)
+    zero = one - one
+    flow = [[zero] * n for _ in range(n)]
+    for (k, g), eid in mid_edges.items():
+        flow[k][g] = net.cap[eid ^ 1]
+    return value, flow
+
+
+def same_number(x, y):
+    if type(x) is not type(y):
+        return False
+    return x.hex() == y.hex() if isinstance(x, float) else x == y
+
+
+def assert_same_solve(caps, one=1.0, tol=1e-12):
+    """solve_transport equals transport_reference: the value, every flow
+    entry and each one's type."""
+    value, flow = maxflow.solve_transport(caps, one=one, tol=tol)
+    want_value, want_flow = transport_reference(caps, one=one, tol=tol)
+    assert same_number(value, want_value), (value, want_value)
+    assert len(flow) == len(want_flow)
+    for row, want_row in zip(flow, want_flow):
+        assert len(row) == len(want_row)
+        assert all(same_number(x, y) for x, y in zip(row, want_row))
+    return value
+
+
+@pytest.fixture
+def later_phases(monkeypatch):
+    """One entry per hand-off from the first phase to the network: whether
+    a later phase added flow (which it can only do through a reverse edge,
+    every forward path being blocked by the first phase)."""
+    runs = []
+    dinic = maxflow._dinic
+
+    def counted(net, src, snk, tol, total=0):
+        value = dinic(net, src, snk, tol, total)
+        runs.append(value != total)
+        return value
+
+    monkeypatch.setattr(maxflow, "_dinic", counted)
+    return runs
+
+
+def random_network(n, rng):
+    """Capacities of one of three shapes, scaled so that some networks
+    saturate and some do not: dense per-symbol weights, sparse ones with
+    empty lines, and a near doubly stochastic mix of permutations."""
+    shape = rng.integers(3)
+    if shape == 0:
+        w = per_symbol(rng.random((n, n)) + 1e-3)
+    elif shape == 1:
+        w = rng.random((n, n)) * (rng.random((n, n)) < rng.uniform(0.1, 0.6))
+        w = w / max(w.sum(axis=0).max(), 1e-300)
+    else:
+        w = permutation_mix(n, rng, int(rng.integers(1, n + 2)))
+    return w * rng.uniform(0.7, 1.4)
+
+
+def chain(n, one=1.0):
+    """Column k reaches symbols k and k + 1, column n - 1 symbol 0: the
+    first phase leaves column n - 1 without a symbol, and the one
+    augmenting path left runs back through every column."""
+    zero = one - one
+    caps = [[zero] * n for _ in range(n)]
+    for k in range(n - 1):
+        caps[k][k] = caps[k][k + 1] = one
+    caps[n - 1][0] = one
+    return caps
+
+
+class TestTransportReference:
+    @pytest.mark.parametrize("tol", [1e-12, 0.0, 1e-3])
+    def test_random_float_networks(self, later_phases, tol):
+        rng = np.random.default_rng(int(tol * 1e15) + 7)
+        verdicts = {True: 0, False: 0}
+        for n in range(1, 41):
+            for _ in range(6):
+                value = assert_same_solve(random_network(n, rng).tolist(),
+                                          tol=tol)
+                verdicts[n - value <= 1e-9] += 1
+        assert min(verdicts.values()) > 0
+        assert len(later_phases) > 0 and any(later_phases)
+
+    def test_fraction_networks(self, later_phases):
+        rng = np.random.default_rng(3)
+        verdicts = {True: 0, False: 0}
+        for _ in range(300):
+            n = int(rng.integers(1, 9))
+            scale = int(rng.integers(n, 3 * n))
+            caps = [[Fraction(int(x), scale) for x in row]
+                    for row in rng.integers(0, 4, size=(n, n))
+                    * (rng.random((n, n)) < 0.6)]
+            value = assert_same_solve(caps, one=Fraction(1), tol=0)
+            assert isinstance(value, (int, Fraction))
+            verdicts[value == n] += 1
+        assert min(verdicts.values()) > 0
+        assert any(later_phases)
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 31])
+    def test_later_phase_through_reverse_edges(self, later_phases, n):
+        for one in (1.0, Fraction(1)):
+            later_phases.clear()
+            tol = 0 if isinstance(one, Fraction) else 1e-12
+            assert assert_same_solve(chain(n, one), one=one, tol=tol) == n
+            assert later_phases == [True]
+
+    def test_nothing_to_push(self, later_phases):
+        # no edge above tol: the value is the int 0 of an empty phase, and
+        # the flow keeps one - one where there is no edge
+        for caps, tol in (([[0.0, 0.0], [0.0, 0.0]], 1e-12),
+                          ([[1e-4, 0.0], [0.0, 1e-4]], 1e-3), ([], 1e-12)):
+            assert assert_same_solve(caps, tol=tol) == 0
+        assert assert_same_solve([[Fraction(0)]], one=Fraction(1), tol=0) == 0
+
+    @pytest.mark.parametrize("n", [64, 128, 192])
+    def test_guided_rows(self, monkeypatch, n):
+        # the rows the pure solver re-solves in guided runs: t = 0 and 1,
+        # where d is doubly stochastic on its support and scipy's verdict
+        # falls in the rounding band
+        asked = []
+        solve = maxflow.solve_transport
+
+        def captured(mid_caps, *args, **kwargs):
+            asked.append((mid_caps, args, kwargs))
+            return solve(mid_caps, *args, **kwargs)
+
+        monkeypatch.setattr(maxflow, "solve_transport", captured)
+        J = random_rect(n, 3, n)
+        state = init_state(J.shape)
+        rng = np.random.default_rng(n)
+        for _ in range(2):
+            q, _ = build_fractional_matching(normalize_row(state, state.t))
+            state = advance_state(state, q, sample_matching_lazy(q, rng), J)
+        monkeypatch.undo()
+        assert asked
+        for mid_caps, args, kwargs in asked:
+            value = assert_same_solve(mid_caps, *args, **kwargs)
+            assert n - value <= matching.FEAS_TOL
+
+    def test_long_augmenting_path(self):
+        # the later phase's path passes all 2n + 2 nodes: deeper than the
+        # recursion limit allows a recursive search
+        n = 600
+        value, flow = maxflow.solve_transport(chain(n))
+        assert value == n
+        assert all(flow[k][k + 1] == 1.0 and flow[k][k] == 0
+                   for k in range(n - 1))
+        assert flow[n - 1][0] == 1.0
 
 
 class TestScipySolver:
