@@ -17,7 +17,7 @@ for any row after it.
 Everything is taken from (before, q, L_row, after): the kills from
 process.later_kills, as the transition takes them, and the largest pair
 sum row by row from process.pair_sums, as check_gamma takes it for the rows
-its screens keep, so no (rows, n, n) Gram tensor is built.
+its C ceiling keeps, so no (rows, n, n) Gram tensor is built.
 
 The martingale residual over all rows > t takes the survival probabilities
 from process.survival_blocks, the helper the transition divides by, a few

@@ -232,11 +232,7 @@ def solve_fixed_eta(d, eta) -> Optional[np.ndarray]:
         value, flow = maxflow.solve_transport(caps.tolist(), one=Fraction(1),
                                               tol=0)
         if value == n:
-            q = np.empty((n, n), dtype=object)
-            for k in range(n):
-                for g in range(n):
-                    q[k, g] = flow[k][g]
-            return q
+            return np.array(flow, dtype=object)
         return None
     if _scipy_solves(caps):
         status, q = maxflow.scipy_transport(caps)

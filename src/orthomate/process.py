@@ -35,9 +35,9 @@ read them from there, so no step holds the probabilities for all rows at
 once.  run_process owns two (m, n, n) buffers and writes each
 new p into the one the old state is not using.  Each state also carries a
 per-row ceiling on its largest C pair sum: check_gamma sets it from the
-pair sums it computes, the transition multiplies it by the row's growth
+pair sums it computes, the transition multiplies it by the step's growth
 bound, and check_gamma skips a row whose ceiling clears c_bound by the
-rounding margin C_CEILING_MARGIN.
+rounding margin C_CEILING_MARGIN; it is the only screen of C.
 """
 
 from __future__ import annotations
@@ -74,31 +74,22 @@ DEN_TOL = 1e-12
 #: (at least one row), a few hundred kB of float64 that stay in cache
 BLOCK_ENTRIES = 1 << 16
 
-#: relative margin of check_gamma's Cauchy-Schwarz screen of C.  With u =
-#: 2^-53 and gamma_n = n u / (1 - n u), each of the n-term sums of
-#: nonnegative products is computed within a factor 1 +- gamma_n of its
-#: value (the two squared norms and the pair sum), and the norm product
-#: and c_bound^2 (1 - margin) add a few u more.  A skipped row then has
-#: computed pair sums at most c_bound sqrt((1 - margin) (1 + gamma_n)^2
-#: (1 + 4u) / ((1 - gamma_n)^2 (1 - u))), which is at most c_bound while
-#: the margin exceeds about 4 (n + 2) u: 1e-9 covers every n below 2 * 10^6,
-#: far past any state that fits in memory (p alone is n^2 m floats).
-C_SCREEN_MARGIN = 1e-9
-
 #: relative margin of the C ceiling (GuidanceState.c_ceiling).  The ceiling
 #: of row i bounds the exact pair sums sum_g x(k, g) x(l, g) of x, the row
 #: as the float64 array check_gamma reads (p itself, or each Fraction
-#: rounded to nearest), so with u = 2^-53 and gamma_n as above:
+#: rounded to nearest), so with u = 2^-53 and gamma_n = n u / (1 - n u):
 #:   set:  a computed pair sum of n nonnegative terms is within 1 +- gamma_n
 #:         of the exact one, in any summation order, with or without FMA,
 #:         so M (1 + margin), rounded, bounds the exact sums of a row whose
 #:         largest computed pair sum is M while the margin exceeds about
 #:         (n + 1) u;
 #:   grow: a survivor becomes x / d rounded once (a Fraction divides
-#:         exactly and is rounded once, its x once before), d >= dmin, the
-#:         row's least survival probability outside its killed points; a
-#:         killed point or a low one (which must have p = 0) becomes 0.  So
-#:         the exact sums grow at most by (1 + u)^2 / ((1 - u)^2 dmin^2),
+#:         exactly and is rounded once, its x once before), d >= dmin =
+#:         (1 - q_max) - q_max computed alike: rounding is monotone, so no
+#:         computed survival probability of the step, killed or not, is
+#:         below it; a killed point or a low one (which must have p = 0)
+#:         becomes 0.  So every row's exact sums grow at most by
+#:         (1 + u)^2 / ((1 - u)^2 dmin^2),
 #:         and ceiling * (1 / dmin)^2 * (1 + margin), with its four
 #:         roundings and the rounding of a Fraction's dmin, stays above
 #:         them while the margin exceeds about 10 u; dmin <= 0 or nan makes
@@ -109,6 +100,7 @@ C_SCREEN_MARGIN = 1e-9
 #: The terms are nonnegative, as every state a transition makes is; a
 #: product that underflows errs by at most 2^-1074 absolutely, far inside
 #: the margin of c_bound >= 1/n.  So 1e-9 covers every n below 2 * 10^6,
+#: far past any state that fits in memory (p alone is n^2 m floats),
 #: whatever the BLAS kernel, and the report of a skipped row equals the one
 #: its product would give.
 C_CEILING_MARGIN = 1e-9
@@ -178,13 +170,13 @@ class GuidanceState:
     entries killed at earlier times are exactly zero.  A point's colouring
     time is simply its row index: row i is placed at step t = i.
 
-    c_ceiling, when not None, is an (m,) float64 array: c_ceiling[i] is an
-    upper bound on the largest pair sum of row i (see C_CEILING_MARGIN),
-    +inf where none is known.  init_state starts it at +inf, check_gamma
-    lowers it for the rows it multiplies, and advance_state carries it over
-    to the next state.  A state built by hand has None and is checked as a
-    whole; code that writes p of a state with a ceiling in place must reset
-    the ceiling to +inf.
+    c_ceiling is an (m,) float64 array: c_ceiling[i] is an upper bound on
+    the largest pair sum of row i (see C_CEILING_MARGIN), +inf where none
+    is known.  A state built without one, by init_state or by hand, starts
+    at +inf everywhere, so its first check multiplies every row;
+    check_gamma lowers it for the rows it multiplies, and advance_state
+    carries it over to the next state.  Code that writes p of a state in
+    place must reset the ceiling to +inf.
     """
 
     shape: Shape
@@ -192,6 +184,10 @@ class GuidanceState:
     p: np.ndarray
     stopped_at: Optional[int] = None
     c_ceiling: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        if self.c_ceiling is None:
+            self.c_ceiling = np.full(self.shape.m, math.inf)
 
     @property
     def exact(self) -> bool:
@@ -220,8 +216,7 @@ def init_state(shape: Shape, exact: bool = False) -> GuidanceState:
         p = np.full((m, n, n), Fraction(1, n), dtype=object)
     else:
         p = np.full((m, n, n), 1.0 / n)
-    return GuidanceState(shape=shape, t=0, p=p,
-                         c_ceiling=np.full(m, math.inf))
+    return GuidanceState(shape=shape, t=0, p=p)
 
 
 def check_epsilon(epsilon) -> float:
@@ -277,13 +272,10 @@ def check_gamma(state: GuidanceState, epsilon: float) -> GammaReport:
     was checked for A while it was still uncoloured and is frozen since, so
     checking it again could not find anything new.
 
-    C is screened twice before a row is multiplied.  The C ceiling clears a
-    row whose state.c_ceiling is at most c_bound (1 - C_CEILING_MARGIN).
-    Cauchy-Schwarz clears one whose two largest squared line norms
-    sum_g p(i, k, g)^2 multiply to at most c_bound^2 (1 - C_SCREEN_MARGIN):
-    G[i, k, l] <= |p_ik| |p_il|.  Both margins leave room for rounding, so
-    a cleared row cannot break C.  A kept row's pair sums are
-    pair_sums(p_i), and its ceiling becomes their maximum, inflated by
+    C is checked on the rows whose state.c_ceiling does not clear it: a
+    row with a ceiling at most c_bound (1 - C_CEILING_MARGIN) cannot break
+    C, as the margin leaves room for rounding.  Every other row's pair sums
+    are pair_sums(p_i), and its ceiling becomes their maximum, inflated by
     C_CEILING_MARGIN.  numpy sends the one-row and the batched product alike
     to BLAS syrk, so the report equals the one from the dense (rows, n, n)
     Gram tensor.
@@ -316,18 +308,10 @@ def check_gamma(state: GuidanceState, epsilon: float) -> GammaReport:
     if n < 2 or not sub.shape[0]:
         return GammaReport(not violations, tuple(violations))
     ceiling = state.c_ceiling
-    rows = np.arange(sub.shape[0])
-    if ceiling is not None:
-        rows = rows[~(ceiling[t:] <= c_bound * (1.0 - C_CEILING_MARGIN))]
-    if rows.size:
-        sq = np.einsum("rkg,rkg->rk", sub, sub)
-        top2 = np.partition(sq, n - 2, axis=1)[:, n - 2:]
-        screen = c_bound * c_bound * (1.0 - C_SCREEN_MARGIN)
-        rows = rows[(top2[:, 0] * top2[:, 1] > screen)[rows]]
-    for r in rows:
+    for r in np.flatnonzero(
+            ~(ceiling[t:] <= c_bound * (1.0 - C_CEILING_MARGIN))):
         block = pair_sums(sub[r])
-        if ceiling is not None:
-            ceiling[t + r] = float(block.max()) * (1.0 + C_CEILING_MARGIN)
+        ceiling[t + r] = float(block.max()) * (1.0 + C_CEILING_MARGIN)
         bad = block > c_bound
         if bad.any():
             for k, l in np.argwhere(bad):
@@ -423,16 +407,17 @@ def survival_blocks(q, k2: np.ndarray, one):
 
 
 def _grown_ceiling(ceiling: np.ndarray, dmin) -> np.ndarray:
-    """The C ceilings of rows whose least survival probability outside
-    their killed points is dmin, after the transition: each times
-    (1 / dmin)^2 (1 + C_CEILING_MARGIN), and +inf where dmin is <= 0 or
-    nan."""
-    dmin = np.asarray(dmin, dtype=np.float64)
-    pos = dmin > 0
+    """The C ceilings of rows whose survival probabilities are all at
+    least dmin, after the transition: each times (1 / dmin)^2
+    (1 + C_CEILING_MARGIN), and all +inf where dmin is <= 0 or nan or that
+    factor overflows (a zero ceiling times +inf would be nan)."""
+    dmin = np.float64(dmin)
     with np.errstate(over="ignore"):
-        inv = 1.0 / np.where(pos, dmin, 1.0)
-        return np.where(pos, ceiling * (inv * inv * (1.0 + C_CEILING_MARGIN)),
-                        math.inf)
+        inv = 1.0 / dmin if dmin > 0 else math.inf
+        grow = inv * inv * (1.0 + C_CEILING_MARGIN)
+        if grow == math.inf:
+            return np.full_like(ceiling, math.inf)
+        return ceiling * grow
 
 
 def advance_state(state: GuidanceState, q, L_row: np.ndarray,
@@ -445,9 +430,9 @@ def advance_state(state: GuidanceState, q, L_row: np.ndarray,
     points drop to zero; coloured rows stay frozen.  Survivors can only
     grow, since the divisor never exceeds 1.  A point with zero mass stays
     at zero whatever its survival probability.  The killed symbols come
-    from later_kills.  The new state carries the old state's finite C
-    ceilings, each multiplied by its row's growth bound (see
-    C_CEILING_MARGIN).
+    from later_kills.  The new state carries the old state's C ceilings,
+    those of the rows > t multiplied by the step's growth bound
+    (see C_CEILING_MARGIN).
 
     The new p is written into out when it is given: an array of p's shape
     and dtype, not p itself, that already holds p's rows below t (the
@@ -478,11 +463,12 @@ def advance_state(state: GuidanceState, q, L_row: np.ndarray,
     tol = 0 if state.exact else DEN_TOL
     k2 = diag_column_map(J, t, t + 1)
     killed = later_kills(L_row, k2)
-    ceiling = None if state.c_ceiling is None else state.c_ceiling.copy()
     # rounding is monotone, so no computed den is below (1 - q_max) - q_max
-    # computed alike: when that clears tol, no block needs its minimum
+    # computed alike: when that clears tol, no block needs its minimum, and
+    # it bounds the growth of every row's C ceiling
     q_max = np.max(q)
-    all_clear = (one - q_max) - q_max > tol
+    dmin = (one - q_max) - q_max
+    all_clear = dmin > tol
     # row and column indices that pair with killed[a:b] to name its points
     i_idx = np.arange(m)[:, None, None]
     k_idx = np.arange(state.shape.n)[None, :, None]
@@ -507,12 +493,8 @@ def advance_state(state: GuidanceState, q, L_row: np.ndarray,
                 raise DegenerateDenominator(
                     f"surviving point ({int(i) + lo}, {int(k)}, {int(g)}) "
                     f"has survival probability {float(den[i, k, g]):.3e}")
-        if ceiling is not None and (ceiling[lo:hi] < math.inf).any():
-            # the block is spent: +inf at the killed points leaves each
-            # row's least survival probability outside its kills
-            den[kills] = math.inf
-            ceiling[lo:hi] = _grown_ceiling(ceiling[lo:hi],
-                                            den.min(axis=(1, 2)))
+    ceiling = state.c_ceiling.copy()
+    ceiling[t + 1:] = _grown_ceiling(ceiling[t + 1:], dmin)
     return GuidanceState(shape=state.shape, t=t + 1, p=out,
                          c_ceiling=ceiling)
 

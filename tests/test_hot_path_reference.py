@@ -704,14 +704,14 @@ class TestAdvanceReference:
 
 # -------------------------------------------------------------------- gamma
 
-def screened_rows(state, epsilon):
-    """Per uncoloured row, whether check_gamma's Cauchy-Schwarz screen
-    keeps it (multiplies its Gram block), written out again here."""
-    c_bound = gamma_bounds(state.shape.n, epsilon)[3]
-    sub = process.uncoloured_rows(state)
-    top2 = np.sort(np.einsum("rkg,rkg->rk", sub, sub), axis=1)[:, -2:]
-    screen = c_bound * c_bound * (1.0 - process.C_SCREEN_MARGIN)
-    return (top2[:, 0] * top2[:, 1] > screen).tolist()
+def multiplied_rows(monkeypatch):
+    """A list that collects a copy of every row check_gamma multiplies
+    (passes to process.pair_sums) from now on."""
+    rows = []
+    pair_sums = process.pair_sums
+    monkeypatch.setattr(process, "pair_sums",
+                        lambda row: rows.append(row.copy()) or pair_sums(row))
+    return rows
 
 
 def spoiled(n, m, steps, seed, exact=False):
@@ -792,9 +792,10 @@ class TestGammaReference:
     @pytest.mark.parametrize("above", [False, True])
     def test_cauchy_schwarz_equality(self, n, m, exact, above):
         # two parallel lines k, l alone in a later row: their pair sum
-        # equals the product of their norms, the row's two largest, so the
-        # screen keeps the row by no more than its margin; G is exactly
-        # c_bound (no violation) or the next float above it
+        # equals the product of their norms, the row's two largest, and is
+        # exactly c_bound (no violation) or the next float above it; the
+        # hand-built state's ceilings start at +inf, so the row is
+        # multiplied and its ceiling set from that pair sum
         state = evolved(n, m, 1, seed=n, exact=exact)[1]
         c_bound = gamma_bounds(n, 0.5)[3]
         x = 2 * c_bound if not above else np.nextafter(2 * c_bound, 1.0)
@@ -812,16 +813,17 @@ class TestGammaReference:
             assert all(v.lhs == np.nextafter(c_bound, 1.0) for v in c_hits)
         else:
             assert not c_hits
-        assert screened_rows(spot, 0.5)[i - spot.t]
+        pair = np.nextafter(c_bound, 1.0) if above else c_bound
+        assert spot.c_ceiling[i] == pair * (1 + process.C_CEILING_MARGIN)
 
     @pytest.mark.parametrize("n, m, exact", [(16, 8, False), (8, 4, True)])
     @pytest.mark.parametrize("ceiling_above", [False, True])
     @pytest.mark.parametrize("pair_above", [False, True])
     def test_ceiling_at_the_skip_threshold(self, monkeypatch, n, m, exact,
                                            ceiling_above, pair_above):
-        # the row of test_cauchy_schwarz_equality, which the Cauchy-Schwarz
-        # screen keeps, with its ceiling set by hand at the skip threshold
-        # or the next float above: the row is multiplied only above it
+        # the row of test_cauchy_schwarz_equality, with its ceiling set by
+        # hand at the skip threshold or the next float above: the row is
+        # multiplied only above it
         state = evolved(n, m, 1, seed=n, exact=exact)[1]
         c_bound = gamma_bounds(n, 0.5)[3]
         x = np.nextafter(2 * c_bound, 1.0) if pair_above else 2 * c_bound
@@ -835,12 +837,7 @@ class TestGammaReference:
         ceiling[i] = np.nextafter(threshold, 1.0) if ceiling_above else threshold
         spot = GuidanceState(shape=state.shape, t=state.t, p=p,
                              c_ceiling=ceiling)
-        assert screened_rows(spot, 0.5)[i - spot.t]
-        multiplied = []
-        pair_sums = process.pair_sums
-        monkeypatch.setattr(process, "pair_sums",
-                            lambda row: multiplied.append(row.copy())
-                            or pair_sums(row))
+        multiplied = multiplied_rows(monkeypatch)
         got = check_gamma(spot, 0.5)
         row_i = [row for row in multiplied
                  if same_array(row, process.uncoloured_rows(spot)[i - spot.t])]
@@ -866,23 +863,20 @@ class TestGammaReference:
         (16, 8, False, 0.5253080956801089, 0.15423279937722625),
         (8, 4, True, 0.5253080956801089, 0.23225570201143575)])
     def test_ceiling_covers_the_rounding_of_a_step(self, n, m, exact, x, y):
-        # lines k and l of a later row share symbol g with p = x and y;
-        # lines a and b sit alone on their own symbols, so the screen keeps
-        # the row, and its product sets the ceiling.  Under a uniform q
+        # lines k and l of a later row share symbol g with p = x and y,
+        # and the row's product sets the ceiling.  Under a uniform q
         # every survival probability is d, and x y / d^2 rounds to just
         # above c_bound, while the ceiling carried without its margin,
         # fl(fl(x y) (1 / d)^2), stays at or below c_bound: only the
         # margin keeps the row from being skipped with a C violation
         J, state, _, _ = evolved(n, m, 1, seed=n, exact=exact)
         t, i = state.t, m - 1
-        k, l, a, b, g, g1, g2 = 1, 2, 3, 4, 0, 1, 2
+        k, l, g = 1, 2, 0
         one = Fraction(1) if exact else 1.0
         p = state.p.copy()
         p[i] = 0 * one
         p[i, k, g], p[i, l, g] = (Fraction(x), Fraction(y)) if exact else (x, y)
-        p[i, a, g1] = p[i, b, g2] = one / 2
-        spot = GuidanceState(shape=state.shape, t=t, p=p,
-                             c_ceiling=np.full(m, math.inf))
+        spot = GuidanceState(shape=state.shape, t=t, p=p)
         assert check_gamma(spot, 0.5) == gamma_reference(spot, 0.5)
         assert spot.c_ceiling[i] < math.inf
 
@@ -904,9 +898,10 @@ class TestGammaReference:
                                         for v in got.violations]
 
     def test_one_large_line(self):
-        # row i has one large line and tiny others: the two largest norms
-        # multiply to less than c_bound^2 and the row is skipped; row j has
-        # the same large line beside its evolved lines and breaks C
+        # row i has one large line and tiny others: its pair sums are far
+        # below c_bound, and so is the ceiling its product sets, which
+        # clears the row at the next check; row j has the same large line
+        # beside its evolved lines, breaks C and keeps a ceiling above it
         n, m = 32, 16
         state = evolved(n, m, 4, seed=2)[1]
         p = state.p.copy()
@@ -917,8 +912,9 @@ class TestGammaReference:
         spot = GuidanceState(shape=state.shape, t=state.t, p=p)
         got = check_gamma(spot, 0.5)
         assert got == gamma_reference(spot, 0.5)
-        kept = screened_rows(spot, 0.5)
-        assert not kept[i - spot.t] and kept[j - spot.t]
+        c_bound = gamma_bounds(n, 0.5)[3]
+        assert spot.c_ceiling[i] <= c_bound * (1 - process.C_CEILING_MARGIN)
+        assert spot.c_ceiling[j] > c_bound
         c_rows = {v.location[0] for v in got.violations if v.ineq == "C_ikl"}
         assert j in c_rows and i not in c_rows
 
@@ -956,19 +952,16 @@ class TestGammaReference:
 
     def test_guided_runs(self, monkeypatch):
         # every check of unrecorded guided runs, whose rows sit on both
-        # sides of the screen and of the C ceiling; the runs end on C
+        # sides of the C ceiling; the runs end on C
         check = process.check_gamma
-        kept, exits, by_ceiling = [], [], []
+        cleared, exits = [], []
 
         def checked_gamma(state, epsilon, **kwargs):
             c_bound = gamma_bounds(state.shape.n, epsilon)[3]
-            cleared = state.c_ceiling[state.t:] <= c_bound * (
-                1.0 - process.C_CEILING_MARGIN)
-            screened = screened_rows(state, epsilon)
+            cleared.extend(state.c_ceiling[state.t:] <= c_bound * (
+                1.0 - process.C_CEILING_MARGIN))
             got = check(state, epsilon, **kwargs)
             assert got == gamma_reference(state, epsilon)
-            kept.extend(screened)
-            by_ceiling.extend(cleared & screened)
             return got
 
         monkeypatch.setattr(process, "check_gamma", checked_gamma)
@@ -977,19 +970,18 @@ class TestGammaReference:
                               seed=seed,
                               config=ProcessConfig(record_trajectory=False))
             exits.append(out.gamma_report)
-        assert any(kept) and not all(kept)
-        # rows the screen keeps and the ceiling clears
-        assert sum(by_ceiling) > 0
+        assert any(cleared) and not all(cleared)
         assert any(rep is not None and any(v.ineq == "C_ikl"
                                            for v in rep.violations)
                    for rep in exits)
 
     def test_no_gram_tensor(self):
-        # the screened check multiplies one row at a time, so its peak is
-        # far below the (rows, n, n) Gram tensor of the uncoloured rows
+        # the check multiplies one row at a time, so its peak is far below
+        # the (rows, n, n) Gram tensor of the uncoloured rows, also when no
+        # ceiling clears any row
         state = evolved(128, 64, 20, seed=0)[1]
         sub = process.uncoloured_rows(state)
-        assert any(screened_rows(state, 0.5))
+        assert (state.c_ceiling[state.t:] == math.inf).all()
         tracemalloc.start()
         try:
             check_gamma(state, 0.5)
@@ -997,6 +989,91 @@ class TestGammaReference:
         finally:
             tracemalloc.stop()
         assert peak < sub.nbytes / 4
+
+
+class TestCeiling:
+    @pytest.mark.parametrize("n, m, exact", [(32, 16, False), (8, 4, True)])
+    def test_first_check_multiplies_every_row(self, monkeypatch, n, m, exact):
+        # a state built without a ceiling, by init_state or by hand, starts
+        # at +inf for every row, so its first check multiplies them all,
+        # also the uniform rows whose pair sums are far below c_bound; the
+        # ceilings that check sets clear every row at the next one
+        state = init_state(Shape(n, m), exact=exact)
+        by_hand = GuidanceState(shape=state.shape, t=0, p=state.p.copy())
+        multiplied = multiplied_rows(monkeypatch)
+        for spot in (state, by_hand):
+            assert spot.c_ceiling.shape == (m,)
+            assert (spot.c_ceiling == math.inf).all()
+            del multiplied[:]
+            assert check_gamma(spot, 0.5) == gamma_reference(spot, 0.5)
+            assert len(multiplied) == m
+            del multiplied[:]
+            assert check_gamma(spot, 0.5).good and not multiplied
+
+    @pytest.mark.parametrize("n, m, steps, exact", [
+        (32, 16, 3, False), (64, 32, 10, False), (8, 4, 1, True),
+        (10, 5, 2, True)])
+    def test_growth_by_the_step_wide_bound(self, n, m, steps, exact):
+        # every ceiling of the rows > t grows by (1 / dmin)^2
+        # (1 + C_CEILING_MARGIN), dmin = (1 - q_max) - q_max in the state's
+        # arithmetic, which bounds every survival probability of the step;
+        # the other ceilings and the old state's are kept
+        J, state, q, L_row = evolved(n, m, steps, seed=n, exact=exact)
+        check_gamma(state, 0.5)
+        t, old = state.t, state.c_ceiling.copy()
+        assert (old[t:] < math.inf).all()
+        after = advance_state(state, q, L_row, J)
+        one = Fraction(1) if exact else 1.0
+        dmin = np.float64((one - np.max(q)) - np.max(q))
+        assert 0 < dmin < 1
+        inv = 1.0 / dmin
+        grown = old[t + 1:] * (inv * inv * (1.0 + process.C_CEILING_MARGIN))
+        assert same_array(after.c_ceiling[t + 1:], grown)
+        assert same_array(after.c_ceiling[:t + 1], old[:t + 1])
+        assert same_array(state.c_ceiling, old)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_no_growth_bound_without_a_positive_one(self, exact):
+        # q a permutation matrix: q_max = 1 and dmin = -1, so every ceiling
+        # of the rows > t becomes +inf, although each survivor keeps p
+        J = random_rect(6, 4, 5)
+        state = init_state(J.shape, exact=exact)
+        check_gamma(state, 0.5)
+        assert (state.c_ceiling < math.inf).all()
+        perm = np.random.default_rng(5).permutation(6)
+        q = np.zeros((6, 6), dtype=np.int64)
+        q[np.arange(6), perm] = 1
+        after = advance_state(state, q, perm, J)
+        assert after.c_ceiling[0] == state.c_ceiling[0]
+        assert (after.c_ceiling[1:] == math.inf).all()
+
+    @pytest.mark.parametrize("n, seed, exact", [
+        (64, 0, False), (128, 0, False), (8, 0, True), (10, 1, True)])
+    def test_ceiling_bounds_the_pair_sums(self, monkeypatch, n, seed, exact):
+        # at every check of a guided run, each finite ceiling is at least
+        # its row's largest pair sum, whether the check skips the row or
+        # not: an unsound skip would otherwise show only where C breaks.
+        # The float runs also skip rows; the short exact ones may not
+        check = process.check_gamma
+        c_bound = gamma_bounds(n, 0.5)[3]
+        finite, cleared = [], []
+
+        def checked_gamma(state, epsilon):
+            rows = process.uncoloured_rows(state)
+            for r, ceiling in enumerate(state.c_ceiling[state.t:]):
+                if ceiling < math.inf:
+                    assert process.pair_sums(rows[r]).max() <= ceiling
+                    finite.append(ceiling)
+                    cleared.append(
+                        ceiling <= c_bound * (1 - process.C_CEILING_MARGIN))
+            return check(state, epsilon)
+
+        monkeypatch.setattr(process, "check_gamma", checked_gamma)
+        arithmetic = "exact" if exact else "float64"
+        run_process(random_rect(n, n // 2, seed), epsilon=0.5, seed=seed,
+                    config=ProcessConfig(arithmetic=arithmetic,
+                                         record_trajectory=False))
+        assert finite and (exact or any(cleared))
 
 
 # ------------------------------------------------------------- flow search

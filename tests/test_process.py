@@ -429,9 +429,13 @@ class TestRunProcess:
         state = init_state(Shape(n=4, m=2), exact=True)
         assert check_gamma(state, 0.5).good
         state.p[1, 0, 0] = Fraction(99, 100)
+        # p written in place: the ceilings that check set no longer hold
+        state.c_ceiling[:] = math.inf
         rep = check_gamma(state, 0.5)
         assert not rep.good
         assert any(v.ineq == "B_line" and v.location == ("RC", 1, 0)
+                   for v in rep.violations)
+        assert any(v.ineq == "C_ikl" and v.location == (1, 0, 1)
                    for v in rep.violations)
         # a tighter epsilon makes the pointwise bound fire too
         rep2 = check_gamma(state, 0.9)
