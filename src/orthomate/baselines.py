@@ -26,7 +26,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .core import LatinRectangle, OrthomateError, Shape
-from .bipartite import hopcroft_karp
+from .bipartite import SupportGraph, perfect_matching_scipy
 
 
 class NoPerfectMatching(OrthomateError):
@@ -84,7 +84,9 @@ def hall_greedy(J: LatinRectangle, m: Optional[int] = None,
     Args:
         J: reference rectangle; only its first m rows are mated.
         m: number of rows to build (defaults to all of J's rows).
-        rng: seed or generator; randomizes the matching vertex order.
+        rng: seed or generator; each row draws a symbol permutation, then a
+            column permutation, and scipy's matcher sees the legality graph
+            with its symbols and columns reordered by them.
 
     Raises:
         NoPerfectMatching: some row's legality graph has no perfect matching
@@ -100,14 +102,14 @@ def hall_greedy(J: LatinRectangle, m: Optional[int] = None,
         graph = build_legality_graph(J, grid, t)
         sym_order = rng.permutation(n)
         col_order = rng.permutation(n)
-        adj = [sym_order[graph.allowed[k, sym_order]].tolist() for k in range(n)]
-        match = hopcroft_karp(adj, n, order=col_order)
-        if (match < 0).any():
+        match = perfect_matching_scipy(
+            SupportGraph(graph.allowed[np.ix_(col_order, sym_order)]))
+        if match is None:
             raise NoPerfectMatching(
                 f"row {t}: legality graph has no perfect matching "
                 f"(min degree {graph.min_degree()})"
             )
-        grid[t] = match
+        grid[t, col_order] = sym_order[match]
     if m == J.shape.m:
         return LatinRectangle(J.shape, grid)
     return LatinRectangle(Shape(n=n, m=m), grid)

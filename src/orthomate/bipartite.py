@@ -1,89 +1,28 @@
 """Bipartite perfect matchings on column/symbol graphs.
 
-hopcroft_karp, the pure matcher, serves the Hall-regime greedy (rng-shuffled
-left-vertex order) and, through perfect_matching_pure in a fixed order,
-the Birkhoff walk below n = 16; from n = 16 on the walk uses scipy's C
-Hopcroft-Karp (perfect_matching_scipy).  The walk keeps each threshold
-level's support as one SupportGraph: a CSR graph built once per level from
-the mask's flat nonzero positions, from which it deletes the matched edges
-that leave the level after each term, in place of converting a fresh mask
-for every matching.  When every matched edge leaves, which is the usual
-term, the deletion takes one edge from each row and the row starts move by
-a fixed step.  Both Birkhoff matchers read that CSR and nothing else; scipy's
-matcher is imported once, on first use, so importing this module does not
-import scipy.  The random rectangle
+perfect_matching_scipy, scipy's C Hopcroft-Karp, is the package's one
+perfect matcher: the Birkhoff walk calls it at every n, and the Hall-regime
+greedy calls it on a legality graph whose rows and columns it has permuted
+by its rng.  The walk keeps each threshold level's support as one
+SupportGraph: a CSR graph built once per level from the mask's flat nonzero
+positions, from which it deletes the matched edges that leave the level
+after each term, in place of converting a fresh mask for every matching.
+When every matched edge leaves, which is the usual term, the deletion takes
+one edge from each row and the row starts move by a fixed step.  The
+matcher reads that CSR and nothing else; it is imported once, on first use,
+so importing this module does not import scipy.  The random rectangle
 generator matches nothing here: baselines._random_row and _augment build
 its rows.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-INF = -1
-
 #: scipy's Hopcroft-Karp, imported on the first perfect_matching_scipy call
 _scipy_matching = None
-
-
-def hopcroft_karp(adj: Sequence[Sequence[int]], n_right: int,
-                  order: Optional[Sequence[int]] = None) -> np.ndarray:
-    """Maximum matching of left vertices 0..len(adj)-1 into right vertices.
-
-    Args:
-        adj: adjacency lists, adj[u] = iterable of right neighbours of u.
-        n_right: number of right vertices.
-        order: processing order of left vertices; defaults to 0..n_left-1.
-            The result is deterministic given (adj, order).
-
-    Returns:
-        match_left array, match_left[u] = matched right vertex or -1.
-    """
-    n_left = len(adj)
-    if order is None:
-        order = range(n_left)
-    match_l = np.full(n_left, -1, dtype=np.int64)
-    match_r = np.full(n_right, -1, dtype=np.int64)
-    dist = np.empty(n_left, dtype=np.int64)
-
-    def bfs() -> bool:
-        queue = deque()
-        for u in order:
-            if match_l[u] < 0:
-                dist[u] = 0
-                queue.append(u)
-            else:
-                dist[u] = INF
-        found = False
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                w = match_r[v]
-                if w < 0:
-                    found = True
-                elif dist[w] == INF:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return found
-
-    def dfs(u: int) -> bool:
-        for v in adj[u]:
-            w = match_r[v]
-            if w < 0 or (dist[w] == dist[u] + 1 and dfs(w)):
-                match_l[u] = v
-                match_r[v] = u
-                return True
-        dist[u] = INF
-        return False
-
-    while bfs():
-        for u in order:
-            if match_l[u] < 0:
-                dfs(u)
-    return match_l
 
 
 class SupportGraph:
@@ -146,22 +85,6 @@ class SupportGraph:
         """Delete edge (k, cols[k]) of every row k, all in the graph."""
         self._delete(self._row_keys | cols.astype(np.int32))
         self.csr.indptr[1:] -= self._steps
-
-
-def perfect_matching_pure(graph: SupportGraph) -> Optional[np.ndarray]:
-    """Perfect matching columns -> symbols by hopcroft_karp on the graph's
-    CSR rows, whose symbols ascend as in np.nonzero of the mask's rows.
-
-    Returns match[k] = symbol matched to column k, or None if no perfect
-    matching exists.
-    """
-    csr = graph.csr
-    ptr, idx = csr.indptr.tolist(), csr.indices.tolist()
-    adj = [idx[ptr[k]:ptr[k + 1]] for k in range(csr.shape[0])]
-    match = hopcroft_karp(adj, csr.shape[1])
-    if (match < 0).any():
-        return None
-    return match
 
 
 def perfect_matching_scipy(graph: SupportGraph) -> Optional[np.ndarray]:

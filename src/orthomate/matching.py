@@ -42,8 +42,7 @@ import numpy as np
 
 from .core import OrthomateError
 from . import maxflow
-from .bipartite import (SupportGraph, perfect_matching_pure,
-                        perfect_matching_scipy)
+from .bipartite import SupportGraph, perfect_matching_scipy
 
 #: instance size above which the float flow path uses the scipy solver
 SCIPY_FLOW_MIN_N = 24
@@ -339,9 +338,9 @@ def birkhoff_terms(q):
     or above a halving threshold (the full positive support once the
     threshold passes the smallest entry), so early terms carry large
     coefficients; its coefficient is the smallest matched entry, which is
-    then subtracted.  Support matchings come from scipy's Hopcroft-Karp for
-    n >= 16 and from the pure solver's fixed vertex order below that; both
-    are deterministic, so the walk is reproducible.
+    then subtracted.  Support matchings come from scipy's Hopcroft-Karp
+    (perfect_matching_scipy, looked up in this module at each call) at every
+    n; it is deterministic, so the walk is reproducible.
 
     Each threshold level's support is built once, as a SupportGraph.  A
     term changes only its matched entries, and only lowers them, so after
@@ -372,7 +371,6 @@ def birkhoff_terms(q):
     Q[Q < zero_tol] = 0
     flat = Q.reshape(-1)  # a view of the C-ordered copy
     base = np.arange(n) * n
-    find = perfect_matching_scipy if n >= 16 else perfect_matching_pure
     acc = 0
     walked = False
     theta = Q.max() / 2
@@ -381,7 +379,7 @@ def birkhoff_terms(q):
         full = theta <= zero_tol
         if graph is None:
             graph = SupportGraph((Q > 0) if full else (Q >= theta))
-        match = find(graph)
+        match = perfect_matching_scipy(graph)
         if match is None:
             if full:
                 if walked and 1 - acc <= dust_tol:

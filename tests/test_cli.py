@@ -295,6 +295,16 @@ class TestTrials:
         assert main(args + ["--jobs", "2", "--out", str(b)]) == 0
         assert strip_wall_time(read(a)) == strip_wall_time(read(b))
 
+    def test_hall_parallel_matches_serial(self, tmp_path):
+        # each pool worker matches its hall rows with scipy's matcher
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        args = ["trials", "--n", "16", "--epsilon", "0.75", "--count", "4",
+                "--algorithm", "hall", "--seed", "1"]
+        assert main(args + ["--jobs", "1", "--out", str(a)]) == 0
+        assert main(args + ["--jobs", "2", "--out", str(b)]) == 0
+        assert strip_wall_time(read(a)) == strip_wall_time(read(b))
+        assert read(b).count(",hall,success,") == 4
+
     def test_count_zero_usage_error(self, tmp_path):
         assert main(["trials", "--n", "8", "--count", "0",
                      "--out", str(tmp_path / "x.csv")]) == 1

@@ -22,15 +22,15 @@ from orthomate.baselines import random_latin_rectangle
 
 # (arithmetic, n, epsilon, seed) -> digest of the run's outcome
 GOLDEN = {
-    ('float64', 8, 0.5, 0): 'c4c1bdc953bb155c',
-    ('float64', 8, 0.5, 1): '857c196d37166cd2',
-    ('float64', 8, 0.5, 2): '4ef18fdc32f37156',
+    ('float64', 8, 0.5, 0): '6d9350a105f6194c',
+    ('float64', 8, 0.5, 1): '1e887be1926115bd',
+    ('float64', 8, 0.5, 2): '3d68ec3ee59bacb1',
     ('float64', 8, 0.5, 3): 'edff4c4036526ff1',
     ('float64', 8, 0.5, 4): '389a5b102fe1615a',
-    ('float64', 8, 0.75, 0): '246ea19403f23044',
-    ('float64', 8, 0.75, 1): '6020ac1c06eb1c36',
-    ('float64', 8, 0.75, 2): 'a30b78dff4e6bcff',
-    ('float64', 8, 0.75, 3): 'cf123e2713916d22',
+    ('float64', 8, 0.75, 0): '76e99e214ee14026',
+    ('float64', 8, 0.75, 1): 'b0326f34008450fc',
+    ('float64', 8, 0.75, 2): '21438a3fe88a2e1a',
+    ('float64', 8, 0.75, 3): '7bcc4febd7111326',
     ('float64', 8, 0.75, 4): '8baf8eca9d1de11f',
     ('float64', 16, 0.5, 0): '7ebcfcd80dbcef9c',
     ('float64', 16, 0.5, 1): '97cf5614abc9a372',
@@ -62,18 +62,18 @@ GOLDEN = {
     ('float64', 64, 0.75, 2): 'a55b235e06406d56',
     ('float64', 64, 0.75, 3): 'a5b6e585cb83bc4e',
     ('float64', 64, 0.75, 4): '7f77c9b77fcc4c90',
-    ('exact', 6, 0.5, 0): '3a28bd8991ddf45a',
-    ('exact', 6, 0.5, 1): '16fb5acf561819cb',
-    ('exact', 6, 0.75, 0): '50ad15c4f1e3dcd5',
-    ('exact', 6, 0.75, 1): 'c3f83dbe5d1b7afe',
-    ('exact', 8, 0.5, 0): 'c4c1bdc953bb155c',
-    ('exact', 8, 0.5, 1): '857c196d37166cd2',
-    ('exact', 8, 0.75, 0): '246ea19403f23044',
-    ('exact', 8, 0.75, 1): '6020ac1c06eb1c36',
-    ('exact', 10, 0.5, 0): 'c933a5cefe78559a',
-    ('exact', 10, 0.5, 1): '6cb38572e967ea05',
-    ('exact', 10, 0.75, 0): 'f9fe93da09497f7a',
-    ('exact', 10, 0.75, 1): '88cdc5a159d72642',
+    ('exact', 6, 0.5, 0): '4f17b99553e83aa2',
+    ('exact', 6, 0.5, 1): '21407a37c4b6d4c8',
+    ('exact', 6, 0.75, 0): 'da0b21048bcd9f55',
+    ('exact', 6, 0.75, 1): '486bc20bcd979dd2',
+    ('exact', 8, 0.5, 0): '6d9350a105f6194c',
+    ('exact', 8, 0.5, 1): '1e887be1926115bd',
+    ('exact', 8, 0.75, 0): '76e99e214ee14026',
+    ('exact', 8, 0.75, 1): 'b0326f34008450fc',
+    ('exact', 10, 0.5, 0): 'f77276d7a8fff39d',
+    ('exact', 10, 0.5, 1): 'd81badd3560094a6',
+    ('exact', 10, 0.75, 0): '0ed8f3e8f11359fe',
+    ('exact', 10, 0.75, 1): '881eaffffc26b59c',
 }
 
 
@@ -96,6 +96,15 @@ def outcome_digest(arithmetic: str, n: int, epsilon: float, seed: int) -> str:
 @pytest.mark.parametrize("case", sorted(GOLDEN), ids=lambda c: "-".join(map(str, c)))
 def test_golden_digest(case):
     assert outcome_digest(*case) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("epsilon, seed", sorted(
+    (eps, seed) for arithmetic, n, eps, seed in GOLDEN
+    if arithmetic == "exact" and n == 8))
+def test_float_and_exact_agree(epsilon, seed):
+    # at n = 8 the float path must reach the exact oracle's outcome
+    float_digest = GOLDEN["float64", 8, epsilon, seed]
+    assert float_digest == GOLDEN["exact", 8, epsilon, seed]
 
 
 def _cases():

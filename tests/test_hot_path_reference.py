@@ -9,6 +9,8 @@ row for A, the trajectory recorder that evaluates each record with its
 own masks and gathers, and the balance search that solves a max flow at
 every ratio it tries.  The package versions do less work and must agree
 with them bit for bit on seeded random inputs, including the failure cases.
+hall_greedy, which shares the support matcher, is checked against a replay
+of its rng draws matched through ``csr_matrix`` too.
 """
 
 from __future__ import annotations
@@ -39,14 +41,11 @@ from orthomate import (
     normalize_row,
     run_process,
     sample_matching_lazy,
+    verify_orthogonal,
 )
 from orthomate import diagnostics, matching, maxflow, process
-from orthomate.bipartite import (
-    SupportGraph,
-    hopcroft_karp,
-    perfect_matching_pure,
-    perfect_matching_scipy,
-)
+from orthomate.baselines import build_legality_graph, hall_greedy
+from orthomate.bipartite import SupportGraph, perfect_matching_scipy
 from orthomate.matching import (
     ZERO_TOL,
     Infeasible,
@@ -72,28 +71,19 @@ def matching_reference(mask):
     return match.astype(np.int64)
 
 
-def pure_matching_reference(mask):
-    """hopcroft_karp on adjacency lists read from the mask's rows."""
-    adj = [np.nonzero(row)[0].tolist() for row in mask]
-    match = hopcroft_karp(adj, mask.shape[1])
-    if (match < 0).any():
-        return None
-    return match
-
-
 def birkhoff_reference(Q, zero_tol):
     """The Birkhoff walk with a dense support pass and truncation per term."""
     Q = np.array(Q, dtype=np.float64)
     n = Q.shape[0]
     Q[Q < zero_tol] = 0
     cols = np.arange(n)
-    find = matching_reference if n >= 16 else pure_matching_reference
     acc = 0
     walked = False
     theta = Q.max() / 2
     for _ in range(n * n + 2 * n + 80):
         support = Q > 0
-        match = find(support if theta <= zero_tol else (Q >= theta))
+        match = matching_reference(
+            support if theta <= zero_tol else (Q >= theta))
         if match is None:
             if theta <= zero_tol:
                 if walked and 1 - acc <= 1e-9:
@@ -386,33 +376,55 @@ def random_masks(n, rng):
 
 
 def assert_same_matching(graph, mask):
-    """Both matchers on the graph's CSR equal their references on the mask."""
-    for matcher, reference in ((perfect_matching_scipy, matching_reference),
-                               (perfect_matching_pure,
-                                pure_matching_reference)):
-        got, want = matcher(graph), reference(mask)
-        if want is None:
-            assert got is None
-        else:
-            assert got.dtype == np.int64
-            assert np.array_equal(got, want)
+    """The matcher on the graph's CSR equals its reference on the mask."""
+    got, want = perfect_matching_scipy(graph), matching_reference(mask)
+    if want is None:
+        assert got is None
+    else:
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
 
 
 class TestMatchingReference:
-    @pytest.mark.parametrize("n", [16, 64, 192])
+    @pytest.mark.parametrize("n", [8, 12, 16, 64, 192])
     @pytest.mark.parametrize("seed", range(3))
     def test_equals_csr_matrix_matching(self, n, seed):
         rng = np.random.default_rng(1000 * n + seed)
         for mask in random_masks(n, rng):
             assert_same_matching(SupportGraph(mask), mask)
 
-    @pytest.mark.parametrize("n", [16, 64, 192])
+    @pytest.mark.parametrize("n", [8, 12, 16, 64, 192])
     def test_failure_cases_return_none(self, n):
         rng = np.random.default_rng(n)
         *_, empty_row, hall = random_masks(n, rng)
         for mask in (empty_row, hall, np.zeros((n, n), dtype=bool)):
             assert perfect_matching_scipy(SupportGraph(mask)) is None
-            assert perfect_matching_pure(SupportGraph(mask)) is None
+
+
+def hall_greedy_reference(J, m, seed):
+    """hall_greedy's rng draws, each row matched on the permuted legality
+    mask through csr_matrix."""
+    rng = np.random.default_rng(seed)
+    n = J.shape.n
+    grid = np.zeros((m, n), dtype=np.int64)
+    for t in range(m):
+        allowed = build_legality_graph(J, grid, t).allowed
+        sym_order = rng.permutation(n)
+        col_order = rng.permutation(n)
+        match = matching_reference(allowed[np.ix_(col_order, sym_order)])
+        grid[t, col_order] = sym_order[match]
+    return grid
+
+
+class TestHallGreedyReference:
+    @pytest.mark.parametrize("n", [8, 16, 64])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_reference(self, n, seed):
+        m = n // 4
+        J = random_rect(n, m, seed)
+        mate = hall_greedy(J, m=m, rng=seed)
+        assert np.array_equal(mate.grid, hall_greedy_reference(J, m, seed))
+        assert verify_orthogonal(mate, J).ok
 
 
 class TestSupportGraph:
