@@ -391,6 +391,8 @@ def cmd_trials(args) -> int:
     cfg = _config_from_args(args)
     if args.algorithm == "guided":
         check_arithmetic(n, cfg)
+    # scipy's one-time import, outside the timed trials; workers inherit it
+    import scipy.sparse.csgraph  # noqa: F401
     jobs = [
         (i, args.seed + i, n, m, args.epsilon, args.algorithm, cfg.to_json())
         for i in range(args.count)

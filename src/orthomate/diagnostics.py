@@ -1,10 +1,10 @@
 """Empirical monitoring of the quantities the analysis controls.
 
 Per step this records: the extremes of the local line sums (B statistic),
-the largest quasi-random pair sum (C statistic), the largest state entry
-(A statistic), the fresh kills (points of positive mass the step zeroes),
-the martingale residual of the transition, and step deviations of the
-tracked sums from their conditional expectations.
+the largest quasi-random pair sum (C statistic), the largest entry of the
+rows >= t (A statistic), the fresh kills (points of positive mass the step
+zeroes), the martingale residual of the transition, and step deviations of
+the tracked sums from their conditional expectations.
 
 Kill counts per local line and per C sum are constants of the kill rule
 (KILLS_PER_LINE, KILLS_PER_C_SUM) and are not recorded.  The deviation and
@@ -14,10 +14,13 @@ run is recorded only up to its exit: one record per placed row, none for
 the row where run_process stopped (a Gamma exit or an infeasible row) or
 for any row after it.
 
-Everything is taken from (before, q, L_row, after): the kills from
-process.later_kills, as the transition takes them, and the largest pair
-sum row by row from process.pair_sums, as check_gamma takes it for the rows
-its C ceiling keeps, so no (rows, n, n) Gram tensor is built.
+Everything is taken from (before, q, L_row, after), each quantity once: the
+kills from process.later_kills, as the transition takes them, and the
+largest pair sum row by row from process.pair_sums, as check_gamma takes it
+for the rows its C ceiling keeps, so no (rows, n, n) Gram tensor is built.
+Each row's maximum also becomes its C ceiling in after, as check_gamma's
+set step makes it: recording changes which rows a check multiplies, never
+its report.
 
 The martingale residual over all rows > t takes the survival probabilities
 from process.survival_blocks, the helper the transition divides by, a few
@@ -48,15 +51,15 @@ from typing import Optional
 import numpy as np
 
 from .core import LatinRectangle, OrthomateError
-from .process import (GuidanceState, diag_column_map, later_kills,
-                      pair_sums, survival_blocks)
+from .process import (C_CEILING_MARGIN, GuidanceState, diag_column_map,
+                      later_kills, pair_sums, survival_blocks)
 
 
 class EmptyTrajectory(OrthomateError):
     """summarize() needs at least one recorded step."""
 
 
-CSV_SCHEMA = "orthomate-trajectory-v4"
+CSV_SCHEMA = "orthomate-trajectory-v5"
 
 #: sample size of the spot check and of the tracked C sums
 TRACKED_LINES = 64
@@ -152,7 +155,6 @@ class TrajectoryRecorder:
         self.triples = np.array(
             [(j % m, j, (j + 1) % n) for j in range(k) if n >= 2],
             dtype=np.int64).reshape(-1, 3).T
-        self._frozen_rows, self._frozen_max = 0, -math.inf
 
     def record_step(self, before: GuidanceState, q_row, L_row: np.ndarray,
                     after: GuidanceState, eta_used: float = math.nan
@@ -160,9 +162,10 @@ class TrajectoryRecorder:
         """Record the transition before -> after under (q_row, L_row).
 
         The line sums and pair sums of the rows > t are taken here, one
-        row's pair sums at a time, and the passes that need the survival
-        probabilities, the kills or a work array one block of rows at a
-        time.  Steps of one run are recorded in order.
+        row's pair sums at a time (their row maxima become after's C
+        ceilings), and the passes that need the survival probabilities, the
+        kills or a work array one block of rows at a time.  Steps of one
+        run are recorded in order.
         """
         m, n = self.m, self.n
         t = before.t
@@ -173,29 +176,31 @@ class TrajectoryRecorder:
         L_row = np.asarray(L_row, dtype=np.int64)
 
         b_min = b_max = c_max = math.nan
-        fresh_kills = 0
-        mart_res, growth_max, b_dev_max = 0.0, 1.0, 0.0
-        pa = p_after[t + 1:]
+        fresh_kills, mart_res, growth_max, b_dev_max = 0, 0.0, 1.0, 0.0
         if t + 1 < m:
             # statistics of the new state over rows that can still change
+            pa, pb = p_after[t + 1:], p_before[t + 1:]
             b_rc, b_rs = pa.sum(axis=2), pa.sum(axis=1)
             b_min = float(min(b_rc.min(), b_rs.min()))
             b_max = float(max(b_rc.max(), b_rs.max()))
+            b_dev_max = float(max(np.abs(b_rc - pb.sum(axis=2)).max(),
+                                  np.abs(b_rs - pb.sum(axis=1)).max()))
+            # each row's largest pair sum, set as check_gamma would set it
+            row_c = np.array([pair_sums(row).max() for row in pa])
+            after.c_ceiling[t + 1:] = row_c * (1.0 + C_CEILING_MARGIN)
             # np.max, not max(): a nan row maximum must reach c_max
-            c_max = float(np.max([pair_sums(row).max() for row in pa]))
+            c_max = float(np.max(row_c))
 
-            # the fresh kills, the martingale residual, the largest
-            # survivor ratio p' / p and the line sums of p' - p, a block of
-            # rows at a time, with the block's survival probabilities and
-            # one block-sized work array
-            pb = p_before[t + 1:]
+            # the fresh kills, the martingale residual and the largest
+            # survivor ratio p' / p, a block of rows at a time, with the
+            # block's survival probabilities and one block-sized work array
             one = Fraction(1) if before.exact else 1.0
             k2 = diag_column_map(self.J, t, t + 1)
             killed = later_kills(L_row, k2)
             i_idx = np.arange(m - t - 1)[:, None, None]
             k_idx = np.arange(n)[None, :, None]
             work = None
-            mart, ratios, dev_rc, dev_rs = [], [], [], []
+            mart, ratios = [], []
             for a, den in survival_blocks(q_raw, k2, one):
                 blk = slice(a, a + len(den))
                 if work is None:
@@ -212,29 +217,17 @@ class TrajectoryRecorder:
                     np.divide(pa[blk], pb[blk], out=buf)
                 buf[kills] = math.nan
                 ratios.append(np.fmax.reduce(buf.reshape(-1)))
-                np.subtract(pa[blk], pb[blk], out=buf)
-                dev_rc.append(np.abs(buf.sum(axis=2)).max())
-                dev_rs.append(np.abs(buf.sum(axis=1)).max())
 
             # np.max, not max(), wherever a nan must reach the record
-            mart_res = np.max(mart)
             spot = self._spot_residual(before, q_raw, L_row, pb, pa)
-            if spot.size:
-                mart_res = np.maximum(mart_res, spot.max())
-            mart_res = float(mart_res)
+            mart_res = float(np.max(np.append(mart, spot)))
             ratio = np.fmax.reduce(ratios)
             if not math.isnan(ratio):
                 growth_max = float(ratio)
-            b_dev_max = float(max(np.max(dev_rc), np.max(dev_rs)))
 
-        # rows <= t are frozen from now on: fold each into a running maximum
-        # once instead of scanning it again on every later step
-        frozen = p_after[self._frozen_rows:t + 1]
-        if frozen.size:
-            self._frozen_max = np.maximum(self._frozen_max, frozen.max())
-        self._frozen_rows = max(self._frozen_rows, t + 1)
-        p_max = float(np.maximum(self._frozen_max, pa.max()) if pa.size
-                      else self._frozen_max)
+        # rows < t are final and were in the records of the steps that
+        # placed them, so the run's largest p_max is that of all its states
+        p_max = float(p_after[t:].max())
 
         c_dev_max = self._tracked_c_deviation(p_before, p_after, q, t)
 

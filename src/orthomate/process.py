@@ -34,10 +34,12 @@ later_kills; the transition and the recorder's martingale residual both
 read them from there, so no step holds the probabilities for all rows at
 once.  run_process owns two (m, n, n) buffers and writes each
 new p into the one the old state is not using.  Each state also carries a
-per-row ceiling on its largest C pair sum: check_gamma sets it from the
-pair sums it computes, the transition multiplies it by the step's growth
-bound, and check_gamma skips a row whose ceiling clears c_bound by the
-rounding margin C_CEILING_MARGIN; it is the only screen of C.
+per-row ceiling on its largest C pair sum: init_state, check_gamma and the
+trajectory recorder set it from pair sums they compute, the transition
+multiplies it by the step's growth bound, and check_gamma skips a row whose
+ceiling clears c_bound by the rounding margin C_CEILING_MARGIN; it is the
+only screen of C, so recording changes which rows a check multiplies,
+never its report.
 """
 
 from __future__ import annotations
@@ -172,11 +174,10 @@ class GuidanceState:
 
     c_ceiling is an (m,) float64 array: c_ceiling[i] is an upper bound on
     the largest pair sum of row i (see C_CEILING_MARGIN), +inf where none
-    is known.  A state built without one, by init_state or by hand, starts
-    at +inf everywhere, so its first check multiplies every row;
-    check_gamma lowers it for the rows it multiplies, and advance_state
-    carries it over to the next state.  Code that writes p of a state in
-    place must reset the ceiling to +inf.
+    is known: everywhere in a state built by hand without one.  init_state,
+    check_gamma and the trajectory recorder set it from pair sums they
+    compute, and advance_state carries it over to the next state.  Code
+    that writes p of a state in place must reset the ceiling to +inf.
     """
 
     shape: Shape
@@ -210,13 +211,16 @@ class GammaReport:
 
 
 def init_state(shape: Shape, exact: bool = False) -> GuidanceState:
-    """Uniform initial state p = 1/n everywhere."""
+    """Uniform initial state p = 1/n everywhere; its rows are all alike, so
+    one row's pair sums set the C ceiling of every row."""
     m, n = shape.m, shape.n
     if exact:
         p = np.full((m, n, n), Fraction(1, n), dtype=object)
     else:
         p = np.full((m, n, n), 1.0 / n)
-    return GuidanceState(shape=shape, t=0, p=p)
+    top = pair_sums(np.asarray(p[0], dtype=np.float64)).max()
+    return GuidanceState(shape=shape, t=0, p=p, c_ceiling=np.full(
+        m, float(top) * (1.0 + C_CEILING_MARGIN)))
 
 
 def check_epsilon(epsilon) -> float:

@@ -4,6 +4,7 @@ import ctypes
 import json
 import multiprocessing
 import os
+import subprocess
 import sys
 
 import pytest
@@ -11,6 +12,24 @@ import pytest
 from orthomate import parse_rectangle, verify_latin, verify_orthogonal
 from orthomate import cli
 from orthomate.cli import main, run_single_trial
+
+
+#: run in a fresh interpreter: `orthomate trials` with each trial's detail
+#: replaced by whether scipy's csgraph was imported when the trial began
+SCIPY_AT_TRIAL_START = """
+import sys
+from dataclasses import replace
+from orthomate import cli
+assert "scipy" not in sys.modules, "importing the CLI imported scipy"
+run_trial = cli.run_single_trial
+
+def trial(job):
+    loaded = "scipy.sparse.csgraph" in sys.modules
+    return replace(run_trial(job), detail=f"scipy={loaded}")
+
+cli.run_single_trial = trial
+sys.exit(cli.main(sys.argv[1:]))
+"""
 
 
 def read(path):
@@ -170,7 +189,7 @@ class TestMate:
         main(["mate", "--in", str(jp), "--seed", "4", "--out",
               str(tmp_path / "L.txt"), "--diag", str(dg)])
         text = read(dg)
-        assert text.startswith("# orthomate-trajectory-v4 ")
+        assert text.startswith("# orthomate-trajectory-v5 ")
 
     def test_guided_failure_report(self, tmp_path, capsys):
         jp = tmp_path / "J.txt"
@@ -462,6 +481,24 @@ class TestTrials:
         assert not out.exists()
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_scipy_imported_before_the_first_trial(self, tmp_path, jobs):
+        # a trial's wall time must not include scipy's one-time import:
+        # trials imports it before the first trial starts (and before the
+        # pool forks), while importing the CLI still does not
+        out = tmp_path / "t.csv"
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ,
+                   PYTHONPATH=src + (os.pathsep + path if path else ""))
+        subprocess.run(
+            [sys.executable, "-c", SCIPY_AT_TRIAL_START, "trials", "--n",
+             "8", "--epsilon", "0.75", "--count", "2", "--jobs", jobs,
+             "--out", str(out)], env=env, check=True, capture_output=True)
+        rows = read(out).splitlines()[2:]
+        assert len(rows) == 2
+        assert all(",scipy=True," in row for row in rows)
+
 
 class TestDiag:
     def test_writes_csv_and_summary(self, tmp_path, capsys):
@@ -470,7 +507,7 @@ class TestDiag:
                      "--out", str(out)]) == 0
         blob = json.loads(capsys.readouterr().out)
         assert blob["n"] == 12
-        assert read(out).startswith("# orthomate-trajectory-v4 ")
+        assert read(out).startswith("# orthomate-trajectory-v5 ")
 
     @pytest.mark.parametrize("command", ["mate", "diag"])
     def test_provenance_header(self, tmp_path, command):
@@ -488,7 +525,7 @@ class TestDiag:
         main(argv + ["--seed", "7", "--exact"])
         schema, version, seed, config = read(traj).splitlines()[0][2:].split(
             " ", 3)
-        assert schema == "orthomate-trajectory-v4"
+        assert schema == "orthomate-trajectory-v5"
         assert version == f"orthomate={__version__}"
         assert seed == "seed=7"
         assert config.startswith("config=")
@@ -647,7 +684,7 @@ class TestNoMateNoOutFile:
         assert main(["mate", "--in", str(jp), "--out", str(lp),
                      "--diag", str(dg)]) == 2
         assert not lp.exists()
-        assert read(dg).startswith("# orthomate-trajectory-v4 ")
+        assert read(dg).startswith("# orthomate-trajectory-v5 ")
 
 
 class TestTrajectoryPathNeedsRecording:

@@ -10,6 +10,7 @@ import pytest
 from orthomate import (
     EmptyTrajectory,
     LatinRectangle,
+    ProcessConfig,
     TrajectoryRecorder,
     TrajectoryStats,
     advance_state,
@@ -20,6 +21,7 @@ from orthomate import (
     sample_matching_lazy,
     summarize,
 )
+from orthomate import process
 from orthomate.diagnostics import KILLS_PER_C_SUM, KILLS_PER_LINE
 
 from conftest import kill_counts, random_rect
@@ -152,6 +154,33 @@ class TestGuidedRunDiagnostics:
         assert all(not math.isnan(r.eta_used) for r in recs)
         assert tuple(r.eta_used for r in recs) == out.eta_used
 
+    @pytest.mark.parametrize("arithmetic, n, epsilon, seed", [
+        ("float64", 32, 0.75, 1), ("float64", 64, 0.5, 2),
+        ("exact", 8, 0.75, 0), ("exact", 8, 0.5, 1)])
+    def test_p_max_of_the_run_is_that_of_every_state(
+            self, monkeypatch, arithmetic, n, epsilon, seed):
+        # a record's p_max covers the rows >= t of the new state; every
+        # other row is final and was in the record of the step that placed
+        # it, so the largest p_max of a run is the largest entry of any
+        # state the run made (an entry a later step kills can exceed every
+        # final one, so the final state alone would not do)
+        tops = []
+        advance = process.advance_state
+
+        def tracked(*args, **kwargs):
+            after = advance(*args, **kwargs)
+            tops.append(float(np.asarray(after.p, dtype=np.float64).max()))
+            return after
+
+        monkeypatch.setattr(process, "advance_state", tracked)
+        J = random_rect(n, round((1.0 - epsilon) * n), seed)
+        out = run_process(J, epsilon=epsilon, seed=seed,
+                          config=ProcessConfig(arithmetic=arithmetic))
+        recs = out.trajectory.records
+        assert len(recs) == len(tops) > 1
+        assert max(r.p_max for r in recs) == max(tops)
+        assert summarize(out.trajectory, out.time).p_max == max(tops)
+
 
 class TestSummarize:
     def test_success_run(self):
@@ -198,8 +227,8 @@ class TestExports:
         out.trajectory.to_csv(buf)
         text = buf.getvalue()
         lines = text.strip().splitlines()
-        assert lines[0].startswith("# orthomate-trajectory-v4")
-        # the v4 column order, spelled out: a reordered or renamed
+        assert lines[0].startswith("# orthomate-trajectory-v5")
+        # the v5 column order (v4's), spelled out: a reordered or renamed
         # StepRecord field must change the schema name, not pass here
         assert lines[1] == (
             "t,b_min,b_max,c_max,p_max,fresh_kills,eta_used,"

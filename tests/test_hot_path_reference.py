@@ -205,10 +205,10 @@ def gamma_reference(state, epsilon):
 class RecorderReference(TrajectoryRecorder):
     """record_step with a mask, a gather or a fresh array per quantity:
     np.where chains for the martingale residual, boolean gathers for the
-    growth ratio, pa - pb twice, kills from the dense kill_mask of the
-    placed row rather than later_kills, fresh kills from that mask, p_max
-    over every row, line sums and a batched (rows, n, n) Gram tensor of its
-    own, and one sampled C sum at a time."""
+    growth ratio, line sums of pa and pb of its own, kills from the dense
+    kill_mask of the placed row rather than later_kills, fresh kills from
+    that mask, p_max over the rows >= t, a batched (rows, n, n) Gram tensor,
+    and one sampled C sum at a time."""
 
     def record_step(self, before, q_row, L_row, after, eta_used=math.nan):
         m = self.m
@@ -243,10 +243,10 @@ class RecorderReference(TrajectoryRecorder):
             if alive.any():
                 growth_max = float((pa[alive] / pb[alive]).max())
             b_dev_max = float(max(
-                np.abs((pa - pb).sum(axis=2)).max(),
-                np.abs((pa - pb).sum(axis=1)).max(),
+                np.abs(pa.sum(axis=2) - pb.sum(axis=2)).max(),
+                np.abs(pa.sum(axis=1) - pb.sum(axis=1)).max(),
             ))
-        p_max = float(p_after.max())
+        p_max = float(p_after[t:].max())
 
         c_dev_max = self._tracked_c_deviation(p_before, p_after, q, t)
         rec = StepRecord(
@@ -991,7 +991,9 @@ class TestGammaReference:
         # the check multiplies one row at a time, so its peak is far below
         # the (rows, n, n) Gram tensor of the uncoloured rows, also when no
         # ceiling clears any row
-        state = evolved(128, 64, 20, seed=0)[1]
+        evolved_state = evolved(128, 64, 20, seed=0)[1]
+        state = GuidanceState(shape=evolved_state.shape, t=evolved_state.t,
+                              p=evolved_state.p)
         sub = process.uncoloured_rows(state)
         assert (state.c_ceiling[state.t:] == math.inf).all()
         tracemalloc.start()
@@ -1006,19 +1008,21 @@ class TestGammaReference:
 class TestCeiling:
     @pytest.mark.parametrize("n, m, exact", [(32, 16, False), (8, 4, True)])
     def test_first_check_multiplies_every_row(self, monkeypatch, n, m, exact):
-        # a state built without a ceiling, by init_state or by hand, starts
-        # at +inf for every row, so its first check multiplies them all,
-        # also the uniform rows whose pair sums are far below c_bound; the
-        # ceilings that check sets clear every row at the next one
+        # a state built by hand without a ceiling starts at +inf for every
+        # row, so its first check multiplies them all, also the uniform rows
+        # whose pair sums are far below c_bound; the ceilings that check
+        # sets clear every row at the next one.  init_state starts every
+        # row at the uniform row's ceiling, the one that check sets, so its
+        # first check multiplies no row
         state = init_state(Shape(n, m), exact=exact)
         by_hand = GuidanceState(shape=state.shape, t=0, p=state.p.copy())
+        assert by_hand.c_ceiling.shape == (m,)
+        assert (by_hand.c_ceiling == math.inf).all()
         multiplied = multiplied_rows(monkeypatch)
+        assert check_gamma(by_hand, 0.5) == gamma_reference(by_hand, 0.5)
+        assert len(multiplied) == m
+        assert same_array(state.c_ceiling, by_hand.c_ceiling)
         for spot in (state, by_hand):
-            assert spot.c_ceiling.shape == (m,)
-            assert (spot.c_ceiling == math.inf).all()
-            del multiplied[:]
-            assert check_gamma(spot, 0.5) == gamma_reference(spot, 0.5)
-            assert len(multiplied) == m
             del multiplied[:]
             assert check_gamma(spot, 0.5).good and not multiplied
 
@@ -1058,6 +1062,33 @@ class TestCeiling:
         after = advance_state(state, q, perm, J)
         assert after.c_ceiling[0] == state.c_ceiling[0]
         assert (after.c_ceiling[1:] == math.inf).all()
+
+    @pytest.mark.parametrize("n, m, steps, exact", [
+        (64, 32, 18, False), (8, 4, 1, True)])
+    def test_recorder_sets_the_ceiling(self, monkeypatch, n, m, steps, exact):
+        # the recorder takes each row's largest pair sum for c_max and
+        # writes it, times 1 + C_CEILING_MARGIN, into the new state's
+        # ceilings of the rows > t, as check_gamma's set step would: the
+        # next check multiplies only the rows those ceilings do not clear,
+        # and its report is the reference's.  The float state has rows on
+        # both sides of c_bound
+        J, state, q, L_row = evolved(n, m, steps, seed=n, exact=exact)
+        check_gamma(state, 0.5)
+        after = advance_state(state, q, L_row, J)
+        TrajectoryRecorder(J).record_step(state, q, L_row, after)
+        t = state.t
+        rows = process.uncoloured_rows(after)
+        want = np.array([float(process.pair_sums(row).max())
+                         * (1.0 + process.C_CEILING_MARGIN) for row in rows])
+        assert same_array(after.c_ceiling[t + 1:], want)
+        c_bound = gamma_bounds(n, 0.5)[3]
+        kept = ~(want <= c_bound * (1.0 - process.C_CEILING_MARGIN))
+        assert (exact or kept.any()) and not kept.all()
+        multiplied = multiplied_rows(monkeypatch)
+        assert check_gamma(after, 0.5) == gamma_reference(after, 0.5)
+        assert len(multiplied) == int(kept.sum())
+        assert all(same_array(row, rows[r]) for row, r in
+                   zip(multiplied, np.flatnonzero(kept)))
 
     @pytest.mark.parametrize("n, seed, exact", [
         (64, 0, False), (128, 0, False), (8, 0, True), (10, 1, True)])

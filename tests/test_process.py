@@ -63,6 +63,7 @@ class TestCheckGamma:
     def test_forced_a_violation(self):
         state = init_state(Shape(n=100, m=50))
         state.p[10, 3, 7] = 1.0
+        state.c_ceiling[:] = math.inf  # init_state's no longer holds
         rep = check_gamma(state, 0.5)
         assert not rep.good
         viol = [v for v in rep.violations if v.ineq == "A_x"]
@@ -73,6 +74,7 @@ class TestCheckGamma:
     def test_zeroed_rs_line_b_violation(self):
         state = init_state(Shape(n=16, m=8))
         state.p[3, :, 5] = 0.0  # kill the whole line (row 3, symbol 5)
+        state.c_ceiling[:] = math.inf  # init_state's no longer holds
         rep = check_gamma(state, 0.5)
         bad = [v for v in rep.violations if v.ineq == "B_line"]
         assert any(v.location == ("RS", 3, 5) for v in bad)
@@ -82,6 +84,7 @@ class TestCheckGamma:
         state = init_state(Shape(n=n, m=4))
         state.p[2, 1, :] = 0.9  # two heavy columns in row 2
         state.p[2, 3, :] = 0.9
+        state.c_ceiling[:] = math.inf  # init_state's no longer holds
         rep = check_gamma(state, 0.9)
         assert any(v.ineq == "C_ikl" and v.location[0] == 2
                    for v in rep.violations)
@@ -89,6 +92,7 @@ class TestCheckGamma:
     def test_coloured_rows_ignored_for_b(self):
         state = init_state(Shape(n=16, m=4))
         state.p[0, :, 2] = 0.0
+        state.c_ceiling[:] = math.inf  # init_state's no longer holds
         state.t = 1  # row 0 already coloured
         rep = check_gamma(state, 0.5)
         assert not any(v.ineq == "B_line" for v in rep.violations)
@@ -96,6 +100,7 @@ class TestCheckGamma:
     def test_epsilon_zero_disables_a(self):
         state = init_state(Shape(n=4, m=4))
         state.p[1, 0, 0] = 1.0
+        state.c_ceiling[:] = math.inf  # init_state's no longer holds
         a_bound, *_ = gamma_bounds(4, 0.0)
         assert a_bound == math.inf
         rep = check_gamma(state, 0.0)
@@ -531,6 +536,7 @@ class TestEpsilon:
         # a nan bound would switch A off and report this state as good
         state = init_state(Shape(n=16, m=8))
         state.p[2, 0, 0] = 0.3
+        state.c_ceiling[:] = math.inf  # init_state's no longer holds
         assert any(v.ineq == "A_x" for v in check_gamma(state, 0.5).violations)
         with pytest.raises(ValueError, match="epsilon"):
             check_gamma(state, eps)
