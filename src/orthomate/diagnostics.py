@@ -15,7 +15,9 @@ the row where run_process stopped (a Gamma exit or an infeasible row) or
 for any row after it.
 
 Everything is taken from (before, q, L_row, after), each quantity once: the
-kills from process.later_kills, as the transition takes them, and the
+line sums and row maxima from the process.LineSums the transition carries
+on before and after (taken here only for init_state's state, at t = 0),
+the kills from process.later_kills, as the transition takes them, and the
 largest pair sum row by row from process.pair_sums, as check_gamma takes it
 for the rows its C ceiling keeps, so no (rows, n, n) Gram tensor is built.
 Each row's maximum also becomes its C ceiling in after, as check_gamma's
@@ -25,10 +27,12 @@ its report.
 The martingale residual over all rows > t takes the survival probabilities
 from process.survival_blocks, the helper the transition divides by, a few
 rows at a time: the record holds no (rows, n, n) array of them, and the
-residual sees the rounding of the division.  A spot check at a fixed sample
-of points (min(n, TRACKED_LINES) per row > t) recomputes the survival
-probability from q and J with its own code and the kill rule from the
-placed row, without later_kills, and folds its residual into the same
+residual sees the rounding of the division.  Whether a block can hold a
+survival probability <= 0 is told once per step by the transition's lower
+bound (1 - q_max) - q_max, not by each block's minimum.  A spot check at a
+fixed sample of points (min(n, TRACKED_LINES) per row > t) recomputes the
+survival probability from q and J with its own code and the kill rule from
+the placed row, without later_kills, and folds its residual into the same
 number: a transition that divides by a wrong survival probability or kills
 the wrong points shows there.  On a correct transition each sampled value
 equals the full pass's value at that point, so the record does not move.
@@ -52,7 +56,8 @@ import numpy as np
 
 from .core import LatinRectangle, OrthomateError
 from .process import (C_CEILING_MARGIN, GuidanceState, diag_column_map,
-                      later_kills, pair_sums, survival_blocks)
+                      later_kills, pair_sums, state_line_sums,
+                      survival_blocks)
 
 
 class EmptyTrajectory(OrthomateError):
@@ -161,11 +166,13 @@ class TrajectoryRecorder:
                     ) -> StepRecord:
         """Record the transition before -> after under (q_row, L_row).
 
-        The line sums and pair sums of the rows > t are taken here, one
-        row's pair sums at a time (their row maxima become after's C
-        ceilings), and the passes that need the survival probabilities, the
-        kills or a work array one block of rows at a time.  Steps of one
-        run are recorded in order.
+        The line sums and row maxima are read from the LineSums before
+        and after carry (process.state_line_sums), those of p from
+        before's rows > t; the pair sums of the rows > t are taken here,
+        one row at a time (their row maxima become after's C ceilings), and
+        the passes that need the survival probabilities, the kills or a
+        work array one block of rows at a time.  Steps of one run are
+        recorded in order.
         """
         m, n = self.m, self.n
         t = before.t
@@ -175,16 +182,19 @@ class TrajectoryRecorder:
         p_after = np.asarray(after.p, dtype=np.float64)
         L_row = np.asarray(L_row, dtype=np.int64)
 
+        # line sums and row maxima of the rows >= t of before and > t of
+        # after, as the transition (or, at t = 0, this call) took them
+        sums_b, sums_a = state_line_sums(before), state_line_sums(after)
         b_min = b_max = c_max = math.nan
         fresh_kills, mart_res, growth_max, b_dev_max = 0, 0.0, 1.0, 0.0
         if t + 1 < m:
             # statistics of the new state over rows that can still change
             pa, pb = p_after[t + 1:], p_before[t + 1:]
-            b_rc, b_rs = pa.sum(axis=2), pa.sum(axis=1)
+            b_rc, b_rs = sums_a.rc, sums_a.rs
             b_min = float(min(b_rc.min(), b_rs.min()))
             b_max = float(max(b_rc.max(), b_rs.max()))
-            b_dev_max = float(max(np.abs(b_rc - pb.sum(axis=2)).max(),
-                                  np.abs(b_rs - pb.sum(axis=1)).max()))
+            b_dev_max = float(max(np.abs(b_rc - sums_b.rc[1:]).max(),
+                                  np.abs(b_rs - sums_b.rs[1:]).max()))
             # each row's largest pair sum, set as check_gamma would set it
             row_c = np.array([pair_sums(row).max() for row in pa])
             after.c_ceiling[t + 1:] = row_c * (1.0 + C_CEILING_MARGIN)
@@ -195,6 +205,11 @@ class TrajectoryRecorder:
             # survivor ratio p' / p, a block of rows at a time, with the
             # block's survival probabilities and one block-sized work array
             one = Fraction(1) if before.exact else 1.0
+            # no den of the step is below dmin, as in advance_state, and
+            # float() rounds monotonically, so dmin > 0 rules out a den <= 0
+            # in every block; nan fails the test and leaves it to each block
+            q_max = np.max(q_raw)
+            all_positive = float((one - q_max) - q_max) > 0
             k2 = diag_column_map(self.J, t, t + 1)
             killed = later_kills(L_row, k2)
             i_idx = np.arange(m - t - 1)[:, None, None]
@@ -210,7 +225,7 @@ class TrajectoryRecorder:
                 fresh_kills += int(np.count_nonzero(pb[blk][kills] > 0))
                 mart.append(self._martingale_residual(
                     np.asarray(den, dtype=np.float64), pb[blk], pa[blk],
-                    kills, buf))
+                    kills, buf, all_positive))
                 # killed points and points of zero mass (0 / 0) are nan
                 # and ignored
                 with np.errstate(divide="ignore", invalid="ignore"):
@@ -226,8 +241,9 @@ class TrajectoryRecorder:
                 growth_max = float(ratio)
 
         # rows < t are final and were in the records of the steps that
-        # placed them, so the run's largest p_max is that of all its states
-        p_max = float(p_after[t:].max())
+        # placed them, so the run's largest p_max is that of all its states;
+        # row t of after is row t of before, which the transition copies
+        p_max = float(np.max(np.append(sums_b.row_max[:1], sums_a.row_max)))
 
         c_dev_max = self._tracked_c_deviation(p_before, p_after, q, t)
 
@@ -241,21 +257,24 @@ class TrajectoryRecorder:
         return rec
 
     @staticmethod
-    def _martingale_residual(den, pb, pa, kills, buf):
+    def _martingale_residual(den, pb, pa, kills, buf, all_positive):
         """max |den * p' - p| over one block of the rows > t, in buf.
 
         A point of positive survival probability contributes
         |den * s - p|, where s is p' if it survived and p / den if it was
         killed: the two branches of the expectation.  Where den <= 0 the
         point is certainly killed and the term is the kill consistency
-        |p'|.  kills indexes the block's killed points.
+        |p'|.  kills indexes the block's killed points; all_positive tells
+        that the step's lower bound on den is > 0, so no block needs its
+        minimum.
         """
         np.multiply(den, pa, out=buf)
         np.subtract(buf, pb, out=buf)
         np.abs(buf, out=buf)
         d, b = den[kills], pb[kills]
         buf[kills] = np.abs(d * (b / np.where(d > 0, d, 1.0)) - b)
-        if not den.min() > 0:  # nan takes this branch too, as den > 0 fails
+        # nan takes this branch too, as den > 0 fails
+        if not (all_positive or den.min() > 0):
             low = ~(den > 0)
             buf[low] = np.abs(pa[low])
         return buf.max()

@@ -10,10 +10,10 @@ Given the guidance state restricted to one row, the pipeline is:
                      the flow saturates or ETA_MAX is reached, then a short
                      balance search lowers the cap ratio.  Every feasibility
                      question, the schedule's and the search's, goes to one
-                     oracle that asks the certificates of
-                     maxflow.certified_status first where they apply (a cut,
-                     or a Sinkhorn scaling of d as the witness), so a row
-                     costs about one flow solve: the final one
+                     oracle that asks the row's maxflow.RowCertificates
+                     first where they apply (a cut, or a Sinkhorn scaling of
+                     d as the witness, shrunk once per row), so a row costs
+                     about one flow solve: the final one
   birkhoff_terms  -> express q as a convex combination of permutations by a
                      threshold-greedy elimination walk on one support graph
                      per threshold level, pruned of each term's spent edges;
@@ -181,8 +181,8 @@ def sinkhorn_witness(w) -> Optional[np.ndarray]:
     iteration alternately rescales the columns' and the symbols' sums to 1
     (Sinkhorn and Knopp, Pacific J. Math. 21, 1967) and stops once every
     column sum is within 4 eps of 1 or after SINKHORN_MAX_ITER rounds.  The
-    result is only a witness for maxflow.witness_certifies_feasible, which
-    checks it; it is not a certified matching by itself.  None when a line
+    result is only a witness for maxflow.RowCertificates, which checks
+    it; it is not a certified matching by itself.  None when a line
     of w has no mass.
     """
     tol = 4 * np.finfo(np.float64).eps
@@ -261,11 +261,12 @@ def build_fractional_matching(d) -> Tuple[np.ndarray, float]:
     The search tries beta = 1, then 1 + log n / sqrt n, then up to four
     bisection points.  The schedule and the search put every "is there a
     flow under beta * d?" to one oracle.  Where scipy solves the row
-    (_scipy_solves) it asks maxflow.certified_status first, which proves
-    the verdict the solve would give by a cut or by the row's Sinkhorn
-    witness (sinkhorn_witness, computed once per row); a question neither
-    settles, and every question the pure solver answers, is solved by
-    solve_fixed_eta and its flow kept.  The flow is then solved once at
+    (_scipy_solves) it asks the row's maxflow.RowCertificates first, which
+    prove the verdict the solve would give by a cut or by the row's
+    Sinkhorn witness; both the witness (sinkhorn_witness) and its half of
+    the certificate that no beta changes are taken once per row.  A
+    question neither settles, and every question the pure solver answers,
+    is solved by solve_fixed_eta and its flow kept.  The flow is then solved once at
     the final beta, unless that point was solved already, so q and
     eta_used are bit for bit those of solving every point.
 
@@ -281,15 +282,15 @@ def build_fractional_matching(d) -> Tuple[np.ndarray, float]:
     """
     w = np.asarray(d)
     n = w.shape[0]
-    certify = _scipy_solves(w)
-    witness = sinkhorn_witness(w) if certify else None
+    certificates = (maxflow.RowCertificates(w, sinkhorn_witness(w))
+                    if _scipy_solves(w) else None)
     solved = {}  # ratio - 1 -> the solved flow, None when infeasible
 
     def feasible(x):
         if x in solved:
             return solved[x] is not None
-        if certify:
-            status = maxflow.certified_status(_scale_caps(w, 1 + x), witness)
+        if certificates is not None:
+            status = certificates.status(1 + x)
             if status is not None:
                 return status == "feasible"
         solved[x] = solve_fixed_eta(w, x)

@@ -22,16 +22,20 @@ Two solvers share this contract:
   re-solves exactly.  The network's CSR arrays are built directly
   (transport_csr), in the order a COO-to-CSR conversion would give.
 
-certified_status tells scipy_transport's verdict without solving, where
-a certificate proves it, on the same scaled integer network:
+RowCertificates tells scipy_transport's verdict without solving, where a
+certificate proves it, on the same scaled integer network, for the
+questions of one row (is there a flow under ratio * d?):
 
 * infeasible: one of the two one-sided cuts (every column, or every
   symbol, cut at the cheaper of its unit edge and its middle edges) is
-  below full - nnz, so the max flow is too (cut_certifies_infeasible);
+  below full - nnz, so the max flow is too;
 * feasible: a nearly doubly stochastic witness (a Sinkhorn scaling of the
   row), shrunk to fit the scaled capacities, is a real flow of value above
   full - 1; an integer network's max flow is an integer at least that, so
-  it is full (witness_certifies_feasible, which states the float margins).
+  it is full (RowCertificates states the float margins).  The shrunk
+  witness, its line sums and its total depend on a question only through
+  the scale, so they are taken once per row and scale; a question adds
+  its capacities, the cut and one entrywise comparison.
 
 Either proof fixes the verdict the exact integer solve would return, so a
 caller may skip the solve and keep every outcome bit-identical.  Cases
@@ -281,28 +285,24 @@ def scipy_transport(mid_caps: np.ndarray) -> Tuple[str, Optional[np.ndarray]]:
     return "ambiguous", None
 
 
-def cut_certifies_infeasible(scale: int, mid_int: np.ndarray) -> bool:
-    """True when a one-sided cut proves scipy_transport says "infeasible".
+class RowCertificates:
+    """scipy_transport's verdict on the questions of one row, where a
+    certificate proves it: is there a flow under ratio * d?
 
-    Cutting, for each column k, the cheaper of its source edge (scale) and
-    its middle edges (row sum of mid_int) separates source from sink, and
-    so does the same choice on the symbol side.  The max flow is at most
-    either cut, so a cut below full - nnz (nnz the positive middle edges)
-    forces scipy_transport's "infeasible" branch.  Exact int64 arithmetic.
-    """
-    n = mid_int.shape[0]
-    cut = min(np.minimum(mid_int.sum(axis=1), scale).sum(),
-              np.minimum(mid_int.sum(axis=0), scale).sum())
-    return int(cut) < n * scale - int(np.count_nonzero(mid_int))
+    d is the row's (column, symbol) weights as float64 and witness a
+    nonnegative, nearly doubly stochastic (n, n) matrix, or None for no
+    witness.  A question's capacities are d * ratio, its integer network
+    (scale, mid_int) = scaled_caps(d * ratio), with full = n * scale.
 
+    infeasible: cutting, for each column k, the cheaper of its source edge
+    (scale) and its middle edges (row sum of mid_int) separates source from
+    sink, and so does the same choice on the symbol side.  The max flow is
+    at most either cut, so a cut below full - nnz (nnz the positive middle
+    edges) forces scipy_transport's "infeasible" branch.  Exact int64
+    arithmetic.
 
-def witness_certifies_feasible(scale: int, mid_int: np.ndarray,
-                               witness: np.ndarray) -> bool:
-    """True when witness proves scipy_transport says "feasible".
-
-    witness is a nonnegative, nearly doubly stochastic (n, n) matrix.  Let
-    f = (1 - delta) * scale * witness, with 1 - delta the reciprocal of the
-    witness's largest line sum (slightly inflated).  If
+    feasible: let f = (1 - delta) * scale * witness, with 1 - delta the
+    reciprocal of the witness's largest line sum (slightly inflated).  If
 
       (a) 0 <= f <= mid_int entrywise,
       (b) every row and column sum of f is at most scale, and
@@ -321,36 +321,53 @@ def witness_certifies_feasible(scale: int, mid_int: np.ndarray,
     r = 2 n eps = 4 n u: that covers the 2n - 2 roundings of the total
     and the rounding of the threshold itself.  Anything not certified this
     way is left to the solver.
+
+    Of the witness certificate only f <= mid_int depends on the question:
+    f, f >= 0, (b) and (c) depend on it through scale alone, so they are
+    taken once per distinct scale, which a row's questions seldom change.
     """
-    n = mid_int.shape[0]
-    r = 2 * n * _EPS
-    rows = witness.sum(axis=1)
-    peak = max(float(rows.max()), float(witness.sum(axis=0).max()))
-    if not peak > 0:
-        return False
-    f = witness * (scale / (peak * (1 + 2 * r)))
-    if not (f.min() >= 0 and (f <= mid_int).all()):
-        return False
-    rows = f.sum(axis=1)
-    bound = scale * (1 - r)
-    if rows.max() > bound or f.sum(axis=0).max() > bound:
-        return False
-    full = n * scale
-    return float(rows.sum()) > full - 1 + 2 * r * full
 
+    def __init__(self, d: np.ndarray, witness: Optional[np.ndarray]):
+        self.d = np.asarray(d, dtype=np.float64)
+        self.witness = witness
+        self._flows = {}  # scale -> f when f >= 0, (b) and (c) hold, else None
+        self._peak = 0.0
+        if witness is not None:
+            self._peak = max(float(witness.sum(axis=1).max()),
+                             float(witness.sum(axis=0).max()))
 
-def certified_status(mid_caps: np.ndarray,
-                     witness: Optional[np.ndarray]) -> Optional[str]:
-    """scipy_transport's status for mid_caps when a certificate proves it.
+    def status(self, ratio) -> Optional[str]:
+        """"infeasible" or "feasible" when a certificate proves that
+        scipy_transport(d * ratio) says so, None when only a solve can
+        tell."""
+        scale, mid_int = scaled_caps(self.d * float(ratio))
+        n = mid_int.shape[0]
+        cut = min(np.minimum(mid_int.sum(axis=1), scale).sum(),
+                  np.minimum(mid_int.sum(axis=0), scale).sum())
+        if int(cut) < n * scale - int(np.count_nonzero(mid_int)):
+            return "infeasible"
+        if scale not in self._flows:
+            self._flows[scale] = self._witness_flow(scale)
+        f = self._flows[scale]
+        if f is not None and (f <= mid_int).all():
+            return "feasible"
+        return None
 
-    "infeasible" by cut_certifies_infeasible, "feasible" by
-    witness_certifies_feasible on witness (None for no witness), None when
-    neither certificate applies and only a solve can tell.
-    """
-    scale, mid_int = scaled_caps(mid_caps)
-    if cut_certifies_infeasible(scale, mid_int):
-        return "infeasible"
-    if witness is not None and witness_certifies_feasible(scale, mid_int,
-                                                          witness):
-        return "feasible"
-    return None
+    def _witness_flow(self, scale: int) -> Optional[np.ndarray]:
+        """The witness shrunk to f for scale when f >= 0, (b) and (c) hold
+        of it, else None (also without a witness or at peak <= 0 or nan)."""
+        if not self._peak > 0:
+            return None
+        n = self.witness.shape[0]
+        r = 2 * n * _EPS
+        f = self.witness * (scale / (self._peak * (1 + 2 * r)))
+        if not f.min() >= 0:
+            return None
+        rows = f.sum(axis=1)
+        bound = scale * (1 - r)
+        if rows.max() > bound or f.sum(axis=0).max() > bound:
+            return None
+        full = n * scale
+        if not float(rows.sum()) > full - 1 + 2 * r * full:
+            return None
+        return f

@@ -32,14 +32,18 @@ The survival probabilities of a step are produced by survival_blocks, a
 few rows at a time in one reused buffer, and the killed symbols by
 later_kills; the transition and the recorder's martingale residual both
 read them from there, so no step holds the probabilities for all rows at
-once.  run_process owns two (m, n, n) buffers and writes each
-new p into the one the old state is not using.  Each state also carries a
-per-row ceiling on its largest C pair sum: init_state, check_gamma and the
-trajectory recorder set it from pair sums they compute, the transition
-multiplies it by the step's growth bound, and check_gamma skips a row whose
-ceiling clears c_bound by the rounding margin C_CEILING_MARGIN; it is the
-only screen of C, so recording changes which rows a check multiplies,
-never its report.
+once.  The transition also takes the line sums and row maxima of each
+block of new rows right after dividing it, while the block is in cache,
+and the new state carries them (GuidanceState.line_sums): check_gamma
+reads B and A's maximum from them, and the trajectory recorder its B
+statistics, so a step takes its line sums once.  run_process owns two
+(m, n, n) buffers and writes each new p into the one the old state is not
+using.  Each state also carries a per-row ceiling on its largest C pair
+sum: init_state, check_gamma and the trajectory recorder set it from pair
+sums they compute, the transition multiplies it by the step's growth
+bound, and check_gamma skips a row whose ceiling clears c_bound by the
+rounding margin C_CEILING_MARGIN; it is the only screen of C, so recording
+changes which rows a check multiplies, never its report.
 """
 
 from __future__ import annotations
@@ -164,6 +168,22 @@ class ProcessConfig:
         return cls(**obj)
 
 
+@dataclass(frozen=True)
+class LineSums:
+    """The local line sums and row maxima of the rows >= t of a state, taken
+    of the rows as float64 (p itself, or each Fraction rounded to nearest):
+    rc[i - t, k] = sum_g p(i, k, g), rs[i - t, g] = sum_k p(i, k, g) and
+    row_max[i - t] = max_{k, g} p(i, k, g).
+
+    A reduction of each row alone gives the same bits as one over all rows,
+    so sums taken a block of rows at a time equal those of all rows at once.
+    """
+
+    rc: np.ndarray
+    rs: np.ndarray
+    row_max: np.ndarray
+
+
 @dataclass
 class GuidanceState:
     """The vector p at time t, plus stopping bookkeeping.
@@ -176,8 +196,15 @@ class GuidanceState:
     the largest pair sum of row i (see C_CEILING_MARGIN), +inf where none
     is known: everywhere in a state built by hand without one.  init_state,
     check_gamma and the trajectory recorder set it from pair sums they
-    compute, and advance_state carries it over to the next state.  Code
-    that writes p of a state in place must reset the ceiling to +inf.
+    compute, and advance_state carries it over to the next state.
+
+    line_sums, when not None, holds the LineSums of the rows >= t, which
+    advance_state takes as it writes them; check_gamma and the recorder
+    read them there and take them from p only where a state carries none
+    (init_state's, or one built by hand).
+
+    Code that writes p of a state in place must reset the ceiling to +inf
+    and set line_sums to None.
     """
 
     shape: Shape
@@ -185,6 +212,7 @@ class GuidanceState:
     p: np.ndarray
     stopped_at: Optional[int] = None
     c_ceiling: Optional[np.ndarray] = None
+    line_sums: Optional[LineSums] = None
 
     def __post_init__(self):
         if self.c_ceiling is None:
@@ -269,12 +297,28 @@ def uncoloured_rows(state: GuidanceState) -> np.ndarray:
     return sub.astype(np.float64) if state.exact else sub
 
 
+def state_line_sums(state: GuidanceState, rows: Optional[np.ndarray] = None
+                    ) -> LineSums:
+    """The LineSums of state's rows >= t: the ones it carries, or else those
+    of rows, its uncoloured_rows (taken here when not given)."""
+    if state.line_sums is not None:
+        return state.line_sums
+    if rows is None:
+        rows = uncoloured_rows(state)
+    return LineSums(rows.sum(axis=2), rows.sum(axis=1), rows.max(axis=(1, 2)))
+
+
 def check_gamma(state: GuidanceState, epsilon: float) -> GammaReport:
     """Evaluate the three goodness families and report every violation.
 
     All three are checked on uncoloured rows only (>= t).  A coloured row
     was checked for A while it was still uncoloured and is frozen since, so
     checking it again could not find anything new.
+
+    B and the largest entry, which decides whether A needs its per-point
+    pass, come from state_line_sums: the sums and row maxima the transition
+    carries, or, on a state that carries none, taken here from p.  p itself
+    is read only for the points that break A and for C.
 
     C is checked on the rows whose state.c_ceiling does not clear it: a
     row with a ceiling at most c_bound (1 - C_CEILING_MARGIN) cannot break
@@ -287,11 +331,12 @@ def check_gamma(state: GuidanceState, epsilon: float) -> GammaReport:
     n, t = state.shape.n, state.t
     a_bound, b_lo, b_hi, c_bound = gamma_bounds(n, epsilon)
     sub = uncoloured_rows(state)
-    rc, rs = sub.sum(axis=2), sub.sum(axis=1)
+    sums = state_line_sums(state, sub)
+    rc, rs, row_max = sums.rc, sums.rs, sums.row_max
     violations = []
 
     # the max first: the (rows, n, n) mask is built only when A fails
-    if a_bound != math.inf and sub.size and sub.max() > a_bound:
+    if a_bound != math.inf and row_max.size and row_max.max() > a_bound:
         for i_off, k, g in np.argwhere(sub > a_bound):
             lhs = float(sub[i_off, k, g])
             violations.append(GammaViolation(
@@ -327,10 +372,17 @@ def check_gamma(state: GuidanceState, epsilon: float) -> GammaReport:
     return GammaReport(not violations, tuple(violations))
 
 
+def _row_inverse(J: LatinRectangle, t: int) -> np.ndarray:
+    """inv[s] = the column of symbol s in row t of J: row t of
+    J.row_inverse(), in O(n)."""
+    inv = np.empty(J.shape.n, dtype=np.int64)
+    inv[J.grid[t]] = np.arange(J.shape.n)
+    return inv
+
+
 def diag_column_map(J: LatinRectangle, t: int, rows_from: int) -> np.ndarray:
     """k2[i - rows_from, k] = column where the diagonal of (i, k) meets row t."""
-    inv_t = J.row_inverse()[t]
-    return inv_t[J.grid[rows_from:, :]]
+    return _row_inverse(J, t)[J.grid[rows_from:, :]]
 
 
 def central_projections(x: Point, t: int, J: LatinRectangle):
@@ -345,7 +397,7 @@ def central_projections(x: Point, t: int, J: LatinRectangle):
     if x.row <= t:
         raise RowAlreadyColoured(f"point {x} has colouring time {x.row} <= {t}")
     rho_cs = Point(t, x.col, x.sym)
-    k2 = int(J.row_inverse()[t, J.grid[x.row, x.col]])
+    k2 = int(_row_inverse(J, t)[J.grid[x.row, x.col]])
     rho_ds = Point(t, k2, x.sym)
     return rho_cs, rho_ds
 
@@ -436,7 +488,10 @@ def advance_state(state: GuidanceState, q, L_row: np.ndarray,
     at zero whatever its survival probability.  The killed symbols come
     from later_kills.  The new state carries the old state's C ceilings,
     those of the rows > t multiplied by the step's growth bound
-    (see C_CEILING_MARGIN).
+    (see C_CEILING_MARGIN), and the LineSums of its rows > t: each block of
+    new rows is summed right after it is written, while it is in cache,
+    from the block itself on float states and from its float64 view on
+    Fraction states, which is what uncoloured_rows gives check_gamma.
 
     The new p is written into out when it is given: an array of p's shape
     and dtype, not p itself, that already holds p's rows below t (the
@@ -459,10 +514,13 @@ def advance_state(state: GuidanceState, q, L_row: np.ndarray,
     if t >= m:
         raise ValueError(f"no row left to place at t={t}")
     p = state.p
+    n = state.shape.n
     if out is None:
         out = np.empty_like(p)
         out[:t] = p[:t]
     out[t] = p[t]
+    sums = LineSums(np.empty((m - t - 1, n)), np.empty((m - t - 1, n)),
+                    np.empty(m - t - 1))
     one = Fraction(1) if state.exact else 1.0
     tol = 0 if state.exact else DEN_TOL
     k2 = diag_column_map(J, t, t + 1)
@@ -475,7 +533,7 @@ def advance_state(state: GuidanceState, q, L_row: np.ndarray,
     all_clear = dmin > tol
     # row and column indices that pair with killed[a:b] to name its points
     i_idx = np.arange(m)[:, None, None]
-    k_idx = np.arange(state.shape.n)[None, :, None]
+    k_idx = np.arange(n)[None, :, None]
     for a, den in survival_blocks(q, k2, one):
         lo, hi = t + 1 + a, t + 1 + a + len(den)
         new = out[lo:hi]
@@ -497,10 +555,15 @@ def advance_state(state: GuidanceState, q, L_row: np.ndarray,
                 raise DegenerateDenominator(
                     f"surviving point ({int(i) + lo}, {int(k)}, {int(g)}) "
                     f"has survival probability {float(den[i, k, g]):.3e}")
+        rows = new.astype(np.float64) if state.exact else new
+        blk = slice(a, a + len(den))
+        rows.sum(axis=2, out=sums.rc[blk])
+        rows.sum(axis=1, out=sums.rs[blk])
+        rows.max(axis=(1, 2), out=sums.row_max[blk])
     ceiling = state.c_ceiling.copy()
     ceiling[t + 1:] = _grown_ceiling(ceiling[t + 1:], dmin)
     return GuidanceState(shape=state.shape, t=t + 1, p=out,
-                         c_ceiling=ceiling)
+                         c_ceiling=ceiling, line_sums=sums)
 
 
 @dataclass

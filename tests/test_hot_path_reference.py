@@ -1119,6 +1119,85 @@ class TestCeiling:
         assert finite and (exact or any(cleared))
 
 
+class TestLineSums:
+    """The line sums and row maxima the transition carries: equal to a
+    fresh reduction of the new state, and read by the check and the
+    recorder with no change to a report or a record."""
+
+    @staticmethod
+    def assert_fresh(state):
+        rows = process.uncoloured_rows(state)
+        sums = state.line_sums
+        assert same_array(sums.rc, rows.sum(axis=2))
+        assert same_array(sums.rs, rows.sum(axis=1))
+        assert same_array(sums.row_max, rows.max(axis=(1, 2)))
+
+    @pytest.mark.parametrize("n, m, block_rows, exact", [
+        (64, 40, 16, False), (192, 12, 1, False), (8, 4, 1024, True)])
+    def test_carried_sums_equal_fresh_ones(self, n, m, block_rows, exact):
+        # blocks of 16 rows at n = 64, of one row at n = 192 and the float64
+        # view of all Fraction rows in one block at n = 8, over whole runs
+        # (the sums of the last step hold no row), and into run_process's
+        # spare buffer
+        assert max(1, process.BLOCK_ENTRIES // (n * n)) == block_rows
+        for J, state, q, L_row in islice(guided(n, m, n, exact), m):
+            for out in (None, spare_for(state)):
+                after = advance_state(state, q, L_row, J, out=out)
+                self.assert_fresh(after)
+                assert after.line_sums.rc.shape == (m - state.t - 1, n)
+
+    @pytest.mark.parametrize("record, n, exact", [
+        (True, 64, False), (False, 64, False), (True, 128, False),
+        (False, 128, False), (True, 8, True), (False, 10, True)])
+    def test_check_reports_equal_without_carried_sums(self, monkeypatch,
+                                                      record, n, exact):
+        # at every check of guided runs, the report from the carried sums
+        # is the report of the same state carrying none, and both checks
+        # leave the same C ceilings
+        check = process.check_gamma
+        carried = []
+
+        def checked_gamma(state, epsilon):
+            bare = GuidanceState(shape=state.shape, t=state.t, p=state.p,
+                                 c_ceiling=state.c_ceiling.copy())
+            want = check(bare, epsilon)
+            carried.append(state.line_sums is not None)
+            got = check(state, epsilon)
+            assert got == want
+            assert same_array(state.c_ceiling, bare.c_ceiling)
+            return got
+
+        monkeypatch.setattr(process, "check_gamma", checked_gamma)
+        config = ProcessConfig(arithmetic="exact" if exact else "float64",
+                               record_trajectory=record)
+        for seed in range(2):
+            run_process(random_rect(n, n // 2, seed), epsilon=0.5, seed=seed,
+                        config=config)
+        # only init_state's state carries none
+        assert carried.count(False) == 2 and carried.count(True) > 2
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_p_written_in_place_drops_the_sums(self, exact):
+        # p of an advanced state written in place: with its carried sums
+        # dropped, as GuidanceState asks, the check reports the new B
+        # violations; the stale sums would have hidden them
+        def b_lines(state):
+            state.c_ceiling[:] = math.inf
+            return {v.location for v in check_gamma(state, 0.5).violations
+                    if v.ineq == "B_line"}
+
+        J, state, q, L_row = evolved(8 if exact else 32, 4, 2, seed=8,
+                                     exact=exact)
+        assert state.line_sums is not None
+        t, old = state.t, b_lines(state)
+        new = {("RC", t + 1, 2), ("RS", t + 1, 3)}
+        assert not old & new
+        state.p[t + 1, 2, 3] += 1
+        assert b_lines(state) == old
+        state.line_sums = None
+        assert b_lines(state) == old | new
+        assert check_gamma(state, 0.5) == gamma_reference(state, 0.5)
+
 # ------------------------------------------------------------- flow search
 
 class TestBalanceSearchReference:

@@ -194,22 +194,26 @@ class TestFlowConstruction:
         (6, True, False),
     ])
     def test_one_solver_rule(self, monkeypatch, n, exact, scipy_solves):
-        # the certificates prove scipy's verdict, so they are asked on the
-        # rows scipy solves and on no other row
-        certified, scipy_flows = [], []
-        certified_status = maxflow.certified_status
+        # the certificates prove scipy's verdict, so they are built for
+        # the rows scipy solves, once per row, and for no other row
+        built, certified, scipy_flows = [], [], []
         scipy_transport = maxflow.scipy_transport
 
-        def counted_certificates(caps, witness):
-            certified.append(caps.shape[0])
-            return certified_status(caps, witness)
+        class CountedCertificates(maxflow.RowCertificates):
+            def __init__(self, d, witness):
+                built.append(d.shape[0])
+                super().__init__(d, witness)
+
+            def status(self, ratio):
+                certified.append(ratio)
+                return super().status(ratio)
 
         def counted_scipy(caps):
             result = scipy_transport(caps)
             scipy_flows.append(result[1])
             return result
 
-        monkeypatch.setattr(maxflow, "certified_status", counted_certificates)
+        monkeypatch.setattr(maxflow, "RowCertificates", CountedCertificates)
         monkeypatch.setattr(maxflow, "scipy_transport", counted_scipy)
         d = random_distribution(n, seed=7)
         if exact:
@@ -219,11 +223,11 @@ class TestFlowConstruction:
                          dtype=object)
         q, _ = build_fractional_matching(d)
         if scipy_solves:
-            assert certified
+            assert built == [n] and certified
             # the final solve is scipy's: q is the flow it returned
             assert any(flow is q for flow in scipy_flows)
         else:
-            assert certified == [] and scipy_flows == []
+            assert built == certified == scipy_flows == []
 
     def test_flow_matches_cut_oracle(self):
         mismatches = 0

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orthomate import (OrthomateError, advance_state, init_state, matching,
-                       maxflow, normalize_row, sample_matching_lazy)
+from orthomate import (OrthomateError, ProcessConfig, advance_state,
+                       init_state, matching, maxflow, normalize_row,
+                       run_process, sample_matching_lazy)
 from orthomate.matching import (
     build_fractional_matching,
     default_eta_initial,
@@ -420,6 +421,62 @@ def doubly_stochastic_on_support(n, rng):
     return per_symbol(permutation_mix(n, rng, 6))
 
 
+# The certificates as three functions of one question each, every quantity
+# taken afresh: the oracle maxflow.RowCertificates must agree with.
+
+def cut_certifies_infeasible(scale, mid_int):
+    """True when a one-sided cut proves scipy_transport says "infeasible"
+    (see maxflow.RowCertificates)."""
+    n = mid_int.shape[0]
+    cut = min(np.minimum(mid_int.sum(axis=1), scale).sum(),
+              np.minimum(mid_int.sum(axis=0), scale).sum())
+    return int(cut) < n * scale - int(np.count_nonzero(mid_int))
+
+
+def witness_certifies_feasible(scale, mid_int, witness):
+    """True when witness, shrunk to f, proves scipy_transport says
+    "feasible": (a) 0 <= f <= mid_int, (b) line sums of f at most
+    scale (1 - r), (c) sum(f) > full - 1 + 2 r full (see
+    maxflow.RowCertificates)."""
+    n = mid_int.shape[0]
+    r = 2 * n * float(np.finfo(np.float64).eps)
+    rows = witness.sum(axis=1)
+    peak = max(float(rows.max()), float(witness.sum(axis=0).max()))
+    if not peak > 0:
+        return False
+    f = witness * (scale / (peak * (1 + 2 * r)))
+    if not (f.min() >= 0 and (f <= mid_int).all()):
+        return False
+    rows = f.sum(axis=1)
+    bound = scale * (1 - r)
+    if rows.max() > bound or f.sum(axis=0).max() > bound:
+        return False
+    full = n * scale
+    return float(rows.sum()) > full - 1 + 2 * r * full
+
+
+def certified_status(mid_caps, witness):
+    """scipy_transport's status for mid_caps when a certificate proves it,
+    None when neither applies."""
+    scale, mid_int = maxflow.scaled_caps(mid_caps)
+    if cut_certifies_infeasible(scale, mid_int):
+        return "infeasible"
+    if witness is not None and witness_certifies_feasible(scale, mid_int,
+                                                          witness):
+        return "feasible"
+    return None
+
+
+def assert_agrees_with_oracle(certificates, ratios):
+    """The statuses certificates gives for ratios, each equal to the
+    oracle's on the same question."""
+    got = [certificates.status(ratio) for ratio in ratios]
+    want = [certified_status(certificates.d * float(ratio),
+                             certificates.witness) for ratio in ratios]
+    assert got == want
+    return got
+
+
 class TestCertificates:
     def test_direct_csr_equals_coo_built(self):
         rng = np.random.default_rng(5)
@@ -444,11 +501,11 @@ class TestCertificates:
         certified = {"feasible": 0, "infeasible": 0}
         for _ in range(4):
             d = make(n, rng)
-            witness = sinkhorn_witness(d)
-            for beta in np.linspace(1.0, 1.0 + default_eta_initial(n), 12):
-                caps = d * beta
-                status = maxflow.certified_status(caps, witness)
-                assert status in (None, maxflow.scipy_transport(caps)[0])
+            certificates = maxflow.RowCertificates(d, sinkhorn_witness(d))
+            betas = np.linspace(1.0, 1.0 + default_eta_initial(n), 12)
+            for beta, status in zip(betas, assert_agrees_with_oracle(
+                    certificates, betas)):
+                assert status in (None, maxflow.scipy_transport(d * beta)[0])
                 if status is not None:
                     certified[status] += 1
         assert certified["feasible"] > 0
@@ -471,10 +528,10 @@ class TestCertificates:
             value = maximum_flow(maxflow.transport_csr(scale, mid_int),
                                  2 * n, 2 * n + 1).flow_value
             full = n * scale
-            if maxflow.witness_certifies_feasible(scale, mid_int, witness):
+            if witness_certifies_feasible(scale, mid_int, witness):
                 assert value == full
                 certified["feasible"] += 1
-            if maxflow.cut_certifies_infeasible(scale, mid_int):
+            if cut_certifies_infeasible(scale, mid_int):
                 assert value < full - np.count_nonzero(mid_int)
                 certified["infeasible"] += 1
         assert min(certified.values()) > 0
@@ -485,9 +542,9 @@ class TestCertificates:
         scale = 4
         mid_int = np.array([[2, 2], [2, 1]])
         witness = mid_int / scale
-        assert not maxflow.witness_certifies_feasible(scale, mid_int, witness)
-        assert maxflow.witness_certifies_feasible(scale, np.full((2, 2), 2),
-                                                  np.full((2, 2), 0.5))
+        assert not witness_certifies_feasible(scale, mid_int, witness)
+        assert witness_certifies_feasible(scale, np.full((2, 2), 2),
+                                          np.full((2, 2), 0.5))
 
     def test_tight_second_row_is_left_to_the_solver(self):
         # the second row's d saturates exactly at ratio 1: flooring makes
@@ -496,16 +553,17 @@ class TestCertificates:
         d = np.ones((n, n)) - np.eye(n) - np.eye(n, k=1) - np.eye(n, k=1 - n)
         d /= n - 2
         assert maxflow.scipy_transport(d)[0] == "ambiguous"
-        assert maxflow.certified_status(d, sinkhorn_witness(d)) is None
-        assert maxflow.certified_status(d * 1.001, sinkhorn_witness(d)) \
-            == "feasible"
+        certificates = maxflow.RowCertificates(d, sinkhorn_witness(d))
+        assert assert_agrees_with_oracle(certificates, [1.0, 1.001]) == [
+            None, "feasible"]
 
     def test_no_witness_for_an_empty_line(self):
         d = np.full((24, 24), 1.0 / 23)
         d[3, :] = 0.0
         assert sinkhorn_witness(d) is None
-        assert maxflow.certified_status(d * 2, None) in (
-            None, maxflow.scipy_transport(d * 2)[0])
+        status, = assert_agrees_with_oracle(
+            maxflow.RowCertificates(d, None), [2.0])
+        assert status in (None, maxflow.scipy_transport(d * 2)[0])
 
     def test_certified_feasible_ratio_the_solver_rejects_raises(
             self, monkeypatch):
@@ -516,14 +574,85 @@ class TestCertificates:
             return None
 
         monkeypatch.setattr(matching, "solve_fixed_eta", no_flow)
-        monkeypatch.setattr(maxflow, "certified_status",
-                            lambda caps, witness: "feasible")
+        monkeypatch.setattr(maxflow.RowCertificates, "status",
+                            lambda self, ratio: "feasible")
         d = near_doubly_stochastic(24, np.random.default_rng(0))
         with pytest.raises(OrthomateError, match="internal"):
             build_fractional_matching(d)
         # every ratio is certified, so the search ends at ratio 1 and the
         # one solve is the final one
         assert calls == [0.0]
+
+
+class TestRowCertificates:
+    """maxflow.RowCertificates against the one-question oracle above."""
+
+    @pytest.mark.parametrize("n, m", [(24, 12), (64, 12), (128, 8),
+                                      (192, 6)])
+    def test_every_question_of_guided_runs(self, monkeypatch, n, m):
+        asked = []
+        status = maxflow.RowCertificates.status
+
+        def recorded(self, ratio):
+            got = status(self, ratio)
+            asked.append((self, ratio, got))
+            return got
+
+        monkeypatch.setattr(maxflow.RowCertificates, "status", recorded)
+        for seed in range(2):
+            run_process(random_rect(n, m, seed + 40), seed=seed,
+                        config=ProcessConfig(record_trajectory=False))
+        monkeypatch.undo()
+        assert len({id(certs) for certs, _, _ in asked}) > m
+        verdicts = set()
+        for certs, ratio, got in asked:
+            assert got == certified_status(certs.d * float(ratio),
+                                           certs.witness)
+            verdicts.add(got)
+        assert "feasible" in verdicts and None in verdicts
+
+    @pytest.mark.parametrize("make", [killed_zeros, near_doubly_stochastic])
+    def test_no_witness(self, make):
+        rng = np.random.default_rng(3)
+        d = make(32, rng)
+        statuses = assert_agrees_with_oracle(
+            maxflow.RowCertificates(d, None), [1.0, 1.1, 2.0, 64.0])
+        assert "feasible" not in statuses
+
+    def test_zero_peak(self):
+        d = near_doubly_stochastic(24, np.random.default_rng(4))
+        statuses = assert_agrees_with_oracle(
+            maxflow.RowCertificates(d, np.zeros_like(d)), [1.0, 1.5, 64.0])
+        assert "feasible" not in statuses
+
+    def test_change_of_scale(self):
+        # ratios past 2 / max(d) halve the scale, and back again: each
+        # question must read the shrunk witness of its own scale
+        d = near_doubly_stochastic(24, np.random.default_rng(5))
+        ratios = [1.0, 1.05, 3.0 / d.max(), 1.02, 40.0, 9.0 / d.max(), 1.1]
+        scales = {maxflow.scaled_caps(d * r)[0] for r in ratios}
+        assert len(scales) >= 3
+        statuses = assert_agrees_with_oracle(
+            maxflow.RowCertificates(d, sinkhorn_witness(d)), ratios)
+        assert statuses[2] == statuses[4] == statuses[5] == "feasible"
+
+    def test_one_unit_short_of_the_witness(self):
+        # (a) fails at one entry by one unit of the scaled capacities: not
+        # certified; one unit more and it is
+        rng = np.random.default_rng(6)
+        n = 24
+        witness = permutation_mix(n, rng, 4)
+        certificates = maxflow.RowCertificates(witness * 1.01, witness)
+        scale, mid_int = maxflow.scaled_caps(certificates.d)
+        assert assert_agrees_with_oracle(certificates, [1.0]) == ["feasible"]
+        f = certificates._flows[scale]
+        k, g = np.unravel_index(np.argmax(f), f.shape)
+        for units, want in ((0, "feasible"), (-1, None)):
+            d = certificates.d.copy()
+            d[k, g] = (np.ceil(f[k, g]) + units) / scale  # exact: scale = 2^s
+            short = maxflow.RowCertificates(d, witness)
+            assert maxflow.scaled_caps(d)[0] == scale
+            assert assert_agrees_with_oracle(short, [1.0]) == [want]
 
 
 class TestHypothesisCutMonotone:

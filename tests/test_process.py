@@ -189,6 +189,23 @@ class TestKillMask:
         mask = kill_mask(np.array([0, 1, 2]), 0, rect, rect.shape)
         assert not mask.any()
 
+    @pytest.mark.parametrize("J", [random_rect(9, 6, 3), random_rect(16, 5, 4),
+                                   LatinRectangle.cyclic(7, 5),
+                                   LatinRectangle.cyclic(1)])
+    def test_diag_column_map_inverts_one_row(self, J):
+        # row t of J inverted alone gives the map the whole row inverse gives
+        inv = J.row_inverse()
+        for t in range(J.shape.m):
+            for rows_from in range(t, J.shape.m + 1):
+                got = diag_column_map(J, t, rows_from)
+                want = inv[t][J.grid[rows_from:]]
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+        for i in range(1, J.shape.m):
+            for k in range(J.shape.n):
+                x = Point(i, k, int((i * 3 + k) % J.shape.n))
+                _, ds = central_projections(x, i - 1, J)
+                assert ds.col == inv[i - 1, J.grid[i, k]]
+
 
 class TestAdvanceState:
     def _setup(self, n=4, m=3, seed=0):
@@ -681,9 +698,10 @@ def _removed_names():
     has only the format its command writes, the pair sums are taken by
     pair_sums alone, the recorder takes the kills from later_kills and no
     state carries them, the records keep no kill count that the kill rule
-    fixes, and scipy's Hopcroft-Karp is the one perfect matcher."""
+    fixes, scipy's Hopcroft-Karp is the one perfect matcher, and a row's
+    flow certificates are asked through one maxflow.RowCertificates."""
     import orthomate
-    from orthomate import bipartite, matching, process
+    from orthomate import bipartite, matching, maxflow, process
     from orthomate.bipartite import SupportGraph
     from orthomate.diagnostics import (SummaryReport, TrajectoryStats,
                                        summarize)
@@ -713,6 +731,11 @@ def _removed_names():
         "StepRecord().c_kills_max": (record, "c_kills_max"),
         "SummaryReport().kills_line_max": (summary, "kills_line_max"),
         "SummaryReport().c_kills_max": (summary, "c_kills_max"),
+        "maxflow.certified_status": (maxflow, "certified_status"),
+        "maxflow.cut_certifies_infeasible": (maxflow,
+                                             "cut_certifies_infeasible"),
+        "maxflow.witness_certifies_feasible": (maxflow,
+                                               "witness_certifies_feasible"),
     }
 
 
