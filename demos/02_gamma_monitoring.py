@@ -25,6 +25,8 @@ scale = math.log(n) / math.sqrt(n)
 print(f"n={n} m={m}: outcome = {outcome.kind} at t = {outcome.time}")
 print(f"log n / sqrt n = {scale:.3f}\n")
 
+print("n*C - 1: C is the largest pair sum of row t + 1, the row placed "
+      "next\n")
 print("  t   |B-1| max   n*C - 1    p max    fresh kills")
 for r in outcome.trajectory.records:
     b_dev = max(abs(r.b_min - 1), abs(r.b_max - 1))

@@ -141,13 +141,18 @@ def _random_row(avail: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     n = avail.shape[0]
     row = np.full(n, -1, dtype=np.int64)
     owner = np.full(n, -1, dtype=np.int64)  # symbol -> column holding it
+    free = np.ones(n, dtype=bool)  # owner < 0
     for k in rng.permutation(n):
-        choices = np.nonzero(avail[k] & (owner < 0))[0]
+        choices = np.flatnonzero(avail[k] & free)
         if choices.size:
-            g = int(rng.choice(choices))
+            # the draw rng.choice(choices) makes, at a fraction of its cost
+            g = int(choices[rng.integers(0, choices.size)])
             row[k] = g
             owner[g] = k
-        elif not _augment(int(k), avail, row, owner, rng):
+            free[g] = False
+        elif _augment(int(k), avail, row, owner, rng):
+            np.less(owner, 0, out=free)
+        else:
             raise AssertionError(
                 "availability graph lost Hall's condition; corrupted state")
     return row

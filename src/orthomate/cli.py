@@ -42,7 +42,7 @@ from . import __version__
 from .process import ProcessConfig, check_arithmetic, check_epsilon, \
     run_process
 
-TRIALS_SCHEMA = "orthomate-trials-v3"
+TRIALS_SCHEMA = "orthomate-trials-v4"
 
 #: exit code of ``trials`` when a pool worker died (killed, crashed)
 EXIT_WORKER_DIED = 3

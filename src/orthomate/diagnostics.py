@@ -1,10 +1,11 @@
 """Empirical monitoring of the quantities the analysis controls.
 
 Per step this records: the extremes of the local line sums (B statistic),
-the largest quasi-random pair sum (C statistic), the largest entry of the
-rows >= t (A statistic), the fresh kills (points of positive mass the step
-zeroes), the martingale residual of the transition, and step deviations of
-the tracked sums from their conditional expectations.
+the largest quasi-random pair sum of the row the next step places (C
+statistic), the largest entry of the rows >= t (A statistic), the fresh
+kills (points of positive mass the step zeroes), the martingale residual
+of the transition, and step deviations of the tracked sums from their
+conditional expectations.
 
 Kill counts per local line and per C sum are constants of the kill rule
 (KILLS_PER_LINE, KILLS_PER_C_SUM) and are not recorded.  The deviation and
@@ -18,11 +19,18 @@ Everything is taken from (before, q, L_row, after), each quantity once: the
 line sums and row maxima from the process.LineSums the transition carries
 on before and after (taken here only for init_state's state, at t = 0),
 the kills from process.later_kills, as the transition takes them, and the
-largest pair sum row by row from process.pair_sums, as check_gamma takes it
-for the rows its C ceiling keeps, so no (rows, n, n) Gram tensor is built.
-Each row's maximum also becomes its C ceiling in after, as check_gamma's
-set step makes it: recording changes which rows a check multiplies, never
-its report.
+pair sums of row t + 1 of after from process.pair_sums, the product
+check_gamma takes.
+
+c_max is that one row's largest pair sum, not the largest over every row
+> t, which would cost O((m - t) n^3) per step.  Row t + 1 of after is
+final: the next step builds its weights from it and the transition copies
+it unchanged, so each placed row's C is recorded once, in the state the
+process used.  Every row > t has been through the same t + 1 steps, so the
+next row is a fair sample of the others.  A C violation on any row is
+still named exactly, with its value, by check_gamma's GammaReport.  The
+recorder reads and writes no C ceiling, so a recorded run's checks
+multiply exactly the rows an unrecorded run's do.
 
 The martingale residual over all rows > t takes the survival probabilities
 from process.survival_blocks, the helper the transition divides by, a few
@@ -55,16 +63,15 @@ from typing import Optional
 import numpy as np
 
 from .core import LatinRectangle, OrthomateError
-from .process import (C_CEILING_MARGIN, GuidanceState, diag_column_map,
-                      later_kills, pair_sums, state_line_sums,
-                      survival_blocks)
+from .process import (GuidanceState, diag_column_map, later_kills,
+                      pair_sums, state_line_sums, survival_blocks)
 
 
 class EmptyTrajectory(OrthomateError):
     """summarize() needs at least one recorded step."""
 
 
-CSV_SCHEMA = "orthomate-trajectory-v5"
+CSV_SCHEMA = "orthomate-trajectory-v6"
 
 #: sample size of the spot check and of the tracked C sums
 TRACKED_LINES = 64
@@ -81,7 +88,7 @@ class StepRecord:
     t: int
     b_min: float
     b_max: float
-    c_max: float
+    c_max: float              # largest pair sum of after's row t + 1
     p_max: float
     fresh_kills: int          # points with p > 0 that the step zeroes
     eta_used: float
@@ -129,7 +136,7 @@ class SummaryReport:
     steps_executed: int
     exit_time: Optional[int]
     b_rel_dev_max: float      # max |B sum - 1| observed
-    c_rel_dev_max: float      # max (C sum * n - 1) observed
+    c_rel_dev_max: float      # max (c_max * n - 1): each row as placed
     p_max: float
     phi_scale: float          # log n / sqrt n reference scale
     growth_max: float         # largest one-step survivor ratio observed
@@ -168,8 +175,7 @@ class TrajectoryRecorder:
 
         The line sums and row maxima are read from the LineSums before
         and after carry (process.state_line_sums), those of p from
-        before's rows > t; the pair sums of the rows > t are taken here,
-        one row at a time (their row maxima become after's C ceilings), and
+        before's rows > t; the pair sums of row t + 1 are taken here, and
         the passes that need the survival probabilities, the kills or a
         work array one block of rows at a time.  Steps of one run are
         recorded in order.
@@ -195,11 +201,8 @@ class TrajectoryRecorder:
             b_max = float(max(b_rc.max(), b_rs.max()))
             b_dev_max = float(max(np.abs(b_rc - sums_b.rc[1:]).max(),
                                   np.abs(b_rs - sums_b.rs[1:]).max()))
-            # each row's largest pair sum, set as check_gamma would set it
-            row_c = np.array([pair_sums(row).max() for row in pa])
-            after.c_ceiling[t + 1:] = row_c * (1.0 + C_CEILING_MARGIN)
-            # np.max, not max(): a nan row maximum must reach c_max
-            c_max = float(np.max(row_c))
+            # the largest pair sum of row t + 1, the row the next step places
+            c_max = float(pair_sums(pa[0]).max())
 
             # the fresh kills, the martingale residual and the largest
             # survivor ratio p' / p, a block of rows at a time, with the
@@ -340,13 +343,20 @@ class TrajectoryRecorder:
         factor = np.where(ok, (1.0 - rk - rl + joint) /
                           np.where(ok, den_k * den_l, 1.0), 0.0)
         expected = (pk * pl * factor).sum(axis=1)
-        worst = 0.0
+        # Python's max(a, b) keeps a unless b > a: fmax and the where()s
+        # below skip a nan and turn -0.0 into 0.0 in the same places, and,
+        # as Python's float arithmetic, an inf - inf is a quiet nan
         x0 = 1.0 / self.n
+        with np.errstate(invalid="ignore"):
+            worst = float(np.fmax.reduce(np.abs(x_next - expected),
+                                         initial=0.0))
+            rise = expected - x_now
+            gain = (np.where(rise > 0.0, rise, 0.0)
+                    / np.where(x0 > x_now, x0, x_now))
+        # accumulate adds one value at a time, in triple order
         stats = self.stats
-        for now, nxt, exp in zip(x_now.tolist(), x_next.tolist(),
-                                 expected.tolist()):
-            worst = max(worst, abs(nxt - exp))
-            stats.drift_c_cumulative += max(0.0, exp - now) / max(now, x0)
+        stats.drift_c_cumulative = float(np.add.accumulate(
+            np.append(stats.drift_c_cumulative, gain))[-1])
         return worst
 
 

@@ -256,8 +256,11 @@ def transport_csr(scale: int, mid_int: np.ndarray):
     indptr[2 * n + 1:] = nnz + 2 * n
     indices = np.concatenate([gg + n, np.full(n, 2 * n + 1), np.arange(n)]
                              ).astype(np.int32)
-    data = np.concatenate([mid_int[positive],
-                           np.full(2 * n, scale, dtype=np.int64)])
+    # int32, the dtype scipy's maximum_flow works in, so it copies nothing:
+    # scaled_caps keeps every capacity below 2**31 and scale <= 2**30
+    data = np.empty(nnz + 2 * n, dtype=np.int32)
+    data[:nnz] = mid_int[positive]
+    data[nnz:] = scale
     return sp.csr_matrix((data, indices, indptr), shape=(2 * n + 2, 2 * n + 2))
 
 

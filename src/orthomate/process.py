@@ -39,11 +39,12 @@ reads B and A's maximum from them, and the trajectory recorder its B
 statistics, so a step takes its line sums once.  run_process owns two
 (m, n, n) buffers and writes each new p into the one the old state is not
 using.  Each state also carries a per-row ceiling on its largest C pair
-sum: init_state, check_gamma and the trajectory recorder set it from pair
-sums they compute, the transition multiplies it by the step's growth
-bound, and check_gamma skips a row whose ceiling clears c_bound by the
-rounding margin C_CEILING_MARGIN; it is the only screen of C, so recording
-changes which rows a check multiplies, never its report.
+sum: init_state and check_gamma set it from pair sums they compute, the
+transition multiplies it by the step's growth bound, and check_gamma
+skips a row whose ceiling clears c_bound by the rounding margin
+C_CEILING_MARGIN; it is the only screen of C.  The trajectory recorder
+reads the ceiling nowhere and writes it nowhere, so a recorded run's
+checks multiply the same rows as an unrecorded run's.
 """
 
 from __future__ import annotations
@@ -194,9 +195,9 @@ class GuidanceState:
 
     c_ceiling is an (m,) float64 array: c_ceiling[i] is an upper bound on
     the largest pair sum of row i (see C_CEILING_MARGIN), +inf where none
-    is known: everywhere in a state built by hand without one.  init_state,
-    check_gamma and the trajectory recorder set it from pair sums they
-    compute, and advance_state carries it over to the next state.
+    is known: everywhere in a state built by hand without one.  init_state
+    and check_gamma set it from pair sums they compute, and advance_state
+    carries it over to the next state.
 
     line_sums, when not None, holds the LineSums of the rows >= t, which
     advance_state takes as it writes them; check_gamma and the recorder

@@ -280,8 +280,9 @@ def test_criterion_10_theorem_diagnostic_report():
     if b_margins:
         print(f"  max |B - 1| per run: median {np.median(b_margins):.3f}, "
               f"max {max(b_margins):.3f} (scale {scale:.3f})")
-        print(f"  max n*C - 1 per run: median {np.median(c_margins):.3f}, "
-              f"max {max(c_margins):.3f} (scale {scale:.3f})")
+        print(f"  max n*C - 1 per run, each row as placed: median "
+              f"{np.median(c_margins):.3f}, max {max(c_margins):.3f} "
+              f"(scale {scale:.3f})")
     ok = sum(outcomes.values()) == trials and verified == outcomes["success"]
     report(10, ok, f"report emitted for {trials} trials "
            f"(success fraction {outcomes['success'] / trials:.2f})")

@@ -189,7 +189,7 @@ class TestMate:
         main(["mate", "--in", str(jp), "--seed", "4", "--out",
               str(tmp_path / "L.txt"), "--diag", str(dg)])
         text = read(dg)
-        assert text.startswith("# orthomate-trajectory-v5 ")
+        assert text.startswith("# orthomate-trajectory-v6 ")
 
     def test_guided_failure_report(self, tmp_path, capsys):
         jp = tmp_path / "J.txt"
@@ -366,7 +366,7 @@ class TestTrials:
         main(["trials", "--n", "8", "--epsilon", "0.75", "--count", "2",
               "--seed", "0", "--out", str(out)])
         lines = read(out).splitlines()
-        assert lines[0].startswith("# orthomate-trials-v3 ")
+        assert lines[0].startswith("# orthomate-trials-v4 ")
         assert lines[1].startswith("trial,seed,n,m,epsilon,algorithm,outcome")
         assert lines[1].endswith(",p_max,violation_family,"
                                  "violation_location,violation_margin,"
@@ -427,7 +427,7 @@ class TestTrials:
                      str(out)]) == 0
         schema, version, seed, config = read(out).splitlines()[0][2:].split(
             " ", 3)
-        assert schema == "orthomate-trials-v3"
+        assert schema == "orthomate-trials-v4"
         assert version == f"orthomate={__version__}"
         assert seed == "seed=5+trial"
         assert config.startswith("config=")
@@ -507,7 +507,7 @@ class TestDiag:
                      "--out", str(out)]) == 0
         blob = json.loads(capsys.readouterr().out)
         assert blob["n"] == 12
-        assert read(out).startswith("# orthomate-trajectory-v5 ")
+        assert read(out).startswith("# orthomate-trajectory-v6 ")
 
     @pytest.mark.parametrize("command", ["mate", "diag"])
     def test_provenance_header(self, tmp_path, command):
@@ -525,7 +525,7 @@ class TestDiag:
         main(argv + ["--seed", "7", "--exact"])
         schema, version, seed, config = read(traj).splitlines()[0][2:].split(
             " ", 3)
-        assert schema == "orthomate-trajectory-v5"
+        assert schema == "orthomate-trajectory-v6"
         assert version == f"orthomate={__version__}"
         assert seed == "seed=7"
         assert config.startswith("config=")
@@ -684,7 +684,7 @@ class TestNoMateNoOutFile:
         assert main(["mate", "--in", str(jp), "--out", str(lp),
                      "--diag", str(dg)]) == 2
         assert not lp.exists()
-        assert read(dg).startswith("# orthomate-trajectory-v5 ")
+        assert read(dg).startswith("# orthomate-trajectory-v6 ")
 
 
 class TestTrajectoryPathNeedsRecording:

@@ -227,9 +227,9 @@ class TestExports:
         out.trajectory.to_csv(buf)
         text = buf.getvalue()
         lines = text.strip().splitlines()
-        assert lines[0].startswith("# orthomate-trajectory-v5")
-        # the v5 column order (v4's), spelled out: a reordered or renamed
-        # StepRecord field must change the schema name, not pass here
+        assert lines[0].startswith("# orthomate-trajectory-v6")
+        # the v6 column order (v5's and v4's), spelled out: a reordered or
+        # renamed StepRecord field must change the schema name, not pass
         assert lines[1] == (
             "t,b_min,b_max,c_max,p_max,fresh_kills,eta_used,"
             "martingale_residual,b_dev_max,c_dev_max,growth_max")

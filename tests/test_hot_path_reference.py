@@ -15,6 +15,7 @@ of its rng draws matched through ``csr_matrix`` too.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import tracemalloc
 from dataclasses import fields
@@ -207,8 +208,9 @@ class RecorderReference(TrajectoryRecorder):
     np.where chains for the martingale residual, boolean gathers for the
     growth ratio, line sums of pa and pb of its own, kills from the dense
     kill_mask of the placed row rather than later_kills, fresh kills from
-    that mask, p_max over the rows >= t, a batched (rows, n, n) Gram tensor,
-    and one sampled C sum at a time."""
+    that mask, p_max over the rows >= t, a batched (rows, n, n) Gram tensor
+    of the rows > t, whose first row, the one placed next, gives c_max, and
+    one sampled C sum at a time."""
 
     def record_step(self, before, q_row, L_row, after, eta_used=math.nan):
         m = self.m
@@ -229,7 +231,7 @@ class RecorderReference(TrajectoryRecorder):
             gram[:, idx, idx] = 0.0
             b_min = float(min(b_rc.min(), b_rs.min()))
             b_max = float(max(b_rc.max(), b_rs.max()))
-            c_max = float(gram.max())
+            c_max = float(gram[0].max())  # row t + 1, placed next
             killed = kill_mask(L_row, t, self.J, self.J.shape)[t + 1:]
             pb = p_before[t + 1:]
             fresh_kills = int((killed & (pb > 0)).sum())
@@ -1065,30 +1067,48 @@ class TestCeiling:
 
     @pytest.mark.parametrize("n, m, steps, exact", [
         (64, 32, 18, False), (8, 4, 1, True)])
-    def test_recorder_sets_the_ceiling(self, monkeypatch, n, m, steps, exact):
-        # the recorder takes each row's largest pair sum for c_max and
-        # writes it, times 1 + C_CEILING_MARGIN, into the new state's
-        # ceilings of the rows > t, as check_gamma's set step would: the
-        # next check multiplies only the rows those ceilings do not clear,
-        # and its report is the reference's.  The float state has rows on
-        # both sides of c_bound
+    def test_recorder_leaves_the_ceiling(self, n, m, steps, exact):
+        # the recorder takes c_max from row t + 1 and writes no ceiling:
+        # the new state's ceilings are the transition's grown ones
         J, state, q, L_row = evolved(n, m, steps, seed=n, exact=exact)
         check_gamma(state, 0.5)
         after = advance_state(state, q, L_row, J)
+        grown = after.c_ceiling.copy()
         TrajectoryRecorder(J).record_step(state, q, L_row, after)
-        t = state.t
-        rows = process.uncoloured_rows(after)
-        want = np.array([float(process.pair_sums(row).max())
-                         * (1.0 + process.C_CEILING_MARGIN) for row in rows])
-        assert same_array(after.c_ceiling[t + 1:], want)
-        c_bound = gamma_bounds(n, 0.5)[3]
-        kept = ~(want <= c_bound * (1.0 - process.C_CEILING_MARGIN))
-        assert (exact or kept.any()) and not kept.all()
-        multiplied = multiplied_rows(monkeypatch)
-        assert check_gamma(after, 0.5) == gamma_reference(after, 0.5)
-        assert len(multiplied) == int(kept.sum())
-        assert all(same_array(row, rows[r]) for row, r in
-                   zip(multiplied, np.flatnonzero(kept)))
+        assert same_array(after.c_ceiling, grown)
+
+    @pytest.mark.parametrize("arithmetic, n, seeds", [
+        ("float64", 64, (0, 1)), ("float64", 128, (0,)), ("exact", 8, (0, 1))])
+    def test_recording_changes_no_check(self, monkeypatch, arithmetic, n,
+                                        seeds):
+        # at every step of a guided run, recorded or not, the check gives
+        # the same report, multiplies the same rows (process.pair_sums,
+        # each row's bytes hashed) and leaves the same ceilings
+        check, pair_sums = process.check_gamma, process.pair_sums
+        log = []
+
+        def logged_pair_sums(row):
+            log.append(hashlib.sha256(row.tobytes()).digest())
+            return pair_sums(row)
+
+        def logged_gamma(state, epsilon):
+            got = check(state, epsilon)
+            log.append((state.t, got, state.c_ceiling.tobytes()))
+            return got
+
+        monkeypatch.setattr(process, "pair_sums", logged_pair_sums)
+        monkeypatch.setattr(process, "check_gamma", logged_gamma)
+        logs = {}
+        for record in (True, False):
+            del log[:]
+            for seed in seeds:
+                run_process(random_rect(n, n // 2, seed), epsilon=0.5,
+                            seed=seed, config=ProcessConfig(
+                                arithmetic=arithmetic,
+                                record_trajectory=record))
+            logs[record] = list(log)
+        assert logs[True] == logs[False]
+        assert any(isinstance(e, bytes) for e in logs[True])
 
     @pytest.mark.parametrize("n, seed, exact", [
         (64, 0, False), (128, 0, False), (8, 0, True), (10, 1, True)])
@@ -1230,6 +1250,120 @@ class TestBalanceSearchReference:
         assert len(solves) <= 1.1 * len(rows)
 
 
+class LoopRecorder(TrajectoryRecorder):
+    """_tracked_c_deviation with one Python max, abs and += per triple, the
+    loop the package's array form replaced; the arrays before it are the
+    package's."""
+
+    def _tracked_c_deviation(self, p_before, p_after, q, t):
+        i, k, l = self.triples
+        live = (i > t) & (k != l)
+        i, k, l = i[live], k[live], l[live]
+        grid = self.J.grid
+        inv_t = self.Jinv[t]
+        pk = p_before[i, k, :]
+        pl = p_before[i, l, :]
+        x_now = (pk * pl).sum(axis=1)
+        x_next = (p_after[i, k, :] * p_after[i, l, :]).sum(axis=1)
+        k2k = inv_t[grid[i, k]]
+        k2l = inv_t[grid[i, l]]
+        rk = q[k, :] + q[k2k, :]
+        rl = q[l, :] + q[k2l, :]
+        joint = np.zeros((i.size, self.n))
+        joint += np.where((k == k2l)[:, None], q[k, :], 0.0)
+        joint += np.where((k2k == l)[:, None], q[k2k, :], 0.0)
+        den_k = 1.0 - rk
+        den_l = 1.0 - rl
+        ok = (den_k > 0) & (den_l > 0)
+        factor = np.where(ok, (1.0 - rk - rl + joint) /
+                          np.where(ok, den_k * den_l, 1.0), 0.0)
+        expected = (pk * pl * factor).sum(axis=1)
+        worst = 0.0
+        x0 = 1.0 / self.n
+        stats = self.stats
+        for now, nxt, exp in zip(x_now.tolist(), x_next.tolist(),
+                                 expected.tolist()):
+            worst = max(worst, abs(nxt - exp))
+            stats.drift_c_cumulative += max(0.0, exp - now) / max(now, x0)
+        return worst
+
+
+class TestTrackedCSums:
+    """The tracked C sums' largest deviation and cumulative drift equal
+    the per-triple loop's bit for bit."""
+
+    @staticmethod
+    def assert_same(rec, loop, *args):
+        assert repr(rec._tracked_c_deviation(*args)) == repr(
+            loop._tracked_c_deviation(*args))
+        assert repr(rec.stats.drift_c_cumulative) == repr(
+            loop.stats.drift_c_cumulative)
+
+    @pytest.mark.parametrize("arithmetic, n, epsilon, seed", [
+        ("float64", 32, 0.75, 1), ("float64", 64, 0.5, 0),
+        ("float64", 64, 0.75, 1), ("exact", 8, 0.5, 1)])
+    def test_recorded_runs(self, monkeypatch, arithmetic, n, epsilon, seed):
+        # every step of recorded runs, the drift summed over the whole run
+        checked = []
+
+        class Checked(TrajectoryRecorder):
+            def __init__(self, J):
+                super().__init__(J)
+                self.loop = LoopRecorder(J)
+
+            def _tracked_c_deviation(self, p_before, p_after, q, t):
+                loop = self.loop
+                want = loop._tracked_c_deviation(p_before, p_after, q, t)
+                got = super()._tracked_c_deviation(p_before, p_after, q, t)
+                assert repr(got) == repr(want)
+                assert repr(self.stats.drift_c_cumulative) == repr(
+                    loop.stats.drift_c_cumulative)
+                checked.append(t)
+                return got
+
+        monkeypatch.setattr(diagnostics, "TrajectoryRecorder", Checked)
+        out = recorded_run(arithmetic, n, epsilon, seed)
+        assert checked == [r.t for r in out.trajectory.records]
+        assert out.trajectory.drift_c_cumulative > 0
+
+    def test_nan_and_negative_zero(self):
+        # lines of nan and of -0.0 in the old and the new state: a nan
+        # deviation or gain is skipped by max, a nan sum reaches the
+        # drift, and -0.0 sums meet 0.0 and x0 in max
+        n, m, t = 16, 8, 2
+        J, state, q, L_row = evolved(n, m, t, seed=3)
+        after = advance_state(state, q, L_row, J)
+        q = np.asarray(q, dtype=np.float64)
+        rec, loop = TrajectoryRecorder(J), LoopRecorder(J)
+        live = [(i, k, l) for i, k, l in zip(*rec.triples.tolist())
+                if i > t and k != l]
+        assert len(live) >= 6
+        pb, pa = state.p.copy(), after.p.copy()
+        (i0, k0, _), (i1, k1, _), (i2, k2, _), (i3, k3, _) = live[:4]
+        pb[i0, k0, 3] = math.nan       # x_now, x_next's expectation nan
+        pa[i1, k1, 5] = math.nan       # x_next nan
+        pb[i2, k2] = -0.0              # x_now -0.0
+        pa[i3, k3] = -0.0              # x_next -0.0
+        self.assert_same(rec, loop, pb, pa, q, t)
+        self.assert_same(rec, loop, state.p, after.p, q, t)
+        # a drift that is already nan stays nan
+        rec.stats.drift_c_cumulative = loop.stats.drift_c_cumulative = (
+            math.nan)
+        self.assert_same(rec, loop, state.p, after.p, q, t)
+        assert math.isnan(rec.stats.drift_c_cumulative)
+
+    def test_no_live_triple(self):
+        # at the last step no triple is in a row > t: nothing is added
+        n, m = 16, 8
+        J, state, q, L_row = evolved(n, m, m - 1, seed=4)
+        after = advance_state(state, q, L_row, J)
+        rec, loop = TrajectoryRecorder(J), LoopRecorder(J)
+        rec.stats.drift_c_cumulative = loop.stats.drift_c_cumulative = 0.25
+        self.assert_same(rec, loop, state.p, after.p,
+                         np.asarray(q, dtype=np.float64), m - 1)
+        assert rec.stats.drift_c_cumulative == 0.25
+
+
 # ----------------------------------------------------------------- recorder
 
 def assert_same_record(got, want):
@@ -1319,6 +1453,38 @@ class TestRecorderReference:
         assert (survival(q, J, steps, exact) <= 0).any()
         assert_same_record(rec.record_step(state, q, perm, after),
                            ref.record_step(state, q, perm, after))
+
+    @pytest.mark.parametrize("arithmetic, n, epsilon, seed, success", [
+        ("float64", 32, 0.75, 1, True), ("float64", 64, 0.5, 0, False),
+        ("exact", 8, 0.75, 0, True)])
+    def test_c_max_is_the_next_rows(self, monkeypatch, arithmetic, n,
+                                    epsilon, seed, success):
+        # c_max is the largest pair sum of row t + 1 of the new state, the
+        # row the next step places, and nan at the last step, which a
+        # successful run records
+        steps = []
+
+        class Checked(TrajectoryRecorder):
+            def record_step(self, before, q_row, L_row, after,
+                            eta_used=math.nan):
+                rec = super().record_step(before, q_row, L_row, after,
+                                          eta_used)
+                t = before.t
+                if t + 1 < self.m:
+                    row = np.asarray(after.p[t + 1], dtype=np.float64)
+                    want = float(process.pair_sums(row).max())
+                    assert repr(rec.c_max) == repr(want)
+                else:
+                    assert math.isnan(rec.c_max)
+                steps.append(t)
+                return rec
+
+        monkeypatch.setattr(diagnostics, "TrajectoryRecorder", Checked)
+        out = recorded_run(arithmetic, n, epsilon, seed)
+        assert steps == [r.t for r in out.trajectory.records]
+        assert out.success == success
+        if success:
+            assert steps[-1] == out.rectangle.shape.m - 1
 
     def test_no_gram_tensor_in_the_record(self):
         # the pair sums are taken one row at a time, and the survival
