@@ -15,12 +15,14 @@ run is recorded only up to its exit: one record per placed row, none for
 the row where run_process stopped (a Gamma exit or an infeasible row) or
 for any row after it.
 
-Everything is taken from (before, q, L_row, after), each quantity once: the
-line sums and row maxima from the process.LineSums the transition carries
-on before and after (taken here only for init_state's state, at t = 0),
-the kills from process.later_kills, as the transition takes them, and the
-pair sums of row t + 1 of after from process.pair_sums, the product
-check_gamma takes.
+Everything is taken once: the line sums and row maxima from the
+process.LineSums the transition carries on before and after (taken here
+only for init_state's state, at t = 0), the pair sums of row t + 1 of
+after from process.pair_sums, the product check_gamma takes, and the fresh
+kills, martingale residual and growth ratio from each block of survival
+probabilities, kills and column map that advance_state hands to
+observe_block while it is in cache.  record_step raises, and never walks
+the step itself, when those blocks do not cover the rows > t.
 
 c_max is that one row's largest pair sum, not the largest over every row
 > t, which would cost O((m - t) n^3) per step.  Row t + 1 of after is
@@ -32,18 +34,16 @@ still named exactly, with its value, by check_gamma's GammaReport.  The
 recorder reads and writes no C ceiling, so a recorded run's checks
 multiply exactly the rows an unrecorded run's do.
 
-The martingale residual over all rows > t takes the survival probabilities
-from process.survival_blocks, the helper the transition divides by, a few
-rows at a time: the record holds no (rows, n, n) array of them, and the
-residual sees the rounding of the division.  Whether a block can hold a
-survival probability <= 0 is told once per step by the transition's lower
-bound (1 - q_max) - q_max, not by each block's minimum.  A spot check at a
-fixed sample of points (min(n, TRACKED_LINES) per row > t) recomputes the
-survival probability from q and J with its own code and the kill rule from
-the placed row, without later_kills, and folds its residual into the same
-number: a transition that divides by a wrong survival probability or kills
-the wrong points shows there.  On a correct transition each sampled value
-equals the full pass's value at that point, so the record does not move.
+Two checks do not trust the transition's code.  observe_block compares
+the column map of every block with the recorder's own row inverse of J
+and makes the step's martingale residual +inf where they differ.  A spot
+check at a fixed sample of points (min(n, TRACKED_LINES) per row > t)
+recomputes the survival probability from q and J with its own code and
+the kill rule from the placed row, without later_kills, and folds its
+residual into the same number: a transition that divides by a wrong
+survival probability or kills the wrong points shows there.  On a correct
+transition each sampled value equals the block's value at that point, so
+the record does not move.
 
 Recomputing every point would redo the transition, and the expectation of
 every C sum costs O(n^4) per step, so a deterministic sample of
@@ -63,8 +63,7 @@ from typing import Optional
 import numpy as np
 
 from .core import LatinRectangle, OrthomateError
-from .process import (GuidanceState, diag_column_map, later_kills,
-                      pair_sums, state_line_sums, survival_blocks)
+from .process import GuidanceState, pair_sums, state_line_sums
 
 
 class EmptyTrajectory(OrthomateError):
@@ -167,6 +166,44 @@ class TrajectoryRecorder:
         self.triples = np.array(
             [(j % m, j, (j + 1) % n) for j in range(k) if n >= 2],
             dtype=np.int64).reshape(-1, 3).T
+        # (t, next row) of the step observe_block folds, None when none
+        self._seen = None
+
+    def observe_block(self, t, lo, old, new, den, k2, kills, all_positive):
+        """Fold one block of the rows > t of the transition at step t into
+        the step's fresh kills, martingale residual and largest survivor
+        ratio p' / p; advance_state's observer, whose arguments it names.
+        The block's column map must equal the recorder's own, from its row
+        inverse of J.  Nothing of the call is kept."""
+        if lo == t + 1:
+            self._fresh, self._mart, self._ratios = 0, [], []
+            self._same_map = True
+            self._seen = (t, lo)
+        if self._seen != (t, lo):
+            self._seen = None
+            return
+        hi = lo + len(den)
+        self._seen = (t, hi)
+        self._same_map &= np.array_equal(k2, self.Jinv[t][self.J.grid[lo:hi]])
+        pb, den = np.asarray(old, np.float64), np.asarray(den, np.float64)
+        self._fresh += int(np.count_nonzero(pb[kills] > 0))
+        # martingale residual |den * s - p|, s = p' at a survivor and p / den
+        # at a killed point (the two branches of the expectation), and |p'|
+        # where den <= 0 or is nan: such a point is certainly killed
+        buf = np.multiply(den, new)
+        np.subtract(buf, pb, out=buf)
+        np.abs(buf, out=buf)
+        d, b = den[kills], pb[kills]
+        buf[kills] = np.abs(d * (b / np.where(d > 0, d, 1.0)) - b)
+        if not (all_positive or den.min() > 0):
+            low = ~(den > 0)
+            buf[low] = np.abs(new[low])
+        self._mart.append(buf.max())
+        # killed points and points of zero mass (0 / 0) are nan and ignored
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(new, pb, out=buf)
+        buf[kills] = math.nan
+        self._ratios.append(np.fmax.reduce(buf.reshape(-1)))
 
     def record_step(self, before: GuidanceState, q_row, L_row: np.ndarray,
                     after: GuidanceState, eta_used: float = math.nan
@@ -174,14 +211,15 @@ class TrajectoryRecorder:
         """Record the transition before -> after under (q_row, L_row).
 
         The line sums and row maxima are read from the LineSums before
-        and after carry (process.state_line_sums), those of p from
-        before's rows > t; the pair sums of row t + 1 are taken here, and
-        the passes that need the survival probabilities, the kills or a
-        work array one block of rows at a time.  Steps of one run are
-        recorded in order.
+        and after carry (process.state_line_sums), the fresh kills, the
+        martingale residual and the growth ratio from what observe_block
+        folded of the transition, and the pair sums of row t + 1 are
+        taken here.  Steps of one run are recorded in order.
+
+        Raises:
+            OrthomateError: observe_block did not see rows t + 1 .. m - 1.
         """
-        m, n = self.m, self.n
-        t = before.t
+        m, t = self.m, before.t
         q_raw = np.asarray(q_row)
         q = np.asarray(q_raw, dtype=np.float64)
         p_before = np.asarray(before.p, dtype=np.float64)
@@ -194,6 +232,10 @@ class TrajectoryRecorder:
         b_min = b_max = c_max = math.nan
         fresh_kills, mart_res, growth_max, b_dev_max = 0, 0.0, 1.0, 0.0
         if t + 1 < m:
+            if self._seen != (t, m):
+                raise OrthomateError(f"step {t}: rows {t + 1} .. {m - 1} were "
+                                     "not observed (advance_state(observe=))")
+            self._seen = None
             # statistics of the new state over rows that can still change
             pa, pb = p_after[t + 1:], p_before[t + 1:]
             b_rc, b_rs = sums_a.rc, sums_a.rs
@@ -204,42 +246,11 @@ class TrajectoryRecorder:
             # the largest pair sum of row t + 1, the row the next step places
             c_max = float(pair_sums(pa[0]).max())
 
-            # the fresh kills, the martingale residual and the largest
-            # survivor ratio p' / p, a block of rows at a time, with the
-            # block's survival probabilities and one block-sized work array
-            one = Fraction(1) if before.exact else 1.0
-            # no den of the step is below dmin, as in advance_state, and
-            # float() rounds monotonically, so dmin > 0 rules out a den <= 0
-            # in every block; nan fails the test and leaves it to each block
-            q_max = np.max(q_raw)
-            all_positive = float((one - q_max) - q_max) > 0
-            k2 = diag_column_map(self.J, t, t + 1)
-            killed = later_kills(L_row, k2)
-            i_idx = np.arange(m - t - 1)[:, None, None]
-            k_idx = np.arange(n)[None, :, None]
-            work = None
-            mart, ratios = [], []
-            for a, den in survival_blocks(q_raw, k2, one):
-                blk = slice(a, a + len(den))
-                if work is None:
-                    work = np.empty(den.shape)
-                buf = work[:len(den)]
-                kills = (i_idx[:len(den)], k_idx, killed[blk])
-                fresh_kills += int(np.count_nonzero(pb[blk][kills] > 0))
-                mart.append(self._martingale_residual(
-                    np.asarray(den, dtype=np.float64), pb[blk], pa[blk],
-                    kills, buf, all_positive))
-                # killed points and points of zero mass (0 / 0) are nan
-                # and ignored
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    np.divide(pa[blk], pb[blk], out=buf)
-                buf[kills] = math.nan
-                ratios.append(np.fmax.reduce(buf.reshape(-1)))
-
             # np.max, not max(), wherever a nan must reach the record
             spot = self._spot_residual(before, q_raw, L_row, pb, pa)
-            mart_res = float(np.max(np.append(mart, spot)))
-            ratio = np.fmax.reduce(ratios)
+            mart_res = (float(np.max(np.append(self._mart, spot)))
+                        if self._same_map else math.inf)
+            fresh_kills, ratio = self._fresh, np.fmax.reduce(self._ratios)
             if not math.isnan(ratio):
                 growth_max = float(ratio)
 
@@ -259,29 +270,6 @@ class TrajectoryRecorder:
         self.stats.records.append(rec)
         return rec
 
-    @staticmethod
-    def _martingale_residual(den, pb, pa, kills, buf, all_positive):
-        """max |den * p' - p| over one block of the rows > t, in buf.
-
-        A point of positive survival probability contributes
-        |den * s - p|, where s is p' if it survived and p / den if it was
-        killed: the two branches of the expectation.  Where den <= 0 the
-        point is certainly killed and the term is the kill consistency
-        |p'|.  kills indexes the block's killed points; all_positive tells
-        that the step's lower bound on den is > 0, so no block needs its
-        minimum.
-        """
-        np.multiply(den, pa, out=buf)
-        np.subtract(buf, pb, out=buf)
-        np.abs(buf, out=buf)
-        d, b = den[kills], pb[kills]
-        buf[kills] = np.abs(d * (b / np.where(d > 0, d, 1.0)) - b)
-        # nan takes this branch too, as den > 0 fails
-        if not (all_positive or den.min() > 0):
-            low = ~(den > 0)
-            buf[low] = np.abs(pa[low])
-        return buf.max()
-
     def _spot_residual(self, before, q, L_row, pb, pa) -> np.ndarray:
         """The martingale residual at the sample points, independent of the
         transition's kill and survival code.
@@ -292,7 +280,7 @@ class TrajectoryRecorder:
         recorder's own row inverse of J, in the same order and dtype as
         advance_state, and their kill indicator from L_row.  A point the
         rule kills must also be zero in the new state.  On a correct
-        transition every value equals the full pass's value at that point.
+        transition every value equals the block's value at that point.
         """
         t = before.t
         n = self.n
@@ -323,17 +311,16 @@ class TrajectoryRecorder:
         """
         i, k, l = self.triples
         live = (i > t) & (k != l)
-        i, k, l = i[live], k[live], l[live]
-        grid = self.J.grid
-        inv_t = self.Jinv[t]
-        pk = p_before[i, k, :]
-        pl = p_before[i, l, :]
-        x_now = (pk * pl).sum(axis=1)
-        x_next = (p_after[i, k, :] * p_after[i, l, :]).sum(axis=1)
-        k2k = inv_t[grid[i, k]]
-        k2l = inv_t[grid[i, l]]
-        rk = q[k, :] + q[k2k, :]
-        rl = q[l, :] + q[k2l, :]
+        # lines k and l of each triple's row i, gathered once per state as
+        # (2, triples, n), and the diagonal column maps of both
+        i, kl = i[live], self.triples[1:, live]
+        k2 = self.Jinv[t][self.J.grid[i, kl]]
+        (k, l), (k2k, k2l) = kl, k2
+        (pk, pl), (ak, al) = p_before[i, kl], p_after[i, kl]
+        prod = pk * pl
+        x_now = prod.sum(axis=1)
+        x_next = (ak * al).sum(axis=1)
+        rk, rl = q[kl] + q[k2]
         joint = np.zeros((i.size, self.n))
         joint += np.where((k == k2l)[:, None], q[k, :], 0.0)
         joint += np.where((k2k == l)[:, None], q[k2k, :], 0.0)
@@ -342,7 +329,7 @@ class TrajectoryRecorder:
         ok = (den_k > 0) & (den_l > 0)
         factor = np.where(ok, (1.0 - rk - rl + joint) /
                           np.where(ok, den_k * den_l, 1.0), 0.0)
-        expected = (pk * pl * factor).sum(axis=1)
+        expected = (prod * factor).sum(axis=1)
         # Python's max(a, b) keeps a unless b > a: fmax and the where()s
         # below skip a nan and turn -0.0 into 0.0 in the same places, and,
         # as Python's float arithmetic, an inf - inf is a quiet nan

@@ -30,17 +30,17 @@ thus never appear in a sampled row.
 
 The survival probabilities of a step are produced by survival_blocks, a
 few rows at a time in one reused buffer, and the killed symbols by
-later_kills; the transition and the recorder's martingale residual both
-read them from there, so no step holds the probabilities for all rows at
-once.  The transition also takes the line sums and row maxima of each
-block of new rows right after dividing it, while the block is in cache,
-and the new state carries them (GuidanceState.line_sums): check_gamma
-reads B and A's maximum from them, and the trajectory recorder its B
-statistics, so a step takes its line sums once.  run_process owns two
-(m, n, n) buffers and writes each new p into the one the old state is not
-using.  Each state also carries a per-row ceiling on its largest C pair
-sum: init_state and check_gamma set it from pair sums they compute, the
-transition multiplies it by the step's growth bound, and check_gamma
+later_kills, once per step: the transition hands a recorded run's blocks
+to the trajectory recorder, and no step holds the probabilities for all
+rows at once.  The transition also takes the line sums and row maxima of
+each block of new rows right after dividing it, while the block is in
+cache, and the new state carries them (GuidanceState.line_sums):
+check_gamma reads B and A's maximum from them, and the trajectory recorder
+its B statistics, so a step takes its line sums once.  run_process owns
+two (m, n, n) buffers and writes each new p into the one the old state is
+not using.  Each state also carries a per-row ceiling on its largest C
+pair sum: init_state and check_gamma set it from pair sums they compute,
+the transition multiplies it by the step's growth bound, and check_gamma
 skips a row whose ceiling clears c_bound by the rounding margin
 C_CEILING_MARGIN; it is the only screen of C.  The trajectory recorder
 reads the ceiling nowhere and writes it nowhere, so a recorded run's
@@ -478,8 +478,8 @@ def _grown_ceiling(ceiling: np.ndarray, dmin) -> np.ndarray:
 
 
 def advance_state(state: GuidanceState, q, L_row: np.ndarray,
-                  J: LatinRectangle, out: Optional[np.ndarray] = None
-                  ) -> GuidanceState:
+                  J: LatinRectangle, out: Optional[np.ndarray] = None,
+                  observe=None) -> GuidanceState:
     """One transition of the state under the placed row.
 
     Surviving points in uncoloured rows are divided by their survival
@@ -498,6 +498,14 @@ def advance_state(state: GuidanceState, q, L_row: np.ndarray,
     and dtype, not p itself, that already holds p's rows below t (the
     state before the previous step, say), so only row t is copied into it.
     Without out the new p is a fresh array.
+
+    observe, when given, is called once per block of survival
+    probabilities, after the block is divided, its kills zeroed and its
+    degenerate points checked: observe(t, lo, old, new, den, k2, kills,
+    all_positive) gets rows lo .. lo + len(den) - 1 of p and of the new p
+    as float64, their den, k2 and kill index, and whether every den is
+    known to be > 0.  den is survival_blocks' reused buffer, so observe
+    keeps nothing from the call (TrajectoryRecorder.observe_block).
 
     The same code runs on float64 and on Fraction states; DEN_TOL applies
     to floats, Fractions are degenerate only at survival probability <= 0.
@@ -561,6 +569,8 @@ def advance_state(state: GuidanceState, q, L_row: np.ndarray,
         rows.sum(axis=2, out=sums.rc[blk])
         rows.sum(axis=1, out=sums.rs[blk])
         rows.max(axis=(1, 2), out=sums.row_max[blk])
+        if observe is not None:
+            observe(t, lo, p[lo:hi], rows, den, k2[blk], kills, low is None)
     ceiling = state.c_ceiling.copy()
     ceiling[t + 1:] = _grown_ceiling(ceiling[t + 1:], dmin)
     return GuidanceState(shape=state.shape, t=t + 1, p=out,
@@ -619,11 +629,12 @@ def run_process(J: LatinRectangle, epsilon: Optional[float] = None,
     exact = config.arithmetic == "exact"
     rng = np.random.default_rng(seed)
 
-    recorder = None
+    recorder = observe = None
     if config.record_trajectory:
         from .diagnostics import TrajectoryRecorder
 
         recorder = TrajectoryRecorder(J)
+        observe = recorder.observe_block
 
     state = init_state(shape, exact=exact)
     # the new p of each step goes into the buffer the state does not use;
@@ -644,7 +655,8 @@ def run_process(J: LatinRectangle, epsilon: Optional[float] = None,
             q, eta_used = build_fractional_matching(d)
             etas.append(eta_used)
             L_row = sample_matching_lazy(q, rng)
-            after = advance_state(state, q, L_row, J, out=spare)
+            after = advance_state(state, q, L_row, J, out=spare,
+                                  observe=observe)
         except tuple(ROW_FAILURES) as exc:
             outcome = ProcessOutcome(
                 kind="infeasible_row", time=t,

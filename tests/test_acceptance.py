@@ -52,8 +52,8 @@ def run_counting_kills(J, eps, seed):
     kills = []
     advance = process.advance_state
 
-    def counted(state, q, L_row, J, out=None):
-        after = advance(state, q, L_row, J, out=out)
+    def counted(state, q, L_row, J, **kwargs):
+        after = advance(state, q, L_row, J, **kwargs)
         kills.append(kill_counts(L_row, state.t, J))
         return after
 

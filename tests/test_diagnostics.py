@@ -10,6 +10,7 @@ import pytest
 from orthomate import (
     EmptyTrajectory,
     LatinRectangle,
+    OrthomateError,
     ProcessConfig,
     TrajectoryRecorder,
     TrajectoryStats,
@@ -27,15 +28,15 @@ from orthomate.diagnostics import KILLS_PER_C_SUM, KILLS_PER_LINE
 from conftest import kill_counts, random_rect
 
 
-def guided_steps(J, seed, steps=None, exact=False):
+def guided_steps(J, seed, steps=None, exact=False, observe=None):
     """Yield (state, q, eta, L_row, after) for each step of a guided run
-    of J, up to `steps` rows."""
+    of J, up to `steps` rows; observe is advance_state's observer."""
     state = init_state(J.shape, exact=exact)
     rng = np.random.default_rng(seed)
     for t in range(steps or J.shape.m):
         q, eta = build_fractional_matching(normalize_row(state, t))
         L_row = sample_matching_lazy(q, rng)
-        after = advance_state(state, q, L_row, J)
+        after = advance_state(state, q, L_row, J, observe=observe)
         yield state, q, eta, L_row, after
         state = after
 
@@ -43,7 +44,8 @@ def guided_steps(J, seed, steps=None, exact=False):
 def run_with_recorder(n, m, seed, steps=None):
     J = random_rect(n, m, seed)
     rec = TrajectoryRecorder(J)
-    for state, q, eta, L_row, after in guided_steps(J, seed, steps):
+    for state, q, eta, L_row, after in guided_steps(
+            J, seed, steps, observe=rec.observe_block):
         rec.record_step(state, q, L_row, after, eta_used=eta)
     return J, rec
 
@@ -104,7 +106,8 @@ class TestRecordStep:
         for t in range(3):
             q, eta = build_fractional_matching(normalize_row(state, t))
             L_row = sample_matching_lazy(q, rng)
-            after = advance_state(state, q, L_row, J)
+            after = advance_state(state, q, L_row, J,
+                                  observe=rec.observe_block)
             assert rec.record_step(state, q, L_row, after
                                    ).martingale_residual <= 1e-9
             state = after
@@ -114,7 +117,7 @@ class TestRecordStep:
         monkeypatch.setattr(
             process, "diag_column_map",
             lambda *args: np.roll(column_map(*args), 1, axis=1))
-        after = advance_state(state, q, L_row, J)
+        after = advance_state(state, q, L_row, J, observe=rec.observe_block)
         assert rec.record_step(state, q, L_row, after
                                ).martingale_residual > 1e-9
 
@@ -127,7 +130,8 @@ class TestRecordStep:
         J = random_rect(n, m, seed)
         rec = TrajectoryRecorder(J)
         steps = 0
-        for state, q, eta, L_row, after in guided_steps(J, seed, exact=exact):
+        for state, q, eta, L_row, after in guided_steps(
+                J, seed, exact=exact, observe=rec.observe_block):
             r = rec.record_step(state, q, L_row, after, eta_used=eta)
             assert r.t == state.t
             assert r.fresh_kills == int(
@@ -136,8 +140,82 @@ class TestRecordStep:
         assert steps == m
         assert r.fresh_kills == 0
 
+    def test_wrong_column_map_outside_the_spot_sample_is_caught(
+            self, monkeypatch):
+        # at n = 128 the spot check samples columns 0 .. 63 only; a
+        # transition whose column map swaps columns 100 and 101 for one
+        # step divides by wrong survival probabilities and kills wrong
+        # points outside that sample, which the record must still show
+        n, m = 128, 64
+        J = random_rect(n, m, 0)
+        rng = np.random.default_rng(0)
+        state = init_state(J.shape)
+        rec = TrajectoryRecorder(J)
+        for t in range(3):
+            q, eta = build_fractional_matching(normalize_row(state, t))
+            L_row = sample_matching_lazy(q, rng)
+            if t == 2:
+                column_map = process.diag_column_map
+                monkeypatch.setattr(
+                    process, "diag_column_map",
+                    lambda *args: column_map(*args)[:, [*range(100), 101,
+                                                        100, *range(102, n)]])
+            after = advance_state(state, q, L_row, J,
+                                  observe=rec.observe_block)
+            residual = rec.record_step(state, q, L_row, after
+                                       ).martingale_residual
+            assert (residual > 1e-9) == (t == 2)
+            state = after
+
+    def test_unobserved_step_raises(self):
+        # the record never walks a step itself: a step whose blocks it did
+        # not see, or saw for another step, is an error
+        J = random_rect(8, 4, 0)
+        rec = TrajectoryRecorder(J)
+        steps = guided_steps(J, 0, observe=rec.observe_block)
+        state, q, eta, L_row, after = next(steps)
+        rec.record_step(state, q, L_row, after)
+        with pytest.raises(OrthomateError, match="not observed"):
+            rec.record_step(state, q, L_row, after)
+        state, q, eta, L_row, after = next(steps)
+        with pytest.raises(OrthomateError, match="not observed"):
+            rec.record_step(after, q, L_row, after)
 
 class TestGuidedRunDiagnostics:
+    @pytest.mark.parametrize("arithmetic, n, epsilon, seed", [
+        ("float64", 32, 0.75, 1), ("exact", 8, 0.75, 0)])
+    def test_one_walk_per_step(self, monkeypatch, arithmetic, n, epsilon,
+                               seed):
+        # a recorded step takes the column map, the kills and the survival
+        # blocks once, in the transition; an unrecorded run calls no
+        # recorder code
+        calls = dict.fromkeys(("diag_column_map", "later_kills",
+                               "survival_blocks", "observe_block"), 0)
+
+        def counted(fn, name):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("diag_column_map", "later_kills", "survival_blocks"):
+            monkeypatch.setattr(process, name,
+                                counted(getattr(process, name), name))
+        monkeypatch.setattr(
+            TrajectoryRecorder, "observe_block",
+            counted(TrajectoryRecorder.observe_block, "observe_block"))
+        J = random_rect(n, round((1.0 - epsilon) * n), seed)
+        for record in (True, False):
+            calls.update(dict.fromkeys(calls, 0))
+            out = run_process(J, epsilon=epsilon, seed=seed,
+                              config=ProcessConfig(arithmetic=arithmetic,
+                                                   record_trajectory=record))
+            assert out.success
+            m = J.shape.m
+            assert calls["diag_column_map"] == calls["later_kills"] == (
+                calls["survival_blocks"]) == m
+            # one block per step at these orders, none at the last row
+            assert calls["observe_block"] == (m - 1 if record else 0)
     def test_full_run_residuals(self):
         J = random_rect(16, 8, seed=5)
         out = run_process(J, seed=5)

@@ -1072,9 +1072,10 @@ class TestCeiling:
         # the new state's ceilings are the transition's grown ones
         J, state, q, L_row = evolved(n, m, steps, seed=n, exact=exact)
         check_gamma(state, 0.5)
-        after = advance_state(state, q, L_row, J)
+        rec = TrajectoryRecorder(J)
+        after = advance_state(state, q, L_row, J, observe=rec.observe_block)
         grown = after.c_ceiling.copy()
-        TrajectoryRecorder(J).record_step(state, q, L_row, after)
+        rec.record_step(state, q, L_row, after)
         assert same_array(after.c_ceiling, grown)
 
     @pytest.mark.parametrize("arithmetic, n, seeds", [
@@ -1449,7 +1450,7 @@ class TestRecorderReference:
         perm = np.random.default_rng(seed).permutation(n)
         q = np.zeros((n, n), dtype=np.int64)
         q[np.arange(n), perm] = 1
-        after = advance_state(state, q, perm, J)
+        after = advance_state(state, q, perm, J, observe=rec.observe_block)
         assert (survival(q, J, steps, exact) <= 0).any()
         assert_same_record(rec.record_step(state, q, perm, after),
                            ref.record_step(state, q, perm, after))
@@ -1489,15 +1490,18 @@ class TestRecorderReference:
     def test_no_gram_tensor_in_the_record(self):
         # the pair sums are taken one row at a time, and the survival
         # probabilities and the work array of the other passes a block of
-        # rows at a time: the record holds no (rows, n, n) Gram tensor, den
-        # or work array of the rows > t
+        # rows at a time: the record, with the blocks the transition hands
+        # it, holds no (rows, n, n) Gram tensor, den or work array of the
+        # rows > t
         n, m, t = 128, 64, 20
         J, state, q, L_row = evolved(n, m, t, seed=0)
-        after = advance_state(state, q, L_row, J)
-        rows = after.p[t + 1:]
+        rows = state.p[t + 1:]
+        spare, rec = spare_for(state), TrajectoryRecorder(J)
         tracemalloc.start()
         try:
-            TrajectoryRecorder(J).record_step(state, q, L_row, after)
+            after = advance_state(state, q, L_row, J, out=spare,
+                                  observe=rec.observe_block)
+            rec.record_step(state, q, L_row, after)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
