@@ -24,8 +24,9 @@ probabilities, kills and column map that advance_state hands to
 observe_block while it is in cache.  record_step raises, and never walks
 the step itself, when those blocks do not cover the rows > t.
 
-c_max is that one row's largest pair sum, not the largest over every row
-> t, which would cost O((m - t) n^3) per step.  Row t + 1 of after is
+c_max is that one row's largest pair sum (largest_pair_sum: the same on
+every BLAS kernel), not the largest over every row > t, which would cost
+O((m - t) n^3) per step.  Row t + 1 of after is
 final: the next step builds its weights from it and the transition copies
 it unchanged, so each placed row's C is recorded once, in the state the
 process used.  Every row > t has been through the same t + 1 steps, so the
@@ -80,6 +81,36 @@ KILLS_PER_LINE = 2
 
 #: kills per C sum at most: those of its two column/symbol lines
 KILLS_PER_C_SUM = 4
+
+
+def largest_pair_sum(row: np.ndarray) -> float:
+    """The largest math.fsum of the float products x(k, g) x(l, g) over
+    the pairs k < l of one float64 (n, n) row x, 0.0 below n = 2.  IEEE
+    products and fsum's correctly rounded sum are the same on every
+    machine, so no BLAS kernel changes it.
+
+    Only the pairs whose process.pair_sums value is at least
+    top (1 - 4 (n + 2) u), top the largest, are summed again.  With
+    u = 2^-53 and gamma_n = n u / (1 - n u), for a pair of exact sum E:
+      the computed pair sum of n nonnegative terms is within 1 +- gamma_n
+      of E, in any summation order, with or without FMA;
+      its fsum F is within (1 +- u)^2 of E: a rounding per product, one
+      of the sum;
+    so the pair of the largest F has a computed sum of at least
+    top (1 - gamma_n) (1 - u)^2 / ((1 + gamma_n) (1 + u)^2), about
+    top (1 - (2 n + 4) u), and the threshold, with its two roundings,
+    stays below that while the margin exceeds about (2 n + 6) u.  The
+    terms are nonnegative, as every state a transition makes is; the
+    argument assumes no product underflows, true of rows whose entries
+    are near 1/n.  A nan top keeps no pair and is returned.
+    """
+    gram = pair_sums(row)
+    top = gram.max()
+    n = row.shape[0]
+    k, l = np.nonzero(np.triu(gram >= top * (1.0 - 4 * (n + 2) * 2.0 ** -53),
+                              1))
+    return max(map(math.fsum, (row[k] * row[l]).tolist()),
+               default=float(top))
 
 
 @dataclass(frozen=True)
@@ -244,7 +275,7 @@ class TrajectoryRecorder:
             b_dev_max = float(max(np.abs(b_rc - sums_b.rc[1:]).max(),
                                   np.abs(b_rs - sums_b.rs[1:]).max()))
             # the largest pair sum of row t + 1, the row the next step places
-            c_max = float(pair_sums(pa[0]).max())
+            c_max = largest_pair_sum(pa[0])
 
             # np.max, not max(), wherever a nan must reach the record
             spot = self._spot_residual(before, q_raw, L_row, pb, pa)

@@ -203,14 +203,23 @@ def gamma_reference(state, epsilon):
     return GammaReport(not violations, tuple(violations))
 
 
+def fsum_pair_max(row):
+    """The largest math.fsum of x(k, g) x(l, g) over every pair k < l of
+    the row x, one pair at a time; 0.0 below n = 2."""
+    n = row.shape[0]
+    return max((math.fsum(row[k] * row[l]) for k in range(n)
+                for l in range(k + 1, n)), default=0.0)
+
+
 class RecorderReference(TrajectoryRecorder):
     """record_step with a mask, a gather or a fresh array per quantity:
     np.where chains for the martingale residual, boolean gathers for the
     growth ratio, line sums of pa and pb of its own, kills from the dense
     kill_mask of the placed row rather than later_kills, fresh kills from
     that mask, p_max over the rows >= t, a batched (rows, n, n) Gram tensor
-    of the rows > t, whose first row, the one placed next, gives c_max, and
-    one sampled C sum at a time."""
+    of the rows > t, c_max as the largest math.fsum of the products of
+    every pair of row t + 1, the row placed next (fsum_pair_max), and one
+    sampled C sum at a time."""
 
     def record_step(self, before, q_row, L_row, after, eta_used=math.nan):
         m = self.m
@@ -231,7 +240,7 @@ class RecorderReference(TrajectoryRecorder):
             gram[:, idx, idx] = 0.0
             b_min = float(min(b_rc.min(), b_rs.min()))
             b_max = float(max(b_rc.max(), b_rs.max()))
-            c_max = float(gram[0].max())  # row t + 1, placed next
+            c_max = fsum_pair_max(pa[0])  # row t + 1, placed next
             killed = kill_mask(L_row, t, self.J, self.J.shape)[t + 1:]
             pb = p_before[t + 1:]
             fresh_kills = int((killed & (pb > 0)).sum())
@@ -1461,8 +1470,8 @@ class TestRecorderReference:
     def test_c_max_is_the_next_rows(self, monkeypatch, arithmetic, n,
                                     epsilon, seed, success):
         # c_max is the largest pair sum of row t + 1 of the new state, the
-        # row the next step places, and nan at the last step, which a
-        # successful run records
+        # row the next step places, as the fsum of the pair's products, and
+        # nan at the last step, which a successful run records
         steps = []
 
         class Checked(TrajectoryRecorder):
@@ -1473,8 +1482,7 @@ class TestRecorderReference:
                 t = before.t
                 if t + 1 < self.m:
                     row = np.asarray(after.p[t + 1], dtype=np.float64)
-                    want = float(process.pair_sums(row).max())
-                    assert repr(rec.c_max) == repr(want)
+                    assert repr(rec.c_max) == repr(fsum_pair_max(row))
                 else:
                     assert math.isnan(rec.c_max)
                 steps.append(t)
@@ -1486,6 +1494,23 @@ class TestRecorderReference:
         assert out.success == success
         if success:
             assert steps[-1] == out.rectangle.shape.m - 1
+
+    def test_largest_pair_sum_is_the_fsum_maximum(self):
+        # rows whose pairs tie in exact arithmetic, so that the syrk's
+        # summation order decides which computed sum is largest: a uniform
+        # row, lines that are cyclic shifts of one line (the pairs of one
+        # shift tie), random lines; and an evolved row; nan comes through
+        rng = np.random.default_rng(0)
+        line = rng.random(24)
+        rows = [np.full((16, 16), 1.0 / 16),
+                np.array([np.roll(line, k) for k in range(24)]),
+                rng.random((40, 40)), np.zeros((1, 1)),
+                np.asarray(evolved(64, 32, 6, seed=1)[1].p[7], np.float64)]
+        for row in rows:
+            assert repr(diagnostics.largest_pair_sum(row)) == repr(
+                fsum_pair_max(row))
+        rows[2][3, 5] = math.nan
+        assert math.isnan(diagnostics.largest_pair_sum(rows[2]))
 
     def test_no_gram_tensor_in_the_record(self):
         # the pair sums are taken one row at a time, and the survival
