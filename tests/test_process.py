@@ -565,9 +565,9 @@ class TestEpsilon:
 
 
 class TestTransition:
-    """advance_state and the recorder take the killed symbols from
-    process.later_kills and the survival probabilities they divide by from
-    process.survival_blocks."""
+    """advance_state takes the killed symbols from process.later_kills and
+    the survival probabilities it divides by from process.survival_blocks,
+    and hands both to the recorder."""
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_killed_matches_kill_mask_on_every_row(self, exact):
@@ -696,12 +696,14 @@ def _removed_names():
     """(owner, attribute) of each removed second form: the Birkhoff terms
     are a plain tuple, the support graph keeps only its CSR, each output
     has only the format its command writes, the pair sums are taken by
-    pair_sums alone, the recorder takes the kills from later_kills and no
-    state carries them, the records keep no kill count that the kill rule
-    fixes, scipy's Hopcroft-Karp is the one perfect matcher, and a row's
-    flow certificates are asked through one maxflow.RowCertificates."""
+    pair_sums alone, the recorder takes the kills, the survival
+    probabilities and the column map from the blocks the transition hands
+    it (diagnostics imports none of the transition's helpers) and no state
+    carries them, the records keep no kill count that the kill rule fixes,
+    scipy's Hopcroft-Karp is the one perfect matcher, and a row's flow
+    certificates are asked through one maxflow.RowCertificates."""
     import orthomate
-    from orthomate import bipartite, matching, maxflow, process
+    from orthomate import bipartite, diagnostics, matching, maxflow, process
     from orthomate.bipartite import SupportGraph
     from orthomate.diagnostics import (SummaryReport, TrajectoryStats,
                                        summarize)
@@ -731,6 +733,9 @@ def _removed_names():
         "StepRecord().c_kills_max": (record, "c_kills_max"),
         "SummaryReport().kills_line_max": (summary, "kills_line_max"),
         "SummaryReport().c_kills_max": (summary, "c_kills_max"),
+        "diagnostics.diag_column_map": (diagnostics, "diag_column_map"),
+        "diagnostics.later_kills": (diagnostics, "later_kills"),
+        "diagnostics.survival_blocks": (diagnostics, "survival_blocks"),
         "maxflow.certified_status": (maxflow, "certified_status"),
         "maxflow.cut_certifies_infeasible": (maxflow,
                                              "cut_certifies_infeasible"),
