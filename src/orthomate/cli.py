@@ -6,6 +6,9 @@ problems, 2 algorithmic failure (no mate found, verification failed),
 output before writing; an unverified rectangle is never written, and a
 failed run leaves no output file.  Trial ensembles derive per-trial seeds
 as seed + index, so results are reproducible under any parallel schedule.
+A guided run's ProcessConfig comes from the command alone: --exact sets its
+arithmetic, and it records exactly when the command's output holds recorded
+data (``mate`` with --diag, ``diag``, and guided ``trials``).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -126,19 +129,6 @@ def _optional_output(path):
     return _output_file(path) if path else contextlib.nullcontext()
 
 
-def _check_trajectory_path(flag: str, path, cfg: ProcessConfig,
-                           algorithm: str = "guided") -> None:
-    """ValueError when flag names a trajectory CSV the run cannot write."""
-    if not path:
-        return
-    if algorithm != "guided":
-        raise ValueError(f"{flag}: --algorithm {algorithm} records no "
-                         "trajectory")
-    if not cfg.record_trajectory:
-        raise ValueError(f"{flag}: the config turns record_trajectory off, "
-                         "so there is no trajectory to write")
-
-
 def _provenance(seed, cfg: ProcessConfig) -> str:
     """What the first line of a CSV output carries after its schema name:
     the package version, the seed and the compact config JSON."""
@@ -163,16 +153,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
-
-
-def _config_from_args(args) -> ProcessConfig:
-    """The --config file, --exact overriding; ValueError on a bad value."""
-    if args.config:
-        with open(args.config) as fh:
-            cfg = ProcessConfig.from_json(json.load(fh))
-    else:
-        cfg = ProcessConfig()
-    return replace(cfg, arithmetic="exact") if args.exact else cfg
 
 
 def cmd_gen(args) -> int:
@@ -267,15 +247,17 @@ def _find_mate(args, J: LatinRectangle, cfg: ProcessConfig):
 
 
 def cmd_mate(args) -> int:
-    _check_distinct_files(("--in", args.input), ("--config", args.config),
-                          ("--out", args.out), ("--diag", args.diag))
+    _check_distinct_files(("--in", args.input), ("--out", args.out),
+                          ("--diag", args.diag))
     try:
         J = _read_rectangle(args.input)
     except (OSError, ParseError, NotLatin) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    cfg = _config_from_args(args)
-    _check_trajectory_path("--diag", args.diag, cfg, args.algorithm)
+    if args.diag and args.algorithm != "guided":
+        raise ValueError(f"--diag: --algorithm {args.algorithm} records no "
+                         "trajectory")
+    cfg = ProcessConfig(args.arithmetic, record_trajectory=bool(args.diag))
     if args.algorithm == "guided":
         check_arithmetic(J.shape.n, cfg)
     with _optional_output(args.out) as out_fh:
@@ -310,14 +292,14 @@ def cmd_verify(args) -> int:
 
 
 def run_single_trial(packed) -> TrialRecord:
-    """One trial; module-level so process pools can pickle it."""
-    (trial, seed, n, m, epsilon, algorithm, cfg_json) = packed
+    """One trial of packed = (trial, seed, n, m, epsilon, algorithm,
+    ProcessConfig); module-level so process pools can pickle it."""
+    (trial, seed, n, m, epsilon, algorithm, cfg) = packed
     t0 = time.perf_counter()
     J = random_latin_rectangle(n, m, np.random.default_rng(seed))
     summary, first = SUMMARY_DEFAULTS, None
     if algorithm == "guided":
-        res = run_process(J, epsilon=epsilon, seed=seed,
-                          config=ProcessConfig.from_json(cfg_json))
+        res = run_process(J, epsilon=epsilon, seed=seed, config=cfg)
         mate, kind, detail = res.rectangle, res.kind, res.detail
         exit_time = res.time if res.time is not None else ""
         if res.trajectory is not None and res.trajectory.records:
@@ -385,16 +367,15 @@ def _run_trials(jobs, workers: int) -> list:
 
 
 def cmd_trials(args) -> int:
-    _check_distinct_files(("--config", args.config), ("--out", args.out))
     n = args.n
     m = _derived_m(args)
-    cfg = _config_from_args(args)
+    cfg = ProcessConfig(args.arithmetic)
     if args.algorithm == "guided":
         check_arithmetic(n, cfg)
     # scipy's one-time import, outside the timed trials; workers inherit it
     import scipy.sparse.csgraph  # noqa: F401
     jobs = [
-        (i, args.seed + i, n, m, args.epsilon, args.algorithm, cfg.to_json())
+        (i, args.seed + i, n, m, args.epsilon, args.algorithm, cfg)
         for i in range(args.count)
     ]
     provenance = _provenance(f"{args.seed}+trial", cfg)
@@ -423,14 +404,12 @@ def cmd_trials(args) -> int:
 
 
 def cmd_diag(args) -> int:
-    _check_distinct_files(("--config", args.config), ("--out", args.out))
     m = _derived_m(args)
-    cfg = _config_from_args(args)
-    _check_trajectory_path("--out", args.out, cfg)
+    cfg = ProcessConfig(args.arithmetic)
     check_arithmetic(args.n, cfg)
     J = random_latin_rectangle(args.n, m, np.random.default_rng(args.seed))
     outcome = _run_guided(J, args.epsilon, args.seed, cfg, args.out)
-    if outcome.trajectory is not None and outcome.trajectory.records:
+    if outcome.trajectory.records:
         summ = summarize(outcome.trajectory, exit_time=outcome.time)
         print(summ.to_json())
     else:
@@ -447,12 +426,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # the ProcessConfig options of every command that runs the guided process
+    # the ProcessConfig arithmetic of every command that runs a guided run
     p_cfg = argparse.ArgumentParser(add_help=False)
-    p_cfg.add_argument("--exact", action="store_true",
+    p_cfg.add_argument("--exact", dest="arithmetic", action="store_const",
+                       const="exact", default="float64",
                        help="exact rational state arithmetic (n <= 12)")
-    p_cfg.add_argument("--config", default=None,
-                       help="ProcessConfig JSON file; --exact overrides")
 
     p_gen = sub.add_parser("gen", help="write a random Latin rectangle")
     p_gen.add_argument("--n", type=int, required=True)

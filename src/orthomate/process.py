@@ -51,13 +51,14 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, asdict
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
 from .core import (
+    IndexOutOfRange,
     LatinRectangle,
     OrthomateError,
     Point,
@@ -137,7 +138,7 @@ def _is_number(value) -> bool:
 
 @dataclass
 class ProcessConfig:
-    """Knobs of the guided process; serializable as JSON.
+    """Knobs of the guided process; to_json is what CSV provenance prints.
 
     Raises:
         ValueError: a field holds a value outside its documented range.
@@ -156,17 +157,6 @@ class ProcessConfig:
 
     def to_json(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ProcessConfig":
-        """Build a config from a JSON object; unknown keys are an error."""
-        if not isinstance(obj, dict):
-            raise ValueError(
-                f"config must be a JSON object; got {type(obj).__name__}")
-        unknown = sorted(set(obj) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
-        return cls(**obj)
 
 
 @dataclass(frozen=True)
@@ -393,8 +383,13 @@ def central_projections(x: Point, t: int, J: LatinRectangle):
     column injectivity forces x's diagonal to cross row t away from col(x).
 
     Raises:
+        IndexOutOfRange: x lies outside J's grid or t outside [0, m).
         RowAlreadyColoured: x lies in row t or an earlier row.
     """
+    m, n = J.shape.m, J.shape.n
+    if not (0 <= x.row < m and 0 <= x.col < n and 0 <= x.sym < n
+            and 0 <= t < m):
+        raise IndexOutOfRange(f"point {x} or time {t} outside {m}x{n}")
     if x.row <= t:
         raise RowAlreadyColoured(f"point {x} has colouring time {x.row} <= {t}")
     rho_cs = Point(t, x.col, x.sym)

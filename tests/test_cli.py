@@ -200,39 +200,56 @@ class TestMate:
         assert blob["outcome"] == "gamma_exit"
         assert blob["violations"]
 
-    def test_config_file(self, tmp_path):
-        jp, lp = tmp_path / "J.txt", tmp_path / "L.txt"
-        cfgp = tmp_path / "cfg.json"
-        cfgp.write_text(json.dumps({"record_trajectory": False}))
-        main(["gen", "--n", "12", "--m", "3", "--seed", "1", "--out", str(jp)])
-        assert main(["mate", "--in", str(jp), "--config", str(cfgp),
-                     "--out", str(lp)]) == 0
+    def test_records_only_with_diag(self, tmp_path, capsys, monkeypatch):
+        # a recorder is built only when --diag asks for the trajectory,
+        # and recording changes no byte of the printed mate
+        from orthomate import diagnostics
 
-    @pytest.mark.parametrize("blob, message", [
-        ({"eta_maxx": 8.0}, "eta_maxx"),
-        ({"sampler": "eager"}, "sampler"),
-        ({"zero_tol": 1e-12}, "zero_tol"),
-        ({"arithmetic": "exakt"}, "arithmetic"),
-        ({"flow_backend": "networkx"}, "flow_backend"),
-        ({"eta_policy": "tripling"}, "eta_policy"),
-        ({"eta_max": 0}, "eta_max"),
-        ({"eta_initial": -0.5}, "eta_initial"),
-        ({"tracked_lines": -1}, "tracked_lines"),
-        ([1, 2], "JSON object"),
-        ({"gamma_b_slack": -1}, "gamma_b_slack"),
-        ({"gamma_a_coeff": 0}, "gamma_a_coeff"),
-        ({"gamma_c_slack": -0.5}, "gamma_c_slack"),
-        ({"record_trajectory": "false"}, "record_trajectory"),
-        ({"eta_initial": False}, "eta_initial"),
-        ({"eta_max": True}, "eta_max"),
-        ({"eta_initial": 0.5}, "unknown config key(s): eta_initial"),
+        built = []
+
+        class CountingRecorder(diagnostics.TrajectoryRecorder):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(diagnostics, "TrajectoryRecorder",
+                            CountingRecorder)
+        jp = tmp_path / "J.txt"
+        main(["gen", "--n", "16", "--m", "4", "--seed", "3", "--out", str(jp)])
+        capsys.readouterr()
+        assert main(["mate", "--in", str(jp), "--seed", "1"]) == 0
+        assert built == []
+        plain = capsys.readouterr().out
+        assert main(["mate", "--in", str(jp), "--seed", "1",
+                     "--diag", str(tmp_path / "t.csv")]) == 0
+        assert built == [1]
+        assert capsys.readouterr().out == plain
+        assert verify_orthogonal(parse_rectangle(plain),
+                                 parse_rectangle(read(jp))).ok
+
+    @pytest.mark.parametrize("argv", [
+        ["mate", "--in", "{J}"],
+        ["trials", "--n", "8", "--count", "1", "--out", "{out}"],
+        ["diag", "--n", "8", "--out", "{out}"],
     ])
-    def test_bad_config_is_usage_error(self, tmp_path, capsys, blob, message):
-        jp, cfgp = tmp_path / "J.txt", tmp_path / "cfg.json"
-        cfgp.write_text(json.dumps(blob))
-        main(["gen", "--n", "8", "--m", "2", "--seed", "1", "--out", str(jp)])
-        assert main(["mate", "--in", str(jp), "--config", str(cfgp)]) == 1
-        assert message in capsys.readouterr().err
+    def test_config_flag_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                        argv):
+        runs = []
+        for name in ("run_process", "_run_trials"):
+            monkeypatch.setattr(cli, name,
+                                lambda *a, _n=name, **kw: runs.append(_n))
+        jp, cfgp, out = (tmp_path / name
+                         for name in ("J.txt", "cfg.json", "o.csv"))
+        jp.write_text("0 1\n1 0\n")
+        cfgp.write_text(json.dumps({"arithmetic": "float64"}))
+        argv = [a.format(J=jp, out=out) for a in argv]
+        assert main(argv + ["--config", str(cfgp)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --config" in captured.err
+        assert "Traceback" not in captured.err
+        assert runs == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--eta-max", "--eta-initial"])
     def test_removed_eta_flag_is_usage_error(self, tmp_path, capsys, flag):
@@ -431,8 +448,8 @@ class TestTrials:
         assert version == f"orthomate={__version__}"
         assert seed == "seed=5+trial"
         assert config.startswith("config=")
-        assert ProcessConfig.from_json(json.loads(config[7:])) == \
-            ProcessConfig(arithmetic="exact")
+        assert json.loads(config[7:]) == \
+            ProcessConfig(arithmetic="exact").to_json()
 
     @needs_proc
     def test_pool_workers_run_one_blas_thread(self, tmp_path, monkeypatch):
@@ -529,8 +546,8 @@ class TestDiag:
         assert version == f"orthomate={__version__}"
         assert seed == "seed=7"
         assert config.startswith("config=")
-        assert ProcessConfig.from_json(json.loads(config[7:])) == \
-            ProcessConfig(arithmetic="exact")
+        assert json.loads(config[7:]) == \
+            ProcessConfig(arithmetic="exact").to_json()
 
 
 class TestUsage:
@@ -702,28 +719,16 @@ class TestTrajectoryPathNeedsRecording:
         (["mate", "--in", "{J}", "--algorithm", "backtrack",
           "--diag", "{out}"],
          "--algorithm backtrack records no trajectory"),
-        (["mate", "--in", "{J}", "--config", "{cfg}", "--diag", "{out}"],
-         "record_trajectory off"),
-        (["diag", "--n", "8", "--config", "{cfg}", "--out", "{out}"],
-         "record_trajectory off"),
     ])
     def test_usage_error_before_any_run(self, tmp_path, capsys, runs, argv,
                                         message):
-        jp, cfgp, out = (tmp_path / name
-                         for name in ("J.txt", "cfg.json", "t.csv"))
+        jp, out = tmp_path / "J.txt", tmp_path / "t.csv"
         main(["gen", "--n", "8", "--m", "4", "--seed", "2", "--out", str(jp)])
-        cfgp.write_text(json.dumps({"record_trajectory": False}))
-        argv = [a.format(J=jp, cfg=cfgp, out=out) for a in argv]
+        argv = [a.format(J=jp, out=out) for a in argv]
         assert main(argv) == 1
         assert message in capsys.readouterr().err
         assert runs == []
         assert not out.exists()
-
-    def test_recording_off_without_a_path_still_runs(self, tmp_path, capsys):
-        cfgp = tmp_path / "cfg.json"
-        cfgp.write_text(json.dumps({"record_trajectory": False}))
-        assert main(["diag", "--n", "8", "--config", str(cfgp)]) == 0
-        assert json.loads(capsys.readouterr().out)["outcome"]
 
 
 class TestSameFile:
@@ -751,31 +756,6 @@ class TestSameFile:
         assert jp.read_text() == "0 1\n1 0\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "J.txt", "link.txt", "sub"]
-
-    @pytest.mark.parametrize("argv", [
-        ["mate", "--in", "{J}", "--config", "{cfg}", "--out", "{cfg}"],
-        ["trials", "--n", "8", "--count", "1", "--config", "{cfg}",
-         "--out", "{cfg}"],
-        ["diag", "--n", "8", "--config", "{cfg}", "--out", "{cfg}"],
-    ])
-    def test_config_kept_and_nothing_run(self, tmp_path, capsys, monkeypatch,
-                                         argv):
-        runs = []
-        for name in ("run_process", "_run_trials"):
-            monkeypatch.setattr(cli, name,
-                                lambda *a, _n=name, **kw: runs.append(_n))
-        jp, cfgp = tmp_path / "J.txt", tmp_path / "cfg.json"
-        jp.write_text("0 1\n1 0\n")
-        cfg_text = json.dumps({"arithmetic": "float64"})
-        cfgp.write_text(cfg_text)
-        argv = [a.format(J=jp, cfg=cfgp) for a in argv]
-        assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert "--config and --out name the same file" in err
-        assert runs == []
-        assert cfgp.read_text() == cfg_text
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "J.txt", "cfg.json"]
 
     @pytest.mark.skipif(not os.path.exists(os.devnull),
                         reason="needs a null device")

@@ -30,7 +30,7 @@ from orthomate import (
     verify_latin,
     verify_orthogonal,
 )
-from orthomate.core import LineId, OrthomateError
+from orthomate.core import IndexOutOfRange, LineId, OrthomateError
 from orthomate.process import diag_column_map, gamma_bounds, later_kills
 
 from conftest import random_rect, survival
@@ -148,6 +148,18 @@ class TestProjections:
             central_projections(Point(0, 1, 2), 0, z3)
         with pytest.raises(RowAlreadyColoured):
             central_projections(Point(1, 1, 2), 2, z3)
+
+    @pytest.mark.parametrize("x, t", [
+        (Point(7, 0, 0), 0),
+        (Point(2, 9, 0), 0),
+        (Point(2, -1, 0), 0),
+        (Point(2, 0, 9), 0),
+        (Point(2, 0, 0), -1),
+    ])
+    def test_outside_the_grid_rejected(self, x, t):
+        J = LatinRectangle.cyclic(5, 3)
+        with pytest.raises(IndexOutOfRange):
+            central_projections(x, t, J)
 
 
 def brute_force_kills(L_row, t, J):
@@ -467,11 +479,6 @@ class TestRunProcess:
 
 
 class TestConfig:
-    def test_json_roundtrip(self):
-        cfg = ProcessConfig(arithmetic="exact", record_trajectory=False)
-        again = ProcessConfig.from_json(cfg.to_json())
-        assert again == cfg
-
     @pytest.mark.parametrize("field, value", [
         ("arithmetic", "exakt"),
         ("arithmetic", None),
@@ -481,20 +488,6 @@ class TestConfig:
     def test_rejects_out_of_range_values(self, field, value):
         with pytest.raises(ValueError, match=field):
             ProcessConfig(**{field: value})
-
-    @pytest.mark.parametrize("key", ["sampler", "zero_tol", "eta_maxx",
-                                     "eta_policy", "tracked_lines",
-                                     "gamma_a_coeff", "gamma_b_slack",
-                                     "gamma_c_slack", "eta_initial",
-                                     "eta_max"])
-    def test_from_json_rejects_unknown_keys(self, key):
-        with pytest.raises(ValueError, match=f"unknown config key.*{key}"):
-            ProcessConfig.from_json({key: 1, "arithmetic": "float64"})
-
-    def test_from_json_rejects_a_number_as_bool(self):
-        # json.load reads 1 as an int; only true/false are bools
-        with pytest.raises(ValueError, match="record_trajectory"):
-            ProcessConfig.from_json({"record_trajectory": 1})
 
     @pytest.mark.parametrize("knob", ["eta_initial", "eta_max"])
     def test_eta_knobs_are_gone(self, knob):
@@ -722,6 +715,7 @@ def _removed_names():
         "SupportGraph().mask": (SupportGraph(np.eye(3, dtype=bool)), "mask"),
         "LatinRectangle.to_json": (LatinRectangle, "to_json"),
         "LatinRectangle.from_json": (LatinRectangle, "from_json"),
+        "ProcessConfig.from_json": (ProcessConfig, "from_json"),
         "TrajectoryStats.to_json": (TrajectoryStats, "to_json"),
         "SummaryReport.to_csv": (SummaryReport, "to_csv"),
         "process.line_statistics": (process, "line_statistics"),
