@@ -426,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # the ProcessConfig arithmetic of every command that runs a guided run
+    # the ProcessConfig arithmetic of each command with a guided run
     p_cfg = argparse.ArgumentParser(add_help=False)
     p_cfg.add_argument("--exact", dest="arithmetic", action="store_const",
                        const="exact", default="float64",
