@@ -1,7 +1,10 @@
 """Command-line contract: exit codes, file formats, determinism."""
 
+import csv
 import ctypes
+import dataclasses
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -10,7 +13,7 @@ import sys
 import pytest
 
 from orthomate import parse_rectangle, verify_latin, verify_orthogonal
-from orthomate import cli
+from orthomate import ProcessConfig, cli
 from orthomate.cli import main, run_single_trial
 
 
@@ -729,6 +732,87 @@ class TestTrajectoryPathNeedsRecording:
         assert message in capsys.readouterr().err
         assert runs == []
         assert not out.exists()
+
+
+class TestRecordingFollowsCommand:
+    @pytest.fixture
+    def configs(self, monkeypatch):
+        # the ProcessConfig of every guided run, which still runs
+        configs, run = [], cli.run_process
+
+        def recording_run(J, **kw):
+            configs.append(kw["config"])
+            return run(J, **kw)
+
+        monkeypatch.setattr(cli, "run_process", recording_run)
+        return configs
+
+    @pytest.mark.parametrize("argv, arithmetic, record", [
+        (["mate", "--in", "{J}"], "float64", False),
+        (["mate", "--in", "{J}", "--exact"], "exact", False),
+        (["mate", "--in", "{J}", "--diag", "{out}"], "float64", True),
+        (["mate", "--in", "{J}", "--exact", "--diag", "{out}"], "exact",
+         True),
+        (["diag", "--n", "8"], "float64", True),
+        (["diag", "--n", "8", "--exact"], "exact", True),
+        (["trials", "--n", "8", "--count", "2", "--out", "{out}"], "float64",
+         True),
+        (["trials", "--n", "8", "--count", "2", "--exact", "--out", "{out}"],
+         "exact", True),
+    ])
+    def test_config_of_each_run(self, tmp_path, capsys, configs, argv,
+                                arithmetic, record):
+        jp, out = tmp_path / "J.txt", tmp_path / "o.csv"
+        main(["gen", "--n", "8", "--m", "2", "--seed", "3", "--out", str(jp)])
+        argv = [a.format(J=jp, out=out) for a in argv]
+        assert main(argv + ["--epsilon", "0.75"]) == 0
+        assert configs
+        assert all(cfg == ProcessConfig(arithmetic, record)
+                   for cfg in configs)
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_trials_fill_the_recorded_columns(self, tmp_path, jobs):
+        out = tmp_path / "t.csv"
+        assert main(["trials", "--n", "12", "--epsilon", "0.5", "--count",
+                     "2", "--seed", "1", "--jobs", jobs, "--out",
+                     str(out)]) == 0
+        rows = list(csv.DictReader(read(out).splitlines()[1:]))
+        assert len(rows) == 2
+        for row in rows:
+            for column in ("b_rel_dev_max", "c_rel_dev_max", "p_max"):
+                assert math.isfinite(float(row[column]))
+
+    @pytest.mark.parametrize("command", ["mate", "diag", "trials"])
+    def test_float_provenance_is_fixed(self, tmp_path, command):
+        out = tmp_path / "o.csv"
+        if command == "mate":
+            jp = tmp_path / "J.txt"
+            main(["gen", "--n", "8", "--m", "2", "--seed", "3", "--out",
+                  str(jp)])
+            argv = ["mate", "--in", str(jp), "--diag", str(out)]
+        elif command == "diag":
+            argv = ["diag", "--n", "8", "--epsilon", "0.75", "--out", str(out)]
+        else:
+            argv = ["trials", "--n", "8", "--epsilon", "0.75", "--count",
+                    "1", "--out", str(out)]
+        assert main(argv) == 0
+        assert read(out).splitlines()[0].endswith(
+            ' config={"arithmetic":"float64","record_trajectory":true}')
+
+    @pytest.mark.parametrize("arithmetic", ["float64", "exact"])
+    def test_library_trial_may_record_nothing(self, arithmetic):
+        def trial(record):
+            cfg = ProcessConfig(arithmetic, record_trajectory=record)
+            return dataclasses.asdict(run_single_trial(
+                (0, 3, 8, 2, 0.75, "guided", cfg)))
+
+        recorded, unrecorded = trial(True), trial(False)
+        for column in cli.SUMMARY_DEFAULTS:
+            assert math.isfinite(recorded.pop(column))
+            assert math.isnan(unrecorded.pop(column))
+        del recorded["wall_time_s"], unrecorded["wall_time_s"]
+        assert recorded["outcome"] == "success"
+        assert recorded == unrecorded
 
 
 class TestSameFile:

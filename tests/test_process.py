@@ -1,6 +1,7 @@
 """Guidance state, kills, Gamma region, transitions, and the main loop."""
 
 import dataclasses
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -484,6 +485,9 @@ class TestConfig:
         ("arithmetic", None),
         ("arithmetic", 1),
         ("record_trajectory", "false"),
+        ("record_trajectory", 1),
+        ("record_trajectory", 0),
+        ("record_trajectory", None),
     ])
     def test_rejects_out_of_range_values(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -493,6 +497,23 @@ class TestConfig:
     def test_eta_knobs_are_gone(self, knob):
         with pytest.raises(TypeError, match=knob):
             ProcessConfig(**{knob: 8.0})
+
+    @pytest.mark.parametrize("knob", ["sampler", "zero_tol", "flow_backend",
+                                      "eta_policy", "tracked_lines",
+                                      "gamma_a_coeff", "gamma_b_slack",
+                                      "gamma_c_slack"])
+    def test_removed_knobs_are_gone(self, knob):
+        with pytest.raises(TypeError, match=knob):
+            ProcessConfig(**{knob: 1})
+
+    @pytest.mark.parametrize("arithmetic", ["float64", "exact"])
+    @pytest.mark.parametrize("record", [True, False])
+    def test_to_json(self, arithmetic, record):
+        # the provenance line prints this dict, in this key order
+        blob = ProcessConfig(arithmetic, record_trajectory=record).to_json()
+        assert list(blob.items()) == [("arithmetic", arithmetic),
+                                      ("record_trajectory", record)]
+        assert json.loads(json.dumps(blob)) == blob
 
     def test_two_fields(self):
         assert [f.name for f in dataclasses.fields(ProcessConfig)] == [
