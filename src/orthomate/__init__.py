@@ -48,7 +48,6 @@ from .process import (
     run_process,
 )
 from .baselines import (
-    LegalityGraph,
     LimitExceeded,
     NoPerfectMatching,
     backtrack_mate,

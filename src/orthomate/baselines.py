@@ -6,6 +6,10 @@ placed row excludes at most two symbols per column and two columns per
 symbol, so after t rows the graph has minimum degree n - 2t; for m <= n/4
 that stays >= n/2 and a matching always exists.
 
+Both constructors keep the same two masks of the pairs the placed rows
+use, column/symbol and diagonal/symbol, mark each placed row in them once,
+and take a row's legal pairs from them by one rule (_legal_pairs).
+
 backtrack_mate answers the existence question outright at desk scale by
 depth-first search over legal rows in lexicographic symbol order with
 forward checking.
@@ -20,7 +24,6 @@ uniform random permutation.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -37,16 +40,8 @@ class LimitExceeded(OrthomateError):
     """Backtracking node budget exhausted."""
 
 
-@dataclass(frozen=True)
-class LegalityGraph:
-    """Allowed (column, symbol) pairs for the active row of a mate prefix."""
-
-    t: int
-    allowed: np.ndarray  # (n, n) bool
-
-    def min_degree(self) -> int:
-        return int(min(self.allowed.sum(axis=0).min(),
-                       self.allowed.sum(axis=1).min()))
+#: node budget of backtrack_mate unless the caller sets one
+NODE_LIMIT = 2_000_000
 
 
 def _as_rng(rng: Union[int, np.random.Generator, None]) -> np.random.Generator:
@@ -55,23 +50,35 @@ def _as_rng(rng: Union[int, np.random.Generator, None]) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
-def build_legality_graph(J: LatinRectangle, prefix: np.ndarray, t: int
-                         ) -> LegalityGraph:
-    """Legal pairs at row t given the first t placed rows of the mate.
+def _legal_pairs(J: LatinRectangle, col_used: np.ndarray,
+                 diag_used: np.ndarray, t: int) -> np.ndarray:
+    """(n, n) bool of the legal (column, symbol) pairs of mate row t.
 
-    (k, g) is allowed unless some earlier row already put g in column k or
-    put g on the diagonal of J that passes through cell (t, k).
+    (k, g) is legal unless an earlier row put g in column k (col_used[k, g])
+    or on the diagonal of J through cell (t, k), the cells of J that hold
+    the symbol J[t, k] (diag_used[J[t, k], g]).
     """
+    return ~(col_used | diag_used[J.grid[t]])
+
+
+def _mark_row(J: LatinRectangle, col_used: np.ndarray, diag_used: np.ndarray,
+              t: int, row: np.ndarray, value: bool = True) -> None:
+    """Record (value True) or withdraw (False) the pairs mate row t, whose
+    symbols are row, uses."""
+    col_used[np.arange(J.shape.n), row] = value
+    diag_used[J.grid[t], row] = value
+
+
+def build_legality_graph(J: LatinRectangle, prefix: np.ndarray, t: int
+                         ) -> np.ndarray:
+    """(n, n) bool of the legal (column, symbol) pairs at row t given the
+    first t placed rows of the mate (see _legal_pairs)."""
     n = J.shape.n
-    allowed = np.ones((n, n), dtype=bool)
-    inv = J.row_inverse()
-    cols = np.arange(n)
+    col_used = np.zeros((n, n), dtype=bool)
+    diag_used = np.zeros((n, n), dtype=bool)
     for s in range(t):
-        allowed[cols, prefix[s]] = False
-        # column of row s on the diagonal through (t, k) is inv[s, J[t, k]]
-        diag_cols = inv[s, J.grid[t]]
-        allowed[cols, prefix[s][diag_cols]] = False
-    return LegalityGraph(t=t, allowed=allowed)
+        _mark_row(J, col_used, diag_used, s, prefix[s])
+    return _legal_pairs(J, col_used, diag_used, t)
 
 
 def hall_greedy(J: LatinRectangle, m: Optional[int] = None,
@@ -98,18 +105,22 @@ def hall_greedy(J: LatinRectangle, m: Optional[int] = None,
     if m > J.shape.m:
         raise ValueError(f"m={m} exceeds J's row count {J.shape.m}")
     grid = np.zeros((m, n), dtype=np.int64)
+    col_used = np.zeros((n, n), dtype=bool)   # [k, g]: g used in column k
+    diag_used = np.zeros((n, n), dtype=bool)  # [d, g]: g used on diagonal d
     for t in range(m):
-        graph = build_legality_graph(J, grid, t)
+        allowed = _legal_pairs(J, col_used, diag_used, t)
         sym_order = rng.permutation(n)
         col_order = rng.permutation(n)
         match = perfect_matching_scipy(
-            SupportGraph(graph.allowed[np.ix_(col_order, sym_order)]))
+            SupportGraph(allowed[np.ix_(col_order, sym_order)]))
         if match is None:
+            degree = min(allowed.sum(axis=0).min(), allowed.sum(axis=1).min())
             raise NoPerfectMatching(
                 f"row {t}: legality graph has no perfect matching "
-                f"(min degree {graph.min_degree()})"
+                f"(min degree {degree})"
             )
         grid[t, col_order] = sym_order[match]
+        _mark_row(J, col_used, diag_used, t, grid[t])
     if m == J.shape.m:
         return LatinRectangle(J.shape, grid)
     return LatinRectangle(Shape(n=n, m=m), grid)
@@ -192,7 +203,7 @@ def _too_deep(J: LatinRectangle) -> LimitExceeded:
         f"exceeds the recursion limit {sys.getrecursionlimit()}")
 
 
-def backtrack_mate(J: LatinRectangle, node_limit: int = 2_000_000
+def backtrack_mate(J: LatinRectangle, node_limit: int = NODE_LIMIT
                    ) -> Optional[LatinRectangle]:
     """Exhaustive depth-first search for an orthogonal mate of J.
 
@@ -212,34 +223,25 @@ def backtrack_mate(J: LatinRectangle, node_limit: int = 2_000_000
     n, m = J.shape.n, J.shape.m
     if m * (n + 1) > sys.getrecursionlimit():
         raise _too_deep(J)
-    inv = J.row_inverse()
     col_used = np.zeros((n, n), dtype=bool)   # [k, g]: g used in column k
     diag_used = np.zeros((n, n), dtype=bool)  # [d, g]: g used on diagonal d
     grid = np.zeros((m, n), dtype=np.int64)
     nodes = 0
 
-    def row_allowed(t: int) -> np.ndarray:
-        diag = J.grid[t]  # diagonal through (t, k) is J[t, k]
-        return ~(col_used | diag_used[diag, :])
-
     def search(t: int) -> bool:
         nonlocal nodes
         if t == m:
             return True
-        allowed = row_allowed(t)
+        allowed = _legal_pairs(J, col_used, diag_used, t)
         row_used = np.zeros(n, dtype=bool)
 
         def rec(k: int) -> bool:
             nonlocal nodes
             if k == n:
-                diag = J.grid[t]
-                cols = np.arange(n)
-                col_used[cols, grid[t]] = True
-                diag_used[diag, grid[t]] = True
+                _mark_row(J, col_used, diag_used, t, grid[t])
                 if search(t + 1):
                     return True
-                col_used[cols, grid[t]] = False
-                diag_used[diag, grid[t]] = False
+                _mark_row(J, col_used, diag_used, t, grid[t], False)
                 return False
             for g in np.nonzero(allowed[k] & ~row_used)[0]:
                 nodes += 1

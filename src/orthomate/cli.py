@@ -9,6 +9,13 @@ as seed + index, so results are reproducible under any parallel schedule.
 A guided run's ProcessConfig comes from the command alone: --exact sets its
 arithmetic, and it records exactly when the command's output holds recorded
 data (``mate`` with --diag, ``diag``, and guided ``trials``).
+
+Every command runs an algorithm through one function, run_algorithm, and
+fails in one place: commands raise, and only main turns an exception into
+an error line and an exit code (``verify`` alone reports a ShapeMismatch
+as a failed verification).  A flag that the chosen --algorithm does not
+read (ALGORITHM_FLAGS) is a usage error raised before any file is read or
+opened and before anything runs; so is a --seed below 0, at parse time.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from .core import (
     parse_rectangle,
     verify_orthogonal,
 )
-from .baselines import NoPerfectMatching, backtrack_mate, hall_greedy, \
+from .baselines import NODE_LIMIT, backtrack_mate, hall_greedy, \
     random_latin_rectangle
 from .diagnostics import summarize
 from . import __version__
@@ -56,8 +63,14 @@ OPENBLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_",
                         "scipy_openblas_set_num_threads",
                         "openblas_set_num_threads")
 
-#: node budget of --algorithm backtrack unless --node-limit sets one
-NODE_LIMIT = 2_000_000
+#: the flags of ``mate`` and ``trials`` that one algorithm alone reads:
+#: flag -> (that algorithm, what the others lack, as the error says it)
+ALGORITHM_FLAGS = {
+    "--exact": ("guided", "has no exact arithmetic"),
+    "--epsilon": ("guided", "takes no epsilon"),
+    "--diag": ("guided", "records no trajectory"),
+    "--node-limit": ("backtrack", "has no node budget"),
+}
 
 #: the TrialRecord fields copied from a run's TrajectorySummary, with the
 #: values of a run that recorded no step
@@ -95,8 +108,13 @@ TRIAL_COLUMNS = tuple(f.name for f in fields(TrialRecord))
 
 
 def _read_rectangle(path: str) -> LatinRectangle:
-    with open(path) as fh:
-        return parse_rectangle(fh.read())
+    """The rectangle in the file at path; a malformed or non-Latin grid is a
+    usage error (ValueError with the parser's message)."""
+    try:
+        with open(path) as fh:
+            return parse_rectangle(fh.read())
+    except (ParseError, NotLatin) as exc:
+        raise ValueError(str(exc)) from None
 
 
 def _epsilon_arg(text: str) -> float:
@@ -111,7 +129,10 @@ def _epsilon_arg(text: str) -> float:
 def _output_file(path):
     """path opened for writing before the run, so that a bad path costs no
     compute, and removed again if the run fails or writes nothing, so no
-    partial or empty file is left behind."""
+    partial or empty file is left behind; None for no path."""
+    if path is None:
+        yield None
+        return
     fh = open(path, "w", newline="")
     try:
         with fh:
@@ -122,11 +143,6 @@ def _output_file(path):
         raise
     if os.path.isfile(path) and os.path.getsize(path) == 0:
         os.unlink(path)
-
-
-def _optional_output(path):
-    """An _output_file for path; a null context yielding None without."""
-    return _output_file(path) if path else contextlib.nullcontext()
 
 
 def _provenance(seed, cfg: ProcessConfig) -> str:
@@ -144,29 +160,36 @@ def _derived_m(args) -> int:
     return m
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of --node-limit, --count and --jobs: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """argparse type of an integer >= low."""
+    def parse(text: str) -> int:
+        with contextlib.suppress(ValueError):
+            if (value := int(text)) >= low:
+                return value
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= {low}, got {text!r}")
+    return parse
+
+
+#: argparse types of --node-limit, --count and --jobs, and of --seed
+_positive_int = _int_at_least(1)
+_seed_int = _int_at_least(0)
+
+
+def _reject_unread_flags(algorithm: str, given) -> None:
+    """ValueError naming the first flag of ALGORITHM_FLAGS that the command
+    line set (given: flag -> whether it was set) and algorithm does not
+    read."""
+    for flag, is_set in given.items():
+        reader, lack = ALGORITHM_FLAGS[flag]
+        if is_set and algorithm != reader:
+            raise ValueError(f"{flag}: --algorithm {algorithm} {lack}")
 
 
 def cmd_gen(args) -> int:
-    if not 1 <= args.m <= args.n:
-        print(f"error: need 1 <= m <= n, got m={args.m}, n={args.n}",
-              file=sys.stderr)
-        return 1
     rect = random_latin_rectangle(args.n, args.m, np.random.default_rng(args.seed))
-    try:
-        with open(args.out, "w") as fh:
-            fh.write(rect.to_text())
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with open(args.out, "w") as fh:
+        fh.write(rect.to_text())
     return 0
 
 
@@ -190,79 +213,62 @@ def _check_distinct_files(*flag_paths) -> None:
         seen[key] = flag
 
 
-def _run_guided(J: LatinRectangle, epsilon, seed, cfg: ProcessConfig,
-                csv_path):
-    """run_process on J; its trajectory CSV goes to csv_path if one is
-    given, opened before the run."""
-    with _optional_output(csv_path) as fh:
-        outcome = run_process(J, epsilon=epsilon, seed=seed, config=cfg)
-        if fh is not None:
-            outcome.trajectory.to_csv(fh, _provenance(seed, cfg))
-    return outcome
-
-
-def _run_baseline(J: LatinRectangle, algorithm: str, seed, node_limit):
-    """(mate, outcome kind, detail) of the hall or backtrack baseline; the
-    mate is None unless the kind is "success".
+def run_algorithm(J: LatinRectangle, algorithm: str, seed, epsilon,
+                  cfg: ProcessConfig, node_limit, trajectory_path):
+    """(mate, outcome kind, detail, the guided run's ProcessOutcome or None)
+    of algorithm on J; the mate is None unless the kind is "success".  A
+    guided run's trajectory CSV goes to trajectory_path if one is given,
+    opened before the run.
 
     Raises:
-        ValueError: algorithm is neither hall nor backtrack.
+        ValueError: algorithm is none of guided, hall and backtrack.
     """
-    if algorithm == "hall":
-        try:
+    if algorithm == "guided":
+        with _output_file(trajectory_path) as fh:
+            outcome = run_process(J, epsilon=epsilon, seed=seed, config=cfg)
+            if fh is not None:
+                outcome.trajectory.to_csv(fh, _provenance(seed, cfg))
+        return outcome.rectangle, outcome.kind, outcome.detail, outcome
+    try:
+        if algorithm == "hall":
             mate = hall_greedy(J, rng=np.random.default_rng(seed))
-        except NoPerfectMatching as exc:
-            return None, "baseline_failure", str(exc)
-    elif algorithm == "backtrack":
-        try:
+        elif algorithm == "backtrack":
             mate = backtrack_mate(J, node_limit=node_limit)
-        except OrthomateError as exc:
-            return None, "baseline_failure", str(exc)
-        if mate is None:
-            return (None, "exhausted",
-                    "search space exhausted: no orthogonal mate")
-    else:
-        raise ValueError(f"unsupported algorithm {algorithm}")
-    return mate, "success", ""
-
-
-def _find_mate(args, J: LatinRectangle, cfg: ProcessConfig):
-    """(mate or None, the failure report printed when there is no mate)."""
-    if args.algorithm != "guided":
-        mate, kind, detail = _run_baseline(J, args.algorithm, args.seed,
-                                           args.node_limit)
-        return mate, {"outcome": kind, "detail": detail}
-    outcome = _run_guided(J, args.epsilon, args.seed, cfg, args.diag)
-    return outcome.rectangle, {
-        "outcome": outcome.kind,
-        "exit_time": outcome.time,
-        "detail": outcome.detail,
-        "violations": [
-            {"inequality": v.ineq, "location": list(v.location),
-             "lhs": v.lhs, "margin": v.margin}
-            for v in (outcome.gamma_report.violations
-                      if outcome.gamma_report else ())
-        ],
-    }
+        else:
+            raise ValueError(f"unsupported algorithm {algorithm}")
+    except OrthomateError as exc:
+        return None, "baseline_failure", str(exc), None
+    if mate is None:
+        return (None, "exhausted", "search space exhausted: no orthogonal mate",
+                None)
+    return mate, "success", "", None
 
 
 def cmd_mate(args) -> int:
+    _reject_unread_flags(args.algorithm, {
+        "--exact": args.arithmetic == "exact",
+        "--epsilon": args.epsilon is not None,
+        "--diag": bool(args.diag),
+        "--node-limit": args.node_limit is not None})
     _check_distinct_files(("--in", args.input), ("--out", args.out),
                           ("--diag", args.diag))
-    try:
-        J = _read_rectangle(args.input)
-    except (OSError, ParseError, NotLatin) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if args.diag and args.algorithm != "guided":
-        raise ValueError(f"--diag: --algorithm {args.algorithm} records no "
-                         "trajectory")
+    J = _read_rectangle(args.input)
     cfg = ProcessConfig(args.arithmetic, record_trajectory=bool(args.diag))
-    if args.algorithm == "guided":
-        check_arithmetic(J.shape.n, cfg)
-    with _optional_output(args.out) as out_fh:
-        mate, failure = _find_mate(args, J, cfg)
+    check_arithmetic(J.shape.n, cfg)
+    with _output_file(args.out or None) as out_fh:
+        mate, kind, detail, outcome = run_algorithm(
+            J, args.algorithm, args.seed, args.epsilon, cfg,
+            args.node_limit or NODE_LIMIT, args.diag or None)
         if mate is None:
+            failure = {"outcome": kind, "detail": detail}
+            if outcome is not None:  # a guided run: when it stopped, and why
+                report = outcome.gamma_report
+                failure = {"outcome": kind, "exit_time": outcome.time,
+                           "detail": detail, "violations": [
+                               {"inequality": v.ineq,
+                                "location": list(v.location),
+                                "lhs": v.lhs, "margin": v.margin}
+                               for v in (report.violations if report else ())]}
             print(json.dumps(failure, indent=2))
             return 2
         if not verify_orthogonal(mate, J).ok:
@@ -274,12 +280,8 @@ def cmd_mate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        J = _read_rectangle(args.j_path)
-        L = _read_rectangle(args.l_path)
-    except (OSError, ParseError, NotLatin) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    J = _read_rectangle(args.j_path)
+    L = _read_rectangle(args.l_path)
     try:
         problems = list(verify_orthogonal(L, J).violations)
     except ShapeMismatch as exc:
@@ -297,19 +299,16 @@ def run_single_trial(packed) -> TrialRecord:
     (trial, seed, n, m, epsilon, algorithm, cfg) = packed
     t0 = time.perf_counter()
     J = random_latin_rectangle(n, m, np.random.default_rng(seed))
-    summary, first = SUMMARY_DEFAULTS, None
-    if algorithm == "guided":
-        res = run_process(J, epsilon=epsilon, seed=seed, config=cfg)
-        mate, kind, detail = res.rectangle, res.kind, res.detail
+    mate, kind, detail, res = run_algorithm(J, algorithm, seed, epsilon, cfg,
+                                            NODE_LIMIT, None)
+    summary, first, exit_time = SUMMARY_DEFAULTS, None, ""
+    if res is not None:
         exit_time = res.time if res.time is not None else ""
         if res.trajectory is not None and res.trajectory.records:
             summ = summarize(res.trajectory, exit_time=res.time)
             summary = {k: getattr(summ, k) for k in SUMMARY_DEFAULTS}
         if res.gamma_report is not None:
             first = res.gamma_report.violations[0]
-    else:
-        mate, kind, detail = _run_baseline(J, algorithm, seed, NODE_LIMIT)
-        exit_time = ""
     if mate is not None and not verify_orthogonal(mate, J).ok:
         kind = "verification_failed"
     wall = time.perf_counter() - t0
@@ -367,31 +366,24 @@ def _run_trials(jobs, workers: int) -> list:
 
 
 def cmd_trials(args) -> int:
-    n = args.n
+    _reject_unread_flags(args.algorithm,
+                         {"--exact": args.arithmetic == "exact"})
     m = _derived_m(args)
     cfg = ProcessConfig(args.arithmetic)
-    if args.algorithm == "guided":
-        check_arithmetic(n, cfg)
+    check_arithmetic(args.n, cfg)
     # scipy's one-time import, outside the timed trials; workers inherit it
     import scipy.sparse.csgraph  # noqa: F401
     jobs = [
-        (i, args.seed + i, n, m, args.epsilon, args.algorithm, cfg)
+        (i, args.seed + i, args.n, m, args.epsilon, args.algorithm, cfg)
         for i in range(args.count)
     ]
     provenance = _provenance(f"{args.seed}+trial", cfg)
-    try:
-        with _output_file(args.out) as fh:
-            records = _run_trials(jobs, min(args.jobs, len(jobs)))
-            fh.write(f"# {TRIALS_SCHEMA} {provenance}\n")
-            writer = csv.writer(fh)
-            writer.writerow(TRIAL_COLUMNS)
-            writer.writerows(astuple(rec) for rec in records)
-    except BrokenProcessPool as exc:
-        print(f"error: a trials worker died: {exc}", file=sys.stderr)
-        return EXIT_WORKER_DIED
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with _output_file(args.out) as fh:
+        records = _run_trials(jobs, min(args.jobs, len(jobs)))
+        fh.write(f"# {TRIALS_SCHEMA} {provenance}\n")
+        writer = csv.writer(fh)
+        writer.writerow(TRIAL_COLUMNS)
+        writer.writerows(astuple(rec) for rec in records)
     successes = sum(1 for r in records if r.outcome == "success")
     print(f"success fraction: {successes / len(records):.4f} "
           f"({successes}/{len(records)})")
@@ -408,7 +400,8 @@ def cmd_diag(args) -> int:
     cfg = ProcessConfig(args.arithmetic)
     check_arithmetic(args.n, cfg)
     J = random_latin_rectangle(args.n, m, np.random.default_rng(args.seed))
-    outcome = _run_guided(J, args.epsilon, args.seed, cfg, args.out)
+    *_, outcome = run_algorithm(J, "guided", args.seed, args.epsilon, cfg,
+                                None, args.out or None)
     if outcome.trajectory.records:
         summ = summarize(outcome.trajectory, exit_time=outcome.time)
         print(summ.to_json())
@@ -435,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="write a random Latin rectangle")
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--m", type=int, required=True)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=_seed_int, default=0)
     p_gen.add_argument("--out", required=True)
 
     p_mate = sub.add_parser("mate", parents=[p_cfg],
@@ -445,9 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mate.add_argument("--algorithm", default="guided",
                         choices=("guided", "hall", "backtrack"))
     p_mate.add_argument("--epsilon", type=_epsilon_arg, default=None)
-    p_mate.add_argument("--seed", type=int, default=0)
-    p_mate.add_argument("--node-limit", type=_positive_int,
-                        default=NODE_LIMIT)
+    p_mate.add_argument("--seed", type=_seed_int, default=0)
+    p_mate.add_argument("--node-limit", type=_positive_int, default=None)
     p_mate.add_argument("--out", default=None)
     p_mate.add_argument("--diag", default=None,
                         help="write the trajectory CSV here")
@@ -456,24 +448,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--j", dest="j_path", required=True)
     p_ver.add_argument("--l", dest="l_path", required=True)
 
-    p_tr = sub.add_parser("trials", parents=[p_cfg],
+    # the J of each run of trials and diag: its order, rows (or epsilon)
+    # and seed
+    p_run = argparse.ArgumentParser(add_help=False)
+    p_run.add_argument("--n", type=int, required=True)
+    p_run.add_argument("--m", type=int, default=None)
+    p_run.add_argument("--epsilon", type=_epsilon_arg, default=0.5)
+    p_run.add_argument("--seed", type=_seed_int, default=0)
+
+    p_tr = sub.add_parser("trials", parents=[p_cfg, p_run],
                           help="run a seeded trial ensemble")
-    p_tr.add_argument("--n", type=int, required=True)
-    p_tr.add_argument("--m", type=int, default=None)
-    p_tr.add_argument("--epsilon", type=_epsilon_arg, default=0.5)
     p_tr.add_argument("--count", type=_positive_int, required=True)
-    p_tr.add_argument("--seed", type=int, default=0)
     p_tr.add_argument("--algorithm", default="guided",
                       choices=("guided", "hall"))
     p_tr.add_argument("--jobs", type=_positive_int, default=1)
     p_tr.add_argument("--out", required=True)
 
-    p_di = sub.add_parser("diag", parents=[p_cfg],
+    p_di = sub.add_parser("diag", parents=[p_cfg, p_run],
                           help="one guided run with full diagnostics")
-    p_di.add_argument("--n", type=int, required=True)
-    p_di.add_argument("--m", type=int, default=None)
-    p_di.add_argument("--epsilon", type=_epsilon_arg, default=0.5)
-    p_di.add_argument("--seed", type=int, default=0)
     p_di.add_argument("--out", default=None,
                       help="write the trajectory CSV here")
     return parser
@@ -485,21 +477,16 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    handlers = {
-        "gen": cmd_gen,
-        "mate": cmd_mate,
-        "verify": cmd_verify,
-        "trials": cmd_trials,
-        "diag": cmd_diag,
-    }
+    handlers = dict(gen=cmd_gen, mate=cmd_mate, verify=cmd_verify,
+                    trials=cmd_trials, diag=cmd_diag)
     try:
         return handlers[args.command](args)
-    except OrthomateError as exc:
+    except BrokenProcessPool as exc:
+        print(f"error: a trials worker died: {exc}", file=sys.stderr)
+        return EXIT_WORKER_DIED
+    except (OrthomateError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, OrthomateError) else 1
     except MemoryError as exc:  # numpy's message names the array's size
         detail = f": {exc}" if str(exc) else ""
         print(f"error: out of memory{detail}", file=sys.stderr)

@@ -848,3 +848,140 @@ class TestSameFile:
         main(["gen", "--n", "8", "--m", "2", "--seed", "1", "--out", str(jp)])
         assert main(["mate", "--in", str(jp), "--out", os.devnull,
                      "--diag", os.devnull]) == 0
+
+
+class TestErrorLines:
+    # every error path ends with its exit code and one stderr line; {tmp}
+    # is the test's directory, whose missing/ subdirectory does not exist
+    @pytest.mark.parametrize("argv, code, line", [
+        (["gen", "--n", "8", "--m", "9", "--out", "{tmp}/x.txt"], 1,
+         "error: need 1 <= m <= n, got m=9, n=8"),
+        (["gen", "--n", "4", "--m", "2", "--out", "{tmp}/missing/x.txt"], 1,
+         "error: [Errno 2] No such file or directory: '{tmp}/missing/x.txt'"),
+        (["mate", "--in", "{tmp}/nope.txt"], 1,
+         "error: [Errno 2] No such file or directory: '{tmp}/nope.txt'"),
+        (["mate", "--in", "{tmp}/ragged.txt"], 1,
+         "error: row 1 has 1 entries, expected 2"),
+        (["mate", "--in", "{tmp}/not_latin.txt"], 1,
+         "error: row 1: symbol 1 occurs 2 times, expected 1"),
+        (["verify", "--j", "{tmp}/J.txt", "--l", "{tmp}/ragged.txt"], 1,
+         "error: row 1 has 1 entries, expected 2"),
+        (["trials", "--n", "8", "--count", "1", "--out",
+          "{tmp}/missing/t.csv"], 1,
+         "error: [Errno 2] No such file or directory: '{tmp}/missing/t.csv'"),
+        (["diag", "--n", "8", "--out", "{tmp}/missing/t.csv"], 1,
+         "error: [Errno 2] No such file or directory: '{tmp}/missing/t.csv'"),
+    ])
+    def test_exit_code_and_one_line(self, tmp_path, capsys, argv, code,
+                                    line):
+        (tmp_path / "J.txt").write_text("0 1 2\n1 2 0\n")
+        (tmp_path / "ragged.txt").write_text("0 1\n1\n")
+        (tmp_path / "not_latin.txt").write_text("0 1 2\n1 1 0\n")
+        before = sorted(p.name for p in tmp_path.iterdir())
+        assert main([a.format(tmp=tmp_path) for a in argv]) == code
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == line.format(tmp=tmp_path) + "\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+class TestFlagsTheAlgorithmReads:
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        runs = []
+        for name in ("run_process", "hall_greedy", "backtrack_mate"):
+            monkeypatch.setattr(cli, name,
+                                lambda *a, _n=name, **kw: runs.append(_n))
+        return runs
+
+    @pytest.mark.parametrize("algorithm, flags, flag", [
+        ("hall", ["--exact"], "--exact"),
+        ("backtrack", ["--exact"], "--exact"),
+        ("hall", ["--epsilon", "0.5"], "--epsilon"),
+        ("backtrack", ["--epsilon", "0.5"], "--epsilon"),
+        ("hall", ["--diag", "{tmp}/t.csv"], "--diag"),
+        ("backtrack", ["--diag", "{tmp}/t.csv"], "--diag"),
+        ("guided", ["--node-limit", "5"], "--node-limit"),
+        ("hall", ["--node-limit", "5"], "--node-limit"),
+    ])
+    def test_mate_rejects_before_reading_input(self, tmp_path, capsys, runs,
+                                               algorithm, flags, flag):
+        # --in names no file: the flag is refused before it is read
+        argv = ["mate", "--in", "{tmp}/nope.txt", "--out", "{tmp}/L.txt",
+                "--algorithm", algorithm] + flags
+        assert main([a.format(tmp=tmp_path) for a in argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {flag}: ")
+        assert f"--algorithm {algorithm}" in lines[0]
+        assert runs == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_trials_rejects_exact_with_hall(self, tmp_path, capsys, runs,
+                                            monkeypatch):
+        trials = []
+        monkeypatch.setattr(cli, "run_single_trial", trials.append)
+        out = tmp_path / "t.csv"
+        assert main(["trials", "--n", "40", "--epsilon", "0.75", "--count",
+                     "1", "--algorithm", "hall", "--exact",
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: --exact: ")
+        assert "--algorithm hall" in lines[0]
+        assert runs == [] and trials == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["mate", "--in", "{tmp}/J.txt", "--algorithm", "backtrack",
+         "--node-limit", "5000"],
+        ["mate", "--in", "{tmp}/J.txt", "--algorithm", "guided", "--exact",
+         "--epsilon", "0.5", "--diag", "{tmp}/t.csv"],
+    ])
+    def test_flags_the_algorithm_reads_are_accepted(self, tmp_path, argv):
+        (tmp_path / "J.txt").write_text("0 1 2\n1 2 0\n")
+        assert main([a.format(tmp=tmp_path) for a in argv]) in (0, 2)
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--n", "4", "--m", "2", "--out", "{tmp}/o"],
+        ["mate", "--in", "{tmp}/J.txt", "--out", "{tmp}/o"],
+        ["mate", "--in", "{tmp}/J.txt", "--algorithm", "hall",
+         "--out", "{tmp}/o"],
+        ["trials", "--n", "8", "--count", "1", "--out", "{tmp}/o"],
+        ["diag", "--n", "8", "--out", "{tmp}/o"],
+    ])
+    @pytest.mark.parametrize("seed", ["-1", "-3"])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, runs,
+                                          monkeypatch, argv, seed):
+        made = []
+        monkeypatch.setattr(cli, "random_latin_rectangle",
+                            lambda *a: made.append(a))
+        (tmp_path / "J.txt").write_text("0 1 2\n1 2 0\n")
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        assert main(argv + ["--seed", seed]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        errors = [line for line in captured.err.splitlines()
+                  if "error:" in line]
+        assert len(errors) == 1 and "--seed" in errors[0]
+        assert runs == [] and made == []
+        assert not (tmp_path / "o").exists()
+
+    def test_hall_trials_header(self, tmp_path):
+        from orthomate import __version__
+
+        out = tmp_path / "t.csv"
+        assert main(["trials", "--n", "16", "--epsilon", "0.75", "--count",
+                     "1", "--algorithm", "hall", "--seed", "2",
+                     "--out", str(out)]) == 0
+        assert read(out).splitlines()[:2] == [
+            f"# orthomate-trials-v4 orthomate={__version__} seed=2+trial "
+            'config={"arithmetic":"float64","record_trajectory":true}',
+            "trial,seed,n,m,epsilon,algorithm,outcome,exit_time,detail,"
+            "eta_max_used,eta_mean_used,b_rel_dev_max,c_rel_dev_max,p_max,"
+            "violation_family,violation_location,violation_margin,"
+            "wall_time_s"]

@@ -419,7 +419,7 @@ def hall_greedy_reference(J, m, seed):
     n = J.shape.n
     grid = np.zeros((m, n), dtype=np.int64)
     for t in range(m):
-        allowed = build_legality_graph(J, grid, t).allowed
+        allowed = build_legality_graph(J, grid, t)
         sym_order = rng.permutation(n)
         col_order = rng.permutation(n)
         match = matching_reference(allowed[np.ix_(col_order, sym_order)])
