@@ -15,7 +15,9 @@ fails in one place: commands raise, and only main turns an exception into
 an error line and an exit code (``verify`` alone reports a ShapeMismatch
 as a failed verification).  A flag that the chosen --algorithm does not
 read (ALGORITHM_FLAGS) is a usage error raised before any file is read or
-opened and before anything runs; so is a --seed below 0, at parse time.
+opened and before anything runs: in ``trials``, --epsilon with --m and
+--algorithm hall, where epsilon derives no m.  A --seed below 0 and an
+empty path are usage errors at parse time.
 """
 
 from __future__ import annotations
@@ -72,6 +74,9 @@ ALGORITHM_FLAGS = {
     "--node-limit": ("backtrack", "has no node budget"),
 }
 
+#: the epsilon of ``trials`` and ``diag`` without --epsilon
+RUN_EPSILON = 0.5
+
 #: the TrialRecord fields copied from a run's TrajectorySummary, with the
 #: values of a run that recorded no step
 SUMMARY_DEFAULTS = dict(eta_max_used=math.nan, eta_mean_used=math.nan,
@@ -125,6 +130,13 @@ def _epsilon_arg(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _path_arg(text: str) -> str:
+    """argparse type of every path flag: any path but the empty one."""
+    if not text:
+        raise argparse.ArgumentTypeError("expected a path, got ''")
+    return text
+
+
 @contextlib.contextmanager
 def _output_file(path):
     """path opened for writing before the run, so that a bad path costs no
@@ -152,12 +164,15 @@ def _provenance(seed, cfg: ProcessConfig) -> str:
             + json.dumps(cfg.to_json(), separators=(",", ":")))
 
 
-def _derived_m(args) -> int:
-    """--m, or round((1 - epsilon) n); ValueError outside [1, n]."""
-    m = args.m if args.m is not None else round((1.0 - args.epsilon) * args.n)
+def _run_shape(args) -> tuple:
+    """(m, epsilon) of a ``trials`` or ``diag`` run: epsilon is --epsilon
+    or RUN_EPSILON, m is --m or round((1 - epsilon) n); ValueError when m
+    is outside [1, n]."""
+    epsilon = RUN_EPSILON if args.epsilon is None else args.epsilon
+    m = args.m if args.m is not None else round((1.0 - epsilon) * args.n)
     if not 1 <= m <= args.n:
         raise ValueError(f"derived m={m} outside [1, n]")
-    return m
+    return m, epsilon
 
 
 def _int_at_least(low: int):
@@ -255,10 +270,10 @@ def cmd_mate(args) -> int:
     J = _read_rectangle(args.input)
     cfg = ProcessConfig(args.arithmetic, record_trajectory=bool(args.diag))
     check_arithmetic(J.shape.n, cfg)
-    with _output_file(args.out or None) as out_fh:
+    with _output_file(args.out) as out_fh:
         mate, kind, detail, outcome = run_algorithm(
             J, args.algorithm, args.seed, args.epsilon, cfg,
-            args.node_limit or NODE_LIMIT, args.diag or None)
+            args.node_limit or NODE_LIMIT, args.diag)
         if mate is None:
             failure = {"outcome": kind, "detail": detail}
             if outcome is not None:  # a guided run: when it stopped, and why
@@ -366,15 +381,17 @@ def _run_trials(jobs, workers: int) -> list:
 
 
 def cmd_trials(args) -> int:
-    _reject_unread_flags(args.algorithm,
-                         {"--exact": args.arithmetic == "exact"})
-    m = _derived_m(args)
+    _reject_unread_flags(args.algorithm, {
+        "--exact": args.arithmetic == "exact",
+        # with --m given, epsilon derives no m
+        "--epsilon": args.epsilon is not None and args.m is not None})
+    m, epsilon = _run_shape(args)
     cfg = ProcessConfig(args.arithmetic)
     check_arithmetic(args.n, cfg)
     # scipy's one-time import, outside the timed trials; workers inherit it
     import scipy.sparse.csgraph  # noqa: F401
     jobs = [
-        (i, args.seed + i, args.n, m, args.epsilon, args.algorithm, cfg)
+        (i, args.seed + i, args.n, m, epsilon, args.algorithm, cfg)
         for i in range(args.count)
     ]
     provenance = _provenance(f"{args.seed}+trial", cfg)
@@ -396,12 +413,12 @@ def cmd_trials(args) -> int:
 
 
 def cmd_diag(args) -> int:
-    m = _derived_m(args)
+    m, epsilon = _run_shape(args)
     cfg = ProcessConfig(args.arithmetic)
     check_arithmetic(args.n, cfg)
     J = random_latin_rectangle(args.n, m, np.random.default_rng(args.seed))
-    *_, outcome = run_algorithm(J, "guided", args.seed, args.epsilon, cfg,
-                                None, args.out or None)
+    *_, outcome = run_algorithm(J, "guided", args.seed, epsilon, cfg,
+                                None, args.out)
     if outcome.trajectory.records:
         summ = summarize(outcome.trajectory, exit_time=outcome.time)
         print(summ.to_json())
@@ -429,31 +446,32 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--m", type=int, required=True)
     p_gen.add_argument("--seed", type=_seed_int, default=0)
-    p_gen.add_argument("--out", required=True)
+    p_gen.add_argument("--out", type=_path_arg, required=True)
 
     p_mate = sub.add_parser("mate", parents=[p_cfg],
                             help="construct an orthogonal mate")
-    p_mate.add_argument("--in", dest="input", required=True,
+    p_mate.add_argument("--in", dest="input", type=_path_arg, required=True,
                         help="path of the reference rectangle J")
     p_mate.add_argument("--algorithm", default="guided",
                         choices=("guided", "hall", "backtrack"))
     p_mate.add_argument("--epsilon", type=_epsilon_arg, default=None)
     p_mate.add_argument("--seed", type=_seed_int, default=0)
     p_mate.add_argument("--node-limit", type=_positive_int, default=None)
-    p_mate.add_argument("--out", default=None)
-    p_mate.add_argument("--diag", default=None,
+    p_mate.add_argument("--out", type=_path_arg, default=None)
+    p_mate.add_argument("--diag", type=_path_arg, default=None,
                         help="write the trajectory CSV here")
 
     p_ver = sub.add_parser("verify", help="verify a rectangle pair")
-    p_ver.add_argument("--j", dest="j_path", required=True)
-    p_ver.add_argument("--l", dest="l_path", required=True)
+    p_ver.add_argument("--j", dest="j_path", type=_path_arg, required=True)
+    p_ver.add_argument("--l", dest="l_path", type=_path_arg, required=True)
 
     # the J of each run of trials and diag: its order, rows (or epsilon)
     # and seed
     p_run = argparse.ArgumentParser(add_help=False)
     p_run.add_argument("--n", type=int, required=True)
     p_run.add_argument("--m", type=int, default=None)
-    p_run.add_argument("--epsilon", type=_epsilon_arg, default=0.5)
+    p_run.add_argument("--epsilon", type=_epsilon_arg, default=None,
+                       help=f"default {RUN_EPSILON}")
     p_run.add_argument("--seed", type=_seed_int, default=0)
 
     p_tr = sub.add_parser("trials", parents=[p_cfg, p_run],
@@ -462,11 +480,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("--algorithm", default="guided",
                       choices=("guided", "hall"))
     p_tr.add_argument("--jobs", type=_positive_int, default=1)
-    p_tr.add_argument("--out", required=True)
+    p_tr.add_argument("--out", type=_path_arg, required=True)
 
     p_di = sub.add_parser("diag", parents=[p_cfg, p_run],
                           help="one guided run with full diagnostics")
-    p_di.add_argument("--out", default=None,
+    p_di.add_argument("--out", type=_path_arg, default=None,
                       help="write the trajectory CSV here")
     return parser
 

@@ -21,13 +21,17 @@ only for init_state's state, at t = 0), the pair sums of row t + 1 of
 after from process.pair_sums, the product check_gamma takes, and the fresh
 kills, martingale residual and growth ratio from each block of survival
 probabilities, kills and column map that advance_state hands to
-observe_block while it is in cache.  record_step raises, and never walks
-the step itself, when those blocks do not cover the rows > t.
+observe_block while it is in cache.  run_process advances its one p in
+place, so what the record needs of the old state beyond those blocks is
+read by before_step, from the state's p, before the transition runs: the
+old values of the spot sample and of the tracked lines, and at t = 0 the
+line sums.  record_step raises, and never walks the step itself, when
+before_step did not see the step or the blocks do not cover the rows > t.
 
 c_max is that one row's largest pair sum (largest_pair_sum: the same on
 every BLAS kernel), not the largest over every row > t, which would cost
 O((m - t) n^3) per step.  Row t + 1 of after is
-final: the next step builds its weights from it and the transition copies
+final: the next step builds its weights from it and the transition leaves
 it unchanged, so each placed row's C is recorded once, in the state the
 process used.  Every row > t has been through the same t + 1 steps, so the
 next row is a fair sample of the others.  A C violation on any row is
@@ -41,10 +45,11 @@ and makes the step's martingale residual +inf where they differ.  A spot
 check at a fixed sample of points (min(n, TRACKED_LINES) per row > t)
 recomputes the survival probability from q and J with its own code and
 the kill rule from the placed row, without later_kills, and folds its
-residual into the same number: a transition that divides by a wrong
-survival probability or kills the wrong points shows there.  On a correct
-transition each sampled value equals the block's value at that point, so
-the record does not move.
+residual into the same number; it reads the old values at those points
+from p itself (before_step), not from the blocks the transition hands
+on: a transition that divides by a wrong survival probability or kills
+the wrong points shows there.  On a correct transition each sampled value
+equals the block's value at that point, so the record does not move.
 
 Recomputing every point would redo the transition, and the expectation of
 every C sum costs O(n^4) per step, so a deterministic sample of
@@ -199,6 +204,20 @@ class TrajectoryRecorder:
             dtype=np.int64).reshape(-1, 3).T
         # (t, next row) of the step observe_block folds, None when none
         self._seen = None
+        # what before_step read of the state before the step, None when none
+        self._before = None
+
+    def before_step(self, state: GuidanceState) -> None:
+        """Read what record_step needs of state before the transition
+        writes its p: the line sums of the rows >= t (state_line_sums,
+        which reads p only where state carries none), and the values of
+        the spot sample and of the tracked lines in the rows > t, as
+        float64.  Called once per step, before advance_state."""
+        t = state.t
+        i, k, g = self._spot_points(t)
+        spot = np.asarray(state.p[i, k, g], dtype=np.float64)
+        self._before = (t, state_line_sums(state), spot,
+                        self._tracked_lines(state.p, t))
 
     def observe_block(self, t, lo, old, new, den, k2, kills, all_positive):
         """Fold one block of the rows > t of the transition at step t into
@@ -241,25 +260,32 @@ class TrajectoryRecorder:
                     ) -> StepRecord:
         """Record the transition before -> after under (q_row, L_row).
 
-        The line sums and row maxima are read from the LineSums before
-        and after carry (process.state_line_sums), the fresh kills, the
-        martingale residual and the growth ratio from what observe_block
-        folded of the transition, and the pair sums of row t + 1 are
-        taken here.  Steps of one run are recorded in order.
+        before is the state before_step saw (its p may be after's, if
+        the transition ran in place); of it only t and the arithmetic are
+        read here.  The line sums and row maxima are read from the
+        LineSums before (through before_step) and after carry
+        (process.state_line_sums), the fresh kills, the martingale
+        residual and the growth ratio from what observe_block folded of
+        the transition, and the pair sums of row t + 1 are taken here.
+        Steps of one run are recorded in order.
 
         Raises:
-            OrthomateError: observe_block did not see rows t + 1 .. m - 1.
+            OrthomateError: before_step did not see step t, or
+                observe_block did not see rows t + 1 .. m - 1.
         """
         m, t = self.m, before.t
+        pre, self._before = self._before, None
+        if pre is None or pre[0] != t:
+            raise OrthomateError(f"step {t}: the state before the step was "
+                                 "not observed (before_step)")
+        _, sums_b, spot_b, lines_b = pre
         q_raw = np.asarray(q_row)
         q = np.asarray(q_raw, dtype=np.float64)
-        p_before = np.asarray(before.p, dtype=np.float64)
-        p_after = np.asarray(after.p, dtype=np.float64)
         L_row = np.asarray(L_row, dtype=np.int64)
 
         # line sums and row maxima of the rows >= t of before and > t of
-        # after, as the transition (or, at t = 0, this call) took them
-        sums_b, sums_a = state_line_sums(before), state_line_sums(after)
+        # after, as the transition (or, at t = 0, before_step) took them
+        sums_a = state_line_sums(after)
         b_min = b_max = c_max = math.nan
         fresh_kills, mart_res, growth_max, b_dev_max = 0, 0.0, 1.0, 0.0
         if t + 1 < m:
@@ -268,17 +294,18 @@ class TrajectoryRecorder:
                                      "not observed (advance_state(observe=))")
             self._seen = None
             # statistics of the new state over rows that can still change
-            pa, pb = p_after[t + 1:], p_before[t + 1:]
             b_rc, b_rs = sums_a.rc, sums_a.rs
             b_min = float(min(b_rc.min(), b_rs.min()))
             b_max = float(max(b_rc.max(), b_rs.max()))
             b_dev_max = float(max(np.abs(b_rc - sums_b.rc[1:]).max(),
                                   np.abs(b_rs - sums_b.rs[1:]).max()))
             # the largest pair sum of row t + 1, the row the next step places
-            c_max = largest_pair_sum(pa[0])
+            c_max = largest_pair_sum(
+                np.asarray(after.p[t + 1], dtype=np.float64))
 
             # np.max, not max(), wherever a nan must reach the record
-            spot = self._spot_residual(before, q_raw, L_row, pb, pa)
+            spot = self._spot_residual(t, before.exact, q_raw, L_row, spot_b,
+                                       after.p)
             mart_res = (float(np.max(np.append(self._mart, spot)))
                         if self._same_map else math.inf)
             fresh_kills, ratio = self._fresh, np.fmax.reduce(self._ratios)
@@ -287,10 +314,11 @@ class TrajectoryRecorder:
 
         # rows < t are final and were in the records of the steps that
         # placed them, so the run's largest p_max is that of all its states;
-        # row t of after is row t of before, which the transition copies
+        # row t of after is row t of before, which the transition keeps
         p_max = float(np.max(np.append(sums_b.row_max[:1], sums_a.row_max)))
 
-        c_dev_max = self._tracked_c_deviation(p_before, p_after, q, t)
+        c_dev_max = self._tracked_c_deviation(
+            lines_b, self._tracked_lines(after.p, t), q, t)
 
         rec = StepRecord(
             t=t, b_min=b_min, b_max=b_max, c_max=c_max, p_max=p_max,
@@ -301,36 +329,54 @@ class TrajectoryRecorder:
         self.stats.records.append(rec)
         return rec
 
-    def _spot_residual(self, before, q, L_row, pb, pa) -> np.ndarray:
-        """The martingale residual at the sample points, independent of the
-        transition's kill and survival code.
-
-        In every row i > t the points (i, j, (i + j) mod n) for the columns
-        j in self.lines are checked: their survival probability
-        1 - q(rho_cs) - q(rho_ds) is recomputed from q and the
-        recorder's own row inverse of J, in the same order and dtype as
-        advance_state, and their kill indicator from L_row.  A point the
-        rule kills must also be zero in the new state.  On a correct
-        transition every value equals the block's value at that point.
-        """
-        t = before.t
-        n = self.n
+    def _spot_points(self, t):
+        """(i, k, g) of the spot sample of step t: the points
+        (i, j, (i + j) mod n) of every row i > t for the columns j in
+        self.lines, as index arrays of shape (rows > t, lines)."""
         i = np.arange(t + 1, self.m)[:, None]
         k = self.lines[None, :]
-        g = (i + k) % n
+        return i, k, (i + k) % self.n
+
+    def _spot_residual(self, t, exact, q, L_row, b, p) -> np.ndarray:
+        """The martingale residual at the sample points of step t, whose
+        old values are b (before_step's) and new values are read from p,
+        the new state's, independent of the transition's kill and survival
+        code.
+
+        The survival probability 1 - q(rho_cs) - q(rho_ds) of each point
+        (_spot_points) is recomputed from q and the recorder's own row
+        inverse of J, in the same order and dtype as advance_state, and its
+        kill indicator from L_row.  A point the rule kills must also be
+        zero in the new state.  On a correct transition every value equals
+        the block's value at that point.
+        """
+        i, k, g = self._spot_points(t)
+        a = np.asarray(p[i, k, g], dtype=np.float64)
         k2 = self.Jinv[t][self.J.grid[i, k]]
-        one = Fraction(1) if before.exact else 1.0
+        one = Fraction(1) if exact else 1.0
         den = np.asarray((one - q[k, g]) - q[k2, g], dtype=np.float64)
         killed = (g == L_row[k]) | (g == L_row[k2])
-        b = pb[i - t - 1, k, g]
-        a = pa[i - t - 1, k, g]
         pos = den > 0
         survive = np.where(killed, b / np.where(pos, den, 1.0), a)
         resid = np.where(pos, np.abs(den * survive - b), np.abs(a))
         return np.where(killed, np.maximum(resid, np.abs(a)), resid)
 
-    def _tracked_c_deviation(self, p_before, p_after, q, t):
-        """|X^{t+1} - E_t[X^{t+1}]| for the sampled C sums.
+    def _live_triples(self, t):
+        """Row i and lines (k, l), as a (2, triples) array, of the
+        tracked triples of step t: those in rows > t with k != l."""
+        i, k, l = self.triples
+        live = (i > t) & (k != l)
+        return i[live], self.triples[1:, live]
+
+    def _tracked_lines(self, p, t):
+        """Lines k and l of the row i of each live triple of step t, as
+        a float64 (2, triples, n) array, gathered from p at once."""
+        i, kl = self._live_triples(t)
+        return np.asarray(p[i, kl], dtype=np.float64)
+
+    def _tracked_c_deviation(self, lines_before, lines_after, q, t):
+        """|X^{t+1} - E_t[X^{t+1}]| for the sampled C sums, from the
+        _tracked_lines of the states before and after step t.
 
         The joint kill expectation is exactly expressible from q: the two
         kill indicators can only coincide when one point's diagonal crosses
@@ -340,14 +386,11 @@ class TrajectoryRecorder:
         the products of two state lines, whose order depends on no BLAS
         kernel, and the drift is accumulated in triple order.
         """
-        i, k, l = self.triples
-        live = (i > t) & (k != l)
-        # lines k and l of each triple's row i, gathered once per state as
-        # (2, triples, n), and the diagonal column maps of both
-        i, kl = i[live], self.triples[1:, live]
+        # the diagonal column maps of both lines of each triple
+        i, kl = self._live_triples(t)
         k2 = self.Jinv[t][self.J.grid[i, kl]]
         (k, l), (k2k, k2l) = kl, k2
-        (pk, pl), (ak, al) = p_before[i, kl], p_after[i, kl]
+        (pk, pl), (ak, al) = lines_before, lines_after
         prod = pk * pl
         x_now = prod.sum(axis=1)
         x_next = (ak * al).sum(axis=1)

@@ -36,9 +36,10 @@ rows at once.  The transition also takes the line sums and row maxima of
 each block of new rows right after dividing it, while the block is in
 cache, and the new state carries them (GuidanceState.line_sums):
 check_gamma reads B and A's maximum from them, and the trajectory recorder
-its B statistics, so a step takes its line sums once.  run_process owns
-two (m, n, n) buffers and writes each new p into the one the old state is
-not using.  Each state also carries a per-row ceiling on its largest C
+its B statistics, so a step takes its line sums once.  run_process holds
+one (m, n, n) array for the whole run: each step divides the rows > t of
+p in place (advance_state with out=state.p), and a step that fails writes
+nothing.  Each state also carries a per-row ceiling on its largest C
 pair sum: init_state and check_gamma set it from pair sums they compute,
 the transition multiplies it by the step's growth bound, and check_gamma
 skips a row whose ceiling clears c_bound by the rounding margin
@@ -195,7 +196,9 @@ class GuidanceState:
     (init_state's, or one built by hand).
 
     Code that writes p of a state in place must reset the ceiling to +inf
-    and set line_sums to None.
+    and set line_sums to None.  advance_state(state, ..., out=state.p)
+    writes it too, and returns the state that owns the new p: the old
+    state is consumed and is not used again.
     """
 
     shape: Shape
@@ -489,18 +492,25 @@ def advance_state(state: GuidanceState, q, L_row: np.ndarray,
     from the block itself on float states and from its float64 view on
     Fraction states, which is what uncoloured_rows gives check_gamma.
 
-    The new p is written into out when it is given: an array of p's shape
-    and dtype, not p itself, that already holds p's rows below t (the
-    state before the previous step, say), so only row t is copied into it.
-    Without out the new p is a fresh array.
+    out is None or state.p.  Without it the new p is a fresh array and
+    state is left as it was.  With out=state.p the rows > t are divided in
+    place, block by block, and rows <= t are not written: the new state
+    shares p with state, which the step consumes (its carried sums and
+    ceilings no longer describe p), so run_process holds a single (m, n, n)
+    array.  Each new row depends only on its own old row, so both forms
+    give the same p bit for bit.  A step that raises DegenerateDenominator
+    writes nothing: unless dmin (below) already rules degenerate points
+    out, every block is checked before any is written.
 
     observe, when given, is called once per block of survival
-    probabilities, after the block is divided, its kills zeroed and its
-    degenerate points checked: observe(t, lo, old, new, den, k2, kills,
-    all_positive) gets rows lo .. lo + len(den) - 1 of p and of the new p
-    as float64, their den, k2 and kill index, and whether every den is
-    known to be > 0.  den is survival_blocks' reused buffer, so observe
-    keeps nothing from the call (TrajectoryRecorder.observe_block).
+    probabilities, after the block is divided and its kills zeroed:
+    observe(t, lo, old, new, den, k2, kills, all_positive) gets rows
+    lo .. lo + len(den) - 1 of p and of the new p (as float64), their den,
+    k2 and kill index, and whether every den is known to be > 0.  In place,
+    old is a copy of the block taken before it is divided, in one
+    block-sized buffer; that buffer and den are reused by the next block,
+    so observe keeps nothing from the call
+    (TrajectoryRecorder.observe_block).
 
     The same code runs on float64 and on Fraction states; DEN_TOL applies
     to floats, Fractions are degenerate only at survival probability <= 0.
@@ -510,6 +520,7 @@ def advance_state(state: GuidanceState, q, L_row: np.ndarray,
             <= DEN_TOL (<= 0 for Fractions) under q, i.e. q places mass
             >= 1 - DEN_TOL (>= 1) on its two projections; the first such
             point in (row, column, symbol) order is named.
+        ValueError: out is neither None nor state.p.
     """
     if state.stopped_at is not None:
         raise ValueError("cannot advance a stopped state")
@@ -521,8 +532,9 @@ def advance_state(state: GuidanceState, q, L_row: np.ndarray,
     n = state.shape.n
     if out is None:
         out = np.empty_like(p)
-        out[:t] = p[:t]
-    out[t] = p[t]
+        out[:t + 1] = p[:t + 1]
+    elif out is not p:
+        raise ValueError("out must be None or state.p")
     sums = LineSums(np.empty((m - t - 1, n)), np.empty((m - t - 1, n)),
                     np.empty(m - t - 1))
     one = Fraction(1) if state.exact else 1.0
@@ -538,34 +550,54 @@ def advance_state(state: GuidanceState, q, L_row: np.ndarray,
     # row and column indices that pair with killed[a:b] to name its points
     i_idx = np.arange(m)[:, None, None]
     k_idx = np.arange(n)[None, :, None]
-    for a, den in survival_blocks(q, k2, one):
-        lo, hi = t + 1 + a, t + 1 + a + len(den)
-        new = out[lo:hi]
-        kills = (i_idx[:len(den)], k_idx, killed[a:a + len(den)])
-        # the points with den <= tol, looked for only when some den is that
-        # low (or nan); divide by one there, so that a zero stays +0
-        # instead of turning into -0 or nan
-        low = (None if all_clear or den.min(initial=math.inf) > tol
-               else den <= tol)
-        np.divide(p[lo:hi], den if low is None else np.where(low, one, den),
-                  out=new)
-        new[kills] = 0 * one
-        if low is not None:
-            # a low point is fine if it was killed or has p = 0; it kept p
-            # there, so what is still positive is a survivor
-            degenerate = low & (new > 0)
+
+    def low_points(den):
+        """den <= tol, or None when no den of the block is that low (or
+        nan)."""
+        if all_clear or den.min(initial=math.inf) > tol:
+            return None
+        return den <= tol
+
+    if not all_clear:
+        # a degenerate point is a low one that has p > 0 and is not killed
+        for a, den in survival_blocks(q, k2, one):
+            low = low_points(den)
+            if low is None:
+                continue
+            lo = t + 1 + a
+            survivor = p[lo:lo + len(den)] > 0
+            survivor[i_idx[:len(den)], k_idx, killed[a:a + len(den)]] = False
+            degenerate = low & survivor
             if degenerate.any():
                 i, k, g = np.argwhere(degenerate)[0]
                 raise DegenerateDenominator(
                     f"surviving point ({int(i) + lo}, {int(k)}, {int(g)}) "
                     f"has survival probability {float(den[i, k, g]):.3e}")
+    held = None  # the old rows of the block observe gets, when out is p
+    for a, den in survival_blocks(q, k2, one):
+        lo, hi = t + 1 + a, t + 1 + a + len(den)
+        new = out[lo:hi]
+        kills = (i_idx[:len(den)], k_idx, killed[a:a + len(den)])
+        old = p[lo:hi]
+        if observe is not None and out is p:
+            if held is None:
+                held = np.empty_like(old)  # the first block is the largest
+            old = held[:len(den)]
+            old[...] = p[lo:hi]
+        # divide by one at the low points (all killed or of zero mass, as
+        # checked above), so that a zero stays +0 instead of turning into
+        # -0 or nan
+        low = low_points(den)
+        np.divide(p[lo:hi], den if low is None else np.where(low, one, den),
+                  out=new)
+        new[kills] = 0 * one
         rows = new.astype(np.float64) if state.exact else new
         blk = slice(a, a + len(den))
         rows.sum(axis=2, out=sums.rc[blk])
         rows.sum(axis=1, out=sums.rs[blk])
         rows.max(axis=(1, 2), out=sums.row_max[blk])
         if observe is not None:
-            observe(t, lo, p[lo:hi], rows, den, k2[blk], kills, low is None)
+            observe(t, lo, old, rows, den, k2[blk], kills, low is None)
     ceiling = state.c_ceiling.copy()
     ceiling[t + 1:] = _grown_ceiling(ceiling[t + 1:], dmin)
     return GuidanceState(shape=state.shape, t=t + 1, p=out,
@@ -632,9 +664,6 @@ def run_process(J: LatinRectangle, epsilon: Optional[float] = None,
         observe = recorder.observe_block
 
     state = init_state(shape, exact=exact)
-    # the new p of each step goes into the buffer the state does not use;
-    # it holds the state before the last step, whose frozen rows are final
-    spare = np.empty_like(state.p)
     grid = np.zeros((m, n), dtype=np.int64)
     etas = []
     outcome = None
@@ -650,7 +679,11 @@ def run_process(J: LatinRectangle, epsilon: Optional[float] = None,
             q, eta_used = build_fractional_matching(d)
             etas.append(eta_used)
             L_row = sample_matching_lazy(q, rng)
-            after = advance_state(state, q, L_row, J, out=spare,
+            if recorder is not None:
+                recorder.before_step(state)
+            # in place: state's p becomes after's, one (m, n, n) array for
+            # the whole run; a step that fails leaves it as it was
+            after = advance_state(state, q, L_row, J, out=state.p,
                                   observe=observe)
         except tuple(ROW_FAILURES) as exc:
             outcome = ProcessOutcome(
@@ -660,7 +693,7 @@ def run_process(J: LatinRectangle, epsilon: Optional[float] = None,
         grid[t] = L_row
         if recorder is not None:
             recorder.record_step(state, q, L_row, after, eta_used=eta_used)
-        spare, state = state.p, after
+        state = after
 
     if outcome is None:
         L = LatinRectangle(shape, grid)

@@ -935,6 +935,44 @@ class TestFlagsTheAlgorithmReads:
         assert runs == [] and trials == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_trials_rejects_epsilon_with_hall_and_m(self, tmp_path, capsys,
+                                                    runs, monkeypatch, jobs):
+        # with --m given, epsilon derives no m, and hall takes none: the
+        # flag is refused before the CSV is opened
+        trials = []
+        monkeypatch.setattr(cli, "run_single_trial", trials.append)
+        out = tmp_path / "t.csv"
+        assert main(["trials", "--n", "16", "--m", "4", "--count", "1",
+                     "--algorithm", "hall", "--epsilon", "0.3", "--jobs",
+                     jobs, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: --epsilon: ")
+        assert "--algorithm hall" in lines[0]
+        assert runs == [] and trials == []
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["--algorithm", "hall"], ["--algorithm", "hall", "--m", "4"],
+        ["--algorithm", "guided", "--m", "4"], ["--algorithm", "guided"]])
+    def test_trials_epsilon_default(self, tmp_path, argv):
+        # without --epsilon a run's epsilon is 0.5, as with --epsilon 0.5
+        # wherever epsilon is read (hall with --m reads none): the CSVs
+        # match but for the wall times
+        base = ["trials", "--n", "16", "--count", "2", "--seed", "3"] + argv
+        default, given = tmp_path / "d.csv", tmp_path / "g.csv"
+        assert main(base + ["--out", str(default)]) == 0
+        rows = list(csv.DictReader(read(default).splitlines()[1:]))
+        assert [row["epsilon"] for row in rows] == ["0.5", "0.5"]
+        assert [row["m"] for row in rows] == (["4"] if "--m" in argv
+                                              else ["8"]) * 2
+        if "--m" not in argv or "guided" in argv:
+            assert main(base + ["--epsilon", "0.5", "--out", str(given)]) == 0
+            assert strip_wall_time(read(default)) == strip_wall_time(
+                read(given))
+
     @pytest.mark.parametrize("argv", [
         ["mate", "--in", "{tmp}/J.txt", "--algorithm", "backtrack",
          "--node-limit", "5000"],
@@ -985,3 +1023,44 @@ class TestFlagsTheAlgorithmReads:
             "eta_max_used,eta_mean_used,b_rel_dev_max,c_rel_dev_max,p_max,"
             "violation_family,violation_location,violation_margin,"
             "wall_time_s"]
+
+
+class TestEmptyPath:
+    """An empty path is a usage error of every command at parse time, with
+    one error line that names the flag, before anything is read, run or
+    written."""
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        runs = []
+        for name in ("run_process", "hall_greedy", "backtrack_mate",
+                     "random_latin_rectangle", "_read_rectangle"):
+            monkeypatch.setattr(cli, name,
+                                lambda *a, _n=name, **kw: runs.append(_n))
+        return runs
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["gen", "--n", "4", "--m", "2", "--out="], "--out"),
+        (["mate", "--in="], "--in"),
+        (["mate", "--in", "{tmp}/J.txt", "--out="], "--out"),
+        (["mate", "--in", "{tmp}/J.txt", "--algorithm", "hall", "--out="],
+         "--out"),
+        (["mate", "--in", "{tmp}/J.txt", "--diag="], "--diag"),
+        (["mate", "--in", "{tmp}/J.txt", "--algorithm", "hall", "--diag="],
+         "--diag"),
+        (["verify", "--j=", "--l", "{tmp}/J.txt"], "--j"),
+        (["verify", "--j", "{tmp}/J.txt", "--l", ""], "--l"),
+        (["trials", "--n", "8", "--count", "1", "--out="], "--out"),
+        (["diag", "--n", "8", "--out", ""], "--out"),
+    ])
+    def test_usage_error(self, tmp_path, capsys, runs, argv, flag):
+        (tmp_path / "J.txt").write_text("0 1 2\n1 2 0\n")
+        assert main([a.format(tmp=tmp_path) for a in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        errors = [line for line in captured.err.splitlines()
+                  if "error:" in line]
+        assert len(errors) == 1 and f"argument {flag}: " in errors[0]
+        assert runs == []
+        assert [p.name for p in tmp_path.iterdir()] == ["J.txt"]

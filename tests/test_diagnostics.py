@@ -28,14 +28,18 @@ from orthomate.diagnostics import KILLS_PER_C_SUM, KILLS_PER_LINE
 from conftest import kill_counts, random_rect
 
 
-def guided_steps(J, seed, steps=None, exact=False, observe=None):
+def guided_steps(J, seed, steps=None, exact=False, recorder=None):
     """Yield (state, q, eta, L_row, after) for each step of a guided run
-    of J, up to `steps` rows; observe is advance_state's observer."""
+    of J, up to `steps` rows, each into a fresh array; a recorder given
+    sees every state before its step and observes the transition."""
     state = init_state(J.shape, exact=exact)
     rng = np.random.default_rng(seed)
+    observe = None if recorder is None else recorder.observe_block
     for t in range(steps or J.shape.m):
         q, eta = build_fractional_matching(normalize_row(state, t))
         L_row = sample_matching_lazy(q, rng)
+        if recorder is not None:
+            recorder.before_step(state)
         after = advance_state(state, q, L_row, J, observe=observe)
         yield state, q, eta, L_row, after
         state = after
@@ -44,8 +48,8 @@ def guided_steps(J, seed, steps=None, exact=False, observe=None):
 def run_with_recorder(n, m, seed, steps=None):
     J = random_rect(n, m, seed)
     rec = TrajectoryRecorder(J)
-    for state, q, eta, L_row, after in guided_steps(
-            J, seed, steps, observe=rec.observe_block):
+    for state, q, eta, L_row, after in guided_steps(J, seed, steps,
+                                                    recorder=rec):
         rec.record_step(state, q, L_row, after, eta_used=eta)
     return J, rec
 
@@ -95,7 +99,8 @@ class TestRecordStep:
         # wrong diagonal (k2 rolled by one column) and kills by it is no
         # martingale; the recorder takes the survival probabilities and the
         # kills from J's own column map (and its spot check with its own
-        # code), which the transition's do not fit
+        # code), which the transition's do not fit.  The transition runs in
+        # place, as in run_process
         from orthomate import process
 
         n, m = 16, 8
@@ -106,7 +111,8 @@ class TestRecordStep:
         for t in range(3):
             q, eta = build_fractional_matching(normalize_row(state, t))
             L_row = sample_matching_lazy(q, rng)
-            after = advance_state(state, q, L_row, J,
+            rec.before_step(state)
+            after = advance_state(state, q, L_row, J, out=state.p,
                                   observe=rec.observe_block)
             assert rec.record_step(state, q, L_row, after
                                    ).martingale_residual <= 1e-9
@@ -117,7 +123,9 @@ class TestRecordStep:
         monkeypatch.setattr(
             process, "diag_column_map",
             lambda *args: np.roll(column_map(*args), 1, axis=1))
-        after = advance_state(state, q, L_row, J, observe=rec.observe_block)
+        rec.before_step(state)
+        after = advance_state(state, q, L_row, J, out=state.p,
+                              observe=rec.observe_block)
         assert rec.record_step(state, q, L_row, after
                                ).martingale_residual > 1e-9
 
@@ -131,7 +139,7 @@ class TestRecordStep:
         rec = TrajectoryRecorder(J)
         steps = 0
         for state, q, eta, L_row, after in guided_steps(
-                J, seed, exact=exact, observe=rec.observe_block):
+                J, seed, exact=exact, recorder=rec):
             r = rec.record_step(state, q, L_row, after, eta_used=eta)
             assert r.t == state.t
             assert r.fresh_kills == int(
@@ -145,7 +153,8 @@ class TestRecordStep:
         # at n = 128 the spot check samples columns 0 .. 63 only; a
         # transition whose column map swaps columns 100 and 101 for one
         # step divides by wrong survival probabilities and kills wrong
-        # points outside that sample, which the record must still show
+        # points outside that sample, which the record must still show;
+        # the transition runs in place, as in run_process
         n, m = 128, 64
         J = random_rect(n, m, 0)
         rng = np.random.default_rng(0)
@@ -160,7 +169,8 @@ class TestRecordStep:
                     process, "diag_column_map",
                     lambda *args: column_map(*args)[:, [*range(100), 101,
                                                         100, *range(102, n)]])
-            after = advance_state(state, q, L_row, J,
+            rec.before_step(state)
+            after = advance_state(state, q, L_row, J, out=state.p,
                                   observe=rec.observe_block)
             residual = rec.record_step(state, q, L_row, after
                                        ).martingale_residual
@@ -172,14 +182,36 @@ class TestRecordStep:
         # not see, or saw for another step, is an error
         J = random_rect(8, 4, 0)
         rec = TrajectoryRecorder(J)
-        steps = guided_steps(J, 0, observe=rec.observe_block)
+        steps = guided_steps(J, 0, recorder=rec)
         state, q, eta, L_row, after = next(steps)
         rec.record_step(state, q, L_row, after)
-        with pytest.raises(OrthomateError, match="not observed"):
+        rec.before_step(state)
+        with pytest.raises(OrthomateError, match="rows 1 .. 3 were not"):
             rec.record_step(state, q, L_row, after)
         state, q, eta, L_row, after = next(steps)
-        with pytest.raises(OrthomateError, match="not observed"):
+        rec.before_step(after)
+        with pytest.raises(OrthomateError, match="rows 3 .. 3 were not"):
             rec.record_step(after, q, L_row, after)
+
+    @pytest.mark.parametrize("steps, exact", [(1, False), (2, False),
+                                              (4, False), (2, True)])
+    def test_step_before_step_did_not_see_raises(self, steps, exact):
+        # before_step reads the old state, which a transition in place
+        # overwrites: a step it did not see, or saw for another step, is
+        # an error, at the first step, a later one and the last one; with
+        # the state seen, the same step records
+        J = random_rect(8, 4, 0)
+        *_, (state, q, eta, L_row, _) = guided_steps(J, 0, steps,
+                                                     exact=exact)
+        rec = TrajectoryRecorder(J)
+        after = advance_state(state, q, L_row, J, observe=rec.observe_block)
+        with pytest.raises(OrthomateError, match="before_step"):
+            rec.record_step(state, q, L_row, after)
+        rec.before_step(after)
+        with pytest.raises(OrthomateError, match="before_step"):
+            rec.record_step(state, q, L_row, after)
+        rec.before_step(state)
+        assert rec.record_step(state, q, L_row, after).t == steps - 1
 
 class TestGuidedRunDiagnostics:
     @pytest.mark.parametrize("arithmetic, n, epsilon, seed", [

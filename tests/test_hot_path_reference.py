@@ -338,24 +338,33 @@ def outcome(fn, *args):
         return f"raised: {exc}"
 
 
-def spare_for(state):
-    """A buffer holding the state's rows below t, as run_process's spare
-    does, and junk in the rows advance_state must write."""
-    spare = np.empty_like(state.p)
-    spare[:state.t] = state.p[:state.t]
-    spare[state.t:] = Fraction(7) if state.exact else math.nan
-    return spare
+def copied(state):
+    """state with its own copy of p and of the C ceilings, for a transition
+    in place (out=p), which consumes the state it advances."""
+    return GuidanceState(shape=state.shape, t=state.t, p=state.p.copy(),
+                         c_ceiling=state.c_ceiling.copy(),
+                         line_sums=state.line_sums)
+
+
+def in_place(state, q, L_row, J, observe=None):
+    """advance_state of a copy of state in place, as run_process runs it;
+    state is left as it was."""
+    own = copied(state)
+    return advance_state(own, q, L_row, J, out=own.p, observe=observe)
 
 
 def assert_same_advance(state, q, L_row, J):
-    """advance_state, into a fresh array and into a spare buffer, against
-    advance_reference: the same p, or the same DegenerateDenominator."""
+    """advance_state, into a fresh array and in place, against
+    advance_reference: the same p, or the same DegenerateDenominator with
+    p left as it was."""
     want = outcome(advance_reference, state, q, L_row, J)
+    own = copied(state)
     for got in (outcome(advance_state, state, q, L_row, J),
-                outcome(lambda *a: advance_state(*a, out=spare_for(state)),
-                        state, q, L_row, J)):
+                outcome(lambda *a: advance_state(*a, out=own.p),
+                        own, q, L_row, J)):
         if isinstance(want, str):
             assert got == want
+            assert same_array(own.p, state.p)
         else:
             assert not isinstance(got, str), got
             assert got.t == want.t
@@ -691,34 +700,96 @@ class TestAdvanceReference:
         J, state, q, L_row = evolved(8, 3, 2, seed=1)
         assert_same_advance(state, q, L_row, J)
 
-    @pytest.mark.parametrize("n, m, exact", [(32, 16, False), (48, 24, False),
-                                             (7, 4, True)])
-    def test_alternating_buffers_over_whole_runs(self, n, m, exact):
-        # run_process's two buffers: each step writes into the one the
-        # state before the last step used, and must equal the reference
+    @pytest.mark.parametrize("n, m, block_rows, exact", [
+        (64, 40, 16, False), (192, 10, 1, False), (8, 4, 1024, True)])
+    def test_in_place_over_whole_runs(self, n, m, block_rows, exact):
+        # run_process's one array: each step divides the rows > t of p in
+        # place and must give the fresh array's p, line sums and ceilings
+        # bit for bit, hand its observer the same old and new rows, and
+        # equal the reference; blocks of 16 rows at n = 64 (the last one
+        # shorter), of one row at n = 192, all Fraction rows in one at n = 8
+        assert max(1, process.BLOCK_ENTRIES // (n * n)) == block_rows
         J = random_rect(n, m, n)
         state = init_state(J.shape, exact=exact)
-        spare = np.empty_like(state.p)
         rng = np.random.default_rng(n)
+
+        def observer(seen):
+            return lambda t, lo, old, new, *rest: seen.append(
+                (lo, old.copy(), new.copy()))
+
         for t in range(m):
             q, _ = build_fractional_matching(normalize_row(state, t))
             L_row = sample_matching_lazy(q, rng)
             want = advance_reference(state, q, L_row, J)
-            got = advance_state(state, q, L_row, J, out=spare)
-            assert got.p is spare
+            fresh_seen, seen = [], []
+            fresh = advance_state(state, q, L_row, J,
+                                  observe=observer(fresh_seen))
+            p = state.p
+            got = advance_state(state, q, L_row, J, out=p,
+                                observe=observer(seen))
+            assert got.p is p
+            assert same_array(got.p, fresh.p)
             assert same_array(got.p, want.p)
-            spare, state = state.p, got
+            assert same_array(got.c_ceiling, fresh.c_ceiling)
+            for name in ("rc", "rs", "row_max"):
+                assert same_array(getattr(got.line_sums, name),
+                                  getattr(fresh.line_sums, name))
+            assert len(seen) == len(fresh_seen) == -(-(m - t - 1)
+                                                       // block_rows)
+            for (lo, old, new), (lo_f, old_f, new_f) in zip(seen,
+                                                            fresh_seen):
+                assert lo == lo_f
+                assert same_array(old, old_f)
+                assert same_array(new, new_f)
+            state = got
         assert state.t == m
+
+    @pytest.mark.parametrize("n, m, bad_row", [(64, 40, 35), (192, 8, 5)])
+    def test_degenerate_in_place_writes_nothing(self, n, m, bad_row):
+        # q is one permutation and the placed row another; p is zero at
+        # every point of survival probability 0 except the surviving ones
+        # of bad_row, in the third block of 16 rows at n = 64 and the fifth
+        # of one row at n = 192: the step raises as the reference does and
+        # leaves p, its line sums and its ceilings as they were
+        J = random_rect(n, m, n)
+        rng = np.random.default_rng(n)
+        sigma, tau = rng.permutation(n), rng.permutation(n)
+        q = np.zeros((n, n))
+        q[np.arange(n), sigma] = 1.0
+        den = survival(q, J, 0)
+        p = np.full((m, n, n), 1.0 / n)
+        p[1:][den <= 0] = 0.0
+        killed = kill_mask(tau, 0, J, J.shape)
+        p[bad_row][(den[bad_row - 1] <= 0) & ~killed[bad_row]] = 1.0 / n
+        state = copied(init_state(J.shape))
+        state.p[...] = p
+        state.line_sums = process.state_line_sums(state)
+        before = p.copy(), state.c_ceiling.copy()
+        want = outcome(advance_reference, state, q, tau, J)
+        assert want.startswith(f"raised: surviving point ({bad_row}, ")
+        assert outcome(advance_state, state, q, tau, J) == want
+        for observe in (None, TrajectoryRecorder(J).observe_block):
+            got = outcome(lambda *a: advance_state(*a, out=state.p,
+                                                   observe=observe),
+                          state, q, tau, J)
+            assert got == want
+            assert same_array(state.p, before[0])
+            assert same_array(state.c_ceiling, before[1])
+            TestLineSums.assert_fresh(state)
+
+    def test_out_is_none_or_p(self):
+        J, state, q, L_row = evolved(8, 4, 1, seed=0)
+        with pytest.raises(ValueError, match="out must be None or state.p"):
+            advance_state(state, q, L_row, J, out=state.p.copy())
 
     def test_no_state_sized_temporary(self):
         # the survival probabilities live in one block-sized buffer and the
-        # new p goes into the spare, so a step allocates a small fraction
-        # of p (a fresh p and a whole den would be twice its size)
+        # new p is written over the old one, so a step allocates a small
+        # fraction of p (a fresh p and a whole den would be twice its size)
         J, state, q, L_row = evolved(128, 64, 20, seed=0)
-        spare = spare_for(state)
         tracemalloc.start()
         try:
-            advance_state(state, q, L_row, J, out=spare)
+            advance_state(state, q, L_row, J, out=state.p)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1082,7 +1153,9 @@ class TestCeiling:
         J, state, q, L_row = evolved(n, m, steps, seed=n, exact=exact)
         check_gamma(state, 0.5)
         rec = TrajectoryRecorder(J)
-        after = advance_state(state, q, L_row, J, observe=rec.observe_block)
+        rec.before_step(state)
+        after = advance_state(state, q, L_row, J, out=state.p,
+                              observe=rec.observe_block)
         grown = after.c_ceiling.copy()
         rec.record_step(state, q, L_row, after)
         assert same_array(after.c_ceiling, grown)
@@ -1167,12 +1240,12 @@ class TestLineSums:
     def test_carried_sums_equal_fresh_ones(self, n, m, block_rows, exact):
         # blocks of 16 rows at n = 64, of one row at n = 192 and the float64
         # view of all Fraction rows in one block at n = 8, over whole runs
-        # (the sums of the last step hold no row), and into run_process's
-        # spare buffer
+        # (the sums of the last step hold no row), into a fresh array and
+        # in place
         assert max(1, process.BLOCK_ENTRIES // (n * n)) == block_rows
         for J, state, q, L_row in islice(guided(n, m, n, exact), m):
-            for out in (None, spare_for(state)):
-                after = advance_state(state, q, L_row, J, out=out)
+            for advance in (advance_state, in_place):
+                after = advance(state, q, L_row, J)
                 self.assert_fresh(after)
                 assert after.line_sums.rc.shape == (m - state.t - 1, n)
 
@@ -1265,16 +1338,13 @@ class LoopRecorder(TrajectoryRecorder):
     loop the package's array form replaced; the arrays before it are the
     package's."""
 
-    def _tracked_c_deviation(self, p_before, p_after, q, t):
-        i, k, l = self.triples
-        live = (i > t) & (k != l)
-        i, k, l = i[live], k[live], l[live]
+    def _tracked_c_deviation(self, lines_before, lines_after, q, t):
+        i, (k, l) = self._live_triples(t)
         grid = self.J.grid
         inv_t = self.Jinv[t]
-        pk = p_before[i, k, :]
-        pl = p_before[i, l, :]
+        pk, pl = lines_before
         x_now = (pk * pl).sum(axis=1)
-        x_next = (p_after[i, k, :] * p_after[i, l, :]).sum(axis=1)
+        x_next = (lines_after[0] * lines_after[1]).sum(axis=1)
         k2k = inv_t[grid[i, k]]
         k2l = inv_t[grid[i, l]]
         rk = q[k, :] + q[k2k, :]
@@ -1303,7 +1373,9 @@ class TestTrackedCSums:
     the per-triple loop's bit for bit."""
 
     @staticmethod
-    def assert_same(rec, loop, *args):
+    def assert_same(rec, loop, p_before, p_after, q, t):
+        args = (rec._tracked_lines(p_before, t),
+                rec._tracked_lines(p_after, t), q, t)
         assert repr(rec._tracked_c_deviation(*args)) == repr(
             loop._tracked_c_deviation(*args))
         assert repr(rec.stats.drift_c_cumulative) == repr(
@@ -1321,10 +1393,13 @@ class TestTrackedCSums:
                 super().__init__(J)
                 self.loop = LoopRecorder(J)
 
-            def _tracked_c_deviation(self, p_before, p_after, q, t):
+            def _tracked_c_deviation(self, lines_before, lines_after, q,
+                                     t):
                 loop = self.loop
-                want = loop._tracked_c_deviation(p_before, p_after, q, t)
-                got = super()._tracked_c_deviation(p_before, p_after, q, t)
+                want = loop._tracked_c_deviation(lines_before, lines_after,
+                                                 q, t)
+                got = super()._tracked_c_deviation(lines_before, lines_after,
+                                                   q, t)
                 assert repr(got) == repr(want)
                 assert repr(self.stats.drift_c_cumulative) == repr(
                     loop.stats.drift_c_cumulative)
@@ -1387,8 +1462,10 @@ def assert_same_record(got, want):
 @pytest.fixture
 def paired_recorders(monkeypatch):
     """Make run_process record every step twice, by the package and by the
-    reference, and compare every Gamma check with gamma_reference.  Returns
-    the list of (package, reference) recorders."""
+    reference, and compare every Gamma check with gamma_reference.  The
+    reference reads a copy of each state before its step, which the
+    transition in place overwrites.  Returns the list of (package,
+    reference) recorders."""
     pairs = []
     check = process.check_gamma
 
@@ -1398,11 +1475,15 @@ def paired_recorders(monkeypatch):
             self.reference = RecorderReference(J)
             pairs.append((self, self.reference))
 
+        def before_step(self, state):
+            super().before_step(state)
+            self.copy_before = copied(state)
+
         def record_step(self, before, q_row, L_row, after,
                         eta_used=math.nan):
             rec = super().record_step(before, q_row, L_row, after, eta_used)
-            want = self.reference.record_step(before, q_row, L_row, after,
-                                              eta_used)
+            want = self.reference.record_step(self.copy_before, q_row,
+                                              L_row, after, eta_used)
             assert_same_record(rec, want)
             return rec
 
@@ -1459,6 +1540,7 @@ class TestRecorderReference:
         perm = np.random.default_rng(seed).permutation(n)
         q = np.zeros((n, n), dtype=np.int64)
         q[np.arange(n), perm] = 1
+        rec.before_step(state)
         after = advance_state(state, q, perm, J, observe=rec.observe_block)
         assert (survival(q, J, steps, exact) <= 0).any()
         assert_same_record(rec.record_step(state, q, perm, after),
@@ -1521,10 +1603,11 @@ class TestRecorderReference:
         n, m, t = 128, 64, 20
         J, state, q, L_row = evolved(n, m, t, seed=0)
         rows = state.p[t + 1:]
-        spare, rec = spare_for(state), TrajectoryRecorder(J)
+        rec = TrajectoryRecorder(J)
         tracemalloc.start()
         try:
-            after = advance_state(state, q, L_row, J, out=spare,
+            rec.before_step(state)
+            after = advance_state(state, q, L_row, J, out=state.p,
                                   observe=rec.observe_block)
             rec.record_step(state, q, L_row, after)
             peak = tracemalloc.get_traced_memory()[1]

@@ -644,12 +644,13 @@ class TestTransition:
         assert (expected <= 0).any()
         assert (survival(q, z3, 0) == expected).all()
 
-    @pytest.mark.parametrize("record, bound", [(False, 2.4), (True, 3.5)])
+    @pytest.mark.parametrize("record, bound", [(False, 1.3), (True, 1.45)])
     def test_run_peak(self, record, bound):
-        # the two state buffers, Gamma's line sums and the flow's lists;
-        # the recorder works a block of rows at a time: no step allocates a
-        # fresh p, or the survival probabilities or a work array of all rows,
-        # and the pure flow re-solve builds no network in its first phase
+        # one state array, which each step divides in place, Gamma's line
+        # sums and the flow's lists; the recorder works a block of rows at a
+        # time: no step allocates a second p, or the survival probabilities
+        # or a work array of all rows, and the pure flow re-solve builds no
+        # network in its first phase
         cfg = ProcessConfig(record_trajectory=record)
         run_process(random_rect(16, 8, 0), epsilon=0.5, config=cfg)  # imports
         J = random_rect(128, 64, 0)
