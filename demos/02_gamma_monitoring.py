@@ -6,7 +6,8 @@ The guided process stays alive while the state satisfies three families of
 inequalities: a pointwise cap (A), local line sums within 1 +- log n/sqrt n
 (B), and the quasi-random pair bound (C).  This script runs one demanding
 construction (epsilon = 0.5) and prints the per-step margins next to the
-log n / sqrt n scale, showing which inequality gives out first at finite n.
+log n / sqrt n scale, showing which inequality gives out first at finite n
+and how many of its inequalities are broken when the run stops.
 """
 
 import math
@@ -34,9 +35,11 @@ for r in outcome.trajectory.records:
           f"   {r.p_max:>7.4f}   {r.fresh_kills:>7}")
 
 if outcome.gamma_report is not None:
-    v = outcome.gamma_report.violations[0]
-    print(f"\nfirst violated inequality: {v.ineq} at {v.location}, "
-          f"lhs {v.lhs:.5f} vs bound {v.bound[1]:.5f}")
+    print("\nviolated families, each with its first violation:")
+    for v, count in zip(outcome.gamma_report.violations,
+                        outcome.gamma_report.counts):
+        print(f"  {v.ineq}: {count} violation(s), first at {v.location}, "
+              f"lhs {v.lhs:.5f}, margin {v.margin:.2e}")
 
 report = summarize(outcome.trajectory, exit_time=outcome.time)
 print("\nrun summary:")

@@ -5,15 +5,12 @@ from .core import (
     LatinRectangle,
     LineId,
     NotLatin,
-    NotOrthogonal,
     OrthomateError,
     ParseError,
-    PartialTransversal,
     Point,
     Shape,
     ShapeMismatch,
     VerifyReport,
-    extract_transversals,
     line_members,
     parse_rectangle,
     verify_latin,

@@ -51,8 +51,8 @@ from .baselines import NODE_LIMIT, backtrack_mate, hall_greedy, \
     random_latin_rectangle
 from .diagnostics import summarize
 from . import __version__
-from .process import ProcessConfig, check_arithmetic, check_epsilon, \
-    run_process
+from .process import GammaReport, ProcessConfig, check_arithmetic, \
+    check_epsilon, run_process
 
 TRIALS_SCHEMA = "orthomate-trials-v4"
 
@@ -277,13 +277,13 @@ def cmd_mate(args) -> int:
         if mate is None:
             failure = {"outcome": kind, "detail": detail}
             if outcome is not None:  # a guided run: when it stopped, and why
-                report = outcome.gamma_report
+                rep = outcome.gamma_report or GammaReport(True)
                 failure = {"outcome": kind, "exit_time": outcome.time,
                            "detail": detail, "violations": [
                                {"inequality": v.ineq,
-                                "location": list(v.location),
-                                "lhs": v.lhs, "margin": v.margin}
-                               for v in (report.violations if report else ())]}
+                                "location": list(v.location), "lhs": v.lhs,
+                                "margin": v.margin, "count": c}
+                               for v, c in zip(rep.violations, rep.counts)]}
             print(json.dumps(failure, indent=2))
             return 2
         if not verify_orthogonal(mate, J).ok:

@@ -35,10 +35,6 @@ class ShapeMismatch(OrthomateError):
     """Two rectangles do not share the same (m, n)."""
 
 
-class NotOrthogonal(OrthomateError):
-    """An operation required an orthogonal pair and did not get one."""
-
-
 class IndexOutOfRange(OrthomateError):
     """A line or point index is outside the grid."""
 
@@ -129,23 +125,6 @@ class LatinRectangle:
 
     def to_text(self) -> str:
         return "\n".join(" ".join(str(int(v)) for v in row) for row in self.grid) + "\n"
-
-
-@dataclass(frozen=True)
-class PartialTransversal:
-    """Cells with pairwise distinct rows, columns and J-symbols."""
-
-    cells: tuple
-
-    def check_against(self, ref: LatinRectangle) -> bool:
-        rows = [r for r, _ in self.cells]
-        cols = [c for _, c in self.cells]
-        syms = [int(ref.grid[r, c]) for r, c in self.cells]
-        return (
-            len(set(rows)) == len(rows)
-            and len(set(cols)) == len(cols)
-            and len(set(syms)) == len(syms)
-        )
 
 
 @dataclass(frozen=True)
@@ -274,23 +253,3 @@ def line_members(line: LineId, shape: Shape, J: Optional[LatinRectangle] = None)
     inv = J.row_inverse()
     return [Point(i, int(inv[i, a]), b) for i in range(m)]
 
-
-def extract_transversals(L: LatinRectangle, J: LatinRectangle):
-    """Split J's grid into the n partial transversals cut out by L's colours.
-
-    Returns one PartialTransversal per L-symbol, each of size m, pairwise
-    disjoint, together covering all m*n cells.
-
-    Raises:
-        NotOrthogonal: the pair fails verify_orthogonal.
-    """
-    rep = verify_orthogonal(L, J)
-    if not rep.ok:
-        raise NotOrthogonal("; ".join(rep.violations))
-    n = L.shape.n
-    out = []
-    for s in range(n):
-        rows, cols = np.nonzero(L.grid == s)
-        cells = tuple((int(r), int(c)) for r, c in zip(rows, cols))
-        out.append(PartialTransversal(cells))
-    return out

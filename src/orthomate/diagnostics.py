@@ -35,9 +35,9 @@ final: the next step builds its weights from it and the transition leaves
 it unchanged, so each placed row's C is recorded once, in the state the
 process used.  Every row > t has been through the same t + 1 steps, so the
 next row is a fair sample of the others.  A C violation on any row is
-still named exactly, with its value, by check_gamma's GammaReport.  The
-recorder reads and writes no C ceiling, so a recorded run's checks
-multiply exactly the rows an unrecorded run's do.
+still counted by check_gamma's GammaReport, which names the first exactly,
+with its value.  The recorder reads and writes no C ceiling, so a
+recorded run's checks multiply exactly the rows an unrecorded run's do.
 
 Two checks do not trust the transition's code.  observe_block compares
 the column map of every block with the recorder's own row inverse of J

@@ -222,14 +222,14 @@ class GammaViolation:
     ineq: str  # "A_x" | "B_line" | "C_ikl"
     location: tuple
     lhs: float
-    bound: tuple  # (lo, hi); lo is None for one-sided bounds
     margin: float  # amount by which the bound is exceeded (> 0)
 
 
 @dataclass(frozen=True)
 class GammaReport:
     good: bool
-    violations: tuple = ()
+    violations: tuple = ()  # the first of each violated family, A, B, C
+    counts: tuple = ()  # counts[i]: violations in violations[i]'s family
 
 
 def init_state(shape: Shape, exact: bool = False) -> GuidanceState:
@@ -303,7 +303,8 @@ def state_line_sums(state: GuidanceState, rows: Optional[np.ndarray] = None
 
 
 def check_gamma(state: GuidanceState, epsilon: float) -> GammaReport:
-    """Evaluate the three goodness families and report every violation.
+    """Check the three goodness families and report each violated one's count
+    and first violation in row-major order, B's RC lines before its RS ones.
 
     All three are checked on uncoloured rows only (>= t).  A coloured row
     was checked for A while it was still uncoloured and is frozen since, so
@@ -320,50 +321,48 @@ def check_gamma(state: GuidanceState, epsilon: float) -> GammaReport:
     are pair_sums(p_i), and its ceiling becomes their maximum, inflated by
     C_CEILING_MARGIN.  numpy sends the one-row and the batched product alike
     to BLAS syrk, so the report equals the one from the dense (rows, n, n)
-    Gram tensor.
+    Gram tensor, whose symmetry lets each pair count once, as k < l.
     """
     n, t = state.shape.n, state.t
     a_bound, b_lo, b_hi, c_bound = gamma_bounds(n, epsilon)
     sub = uncoloured_rows(state)
     sums = state_line_sums(state, sub)
-    rc, rs, row_max = sums.rc, sums.rs, sums.row_max
-    violations = []
+    found = []  # (GammaViolation, count) of each violated family
+
+    def add(ineq, count, bad, values, place, hi, lo=-math.inf):
+        if count:  # the first violation: the first True of bad, at place
+            first = np.unravel_index(np.argmax(bad), bad.shape)
+            lhs = float(values[first])
+            found.append((GammaViolation(ineq, place(*map(int, first)), lhs,
+                                         max(lo - lhs, lhs - hi)), int(count)))
 
     # the max first: the (rows, n, n) mask is built only when A fails
-    if a_bound != math.inf and row_max.size and row_max.max() > a_bound:
-        for i_off, k, g in np.argwhere(sub > a_bound):
-            lhs = float(sub[i_off, k, g])
-            violations.append(GammaViolation(
-                "A_x", (int(i_off) + t, int(k), int(g)), lhs,
-                (None, a_bound), lhs - a_bound))
+    if (a_bound != math.inf and sums.row_max.size
+            and sums.row_max.max() > a_bound):
+        bad = sub > a_bound
+        add("A_x", np.count_nonzero(bad), bad, sub,
+            lambda i, k, g: (i + t, k, g), a_bound)
 
-    for cls, sums in (("RC", rc), ("RS", rs)):
-        bad = (sums < b_lo) | (sums > b_hi)
-        if bad.any():
-            for i_off, j in np.argwhere(bad):
-                lhs = float(sums[i_off, j])
-                margin = max(b_lo - lhs, lhs - b_hi)
-                violations.append(GammaViolation(
-                    "B_line", (cls, int(i_off) + t, int(j)), lhs,
-                    (b_lo, b_hi), margin))
+    lines = np.stack((sums.rc, sums.rs))  # every RC line, then every RS one
+    bad = (lines < b_lo) | (lines > b_hi)
+    add("B_line", np.count_nonzero(bad), bad, lines,
+        lambda c, i, j: (("RC", "RS")[c], i + t, j), b_hi, b_lo)
 
-    # C has no pair k != l below n = 2, and no row to check at t = m
-    if n < 2 or not sub.shape[0]:
-        return GammaReport(not violations, tuple(violations))
-    ceiling = state.c_ceiling
+    ceiling, c_count, c_first = state.c_ceiling, 0, None
     for r in np.flatnonzero(
             ~(ceiling[t:] <= c_bound * (1.0 - C_CEILING_MARGIN))):
         block = pair_sums(sub[r])
         ceiling[t + r] = float(block.max()) * (1.0 + C_CEILING_MARGIN)
         bad = block > c_bound
         if bad.any():
-            for k, l in np.argwhere(bad):
-                lhs = float(block[k, l])
-                violations.append(GammaViolation(
-                    "C_ikl", (int(r) + t, int(k), int(l)), lhs,
-                    (None, c_bound), lhs - c_bound))
+            bad = np.triu(bad, 1)
+            c_count += np.count_nonzero(bad)
+            c_first = c_first or (int(r) + t, bad, block)
+    if c_first:
+        i, bad, block = c_first
+        add("C_ikl", c_count, bad, block, lambda k, l: (i, k, l), c_bound)
 
-    return GammaReport(not violations, tuple(violations))
+    return GammaReport(not found, *zip(*found))  # violations, counts
 
 
 def _row_inverse(J: LatinRectangle, t: int) -> np.ndarray:
@@ -608,8 +607,10 @@ def advance_state(state: GuidanceState, q, L_row: np.ndarray,
 class ProcessOutcome:
     """Result of one guided run.
 
-    kind is "success", "gamma_exit" or "infeasible_row"; the trajectory
-    carries the per-step statistics when recording was enabled.
+    kind is "success", "gamma_exit" or "infeasible_row"; a gamma_exit's
+    gamma_report holds each violated family's count and first violation,
+    and the trajectory carries the per-step statistics when recording was
+    enabled.
     """
 
     kind: str
@@ -643,7 +644,8 @@ def run_process(J: LatinRectangle, epsilon: Optional[float] = None,
 
     Returns:
         ProcessOutcome; kind "success" carries a verified mate, "gamma_exit"
-        the violated inequalities, "infeasible_row" the failing step and a
+        the step and check_gamma's report (each violated family's count and
+        first violation), "infeasible_row" the failing step and a
         reason (flow infeasible at ETA_MAX, dead symbol, or degenerate
         survival probability; see ROW_FAILURES).
     """

@@ -15,6 +15,7 @@ import pytest
 from orthomate import parse_rectangle, verify_latin, verify_orthogonal
 from orthomate import ProcessConfig, cli
 from orthomate.cli import main, run_single_trial
+from orthomate.process import gamma_bounds
 
 
 #: run in a fresh interpreter: `orthomate trials` with each trial's detail
@@ -202,6 +203,21 @@ class TestMate:
         blob = json.loads(capsys.readouterr().out)
         assert blob["outcome"] == "gamma_exit"
         assert blob["violations"]
+
+    def test_guided_failure_reports_each_family_once(self, tmp_path, capsys):
+        # this J stops the guided mate on C at t = 19 with 5 violated pairs:
+        # one entry, the first pair as (k, l) with k < l, and its count
+        jp = tmp_path / "J.txt"
+        assert main(["gen", "--n", "64", "--m", "32", "--seed", "3",
+                     "--out", str(jp)]) == 0
+        capsys.readouterr()
+        assert main(["mate", "--in", str(jp)]) == 2
+        blob = json.loads(capsys.readouterr().out)
+        assert (blob["outcome"], blob["exit_time"]) == ("gamma_exit", 19)
+        [entry] = blob["violations"]
+        assert entry["inequality"] == "C_ikl" and entry["count"] == 5
+        assert entry["location"] == [21, 19, 46]
+        assert entry["margin"] == entry["lhs"] - gamma_bounds(64, 0.5)[3]
 
     def test_records_only_with_diag(self, tmp_path, capsys, monkeypatch):
         # a recorder is built only when --diag asks for the trajectory,

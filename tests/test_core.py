@@ -11,12 +11,10 @@ from orthomate import (
     LatinRectangle,
     LineId,
     NotLatin,
-    NotOrthogonal,
     ParseError,
     Point,
     Shape,
     ShapeMismatch,
-    extract_transversals,
     line_members,
     parse_rectangle,
     verify_latin,
@@ -200,30 +198,6 @@ class TestLines:
                 assert key not in membership, (
                     f"points {a}, {b} share lines {membership[key]} and {idx}")
                 membership[key] = idx
-
-
-class TestTransversals:
-    def test_m1_singletons(self):
-        J = LatinRectangle(Shape(n=4, m=1), np.array([[0, 1, 2, 3]]))
-        L = LatinRectangle(Shape(n=4, m=1), np.array([[2, 0, 3, 1]]))
-        ts = extract_transversals(L, J)
-        assert len(ts) == 4
-        assert all(len(t.cells) == 1 for t in ts)
-
-    def test_z3_partition(self, z3):
-        mate = backtrack_mate(z3)
-        ts = extract_transversals(mate, z3)
-        assert len(ts) == 3
-        all_cells = [c for t in ts for c in t.cells]
-        assert len(all_cells) == 9
-        assert len(set(all_cells)) == 9
-        for t in ts:
-            assert len(t.cells) == 3
-            assert t.check_against(z3)
-
-    def test_not_orthogonal_raises(self, z2):
-        with pytest.raises(NotOrthogonal):
-            extract_transversals(z2, z2)
 
 
 class TestShape:

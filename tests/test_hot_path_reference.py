@@ -173,7 +173,12 @@ def advance_reference(state, q, L_row, J, den_tol=1e-12):
     return GuidanceState(shape=state.shape, t=t + 1, p=new_p)
 
 
-def gamma_reference(state, epsilon):
+def gamma_violations(state, epsilon):
+    """Every Gamma violation of state, one object per violating point, line
+    or pair (each C pair twice, as (k, l) and as (l, k)), in the order A, B,
+    C and row-major within each: the oracle of check_gamma.  A is checked
+    on every row, B and C on the rows >= t, C through the dense Gram
+    tensor."""
     n, m, t = state.shape.n, state.shape.m, state.t
     a_bound, b_lo, b_hi, c_bound = gamma_bounds(n, epsilon)
     p = state.p if state.p.dtype != object else state.p.astype(np.float64)
@@ -182,8 +187,7 @@ def gamma_reference(state, epsilon):
         for i, k, g in np.argwhere(p > a_bound):
             lhs = float(p[i, k, g])
             violations.append(GammaViolation(
-                "A_x", (int(i), int(k), int(g)), lhs, (None, a_bound),
-                lhs - a_bound))
+                "A_x", (int(i), int(k), int(g)), lhs, lhs - a_bound))
     if t < m:
         sub = p[t:]
         for cls, sums in (("RC", sub.sum(axis=2)), ("RS", sub.sum(axis=1))):
@@ -191,16 +195,50 @@ def gamma_reference(state, epsilon):
                 lhs = float(sums[i_off, j])
                 violations.append(GammaViolation(
                     "B_line", (cls, int(i_off) + t, int(j)), lhs,
-                    (b_lo, b_hi), max(b_lo - lhs, lhs - b_hi)))
+                    max(b_lo - lhs, lhs - b_hi)))
         gram = sub @ sub.transpose(0, 2, 1)
         idx = np.arange(n)
         gram[:, idx, idx] = 0.0
         for r, k, l in np.argwhere(gram > c_bound):
             lhs = float(gram[r, k, l])
             violations.append(GammaViolation(
-                "C_ikl", (int(r) + t, int(k), int(l)), lhs,
-                (None, c_bound), lhs - c_bound))
-    return GammaReport(not violations, tuple(violations))
+                "C_ikl", (int(r) + t, int(k), int(l)), lhs, lhs - c_bound))
+    return tuple(violations)
+
+
+def reduced(violations):
+    """The GammaReport of a full list of violations: the first of each
+    family, in the list's order, and each family's count, with a C pair
+    counted once, as (r, k, l) with k < l."""
+    firsts, counts = {}, {}
+    for v in violations:
+        if v.ineq == "C_ikl" and v.location[1] > v.location[2]:
+            continue
+        firsts.setdefault(v.ineq, v)
+        counts[v.ineq] = counts.get(v.ineq, 0) + 1
+    return GammaReport(not firsts, tuple(firsts.values()),
+                       tuple(counts.values()))
+
+
+def gamma_reference(state, epsilon, monitor=False):
+    """The report check_gamma must give: gamma_violations reduced, without
+    A on the frozen rows (< t).  A run that stops at its first violation
+    never breaks A on a frozen row; one that goes on past it (monitor) may,
+    and check_gamma does not look there."""
+    full = gamma_violations(state, epsilon)
+    frozen = [v.ineq == "A_x" and v.location[0] < state.t for v in full]
+    assert monitor or not any(frozen)
+    full = [v for v, f in zip(full, frozen) if not f]
+    want = reduced(full)
+    # a C pair is violated on both sides or on neither, and the full list's
+    # first C violation is the report's, with k < l
+    c_full = [v for v in full if v.ineq == "C_ikl"]
+    c_want = [(v, c) for v, c in zip(want.violations, want.counts)
+              if v.ineq == "C_ikl"]
+    assert len(c_full) == 2 * sum(c for _, c in c_want)
+    assert [v for v, _ in c_want] == c_full[:1]
+    assert len(want.violations) <= 3
+    return want
 
 
 def fsum_pair_max(row):
@@ -848,13 +886,13 @@ class TestGammaReference:
         reports = [check_gamma(state, eps) for eps in epsilons]
         for eps, rep in zip(epsilons, reports):
             assert rep == gamma_reference(state, eps)
-        a_sets = [{v.location for v in rep.violations if v.ineq == "A_x"}
-                  for rep in reports]
+        a_sets = [{v.location for v in gamma_violations(state, eps)
+                   if v.ineq == "A_x"} for eps in epsilons]
         assert all(later <= earlier
                    for earlier, later in zip(a_sets, a_sets[1:]))
         assert a_sets[0] and not a_sets[3] and not a_sets[4]
-        others = {tuple(v for v in rep.violations if v.ineq != "A_x")
-                  for rep in reports}
+        others = {tuple((v, c) for v, c in zip(rep.violations, rep.counts)
+                        if v.ineq != "A_x") for rep in reports}
         assert len(others) == 1
 
     @pytest.mark.parametrize("steps", [0, 1, 2])
@@ -863,6 +901,44 @@ class TestGammaReference:
         got = check_gamma(state, 0.5)
         assert got == gamma_reference(state, 0.5)
         assert not got.good
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_many_planted_violations(self, seed):
+        # five more planted pairs of large entries on random rows >= t:
+        # many A points, B lines and C pairs on several rows, of which the
+        # report keeps one per family and counts the rest
+        state = spoiled(32, 16, 6, seed)
+        p = state.p.copy()
+        rng = np.random.default_rng(seed)
+        for _ in range(5):
+            i, g = int(rng.integers(state.t, 16)), int(rng.integers(32))
+            p[i, rng.choice(32, 2, replace=False), g] = 0.5
+        planted = GuidanceState(shape=state.shape, t=state.t, p=p)
+        got = check_gamma(planted, 0.5)
+        assert got == gamma_reference(planted, 0.5)
+        assert [v.ineq for v in got.violations] == ["A_x", "B_line", "C_ikl"]
+        assert all(count > 1 for count in got.counts)
+
+    def test_a_run_past_its_first_violation(self):
+        # every step of a guided run at n = 64, eps = 0.3 that goes on
+        # past its first violation (at t = 18 of 45) instead of stopping, as
+        # a monitor would; most later steps break C, and many A and B too,
+        # many times over
+        n, eps = 64, 0.3
+        J = random_rect(n, round((1 - eps) * n), 0)
+        rng = np.random.default_rng(0)
+        state = init_state(J.shape)
+        reports = []
+        for t in range(J.shape.m):
+            reports.append(check_gamma(state, eps))
+            assert reports[-1] == gamma_reference(state, eps, monitor=True)
+            q, _ = build_fractional_matching(normalize_row(state, t))
+            L_row = sample_matching_lazy(q, rng)
+            state = advance_state(state, q, L_row, J, out=state.p)
+        bad = [rep for rep in reports if not rep.good]
+        assert len(bad) > 20
+        assert max(sum(rep.counts) for rep in bad) > 1000
+        assert any(len(rep.violations) == 3 for rep in bad)
 
     def test_good_states_agree(self):
         for steps in range(4):
@@ -878,9 +954,8 @@ class TestGammaReference:
         p[0, 0, 0] = 0.9
         frozen = GuidanceState(shape=state.shape, t=state.t, p=p)
         assert check_gamma(frozen, 0.5).good
-        old = gamma_reference(frozen, 0.5)
-        assert [(v.ineq, v.location) for v in old.violations] == [
-            ("A_x", (0, 0, 0))]
+        old = gamma_violations(frozen, 0.5)
+        assert [(v.ineq, v.location) for v in old] == [("A_x", (0, 0, 0))]
 
     @pytest.mark.parametrize("n, m, exact", [(16, 8, False), (8, 4, True)])
     @pytest.mark.parametrize("above", [False, True])
@@ -901,10 +976,13 @@ class TestGammaReference:
         spot = GuidanceState(shape=state.shape, t=state.t, p=p)
         got = check_gamma(spot, 0.5)
         assert got == gamma_reference(spot, 0.5)
-        c_hits = [v for v in got.violations if v.ineq == "C_ikl"]
+        c_hits = [(v, c) for v, c in zip(got.violations, got.counts)
+                  if v.ineq == "C_ikl"]
         if above:
-            assert [v.location for v in c_hits] == [(i, k, l), (i, l, k)]
-            assert all(v.lhs == np.nextafter(c_bound, 1.0) for v in c_hits)
+            # the pair once, as (k, l)
+            [(v, count)] = c_hits
+            assert (v.location, count) == ((i, k, l), 1)
+            assert v.lhs == np.nextafter(c_bound, 1.0)
         else:
             assert not c_hits
         pair = np.nextafter(c_bound, 1.0) if above else c_bound
@@ -947,11 +1025,11 @@ class TestGammaReference:
             # sum at c_bound breaks nothing, so the report is the
             # reference's; one a float above goes unreported
             assert not row_i and spot.c_ceiling[i] == threshold
-            hidden = [v for v in want.violations
+            full = gamma_violations(spot, 0.5)
+            hidden = [v for v in full
                       if v.ineq == "C_ikl" and v.location[0] == i]
             assert len(hidden) == (2 if pair_above else 0)
-            assert got.violations == tuple(v for v in want.violations
-                                           if v not in hidden)
+            assert got == reduced(v for v in full if v not in hidden)
 
     @pytest.mark.parametrize("n, m, exact, x, y", [
         (16, 8, False, 0.5253080956801089, 0.15423279937722625),
@@ -989,7 +1067,7 @@ class TestGammaReference:
         got = check_gamma(after, 0.5)
         assert got == gamma_reference(after, 0.5)
         assert ("C_ikl", (i, k, l)) in [(v.ineq, v.location)
-                                        for v in got.violations]
+                                        for v in gamma_violations(after, 0.5)]
 
     def test_one_large_line(self):
         # row i has one large line and tiny others: its pair sums are far
@@ -1009,7 +1087,8 @@ class TestGammaReference:
         c_bound = gamma_bounds(n, 0.5)[3]
         assert spot.c_ceiling[i] <= c_bound * (1 - process.C_CEILING_MARGIN)
         assert spot.c_ceiling[j] > c_bound
-        c_rows = {v.location[0] for v in got.violations if v.ineq == "C_ikl"}
+        c_rows = {v.location[0] for v in gamma_violations(spot, 0.5)
+                  if v.ineq == "C_ikl"}
         assert j in c_rows and i not in c_rows
 
     @pytest.mark.parametrize("steps", [0, 1, 2])
@@ -1031,8 +1110,9 @@ class TestGammaReference:
         spot = GuidanceState(shape=state.shape, t=t, p=p)
         got = check_gamma(spot, 0.5)
         assert got == gamma_reference(spot, 0.5)
-        c_hits = [v.location for v in got.violations if v.ineq == "C_ikl"]
-        assert c_hits == [(t, 0, 1), (t, 1, 0)]
+        c_hits = [(v.location, c) for v, c in zip(got.violations, got.counts)
+                  if v.ineq == "C_ikl"]
+        assert c_hits == [((t, 0, 1), 1)]
 
     def test_no_pair_and_no_row(self):
         # n = 1 has no pair k != l; a finished run has no uncoloured row
@@ -1284,21 +1364,27 @@ class TestLineSums:
         # p of an advanced state written in place: with its carried sums
         # dropped, as GuidanceState asks, the check reports the new B
         # violations; the stale sums would have hidden them
-        def b_lines(state):
+        def b_family(state):
             state.c_ceiling[:] = math.inf
-            return {v.location for v in check_gamma(state, 0.5).violations
+            rep = check_gamma(state, 0.5)
+            return [(v, c) for v, c in zip(rep.violations, rep.counts)
+                    if v.ineq == "B_line"]
+
+        def b_lines(state):
+            return {v.location for v in gamma_violations(state, 0.5)
                     if v.ineq == "B_line"}
 
         J, state, q, L_row = evolved(8 if exact else 32, 4, 2, seed=8,
                                      exact=exact)
         assert state.line_sums is not None
-        t, old = state.t, b_lines(state)
+        t, old, old_lines = state.t, b_family(state), b_lines(state)
         new = {("RC", t + 1, 2), ("RS", t + 1, 3)}
-        assert not old & new
+        assert not old_lines & new
         state.p[t + 1, 2, 3] += 1
-        assert b_lines(state) == old
+        assert b_lines(state) == old_lines | new
+        assert b_family(state) == old
         state.line_sums = None
-        assert b_lines(state) == old | new
+        assert [c for _, c in b_family(state)] == [len(old_lines) + 2]
         assert check_gamma(state, 0.5) == gamma_reference(state, 0.5)
 
 # ------------------------------------------------------------- flow search

@@ -87,8 +87,11 @@ class TestCheckGamma:
         state.p[2, 3, :] = 0.9
         state.c_ceiling[:] = math.inf  # init_state's no longer holds
         rep = check_gamma(state, 0.9)
-        assert any(v.ineq == "C_ikl" and v.location[0] == 2
-                   for v in rep.violations)
+        # columns 1 and 3 break C with each other and with each of the 14
+        # other columns: 29 pairs, each counted once, the first (0, 1)
+        assert [(v.location, count)
+                for v, count in zip(rep.violations, rep.counts)
+                if v.ineq == "C_ikl"] == [((2, 0, 1), 29)]
 
     def test_coloured_rows_ignored_for_b(self):
         state = init_state(Shape(n=16, m=4))
@@ -546,9 +549,10 @@ class TestGammaBounds:
     def test_a_bound_float_limits(self, eps, a_bound):
         assert gamma_bounds(8, eps)[0] == a_bound
         state = init_state(Shape(n=8, m=4))
-        a_hits = [v for v in check_gamma(state, eps).violations
-                  if v.ineq == "A_x"]
-        assert len(a_hits) == (0 if a_bound else 4 * 8 * 8)
+        rep = check_gamma(state, eps)
+        a_counts = [count for v, count in zip(rep.violations, rep.counts)
+                    if v.ineq == "A_x"]
+        assert a_counts == ([4 * 8 * 8] if a_bound == 0.0 else [])
 
     @pytest.mark.parametrize("knob", ["a_coeff", "b_slack", "c_slack",
                                       "max_violations"])
