@@ -1,17 +1,13 @@
 """Orthogonal mates for Latin rectangles via a guided random greedy process."""
 
 from .core import (
-    IndexOutOfRange,
     LatinRectangle,
-    LineId,
     NotLatin,
     OrthomateError,
     ParseError,
-    Point,
     Shape,
     ShapeMismatch,
     VerifyReport,
-    line_members,
     parse_rectangle,
     verify_latin,
     verify_orthogonal,
@@ -20,13 +16,9 @@ from .matching import (
     DeadSymbol,
     Infeasible,
     NoSupportMatching,
-    TooLarge,
-    birkhoff_decompose,
     birkhoff_terms,
     build_fractional_matching,
-    cut_check_bruteforce,
     normalize_row,
-    sample_matching,
     sample_matching_lazy,
 )
 from .process import (
@@ -36,19 +28,15 @@ from .process import (
     GuidanceState,
     ProcessConfig,
     ProcessOutcome,
-    RowAlreadyColoured,
     advance_state,
-    central_projections,
     check_gamma,
     init_state,
-    kill_mask,
     run_process,
 )
 from .baselines import (
     LimitExceeded,
     NoPerfectMatching,
     backtrack_mate,
-    build_legality_graph,
     hall_greedy,
     random_latin_rectangle,
 )

@@ -69,18 +69,6 @@ def _mark_row(J: LatinRectangle, col_used: np.ndarray, diag_used: np.ndarray,
     diag_used[J.grid[t], row] = value
 
 
-def build_legality_graph(J: LatinRectangle, prefix: np.ndarray, t: int
-                         ) -> np.ndarray:
-    """(n, n) bool of the legal (column, symbol) pairs at row t given the
-    first t placed rows of the mate (see _legal_pairs)."""
-    n = J.shape.n
-    col_used = np.zeros((n, n), dtype=bool)
-    diag_used = np.zeros((n, n), dtype=bool)
-    for s in range(t):
-        _mark_row(J, col_used, diag_used, s, prefix[s])
-    return _legal_pairs(J, col_used, diag_used, t)
-
-
 def hall_greedy(J: LatinRectangle, m: Optional[int] = None,
                 rng: Union[int, np.random.Generator, None] = 0
                 ) -> LatinRectangle:
@@ -212,7 +200,9 @@ def backtrack_mate(J: LatinRectangle, node_limit: int = NODE_LIMIT
     row still has a legal symbol.  Deterministic.  Intended for n <= 7.
 
     Returns:
-        A verified mate, or None once the whole space is exhausted.
+        A mate, or None once the whole space is exhausted.  The mate is
+        not verified here; its callers in the CLI, cli.cmd_mate and
+        cli.run_single_trial, check it with verify_orthogonal.
 
     Raises:
         LimitExceeded: node budget spent before exhaustion, or the search

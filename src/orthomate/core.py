@@ -1,4 +1,4 @@
-"""Domain types for Latin rectangles: points, lines, exact verifiers, I/O.
+"""Domain types for Latin rectangles: shapes, rectangles, exact verifiers, I/O.
 
 An m x n Latin rectangle assigns one of n symbols to each cell of an
 m x n grid so that every row contains each symbol exactly once and every
@@ -14,7 +14,7 @@ parallel runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -35,10 +35,6 @@ class ShapeMismatch(OrthomateError):
     """Two rectangles do not share the same (m, n)."""
 
 
-class IndexOutOfRange(OrthomateError):
-    """A line or point index is outside the grid."""
-
-
 @dataclass(frozen=True)
 class Shape:
     """Grid dimensions: n columns (= symbols), m <= n rows."""
@@ -56,52 +52,31 @@ class Shape:
         return 1.0 - self.m / self.n
 
 
-class Point(NamedTuple):
-    """A (row, column, symbol) triple."""
-
-    row: int
-    col: int
-    sym: int
-
-
-#: Line classes.  RC and RS lines live inside a single row ("local" lines);
-#: CS and DS lines run across rows ("central" lines).  A DS line is indexed
-#: by a diagonal of the reference rectangle J, i.e. a J-colour class.
-LINE_CLASSES = ("RC", "RS", "CS", "DS")
-
-
-@dataclass(frozen=True)
-class LineId:
-    """A line: all points with two coordinates fixed.
-
-    Interpretation of (first, second) by class:
-      RC: (row, col)   RS: (row, sym)   CS: (col, sym)   DS: (diagonal, sym)
-    """
-
-    cls: str
-    first: int
-    second: int
-
-    def __post_init__(self):
-        if self.cls not in LINE_CLASSES:
-            raise ValueError(f"unknown line class {self.cls!r}")
-
-
 @dataclass(frozen=True)
 class LatinRectangle:
-    """An m x n grid of symbol indices in [0, n), row-Latin, column-injective."""
+    """An m x n grid of symbol indices in [0, n), row-Latin, column-injective.
+
+    Raises:
+        NotLatin: the grid has the wrong shape, entries of a non-integer
+            dtype (float, bool, str, or object such as ints beyond 64 bits),
+            or breaks a Latin invariant.
+    """
 
     shape: Shape
     grid: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        g = np.asarray(self.grid, dtype=np.int64)
+        g = np.asarray(self.grid)
         if g.shape != (self.shape.m, self.shape.n):
             raise NotLatin(
                 f"grid shape {g.shape} does not match (m, n)="
                 f"({self.shape.m}, {self.shape.n})"
             )
-        g = g.copy()
+        if g.dtype.kind not in "iu":
+            raise NotLatin(f"grid entries must be integers, got dtype {g.dtype}")
+        # an unsigned entry >= 2^63 wraps to a negative one here, which
+        # verify_latin_grid rejects as out of range
+        g = g.astype(np.int64)
         g.setflags(write=False)
         object.__setattr__(self, "grid", g)
         rep = verify_latin_grid(g, self.shape.n)
@@ -218,38 +193,3 @@ def verify_orthogonal(L: LatinRectangle, J: LatinRectangle) -> VerifyReport:
             f"pair (J={code // n}, L={code % n}) occurs {int(counts[code])} times"
         )
     return VerifyReport(not violations, tuple(violations))
-
-
-def line_members(line: LineId, shape: Shape, J: Optional[LatinRectangle] = None):
-    """All points on a line, in index order.
-
-    RC and RS lines have n points, CS and DS lines have m points.  The
-    reference rectangle J is required only for DS lines, whose diagonal is
-    the J-colour class of the given symbol value.
-
-    Raises:
-        IndexOutOfRange: indices invalid for the class.
-        ValueError: DS line requested without J.
-    """
-    n, m = shape.n, shape.m
-    a, b = line.first, line.second
-    if line.cls == "RC":
-        if not (0 <= a < m and 0 <= b < n):
-            raise IndexOutOfRange(f"RC line ({a}, {b}) outside {m}x{n}")
-        return [Point(a, b, s) for s in range(n)]
-    if line.cls == "RS":
-        if not (0 <= a < m and 0 <= b < n):
-            raise IndexOutOfRange(f"RS line ({a}, {b}) outside {m}x{n}")
-        return [Point(a, k, b) for k in range(n)]
-    if line.cls == "CS":
-        if not (0 <= a < n and 0 <= b < n):
-            raise IndexOutOfRange(f"CS line ({a}, {b}) outside n={n}")
-        return [Point(i, a, b) for i in range(m)]
-    # DS: one cell of the diagonal per row
-    if J is None:
-        raise ValueError("DS line membership requires the reference rectangle J")
-    if not (0 <= a < n and 0 <= b < n):
-        raise IndexOutOfRange(f"DS line ({a}, {b}) outside n={n}")
-    inv = J.row_inverse()
-    return [Point(i, int(inv[i, a]), b) for i in range(m)]
-

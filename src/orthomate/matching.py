@@ -17,19 +17,8 @@ Given the guidance state restricted to one row, the pipeline is:
   birkhoff_terms  -> express q as a convex combination of permutations by a
                      threshold-greedy elimination walk on one support graph
                      per threshold level, pruned of each term's spent edges;
-                     birkhoff_decompose collects every (coefficient,
-                     permutation) pair, sample_matching_lazy stops at the
-                     term a uniform draw selects, so both share one
-                     elimination order in float and in Fraction arithmetic
-
-cut_check_bruteforce is the independent oracle for the flow step: it tests
-the cut inequality  2n - |A| - |B| + (1 + eta) * sum_{g in A, k in B} d(k, g)
->= n  by direct enumeration.  Subsets are enumerated including the full sets
-A = S and B = K: the proper-subset restriction in the usual statement is
-only harmless for near doubly stochastic inputs, and the oracle must match
-the flow verdict on arbitrary ones.  For each column subset B the worst A of
-every size is found by sorting the per-symbol masses, which prunes the
-enumeration from 4^n to 2^n * n log n.
+                     sample_matching_lazy stops at the term a uniform draw
+                     selects, in float and in Fraction arithmetic
 """
 
 from __future__ import annotations
@@ -47,13 +36,10 @@ from .bipartite import SupportGraph, perfect_matching_scipy
 #: instance size above which the float flow path uses the scipy solver
 SCIPY_FLOW_MIN_N = 24
 
-#: brute-force cut enumeration cap
-CUT_BRUTEFORCE_MAX_N = 14
-
 #: entries below this are truncated to zero before decompositions
 ZERO_TOL = 1e-12
 
-#: flow/cut feasibility tolerance (aligned between solver and oracle)
+#: flow feasibility tolerance: a float max flow within it of n is feasible
 FEAS_TOL = 1e-9
 
 #: Sinkhorn-Knopp iterations spent on one row's feasibility witness
@@ -65,10 +51,6 @@ ETA_MAX = 64.0
 
 class DeadSymbol(OrthomateError):
     """A symbol with zero total mass on the row; a fatal B-line breakdown."""
-
-
-class TooLarge(OrthomateError):
-    """Instance exceeds a documented brute-force cap."""
 
 
 class Infeasible(OrthomateError):
@@ -94,67 +76,6 @@ def normalize_row(state, row: int) -> np.ndarray:
     if dead:
         raise DeadSymbol(f"row {row}: symbols {dead} have zero mass")
     return p_row / totals[None, :]
-
-
-def cut_check_bruteforce(d, eta) -> Tuple[bool, Optional[tuple]]:
-    """Exhaustive cut-condition check; the flow solver's independent oracle.
-
-    Args:
-        d: (n, n) weights array [column, symbol].
-        eta: capacity inflation; float violations below the flow solver's
-            FEAS_TOL are ignored, Fraction weights are checked exactly.
-
-    Returns:
-        (feasible, witness); witness is (symbols A, columns B) for the first
-        violating pair found, None when feasible.
-
-    Raises:
-        TooLarge: n > 14.
-    """
-    w = np.asarray(d)
-    n = len(w)
-    if n > CUT_BRUTEFORCE_MAX_N:
-        raise TooLarge(f"cut enumeration capped at n={CUT_BRUTEFORCE_MAX_N}, got {n}")
-    if w.dtype == object:
-        return _cut_check_exact(w, eta, n)
-    w = w.astype(np.float64)
-    # membership matrix of all nonempty column subsets (full set included)
-    masks = np.arange(1, 1 << n, dtype=np.uint32)
-    member = (masks[:, None] >> np.arange(n)[None, :]) & 1  # (2^n - 1, n)
-    sizes = member.sum(axis=1)
-    sym_mass = member.astype(np.float64) @ w  # (subsets, symbols)
-    order = np.argsort(sym_mass, axis=1)
-    prefix = np.cumsum(np.take_along_axis(sym_mass, order, axis=1), axis=1)
-    a_sizes = np.arange(1, n + 1)
-    # slack of the cut inequality for the worst A of each size
-    slack = (
-        (n - a_sizes)[None, :]
-        - sizes[:, None]
-        + (1.0 + eta) * prefix
-    )
-    viol = slack < -FEAS_TOL
-    if not viol.any():
-        return True, None
-    b_idx, s_idx = np.argwhere(viol)[0]
-    a_syms = tuple(int(g) for g in order[b_idx, : s_idx + 1])
-    b_cols = tuple(int(k) for k in np.nonzero(member[b_idx])[0])
-    return False, (a_syms, b_cols)
-
-
-def _cut_check_exact(w, eta, n):
-    """Fraction-arithmetic cut check (small n, exact mode)."""
-    eta_f = eta if isinstance(eta, Fraction) else Fraction(eta)
-    cols = list(range(n))
-    for mask in range(1, 1 << n):
-        b_cols = [k for k in cols if mask >> k & 1]
-        mass = [sum(w[k][g] for k in b_cols) for g in range(n)]
-        order = sorted(range(n), key=lambda g: mass[g])
-        acc = 0
-        for s, g in enumerate(order, start=1):
-            acc += mass[g]
-            if (n - s) - len(b_cols) + (1 + eta_f) * acc < 0:
-                return False, (tuple(order[:s]), tuple(b_cols))
-    return True, None
 
 
 def default_eta_initial(n: int) -> float:
@@ -334,12 +255,11 @@ def build_fractional_matching(d) -> Tuple[np.ndarray, float]:
 def birkhoff_terms(q):
     """Yield the (coefficient, permutation) terms of a Birkhoff decomposition.
 
-    The single elimination walk behind birkhoff_decompose and
-    sample_matching_lazy.  Each term is a perfect matching on the entries at
-    or above a halving threshold (the full positive support once the
-    threshold passes the smallest entry), so early terms carry large
-    coefficients; its coefficient is the smallest matched entry, which is
-    then subtracted.  Support matchings come from scipy's Hopcroft-Karp
+    The elimination walk behind sample_matching_lazy.  Each term is a
+    perfect matching on the entries at or above a halving threshold (the
+    full positive support once the threshold passes the smallest entry), so
+    early terms carry large coefficients; its coefficient is the smallest
+    matched entry, which is then subtracted.  Support matchings come from scipy's Hopcroft-Karp
     (perfect_matching_scipy, looked up in this module at each call) at every
     n; it is deterministic, so the walk is reproducible.
 
@@ -416,52 +336,14 @@ def birkhoff_terms(q):
     raise NoSupportMatching("Birkhoff walk failed to terminate")
 
 
-def birkhoff_decompose(q) -> tuple:
-    """All terms of the birkhoff_terms walk as a tuple of (coefficient,
-    permutation column -> symbol) pairs.
-
-    The float dust left when the walk ends is added to the last
-    coefficient, so the coefficients sum to 1.
-
-    Raises:
-        ValueError: a row or column sum differs from 1 by more than 1e-6.
-        NoSupportMatching: the positive support has no perfect matching.
-    """
-    Q = np.asarray(q)
-    if Q.dtype != object:
-        Q = Q.astype(np.float64)
-    row_err = np.abs(Q.sum(axis=1) - 1).max()
-    col_err = np.abs(Q.sum(axis=0) - 1).max()
-    if max(row_err, col_err) > 1e-6:
-        raise ValueError(
-            "input not doubly stochastic within 1e-06 "
-            f"(row err {float(row_err):.2e}, col err {float(col_err):.2e})"
-        )
-    terms = list(birkhoff_terms(Q))
-    c_last, m_last = terms[-1]
-    terms[-1] = (c_last + (1 - sum(c for c, _ in terms)), m_last)
-    return tuple(terms)
-
-
-def sample_matching(terms: tuple, rng) -> np.ndarray:
-    """Draw a permutation with the convex coefficients as probabilities."""
-    u = rng.random()
-    acc = 0.0
-    for c, perm in terms:
-        acc += float(c)
-        if u < acc:
-            return np.asarray(perm)
-    return np.asarray(terms[-1][1])
-
-
 def sample_matching_lazy(q, rng) -> np.ndarray:
-    """Draw from the Birkhoff distribution without materializing all terms.
+    """Draw a permutation with the coefficients of q's Birkhoff terms as
+    probabilities, without materializing all terms.
 
-    Walks birkhoff_terms only up to the cumulative coefficient the uniform
-    draw selects, so for the same generator state the draw equals
-    sample_matching(birkhoff_decompose(q), rng), which sums the coefficients
-    as floats.  Each call walks the terms again: many draws from one q
-    take sample_matching on one birkhoff_decompose instead.
+    Walks birkhoff_terms only up to the first term whose cumulative
+    coefficient, summed in q's arithmetic, exceeds one uniform draw of rng,
+    or to the last term when float dust leaves the sum at or below it.
+    Each call walks the terms again.
     """
     u = rng.random()
     acc = 0

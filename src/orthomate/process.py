@@ -58,14 +58,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (
-    IndexOutOfRange,
-    LatinRectangle,
-    OrthomateError,
-    Point,
-    Shape,
-    verify_orthogonal,
-)
+from .core import LatinRectangle, OrthomateError, Shape, verify_orthogonal
 from .matching import (
     DeadSymbol,
     Infeasible,
@@ -113,10 +106,6 @@ BLOCK_ENTRIES = 1 << 16
 #: whatever the BLAS kernel, and the report of a skipped row equals the one
 #: its product would give.
 C_CEILING_MARGIN = 1e-9
-
-
-class RowAlreadyColoured(OrthomateError):
-    """Projection requested for a point whose row is already placed."""
 
 
 class DegenerateDenominator(OrthomateError):
@@ -378,47 +367,6 @@ def diag_column_map(J: LatinRectangle, t: int, rows_from: int) -> np.ndarray:
     return _row_inverse(J, t)[J.grid[rows_from:, :]]
 
 
-def central_projections(x: Point, t: int, J: LatinRectangle):
-    """The two points of the active row t on x's central (CS and DS) lines.
-
-    Both share the RS line (t, sym(x)) and are always distinct, because J's
-    column injectivity forces x's diagonal to cross row t away from col(x).
-
-    Raises:
-        IndexOutOfRange: x lies outside J's grid or t outside [0, m).
-        RowAlreadyColoured: x lies in row t or an earlier row.
-    """
-    m, n = J.shape.m, J.shape.n
-    if not (0 <= x.row < m and 0 <= x.col < n and 0 <= x.sym < n
-            and 0 <= t < m):
-        raise IndexOutOfRange(f"point {x} or time {t} outside {m}x{n}")
-    if x.row <= t:
-        raise RowAlreadyColoured(f"point {x} has colouring time {x.row} <= {t}")
-    rho_cs = Point(t, x.col, x.sym)
-    k2 = int(_row_inverse(J, t)[J.grid[x.row, x.col]])
-    rho_ds = Point(t, k2, x.sym)
-    return rho_cs, rho_ds
-
-
-def kill_mask(L_row: np.ndarray, t: int, J: LatinRectangle,
-              shape: Shape) -> np.ndarray:
-    """(m, n, n) bool kill indicators induced by placing L_row at row t.
-
-    A point x in a later row dies iff the placed row occupies the point of
-    x's column/symbol line or of x's diagonal/symbol line on row t.  Per
-    local line of a later row this kills at most 2 points; rows <= t are
-    all False.  The dense form of later_kills, kept as its oracle.
-    """
-    m, n = shape.m, shape.n
-    L_row = np.asarray(L_row, dtype=np.int64)
-    killed = np.zeros((m, n, n), dtype=bool)
-    if t + 1 < m:
-        i, k = np.ogrid[t + 1:m, :n]
-        killed[i, k, L_row[k]] = True
-        killed[i, k, L_row[diag_column_map(J, t, t + 1)]] = True
-    return killed
-
-
 def later_kills(L_row: np.ndarray, k2: np.ndarray) -> np.ndarray:
     """The two killed symbols of each cell of the rows whose diagonal
     column map is k2, as an (rows, n, 2) int64 array.
@@ -426,7 +374,9 @@ def later_kills(L_row: np.ndarray, k2: np.ndarray) -> np.ndarray:
     Point (i, k, g) dies iff g = L_row[k] (its column/symbol line meets the
     placed cell (t, k)) or g = L_row[k2[i, k]] (its diagonal/symbol line
     meets the placed cell on its diagonal).  The two symbols differ, as L_row
-    is a permutation and k2[i, k] != k (see central_projections).
+    is a permutation and k2[i, k] != k: J is column-injective, so the
+    diagonal of (i, k), the cells holding J[i, k], meets row t in a column
+    other than k.
     """
     L_row = np.asarray(L_row, dtype=np.int64)
     killed = np.empty(k2.shape + (2,), dtype=np.int64)
@@ -439,7 +389,9 @@ def survival_blocks(q, k2: np.ndarray, one):
     """Yield (a, den) over consecutive blocks of the rows of k2, where
     den[i - a, k, g] = (1 - q[k, g]) - q[k2[i, k], g] is the survival
     probability 1 - q(rho_cs) - q(rho_ds) of the point (i, k, g) of the
-    rows whose diagonal column map is k2 (one is 1 in q's arithmetic).
+    rows whose diagonal column map is k2 (one is 1 in q's arithmetic):
+    rho_cs = (t, k, g) and rho_ds = (t, k2[i, k], g) are the points of the
+    placed row t on its column/symbol and its diagonal/symbol line.
 
     den takes the dtype of 1 - q, so an integer q (a permutation matrix)
     still gives float probabilities; degenerate values are kept as they

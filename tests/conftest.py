@@ -5,7 +5,9 @@ import pytest
 
 from orthomate import LatinRectangle
 from orthomate.baselines import random_latin_rectangle
-from orthomate.process import diag_column_map, kill_mask, survival_blocks
+from orthomate.process import diag_column_map, survival_blocks
+
+from oracles import kill_mask
 
 
 @pytest.fixture

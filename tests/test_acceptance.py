@@ -16,12 +16,9 @@ import pytest
 from orthomate import (
     LatinRectangle,
     backtrack_mate,
-    birkhoff_decompose,
     build_fractional_matching,
-    cut_check_bruteforce,
     hall_greedy,
     run_process,
-    sample_matching,
     verify_latin,
     verify_orthogonal,
 )
@@ -31,6 +28,7 @@ from orthomate.cli import main as cli_main
 from orthomate.matching import solve_fixed_eta
 
 from conftest import kill_counts
+from oracles import birkhoff_decompose, cut_check_bruteforce, sample_matching
 
 ENSEMBLE = [
     # (n, epsilon, number of runs)

@@ -14,7 +14,6 @@ from orthomate import (
     NoPerfectMatching,
     Shape,
     backtrack_mate,
-    build_legality_graph,
     hall_greedy,
     random_latin_rectangle,
     run_process,
@@ -23,6 +22,7 @@ from orthomate import (
 )
 
 from conftest import random_rect
+from oracles import build_legality_graph
 
 
 class TestHallGreedy:

@@ -7,15 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orthomate import (
-    IndexOutOfRange,
     LatinRectangle,
-    LineId,
     NotLatin,
     ParseError,
-    Point,
     Shape,
     ShapeMismatch,
-    line_members,
     parse_rectangle,
     verify_latin,
     verify_orthogonal,
@@ -24,6 +20,7 @@ from orthomate.baselines import backtrack_mate
 from orthomate.core import verify_latin_grid
 
 from conftest import random_rect
+from oracles import line_members
 
 
 class TestParse:
@@ -100,6 +97,31 @@ class TestVerifyLatin:
         rect = random_rect(n, m, seed)
         assert verify_latin(rect).ok
 
+    @pytest.mark.parametrize("grid, match", [
+        ([[0.7, 1.2]], "dtype float64"),
+        ([[0.0, 1.0]], "dtype float64"),
+        ([[True, False]], "dtype bool"),
+        ([["1", "0"]], "dtype <U1"),
+        ([[2 ** 63, 0]], "dtype float64"),
+        ([[2 ** 64, 0]], "dtype object"),
+        # wraps to a negative int64
+        (np.array([[2 ** 63, 0]], dtype=np.uint64), r"outside \[0, n\)"),
+    ], ids=["fractional", "integral-float", "bool", "str", "2^63", "2^64",
+            "uint64-2^63"])
+    def test_non_integer_grid_rejected(self, grid, match):
+        # no entry is rounded, cast from bool or parsed from text, and
+        # none beyond int64 overflows while it is cast
+        with pytest.raises(NotLatin, match=match):
+            LatinRectangle(Shape(n=2, m=1), grid)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint8,
+                                       np.uint64])
+    def test_integer_dtypes_accepted(self, dtype):
+        grid = np.array([[0, 1, 2], [1, 2, 0]], dtype=dtype)
+        rect = LatinRectangle(Shape(n=3, m=2), grid)
+        assert rect.grid.dtype == np.int64
+        assert rect.grid.tolist() == [[0, 1, 2], [1, 2, 0]]
+
     def test_row_indicator_sums(self):
         # row-exactness is the all-ones indicator sum per (row, symbol)
         rect = random_rect(6, 4, seed=3)
@@ -144,35 +166,31 @@ class TestVerifyOrthogonal:
 
 class TestLines:
     def test_rc_line(self):
-        pts = line_members(LineId("RC", 0, 0), Shape(n=3, m=2))
-        assert pts == [Point(0, 0, 0), Point(0, 0, 1), Point(0, 0, 2)]
+        pts = line_members(("RC", 0, 0), Shape(n=3, m=2))
+        assert pts == [(0, 0, 0), (0, 0, 1), (0, 0, 2)]
 
     def test_cs_line(self):
-        pts = line_members(LineId("CS", 1, 2), Shape(n=3, m=2))
-        assert pts == [Point(0, 1, 2), Point(1, 1, 2)]
+        pts = line_members(("CS", 1, 2), Shape(n=3, m=2))
+        assert pts == [(0, 1, 2), (1, 1, 2)]
 
     def test_ds_line_reads_diagonal(self, z3):
         # diagonal 0 of the cyclic Z3 square: cells (0,0), (1,2), (2,1)
-        pts = line_members(LineId("DS", 0, 1), z3.shape, z3)
-        assert pts == [Point(0, 0, 1), Point(1, 2, 1), Point(2, 1, 1)]
-        for p in pts:
-            assert z3.grid[p.row, p.col] == 0
+        pts = line_members(("DS", 0, 1), z3.shape, z3)
+        assert pts == [(0, 0, 1), (1, 2, 1), (2, 1, 1)]
+        for row, col, _ in pts:
+            assert z3.grid[row, col] == 0
 
     def test_ds_requires_reference(self):
         with pytest.raises(ValueError):
-            line_members(LineId("DS", 0, 0), Shape(n=3, m=2))
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexOutOfRange):
-            line_members(LineId("RC", 5, 0), Shape(n=3, m=2))
+            line_members(("DS", 0, 0), Shape(n=3, m=2))
 
     def test_sizes(self, z3):
         shape = Shape(n=3, m=2)
         rect = LatinRectangle.cyclic(3, 2)
-        assert len(line_members(LineId("RC", 1, 2), shape)) == 3
-        assert len(line_members(LineId("RS", 0, 1), shape)) == 3
-        assert len(line_members(LineId("CS", 2, 0), shape)) == 2
-        assert len(line_members(LineId("DS", 2, 0), shape, rect)) == 2
+        assert len(line_members(("RC", 1, 2), shape)) == 3
+        assert len(line_members(("RS", 0, 1), shape)) == 3
+        assert len(line_members(("CS", 2, 0), shape)) == 2
+        assert len(line_members(("DS", 2, 0), shape, rect)) == 2
 
     @pytest.mark.parametrize("n,m", [(3, 2), (4, 3), (6, 3)])
     def test_linear_hypergraph(self, n, m):
@@ -182,15 +200,15 @@ class TestLines:
         lines = []
         for i in range(m):
             for k in range(n):
-                lines.append(line_members(LineId("RC", i, k), shape))
+                lines.append(line_members(("RC", i, k), shape))
             for s in range(n):
-                lines.append(line_members(LineId("RS", i, s), shape))
+                lines.append(line_members(("RS", i, s), shape))
         for k in range(n):
             for s in range(n):
-                lines.append(line_members(LineId("CS", k, s), shape))
+                lines.append(line_members(("CS", k, s), shape))
         for d in range(n):
             for s in range(n):
-                lines.append(line_members(LineId("DS", d, s), shape, J))
+                lines.append(line_members(("DS", d, s), shape, J))
         membership = {}
         for idx, pts in enumerate(lines):
             for a, b in itertools.combinations(sorted(pts), 2):

@@ -38,14 +38,13 @@ from orthomate import (
     build_fractional_matching,
     check_gamma,
     init_state,
-    kill_mask,
     normalize_row,
     run_process,
     sample_matching_lazy,
     verify_orthogonal,
 )
 from orthomate import diagnostics, matching, maxflow, process
-from orthomate.baselines import build_legality_graph, hall_greedy
+from orthomate.baselines import hall_greedy
 from orthomate.bipartite import SupportGraph, perfect_matching_scipy
 from orthomate.matching import (
     ZERO_TOL,
@@ -58,6 +57,7 @@ from orthomate.matching import (
 from orthomate.process import gamma_bounds
 
 from conftest import random_rect, survival
+from oracles import build_legality_graph, kill_mask
 
 
 # --------------------------------------------------------------- references

@@ -13,28 +13,24 @@ from orthomate import (
     DegenerateDenominator,
     GammaReport,
     LatinRectangle,
-    Point,
     ProcessConfig,
-    RowAlreadyColoured,
     Shape,
     advance_state,
-    birkhoff_decompose,
     build_fractional_matching,
-    central_projections,
     check_gamma,
     init_state,
-    kill_mask,
-    line_members,
     normalize_row,
     run_process,
     sample_matching_lazy,
     verify_latin,
     verify_orthogonal,
 )
-from orthomate.core import IndexOutOfRange, LineId, OrthomateError
+from orthomate.core import OrthomateError
 from orthomate.process import diag_column_map, gamma_bounds, later_kills
 
 from conftest import random_rect, survival
+from oracles import (birkhoff_decompose, central_projections, kill_mask,
+                     line_members)
 
 
 class TestInitState:
@@ -121,10 +117,10 @@ class TestProjections:
     def test_derived_example_z3(self, z3):
         # x = (2, 0, 1), active row 0: diagonal J(2,0)=2 meets row 0 where
         # J(0, k') = 2, i.e. k' = 2
-        rho_cs, rho_ds = central_projections(Point(2, 0, 1), 0, z3)
-        assert rho_cs == Point(0, 0, 1)
-        assert rho_ds == Point(0, 2, 1)
-        assert z3.grid[0, rho_ds.col] == z3.grid[2, 0]
+        rho_cs, rho_ds = central_projections((2, 0, 1), 0, z3)
+        assert rho_cs == (0, 0, 1)
+        assert rho_ds == (0, 2, 1)
+        assert z3.grid[0, rho_ds[1]] == z3.grid[2, 0]
 
     def test_always_distinct(self):
         J = random_rect(5, 4, seed=2)
@@ -132,38 +128,20 @@ class TestProjections:
             for i in range(t + 1, 4):
                 for k in range(5):
                     for s in range(5):
-                        a, b = central_projections(Point(i, k, s), t, J)
+                        a, b = central_projections((i, k, s), t, J)
                         assert a != b
-                        assert a.row == b.row == t
-                        assert a.sym == b.sym == s
+                        assert a[0] == b[0] == t
+                        assert a[2] == b[2] == s
 
     def test_projections_lie_on_the_lines(self, z3):
         # oracle: membership in the point's CS and DS lines
-        x = Point(2, 1, 0)
+        row, col, sym = x = (2, 1, 0)
         rho_cs, rho_ds = central_projections(x, 0, z3)
-        cs_line = line_members(LineId("CS", x.col, x.sym), z3.shape)
-        ds_line = line_members(
-            LineId("DS", int(z3.grid[x.row, x.col]), x.sym), z3.shape, z3)
+        cs_line = line_members(("CS", col, sym), z3.shape)
+        ds_line = line_members(("DS", int(z3.grid[row, col]), sym),
+                               z3.shape, z3)
         assert rho_cs in cs_line
         assert rho_ds in ds_line
-
-    def test_active_row_rejected(self, z3):
-        with pytest.raises(RowAlreadyColoured):
-            central_projections(Point(0, 1, 2), 0, z3)
-        with pytest.raises(RowAlreadyColoured):
-            central_projections(Point(1, 1, 2), 2, z3)
-
-    @pytest.mark.parametrize("x, t", [
-        (Point(7, 0, 0), 0),
-        (Point(2, 9, 0), 0),
-        (Point(2, -1, 0), 0),
-        (Point(2, 0, 9), 0),
-        (Point(2, 0, 0), -1),
-    ])
-    def test_outside_the_grid_rejected(self, x, t):
-        J = LatinRectangle.cyclic(5, 3)
-        with pytest.raises(IndexOutOfRange):
-            central_projections(x, t, J)
 
 
 def brute_force_kills(L_row, t, J):
@@ -174,10 +152,10 @@ def brute_force_kills(L_row, t, J):
     for i in range(t + 1, m):
         for k in range(n):
             for s in range(n):
-                cs = set(line_members(LineId("CS", k, s), J.shape))
+                cs = set(line_members(("CS", k, s), J.shape))
                 ds = set(line_members(
-                    LineId("DS", int(J.grid[i, k]), s), J.shape, J))
-                if (cs | ds) & {Point(*p) for p in placed}:
+                    ("DS", int(J.grid[i, k]), s), J.shape, J))
+                if (cs | ds) & placed:
                     killed.add((i, k, s))
     return killed
 
@@ -218,9 +196,9 @@ class TestKillMask:
                 assert got.dtype == want.dtype and np.array_equal(got, want)
         for i in range(1, J.shape.m):
             for k in range(J.shape.n):
-                x = Point(i, k, int((i * 3 + k) % J.shape.n))
+                x = (i, k, int((i * 3 + k) % J.shape.n))
                 _, ds = central_projections(x, i - 1, J)
-                assert ds.col == inv[i - 1, J.grid[i, k]]
+                assert ds[1] == inv[i - 1, J.grid[i, k]]
 
 
 class TestAdvanceState:
@@ -246,10 +224,10 @@ class TestAdvanceState:
         q[np.arange(3), [0, 1, 2]] = 1.0  # all mass on the identity row
         after = advance_state(state, q, np.array([0, 1, 2]), z3)
         # (1, 0, 2): projections (0, 0, 2) and (0, 1, 2) both carry no q mass
-        x = Point(1, 0, 2)
-        rho_cs, rho_ds = central_projections(x, 0, z3)
-        assert q[rho_cs.col, rho_cs.sym] == 0 and q[rho_ds.col, rho_ds.sym] == 0
-        assert after.p[x.row, x.col, x.sym] == state.p[x.row, x.col, x.sym]
+        x = (1, 0, 2)
+        (_, k_cs, g_cs), (_, k_ds, g_ds) = central_projections(x, 0, z3)
+        assert q[k_cs, g_cs] == 0 and q[k_ds, g_ds] == 0
+        assert after.p[x] == state.p[x]
 
     def test_survivors_monotone(self):
         for seed in range(5):
@@ -673,8 +651,7 @@ def _removed_keyword_calls():
     that took the recorder's statistics hand-off, each passing that keyword
     with an otherwise valid argument list."""
     from orthomate.diagnostics import TrajectoryRecorder
-    from orthomate.matching import (birkhoff_terms, cut_check_bruteforce,
-                                    solve_fixed_eta)
+    from orthomate.matching import birkhoff_terms, solve_fixed_eta
 
     J = LatinRectangle.cyclic(4, 2)
     rng = np.random.default_rng(0)
@@ -685,12 +662,6 @@ def _removed_keyword_calls():
         "advance_state(den_tol=)": lambda: advance_state(
             init_state(J.shape), np.full((4, 4), 0.25), np.arange(4), J,
             den_tol=1e-12),
-        "cut_check_bruteforce(feas_tol=)": lambda: cut_check_bruteforce(
-            np.full((3, 3), 1 / 3), 0.0, feas_tol=0.0),
-        "birkhoff_decompose(ds_tol=)": lambda: birkhoff_decompose(
-            np.eye(3), ds_tol=1e-6),
-        "birkhoff_decompose(zero_tol=)": lambda: birkhoff_decompose(
-            np.eye(3), zero_tol=1e-12),
         "birkhoff_terms(zero_tol=)": lambda: birkhoff_terms(
             np.eye(3), zero_tol=1e-12),
         "sample_matching_lazy(zero_tol=)": lambda: sample_matching_lazy(
@@ -719,10 +690,13 @@ def _removed_names():
     probabilities and the column map from the blocks the transition hands
     it (diagnostics imports none of the transition's helpers) and no state
     carries them, the records keep no kill count that the kill rule fixes,
-    scipy's Hopcroft-Karp is the one perfect matcher, and a row's flow
-    certificates are asked through one maxflow.RowCertificates."""
+    scipy's Hopcroft-Karp is the one perfect matcher, a row's flow
+    certificates are asked through one maxflow.RowCertificates, and the
+    library keeps neither the paper's point and line vocabulary nor the
+    oracles that only tests call (tests/oracles.py holds those)."""
     import orthomate
-    from orthomate import bipartite, diagnostics, matching, maxflow, process
+    from orthomate import (baselines, bipartite, core, diagnostics, matching,
+                           maxflow, process)
     from orthomate.bipartite import SupportGraph
     from orthomate.diagnostics import (SummaryReport, TrajectoryStats,
                                        summarize)
@@ -730,7 +704,22 @@ def _removed_names():
     out = run_process(random_rect(8, 4, 0), seed=0)
     record, summary = out.trajectory.records[0], summarize(out.trajectory)
 
+    out_of_library = {
+        core: ("Point", "LINE_CLASSES", "LineId", "IndexOutOfRange",
+               "line_members"),
+        process: ("RowAlreadyColoured", "central_projections", "kill_mask"),
+        matching: ("TooLarge", "CUT_BRUTEFORCE_MAX_N", "cut_check_bruteforce",
+                   "_cut_check_exact", "birkhoff_decompose",
+                   "sample_matching"),
+        baselines: ("build_legality_graph",),
+    }
+    # the package exported each of them but the constants and the helper
+    exported = [attr for attrs in out_of_library.values() for attr in attrs
+                if not (attr.isupper() or attr.startswith("_"))]
     return {
+        **{f"{owner.__name__.rpartition('.')[2]}.{attr}": (owner, attr)
+           for owner, attrs in out_of_library.items() for attr in attrs},
+        **{f"orthomate.{attr}": (orthomate, attr) for attr in exported},
         "orthomate.BirkhoffDecomposition": (orthomate, "BirkhoffDecomposition"),
         "matching.BirkhoffDecomposition": (matching, "BirkhoffDecomposition"),
         "bipartite.perfect_matching_on_mask": (bipartite,
