@@ -13,6 +13,7 @@ parallel runs.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -37,12 +38,22 @@ class ShapeMismatch(OrthomateError):
 
 @dataclass(frozen=True)
 class Shape:
-    """Grid dimensions: n columns (= symbols), m <= n rows."""
+    """Grid dimensions: n columns (= symbols), m <= n rows.
+
+    Raises:
+        ValueError: n or m is not an integer (a bool is not one), or
+            1 <= m <= n fails.
+    """
 
     n: int
     m: int
 
     def __post_init__(self):
+        for name in ("n", "m"):
+            value = getattr(self, name)
+            if (not isinstance(value, numbers.Integral)
+                    or isinstance(value, bool)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not (1 <= self.m <= self.n):
             raise ValueError(f"need 1 <= m <= n, got m={self.m}, n={self.n}")
 

@@ -27,6 +27,9 @@ read by before_step, from the state's p, before the transition runs: the
 old values of the spot sample and of the tracked lines, and at t = 0 the
 line sums.  record_step raises, and never walks the step itself, when
 before_step did not see the step or the blocks do not cover the rows > t.
+The indices a step reads (the live triples, the column maps of the
+samples) are taken once per step and shared by before_step and
+record_step; the blocks' largest residual and ratio are kept as scalars.
 
 c_max is that one row's largest pair sum (largest_pair_sum: the same on
 every BLAS kernel), not the largest over every row > t, which would cost
@@ -112,8 +115,10 @@ def largest_pair_sum(row: np.ndarray) -> float:
     gram = pair_sums(row)
     top = gram.max()
     n = row.shape[0]
-    k, l = np.nonzero(np.triu(gram >= top * (1.0 - 4 * (n + 2) * 2.0 ** -53),
-                              1))
+    k, l = np.divmod(np.flatnonzero(
+        gram >= top * (1.0 - 4 * (n + 2) * 2.0 ** -53)), n)
+    upper = k < l
+    k, l = k[upper], l[upper]
     return max(map(math.fsum, (row[k] * row[l]).tolist()),
                default=float(top))
 
@@ -202,6 +207,21 @@ class TrajectoryRecorder:
         self.triples = np.array(
             [(j % m, j, (j + 1) % n) for j in range(k) if n >= 2],
             dtype=np.int64).reshape(-1, 3).T
+        # the triples with k != l, each's row, lines and the symbols
+        # J[i, k], J[i, l]; a step reads those in rows > t
+        distinct = self.triples[1] != self.triples[2]
+        self._tri_i = self.triples[0, distinct]
+        self._tri_kl = self.triples[1:, distinct]
+        self._tri_cells = J.grid[self._tri_i, self._tri_kl]
+        # the spot point (i, j, (i + j) mod n) of every row i and column j
+        # in lines: its symbol, its flat index into p and into q, and J[i, j]
+        rows = np.arange(m)[:, None]
+        self._spot_g = (rows + self.lines) % n
+        self._spot_p = (rows * n + self.lines) * n + self._spot_g
+        self._spot_q = self.lines * n + self._spot_g
+        self._spot_cells = J.grid[:, :k]
+        # (t, the indices step t reads), None before any step (_sample)
+        self._step = None
         # (t, next row) of the step observe_block folds, None when none
         self._seen = None
         # what before_step read of the state before the step, None when none
@@ -214,8 +234,8 @@ class TrajectoryRecorder:
         the spot sample and of the tracked lines in the rows > t, as
         float64.  Called once per step, before advance_state."""
         t = state.t
-        i, k, g = self._spot_points(t)
-        spot = np.asarray(state.p[i, k, g], dtype=np.float64)
+        spot = np.asarray(state.p.reshape(-1)[self._spot_p[t + 1:]],
+                          dtype=np.float64)
         self._before = (t, state_line_sums(state), spot,
                         self._tracked_lines(state.p, t))
 
@@ -226,7 +246,8 @@ class TrajectoryRecorder:
         The block's column map must equal the recorder's own, from its row
         inverse of J.  Nothing of the call is kept."""
         if lo == t + 1:
-            self._fresh, self._mart, self._ratios = 0, [], []
+            # the step's fresh kills, largest residual and largest ratio
+            self._fresh, self._mart, self._ratio = 0, -math.inf, math.nan
             self._same_map = True
             self._seen = (t, lo)
         if self._seen != (t, lo):
@@ -236,24 +257,24 @@ class TrajectoryRecorder:
         self._seen = (t, hi)
         self._same_map &= np.array_equal(k2, self.Jinv[t][self.J.grid[lo:hi]])
         pb, den = np.asarray(old, np.float64), np.asarray(den, np.float64)
-        self._fresh += int(np.count_nonzero(pb[kills] > 0))
+        d, b = den.take(kills), pb.take(kills)
+        self._fresh += int(np.count_nonzero(b > 0))
         # martingale residual |den * s - p|, s = p' at a survivor and p / den
         # at a killed point (the two branches of the expectation), and |p'|
         # where den <= 0 or is nan: such a point is certainly killed
         buf = np.multiply(den, new)
         np.subtract(buf, pb, out=buf)
         np.abs(buf, out=buf)
-        d, b = den[kills], pb[kills]
-        buf[kills] = np.abs(d * (b / np.where(d > 0, d, 1.0)) - b)
+        buf.put(kills, np.abs(d * (b / np.where(d > 0, d, 1.0)) - b))
         if not (all_positive or den.min() > 0):
             low = ~(den > 0)
             buf[low] = np.abs(new[low])
-        self._mart.append(buf.max())
+        self._mart = np.maximum(self._mart, buf.max())
         # killed points and points of zero mass (0 / 0) are nan and ignored
         with np.errstate(divide="ignore", invalid="ignore"):
             np.divide(new, pb, out=buf)
-        buf[kills] = math.nan
-        self._ratios.append(np.fmax.reduce(buf.reshape(-1)))
+        buf.put(kills, math.nan)
+        self._ratio = np.fmax(self._ratio, np.fmax.reduce(buf.reshape(-1)))
 
     def record_step(self, before: GuidanceState, q_row, L_row: np.ndarray,
                     after: GuidanceState, eta_used: float = math.nan
@@ -303,19 +324,20 @@ class TrajectoryRecorder:
             c_max = largest_pair_sum(
                 np.asarray(after.p[t + 1], dtype=np.float64))
 
-            # np.max, not max(), wherever a nan must reach the record
+            # np.maximum, not max(), wherever a nan must reach the record
             spot = self._spot_residual(t, before.exact, q_raw, L_row, spot_b,
                                        after.p)
-            mart_res = (float(np.max(np.append(self._mart, spot)))
+            mart_res = (float(np.maximum(self._mart, spot))
                         if self._same_map else math.inf)
-            fresh_kills, ratio = self._fresh, np.fmax.reduce(self._ratios)
+            fresh_kills, ratio = self._fresh, self._ratio
             if not math.isnan(ratio):
                 growth_max = float(ratio)
 
         # rows < t are final and were in the records of the steps that
         # placed them, so the run's largest p_max is that of all its states;
         # row t of after is row t of before, which the transition keeps
-        p_max = float(np.max(np.append(sums_b.row_max[:1], sums_a.row_max)))
+        p_max = float(np.maximum(sums_b.row_max[0],
+                                 sums_a.row_max.max(initial=-math.inf)))
 
         c_dev_max = self._tracked_c_deviation(
             lines_b, self._tracked_lines(after.p, t), q, t)
@@ -329,49 +351,54 @@ class TrajectoryRecorder:
         self.stats.records.append(rec)
         return rec
 
-    def _spot_points(self, t):
-        """(i, k, g) of the spot sample of step t: the points
-        (i, j, (i + j) mod n) of every row i > t for the columns j in
-        self.lines, as index arrays of shape (rows > t, lines)."""
-        i = np.arange(t + 1, self.m)[:, None]
-        k = self.lines[None, :]
-        return i, k, (i + k) % self.n
+    def _sample(self, t):
+        """The indices step t reads, taken once per step and kept until a
+        step other than t asks: the row i and lines (k, l) of each tracked
+        triple in a row > t with k != l, as i and a (2, triples) array, the
+        columns where those lines' diagonals meet row t (the same shape),
+        and the column where the diagonal of each spot point meets row t,
+        as a (rows > t, lines) array."""
+        if self._step is None or self._step[0] != t:
+            live = self._tri_i > t
+            # a finished state, t = m, has no row > t: every array is empty
+            inv = self.Jinv[t] if t < self.m else self.Jinv[:0, 0]
+            self._step = (t, self._tri_i[live], self._tri_kl[:, live],
+                          inv[self._tri_cells[:, live]],
+                          inv[self._spot_cells[t + 1:]])
+        return self._step
 
-    def _spot_residual(self, t, exact, q, L_row, b, p) -> np.ndarray:
-        """The martingale residual at the sample points of step t, whose
-        old values are b (before_step's) and new values are read from p,
-        the new state's, independent of the transition's kill and survival
-        code.
+    def _spot_residual(self, t, exact, q, L_row, b, p):
+        """The largest martingale residual at the spot points of step t:
+        the points (i, j, (i + j) mod n) of every row i > t for the columns
+        j in self.lines, whose old values are b (before_step's) and new
+        values are read from p, the new state's, independent of the
+        transition's kill and survival code.
 
-        The survival probability 1 - q(rho_cs) - q(rho_ds) of each point
-        (_spot_points) is recomputed from q and the recorder's own row
-        inverse of J, in the same order and dtype as advance_state, and its
-        kill indicator from L_row.  A point the rule kills must also be
-        zero in the new state.  On a correct transition every value equals
-        the block's value at that point.
+        The survival probability 1 - q(rho_cs) - q(rho_ds) of each point is
+        recomputed from q and the recorder's own row inverse of J, in the
+        same order and dtype as advance_state, and its kill indicator from
+        L_row.  A point the rule kills must also be zero in the new state.
+        On a correct transition every value equals the block's value at
+        that point.
         """
-        i, k, g = self._spot_points(t)
-        a = np.asarray(p[i, k, g], dtype=np.float64)
-        k2 = self.Jinv[t][self.J.grid[i, k]]
+        _, _, _, _, k2 = self._sample(t)
+        g = self._spot_g[t + 1:]
+        a = np.asarray(p.reshape(-1)[self._spot_p[t + 1:]], dtype=np.float64)
+        q_flat = q.reshape(-1)
         one = Fraction(1) if exact else 1.0
-        den = np.asarray((one - q[k, g]) - q[k2, g], dtype=np.float64)
-        killed = (g == L_row[k]) | (g == L_row[k2])
+        den = np.asarray((one - q_flat[self._spot_q[t + 1:]])
+                         - q_flat[k2 * self.n + g], dtype=np.float64)
+        killed = (g == L_row[self.lines]) | (g == L_row[k2])
         pos = den > 0
+        size = np.abs(a)
         survive = np.where(killed, b / np.where(pos, den, 1.0), a)
-        resid = np.where(pos, np.abs(den * survive - b), np.abs(a))
-        return np.where(killed, np.maximum(resid, np.abs(a)), resid)
-
-    def _live_triples(self, t):
-        """Row i and lines (k, l), as a (2, triples) array, of the
-        tracked triples of step t: those in rows > t with k != l."""
-        i, k, l = self.triples
-        live = (i > t) & (k != l)
-        return i[live], self.triples[1:, live]
+        resid = np.where(pos, np.abs(den * survive - b), size)
+        return np.where(killed, np.maximum(resid, size), resid).max()
 
     def _tracked_lines(self, p, t):
         """Lines k and l of the row i of each live triple of step t, as
         a float64 (2, triples, n) array, gathered from p at once."""
-        i, kl = self._live_triples(t)
+        _, i, kl, _, _ = self._sample(t)
         return np.asarray(p[i, kl], dtype=np.float64)
 
     def _tracked_c_deviation(self, lines_before, lines_after, q, t):
@@ -386,38 +413,43 @@ class TrajectoryRecorder:
         the products of two state lines, whose order depends on no BLAS
         kernel, and the drift is accumulated in triple order.
         """
-        # the diagonal column maps of both lines of each triple
-        i, kl = self._live_triples(t)
-        k2 = self.Jinv[t][self.J.grid[i, kl]]
+        _, _, kl, k2, _ = self._sample(t)
         (k, l), (k2k, k2l) = kl, k2
         (pk, pl), (ak, al) = lines_before, lines_after
         prod = pk * pl
         x_now = prod.sum(axis=1)
         x_next = (ak * al).sum(axis=1)
-        rk, rl = q[kl] + q[k2]
-        joint = np.zeros((i.size, self.n))
-        joint += np.where((k == k2l)[:, None], q[k, :], 0.0)
-        joint += np.where((k2k == l)[:, None], q[k2k, :], 0.0)
-        den_k = 1.0 - rk
-        den_l = 1.0 - rl
-        ok = (den_k > 0) & (den_l > 0)
-        factor = np.where(ok, (1.0 - rk - rl + joint) /
-                          np.where(ok, den_k * den_l, 1.0), 0.0)
+        # r: the q mass of each line's two projection points on row t,
+        # den = 1 - r: the line's survival probability
+        r = q[kl] + q[k2]
+        den = 1.0 - r
+        ok = (den > 0).all(axis=0)
+        # both lines survive with probability (1 - r_k) - r_l plus the
+        # joint kill probability, which is zero unless the lines share a
+        # projection point; 1 - r_k is never -0.0, nor is both, so adding
+        # that zero would change no bit
+        both = den[0] - r[1]
+        shared_k, shared_l = k == k2l, k2k == l
+        if shared_k.any() or shared_l.any():
+            both += (np.where(shared_k[:, None], q[k], 0.0)
+                     + np.where(shared_l[:, None], q[k2k], 0.0))
+        factor = np.where(ok, both / np.where(ok, den[0] * den[1], 1.0), 0.0)
         expected = (prod * factor).sum(axis=1)
-        # Python's max(a, b) keeps a unless b > a: fmax and the where()s
-        # below skip a nan and turn -0.0 into 0.0 in the same places, and,
-        # as Python's float arithmetic, an inf - inf is a quiet nan
+        # as Python's max(a, b), which keeps a unless b > a: fmax and the
+        # where() skip a nan deviation or rise and turn -0.0 into 0.0,
+        # maximum keeps a nan x_now and lifts a -0.0 one to x0; an
+        # inf - inf is a quiet nan, as in Python's float arithmetic
         x0 = 1.0 / self.n
         with np.errstate(invalid="ignore"):
             worst = float(np.fmax.reduce(np.abs(x_next - expected),
                                          initial=0.0))
             rise = expected - x_now
-            gain = (np.where(rise > 0.0, rise, 0.0)
-                    / np.where(x0 > x_now, x0, x_now))
-        # accumulate adds one value at a time, in triple order
-        stats = self.stats
-        stats.drift_c_cumulative = float(np.add.accumulate(
-            np.append(stats.drift_c_cumulative, gain))[-1])
+            gain = np.where(rise > 0.0, rise, 0.0) / np.maximum(x_now, x0)
+        # one value at a time, in triple order
+        drift = self.stats.drift_c_cumulative
+        for value in gain.tolist():
+            drift += value
+        self.stats.drift_c_cumulative = drift
         return worst
 
 

@@ -269,12 +269,16 @@ def birkhoff_terms(q):
     the level (fell below the threshold, or to 0 on the full support);
     the graph stays the CSR of the level's mask rebuilt from scratch.  The
     matched entries are read and written through a flat view of the
-    working copy, and when all of them leave the level, the usual case,
-    the graph deletes them as one matching (SupportGraph.drop_matching).  A
-    miss halves the threshold and builds the next level's graph.
+    working copy; one reduction, their largest value, tells whether all of
+    them leave the level, the usual case, in which the graph deletes them
+    as one matching (SupportGraph.drop_matching).  A miss halves the
+    threshold and builds the next level's graph.
 
     q may hold float64 or Fraction entries.  Entries below zero_tol, ZERO_TOL
-    for floats and 0 for Fractions, are truncated to zero.
+    for floats and 0 for Fractions, are truncated to zero: on the full
+    support after each term, above it at the miss that ends the level, as
+    such an entry has left the level and no term of it reads the entry
+    again.
     The walk ends when the coefficients sum to 1 (within 1e-12 for floats)
     or, for floats, when no support matching is left and the residual mass
     is float dust below 1e-9.
@@ -308,6 +312,9 @@ def birkhoff_terms(q):
                 raise NoSupportMatching(
                     f"support violates Hall at residual mass {float(1 - acc):.3e}"
                 )
+            # the terms of this level leave their dust below zero_tol in Q
+            # (see below); truncate it before Q is read again
+            Q[Q < zero_tol] = 0
             pos = Q[Q > 0]
             theta = theta / 2
             if pos.size == 0 or theta < pos.min():
@@ -323,16 +330,23 @@ def birkhoff_terms(q):
         if 1 - acc <= stop_tol:
             return
         # only the matched entries change, so only they can fall below
-        # zero_tol or leave the level; every other entry keeps its place
+        # zero_tol or leave the level; every other entry keeps its place.
+        # Above the full support theta > zero_tol, so an entry that falls
+        # below zero_tol leaves the level, and no term reads it again: the
+        # miss that ends the level truncates it
         matched -= c
-        matched[matched < zero_tol] = 0
+        if full:
+            matched[matched < zero_tol] = 0
         flat[entries] = matched
-        stay = (matched > 0) if full else (matched >= theta)
-        if stay.any():
-            gone = np.flatnonzero(~stay)
+        # one reduction tells the usual term, in which every matched edge
+        # leaves the level, from a term after which some edge stays
+        top = matched.max()
+        if (top > 0) if full else (top >= theta):
+            stay = (matched > 0) if full else (matched >= theta)
+            gone = (~stay).nonzero()[0]
             graph.drop(gone, match[gone])
         else:
-            graph.drop_matching(match)  # every matched edge leaves
+            graph.drop_matching(match)
     raise NoSupportMatching("Birkhoff walk failed to terminate")
 
 

@@ -457,7 +457,9 @@ def advance_state(state: GuidanceState, q, L_row: np.ndarray,
     probabilities, after the block is divided and its kills zeroed:
     observe(t, lo, old, new, den, k2, kills, all_positive) gets rows
     lo .. lo + len(den) - 1 of p and of the new p (as float64), their den,
-    k2 and kill index, and whether every den is known to be > 0.  In place,
+    k2, the flat index into those rows, ((i - lo) * n + k) * n + g, of each
+    killed point (i, k, g) as a (rows, n, 2) array, and whether every den
+    is known to be > 0.  In place,
     old is a copy of the block taken before it is divided, in one
     block-sized buffer; that buffer and den are reused by the next block,
     so observe keeps nothing from the call
@@ -498,9 +500,9 @@ def advance_state(state: GuidanceState, q, L_row: np.ndarray,
     q_max = np.max(q)
     dmin = (one - q_max) - q_max
     all_clear = dmin > tol
-    # row and column indices that pair with killed[a:b] to name its points
-    i_idx = np.arange(m)[:, None, None]
-    k_idx = np.arange(n)[None, :, None]
+    # ((i - lo) * n + k) * n for the cells (i, k) of a block of rows from
+    # lo: plus killed[i - t - 1, k], the flat index of a killed point
+    cells = (np.arange(m - t - 1)[:, None] * n + np.arange(n))[:, :, None] * n
 
     def low_points(den):
         """den <= tol, or None when no den of the block is that low (or
@@ -517,7 +519,7 @@ def advance_state(state: GuidanceState, q, L_row: np.ndarray,
                 continue
             lo = t + 1 + a
             survivor = p[lo:lo + len(den)] > 0
-            survivor[i_idx[:len(den)], k_idx, killed[a:a + len(den)]] = False
+            survivor.put(cells[:len(den)] + killed[a:a + len(den)], False)
             degenerate = low & survivor
             if degenerate.any():
                 i, k, g = np.argwhere(degenerate)[0]
@@ -528,7 +530,7 @@ def advance_state(state: GuidanceState, q, L_row: np.ndarray,
     for a, den in survival_blocks(q, k2, one):
         lo, hi = t + 1 + a, t + 1 + a + len(den)
         new = out[lo:hi]
-        kills = (i_idx[:len(den)], k_idx, killed[a:a + len(den)])
+        kills = cells[:len(den)] + killed[a:a + len(den)]
         old = p[lo:hi]
         if observe is not None and out is p:
             if held is None:
@@ -541,7 +543,7 @@ def advance_state(state: GuidanceState, q, L_row: np.ndarray,
         low = low_points(den)
         np.divide(p[lo:hi], den if low is None else np.where(low, one, den),
                   out=new)
-        new[kills] = 0 * one
+        new.put(kills, 0 * one)
         rows = new.astype(np.float64) if state.exact else new
         blk = slice(a, a + len(den))
         rows.sum(axis=2, out=sums.rc[blk])

@@ -228,3 +228,18 @@ class TestShape:
             Shape(n=3, m=4)
         with pytest.raises(ValueError):
             Shape(n=3, m=0)
+
+    @pytest.mark.parametrize("n, m", [
+        (4.0, 2), (4, 2.5), (4, 2.0), (True, True), (4, True), (False, 1),
+        ("4", 2), (None, 2), (4, np.float64(2))])
+    def test_non_integer_dimensions_rejected(self, n, m):
+        # a float, bool, string or None is no grid dimension, even where it
+        # equals an integer; numpy's float64 is a float
+        with pytest.raises(ValueError, match="must be an integer"):
+            Shape(n=n, m=m)
+
+    def test_numpy_integers_accepted(self):
+        shape = Shape(n=np.int64(4), m=np.int32(2))
+        assert shape == Shape(n=4, m=2)
+        rect = LatinRectangle(shape, np.array([[0, 1, 2, 3], [1, 2, 3, 0]]))
+        assert rect.shape.epsilon == 0.5

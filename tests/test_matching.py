@@ -14,6 +14,7 @@ from orthomate import (
     build_fractional_matching,
     init_state,
     normalize_row,
+    matching,
     maxflow,
     sample_matching_lazy,
 )
@@ -341,10 +342,9 @@ class TestBirkhoff:
 
 class TestSampling:
     def test_single_term_always(self):
-        terms = birkhoff_decompose(np.eye(3))
         rng = np.random.default_rng(0)
         for _ in range(20):
-            assert sample_matching(terms, rng).tolist() == [0, 1, 2]
+            assert sample_matching_lazy(np.eye(3), rng).tolist() == [0, 1, 2]
 
     def test_two_term_frequencies(self):
         m1 = [1, 2, 3, 0]
@@ -352,21 +352,35 @@ class TestSampling:
         q = np.zeros((4, 4))
         q[np.arange(4), m1] += 0.5
         q[np.arange(4), m2] += 0.5
-        terms = birkhoff_decompose(q)
         rng = np.random.default_rng(7)
         draws = 10_000
-        hits = sum(sample_matching(terms, rng)[0] == m1[0] for _ in range(draws))
+        hits = sum(sample_matching_lazy(q, rng)[0] == m1[0]
+                   for _ in range(draws))
         tol = 4.0 * math.sqrt(0.25 / draws)
         assert abs(hits / draws - 0.5) <= tol
 
-    def test_determinism(self):
-        q = random_doubly_stochastic(5, seed=3)
-        terms = birkhoff_decompose(q)
-        a = [sample_matching(terms, np.random.default_rng(11)).tolist()
-             for _ in range(1)]
-        b = [sample_matching(terms, np.random.default_rng(11)).tolist()
-             for _ in range(1)]
+    def test_determinism(self, monkeypatch):
+        # at n = 40 the draws walk past several threshold levels, so each
+        # builds, prunes and drops several level graphs before it stops;
+        # the same seed still draws the same permutation
+        q = random_doubly_stochastic(40, seed=3)
+        misses = []
+        match = matching.perfect_matching_scipy
+
+        def counted(graph):
+            got = match(graph)
+            misses.append(got is None)
+            return got
+
+        monkeypatch.setattr(matching, "perfect_matching_scipy", counted)
+        a = [sample_matching_lazy(q, np.random.default_rng(s)).tolist()
+             for s in range(11, 17)]
+        b = [sample_matching_lazy(q, np.random.default_rng(s)).tolist()
+             for s in range(11, 17)]
         assert a == b
+        assert all(sorted(draw) == list(range(40)) for draw in a)
+        # at least two missed levels a draw, on average
+        assert sum(misses) >= 2 * len(a + b)
 
     def test_lazy_determinism(self):
         q = random_doubly_stochastic(6, seed=5)
