@@ -69,7 +69,7 @@ def _mark_row(J: LatinRectangle, col_used: np.ndarray, diag_used: np.ndarray,
     diag_used[J.grid[t], row] = value
 
 
-def hall_greedy(J: LatinRectangle, m: Optional[int] = None,
+def hall_greedy(J: LatinRectangle,
                 rng: Union[int, np.random.Generator, None] = 0
                 ) -> LatinRectangle:
     """Row-by-row perfect-matching extension of an orthogonal mate.
@@ -77,8 +77,7 @@ def hall_greedy(J: LatinRectangle, m: Optional[int] = None,
     Guaranteed to succeed for m <= n/4; may legitimately fail beyond.
 
     Args:
-        J: reference rectangle; only its first m rows are mated.
-        m: number of rows to build (defaults to all of J's rows).
+        J: reference rectangle; the mate has as many rows.
         rng: seed or generator; each row draws a symbol permutation, then a
             column permutation, and scipy's matcher sees the legality graph
             with its symbols and columns reordered by them.
@@ -88,10 +87,7 @@ def hall_greedy(J: LatinRectangle, m: Optional[int] = None,
             (only possible when m > n/4).
     """
     rng = _as_rng(rng)
-    n = J.shape.n
-    m = J.shape.m if m is None else m
-    if m > J.shape.m:
-        raise ValueError(f"m={m} exceeds J's row count {J.shape.m}")
+    n, m = J.shape.n, J.shape.m
     grid = np.zeros((m, n), dtype=np.int64)
     col_used = np.zeros((n, n), dtype=bool)   # [k, g]: g used in column k
     diag_used = np.zeros((n, n), dtype=bool)  # [d, g]: g used on diagonal d
@@ -109,9 +105,7 @@ def hall_greedy(J: LatinRectangle, m: Optional[int] = None,
             )
         grid[t, col_order] = sym_order[match]
         _mark_row(J, col_used, diag_used, t, grid[t])
-    if m == J.shape.m:
-        return LatinRectangle(J.shape, grid)
-    return LatinRectangle(Shape(n=n, m=m), grid)
+    return LatinRectangle(J.shape, grid)
 
 
 def random_latin_rectangle(n: int, m: int,
@@ -122,17 +116,19 @@ def random_latin_rectangle(n: int, m: int,
     Each row is drawn by shuffled greedy choice over the still-available
     symbols per column, with augmenting-path repair when a column runs out.
     The first row is a uniform random permutation.
+
+    Raises:
+        ValueError: n or m is not an integer, or 1 <= m <= n fails (Shape).
     """
+    shape = Shape(n=n, m=m)
     rng = _as_rng(rng)
-    if not (1 <= m <= n):
-        raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
     avail = np.ones((n, n), dtype=bool)  # symbol g unused in column k
     grid = np.zeros((m, n), dtype=np.int64)
     for t in range(m):
         row = _random_row(avail, rng)
         grid[t] = row
         avail[np.arange(n), row] = False
-    return LatinRectangle(Shape(n=n, m=m), grid)
+    return LatinRectangle(shape, grid)
 
 
 def _random_row(avail: np.ndarray, rng: np.random.Generator) -> np.ndarray:

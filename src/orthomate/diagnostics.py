@@ -16,17 +16,17 @@ the row where run_process stopped (a Gamma exit or an infeasible row) or
 for any row after it.
 
 Everything is taken once: the line sums and row maxima from the
-process.LineSums the transition carries on before and after (taken here
-only for init_state's state, at t = 0), the pair sums of row t + 1 of
-after from process.pair_sums, the product check_gamma takes, and the fresh
-kills, martingale residual and growth ratio from each block of survival
+process.LineSums that before and after carry (the transition does not
+write the old state's), the pair sums of row t + 1 of after from
+process.pair_sums, the product check_gamma takes, and the fresh kills,
+martingale residual and growth ratio from each block of survival
 probabilities, kills and column map that advance_state hands to
-observe_block while it is in cache.  run_process advances its one p in
-place, so what the record needs of the old state beyond those blocks is
-read by before_step, from the state's p, before the transition runs: the
-old values of the spot sample and of the tracked lines, and at t = 0 the
-line sums.  record_step raises, and never walks the step itself, when
-before_step did not see the step or the blocks do not cover the rows > t.
+observe_block while it is in cache.  advance_state divides p in place, so
+what the record needs of the old p beyond those blocks is read by
+before_step, from the state's p, before the transition runs: the old
+values of the spot sample and of the tracked lines.  record_step raises,
+and never walks the step itself, when before_step did not see the step or
+the blocks do not cover the rows > t.
 The indices a step reads (the live triples, the column maps of the
 samples) are taken once per step and shared by before_step and
 record_step; the blocks' largest residual and ratio are kept as scalars.
@@ -72,7 +72,7 @@ from typing import Optional
 import numpy as np
 
 from .core import LatinRectangle, OrthomateError
-from .process import GuidanceState, pair_sums, state_line_sums
+from .process import GuidanceState, pair_sums
 
 
 class EmptyTrajectory(OrthomateError):
@@ -228,16 +228,14 @@ class TrajectoryRecorder:
         self._before = None
 
     def before_step(self, state: GuidanceState) -> None:
-        """Read what record_step needs of state before the transition
-        writes its p: the line sums of the rows >= t (state_line_sums,
-        which reads p only where state carries none), and the values of
-        the spot sample and of the tracked lines in the rows > t, as
-        float64.  Called once per step, before advance_state."""
+        """Read what record_step needs of state's p before the transition
+        writes it: the values of the spot sample and of the tracked lines
+        in the rows > t, as float64.  Called once per step, before
+        advance_state."""
         t = state.t
         spot = np.asarray(state.p.reshape(-1)[self._spot_p[t + 1:]],
                           dtype=np.float64)
-        self._before = (t, state_line_sums(state), spot,
-                        self._tracked_lines(state.p, t))
+        self._before = (t, spot, self._tracked_lines(state.p, t))
 
     def observe_block(self, t, lo, old, new, den, k2, kills, all_positive):
         """Fold one block of the rows > t of the transition at step t into
@@ -281,14 +279,14 @@ class TrajectoryRecorder:
                     ) -> StepRecord:
         """Record the transition before -> after under (q_row, L_row).
 
-        before is the state before_step saw (its p may be after's, if
-        the transition ran in place); of it only t and the arithmetic are
-        read here.  The line sums and row maxima are read from the
-        LineSums before (through before_step) and after carry
-        (process.state_line_sums), the fresh kills, the martingale
-        residual and the growth ratio from what observe_block folded of
-        the transition, and the pair sums of row t + 1 are taken here.
-        Steps of one run are recorded in order.
+        before is the state before_step saw, which the transition
+        consumed: its p is after's, so of it only t, the arithmetic and the
+        LineSums it carries, those of the old rows >= t, are read here.
+        The line sums and row maxima are read from the LineSums of before
+        and after, the fresh kills, the martingale residual and the growth
+        ratio from what observe_block folded of the transition, and the
+        pair sums of row t + 1 are taken here.  Steps of one run are
+        recorded in order.
 
         Raises:
             OrthomateError: before_step did not see step t, or
@@ -299,14 +297,14 @@ class TrajectoryRecorder:
         if pre is None or pre[0] != t:
             raise OrthomateError(f"step {t}: the state before the step was "
                                  "not observed (before_step)")
-        _, sums_b, spot_b, lines_b = pre
+        _, spot_b, lines_b = pre
         q_raw = np.asarray(q_row)
         q = np.asarray(q_raw, dtype=np.float64)
         L_row = np.asarray(L_row, dtype=np.int64)
 
         # line sums and row maxima of the rows >= t of before and > t of
-        # after, as the transition (or, at t = 0, before_step) took them
-        sums_a = state_line_sums(after)
+        # after, as the states carry them
+        sums_b, sums_a = before.line_sums, after.line_sums
         b_min = b_max = c_max = math.nan
         fresh_kills, mart_res, growth_max, b_dev_max = 0, 0.0, 1.0, 0.0
         if t + 1 < m:

@@ -32,20 +32,21 @@ The survival probabilities of a step are produced by survival_blocks, a
 few rows at a time in one reused buffer, and the killed symbols by
 later_kills, once per step: the transition hands a recorded run's blocks
 to the trajectory recorder, and no step holds the probabilities for all
-rows at once.  The transition also takes the line sums and row maxima of
-each block of new rows right after dividing it, while the block is in
-cache, and the new state carries them (GuidanceState.line_sums):
-check_gamma reads B and A's maximum from them, and the trajectory recorder
-its B statistics, so a step takes its line sums once.  run_process holds
-one (m, n, n) array for the whole run: each step divides the rows > t of
-p in place (advance_state with out=state.p), and a step that fails writes
-nothing.  Each state also carries a per-row ceiling on its largest C
-pair sum: init_state and check_gamma set it from pair sums they compute,
-the transition multiplies it by the step's growth bound, and check_gamma
-skips a row whose ceiling clears c_bound by the rounding margin
-C_CEILING_MARGIN; it is the only screen of C.  The trajectory recorder
-reads the ceiling nowhere and writes it nowhere, so a recorded run's
-checks multiply the same rows as an unrecorded run's.
+rows at once.  Every state carries the line sums and row maxima of its
+rows >= t (GuidanceState.line_sums): the transition takes those of each
+block of new rows right after dividing it, while the block is in cache,
+init_state those of its first row, as its rows are alike, and a state
+built by hand those of its p.  check_gamma reads B and A's maximum from
+them, and the trajectory recorder its B statistics, so a step takes its
+line sums once.  run_process holds one (m, n, n) array for the whole run:
+each step divides the rows > t of p in place (advance_state), and a step
+that fails writes nothing.  Each state also carries a per-row ceiling on
+its largest C pair sum: init_state and check_gamma set it from pair sums
+they compute, the transition multiplies it by the step's growth bound,
+and check_gamma skips a row whose ceiling clears c_bound by the rounding
+margin C_CEILING_MARGIN; it is the only screen of C.  The trajectory
+recorder reads the ceiling nowhere and writes it nowhere, so a recorded
+run's checks multiply the same rows as an unrecorded run's.
 """
 
 from __future__ import annotations
@@ -157,12 +158,18 @@ class LineSums:
     row_max[i - t] = max_{k, g} p(i, k, g).
 
     A reduction of each row alone gives the same bits as one over all rows,
-    so sums taken a block of rows at a time equal those of all rows at once.
+    so sums taken a block of rows at a time, or of one of several equal
+    rows, equal those of all rows at once.
     """
 
     rc: np.ndarray
     rs: np.ndarray
     row_max: np.ndarray
+
+    @classmethod
+    def of(cls, rows: np.ndarray) -> LineSums:
+        """The LineSums of rows, a float64 (rows, n, n) array."""
+        return cls(rows.sum(axis=2), rows.sum(axis=1), rows.max(axis=(1, 2)))
 
 
 @dataclass
@@ -179,15 +186,15 @@ class GuidanceState:
     and check_gamma set it from pair sums they compute, and advance_state
     carries it over to the next state.
 
-    line_sums, when not None, holds the LineSums of the rows >= t, which
-    advance_state takes as it writes them; check_gamma and the recorder
-    read them there and take them from p only where a state carries none
-    (init_state's, or one built by hand).
+    line_sums holds the LineSums of the rows >= t, which check_gamma and
+    the recorder read.  advance_state takes them as it writes the rows and
+    init_state from its first row; a state built without them takes them
+    from p when it is constructed.
 
-    Code that writes p of a state in place must reset the ceiling to +inf
-    and set line_sums to None.  advance_state(state, ..., out=state.p)
-    writes it too, and returns the state that owns the new p: the old
-    state is consumed and is not used again.
+    Code that writes p of a built state builds a new GuidanceState from
+    it, which takes its sums from the new p and starts its ceilings at
+    +inf.  advance_state writes p in place and returns the state that owns
+    the new p: the old state is consumed and is not advanced again.
     """
 
     shape: Shape
@@ -200,6 +207,8 @@ class GuidanceState:
     def __post_init__(self):
         if self.c_ceiling is None:
             self.c_ceiling = np.full(self.shape.m, math.inf)
+        if self.line_sums is None:
+            self.line_sums = LineSums.of(uncoloured_rows(self))
 
     @property
     def exact(self) -> bool:
@@ -223,15 +232,21 @@ class GammaReport:
 
 def init_state(shape: Shape, exact: bool = False) -> GuidanceState:
     """Uniform initial state p = 1/n everywhere; its rows are all alike, so
-    one row's pair sums set the C ceiling of every row."""
+    one row's line sums are those of every row, and its pair sums set the
+    C ceiling of every row."""
     m, n = shape.m, shape.n
     if exact:
         p = np.full((m, n, n), Fraction(1, n), dtype=object)
     else:
         p = np.full((m, n, n), 1.0 / n)
-    top = pair_sums(np.asarray(p[0], dtype=np.float64)).max()
-    return GuidanceState(shape=shape, t=0, p=p, c_ceiling=np.full(
-        m, float(top) * (1.0 + C_CEILING_MARGIN)))
+    first = np.asarray(p[:1], dtype=np.float64)
+    row = LineSums.of(first)
+    top = pair_sums(first[0]).max()
+    return GuidanceState(
+        shape=shape, t=0, p=p,
+        c_ceiling=np.full(m, float(top) * (1.0 + C_CEILING_MARGIN)),
+        line_sums=LineSums(*(np.repeat(a, m, axis=0)
+                             for a in (row.rc, row.rs, row.row_max))))
 
 
 def check_epsilon(epsilon) -> float:
@@ -280,17 +295,6 @@ def uncoloured_rows(state: GuidanceState) -> np.ndarray:
     return sub.astype(np.float64) if state.exact else sub
 
 
-def state_line_sums(state: GuidanceState, rows: Optional[np.ndarray] = None
-                    ) -> LineSums:
-    """The LineSums of state's rows >= t: the ones it carries, or else those
-    of rows, its uncoloured_rows (taken here when not given)."""
-    if state.line_sums is not None:
-        return state.line_sums
-    if rows is None:
-        rows = uncoloured_rows(state)
-    return LineSums(rows.sum(axis=2), rows.sum(axis=1), rows.max(axis=(1, 2)))
-
-
 def check_gamma(state: GuidanceState, epsilon: float) -> GammaReport:
     """Check the three goodness families and report each violated one's count
     and first violation in row-major order, B's RC lines before its RS ones.
@@ -300,9 +304,9 @@ def check_gamma(state: GuidanceState, epsilon: float) -> GammaReport:
     checking it again could not find anything new.
 
     B and the largest entry, which decides whether A needs its per-point
-    pass, come from state_line_sums: the sums and row maxima the transition
-    carries, or, on a state that carries none, taken here from p.  p itself
-    is read only for the points that break A and for C.
+    pass, come from the sums and row maxima the state carries
+    (state.line_sums).  p itself is read only for the points that break A
+    and for C.
 
     C is checked on the rows whose state.c_ceiling does not clear it: a
     row with a ceiling at most c_bound (1 - C_CEILING_MARGIN) cannot break
@@ -315,7 +319,7 @@ def check_gamma(state: GuidanceState, epsilon: float) -> GammaReport:
     n, t = state.shape.n, state.t
     a_bound, b_lo, b_hi, c_bound = gamma_bounds(n, epsilon)
     sub = uncoloured_rows(state)
-    sums = state_line_sums(state, sub)
+    sums = state.line_sums
     found = []  # (GammaViolation, count) of each violated family
 
     def add(ineq, count, bad, values, place, hi, lo=-math.inf):
@@ -427,9 +431,8 @@ def _grown_ceiling(ceiling: np.ndarray, dmin) -> np.ndarray:
 
 
 def advance_state(state: GuidanceState, q, L_row: np.ndarray,
-                  J: LatinRectangle, out: Optional[np.ndarray] = None,
-                  observe=None) -> GuidanceState:
-    """One transition of the state under the placed row.
+                  J: LatinRectangle, observe=None) -> GuidanceState:
+    """One transition of the state under the placed row, in place.
 
     Surviving points in uncoloured rows are divided by their survival
     probability 1 - q(rho_cs) - q(rho_ds) from survival_blocks; killed
@@ -443,27 +446,24 @@ def advance_state(state: GuidanceState, q, L_row: np.ndarray,
     from the block itself on float states and from its float64 view on
     Fraction states, which is what uncoloured_rows gives check_gamma.
 
-    out is None or state.p.  Without it the new p is a fresh array and
-    state is left as it was.  With out=state.p the rows > t are divided in
-    place, block by block, and rows <= t are not written: the new state
-    shares p with state, which the step consumes (its carried sums and
-    ceilings no longer describe p), so run_process holds a single (m, n, n)
-    array.  Each new row depends only on its own old row, so both forms
-    give the same p bit for bit.  A step that raises DegenerateDenominator
-    writes nothing: unless dmin (below) already rules degenerate points
-    out, every block is checked before any is written.
+    The rows > t of state.p are divided in place, block by block, and rows
+    <= t are not written: the new state owns state.p, so run_process holds
+    a single (m, n, n) array, and state is consumed.  Its ceilings and line
+    sums are left as they were, as the new state gets new arrays, and
+    describe the old p.  A step that raises DegenerateDenominator writes
+    nothing: unless dmin (below) already rules degenerate points out,
+    every block is checked before any is written.
 
     observe, when given, is called once per block of survival
     probabilities, after the block is divided and its kills zeroed:
     observe(t, lo, old, new, den, k2, kills, all_positive) gets rows
-    lo .. lo + len(den) - 1 of p and of the new p (as float64), their den,
-    k2, the flat index into those rows, ((i - lo) * n + k) * n + g, of each
-    killed point (i, k, g) as a (rows, n, 2) array, and whether every den
-    is known to be > 0.  In place,
-    old is a copy of the block taken before it is divided, in one
-    block-sized buffer; that buffer and den are reused by the next block,
-    so observe keeps nothing from the call
-    (TrajectoryRecorder.observe_block).
+    lo .. lo + len(den) - 1 of the old p and of the new p (as float64),
+    their den, k2, the flat index into those rows,
+    ((i - lo) * n + k) * n + g, of each killed point (i, k, g) as a
+    (rows, n, 2) array, and whether every den is known to be > 0.  old is
+    a copy of the block taken before it is divided, in one block-sized
+    buffer; that buffer and den are reused by the next block, so observe
+    keeps nothing from the call (TrajectoryRecorder.observe_block).
 
     The same code runs on float64 and on Fraction states; DEN_TOL applies
     to floats, Fractions are degenerate only at survival probability <= 0.
@@ -473,7 +473,6 @@ def advance_state(state: GuidanceState, q, L_row: np.ndarray,
             <= DEN_TOL (<= 0 for Fractions) under q, i.e. q places mass
             >= 1 - DEN_TOL (>= 1) on its two projections; the first such
             point in (row, column, symbol) order is named.
-        ValueError: out is neither None nor state.p.
     """
     if state.stopped_at is not None:
         raise ValueError("cannot advance a stopped state")
@@ -483,11 +482,6 @@ def advance_state(state: GuidanceState, q, L_row: np.ndarray,
         raise ValueError(f"no row left to place at t={t}")
     p = state.p
     n = state.shape.n
-    if out is None:
-        out = np.empty_like(p)
-        out[:t + 1] = p[:t + 1]
-    elif out is not p:
-        raise ValueError("out must be None or state.p")
     sums = LineSums(np.empty((m - t - 1, n)), np.empty((m - t - 1, n)),
                     np.empty(m - t - 1))
     one = Fraction(1) if state.exact else 1.0
@@ -526,22 +520,21 @@ def advance_state(state: GuidanceState, q, L_row: np.ndarray,
                 raise DegenerateDenominator(
                     f"surviving point ({int(i) + lo}, {int(k)}, {int(g)}) "
                     f"has survival probability {float(den[i, k, g]):.3e}")
-    held = None  # the old rows of the block observe gets, when out is p
+    held = None  # the old rows of the block observe gets
     for a, den in survival_blocks(q, k2, one):
-        lo, hi = t + 1 + a, t + 1 + a + len(den)
-        new = out[lo:hi]
+        lo = t + 1 + a
+        new = p[lo:lo + len(den)]
         kills = cells[:len(den)] + killed[a:a + len(den)]
-        old = p[lo:hi]
-        if observe is not None and out is p:
+        if observe is not None:
             if held is None:
-                held = np.empty_like(old)  # the first block is the largest
+                held = np.empty_like(new)  # the first block is the largest
             old = held[:len(den)]
-            old[...] = p[lo:hi]
+            old[...] = new
         # divide by one at the low points (all killed or of zero mass, as
         # checked above), so that a zero stays +0 instead of turning into
         # -0 or nan
         low = low_points(den)
-        np.divide(p[lo:hi], den if low is None else np.where(low, one, den),
+        np.divide(new, den if low is None else np.where(low, one, den),
                   out=new)
         new.put(kills, 0 * one)
         rows = new.astype(np.float64) if state.exact else new
@@ -553,7 +546,7 @@ def advance_state(state: GuidanceState, q, L_row: np.ndarray,
             observe(t, lo, old, rows, den, k2[blk], kills, low is None)
     ceiling = state.c_ceiling.copy()
     ceiling[t + 1:] = _grown_ceiling(ceiling[t + 1:], dmin)
-    return GuidanceState(shape=state.shape, t=t + 1, p=out,
+    return GuidanceState(shape=state.shape, t=t + 1, p=p,
                          c_ceiling=ceiling, line_sums=sums)
 
 
@@ -639,8 +632,7 @@ def run_process(J: LatinRectangle, epsilon: Optional[float] = None,
                 recorder.before_step(state)
             # in place: state's p becomes after's, one (m, n, n) array for
             # the whole run; a step that fails leaves it as it was
-            after = advance_state(state, q, L_row, J, out=state.p,
-                                  observe=observe)
+            after = advance_state(state, q, L_row, J, observe=observe)
         except tuple(ROW_FAILURES) as exc:
             outcome = ProcessOutcome(
                 kind="infeasible_row", time=t,

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from orthomate import LatinRectangle
+from orthomate import GuidanceState, LatinRectangle, advance_state
 from orthomate.baselines import random_latin_rectangle
 from orthomate.process import diag_column_map, survival_blocks
 
@@ -49,3 +49,24 @@ def kill_counts(L_row, t, J):
     rc, rs = killed.sum(axis=2), killed.sum(axis=1)
     top2 = np.sort(rc, axis=1)[:, -2:].sum(axis=1)
     return int(max(rc.max(), rs.max())), int(top2.max())
+
+
+def copied(state):
+    """state with its own copy of p and of the C ceilings, for a transition,
+    which divides p in place and consumes the state it advances."""
+    return GuidanceState(shape=state.shape, t=state.t, p=state.p.copy(),
+                         c_ceiling=state.c_ceiling.copy(),
+                         line_sums=state.line_sums)
+
+
+def in_place(state, q, L_row, J, observe=None):
+    """advance_state of a copy of state, as run_process runs it on its
+    one array; state is left as it was."""
+    return advance_state(copied(state), q, L_row, J, observe=observe)
+
+
+def rebuilt(state):
+    """A new state of state's shape, t and p, as code that wrote into p
+    builds it: its line sums are taken from the new p and its ceilings
+    start at +inf."""
+    return GuidanceState(shape=state.shape, t=state.t, p=state.p)

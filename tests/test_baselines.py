@@ -40,13 +40,6 @@ class TestHallGreedy:
             mate = hall_greedy(J, rng=np.random.default_rng(0))
             assert verify_orthogonal(mate, J).ok
 
-    def test_prefix_rows(self):
-        J = random_rect(12, 6, seed=1)
-        mate = hall_greedy(J, m=3, rng=np.random.default_rng(2))
-        assert mate.shape.m == 3
-        sub = LatinRectangle(Shape(n=12, m=3), J.grid[:3])
-        assert verify_orthogonal(mate, sub).ok
-
     def test_degree_bound_during_construction(self):
         # each placed row excludes at most 2 pairs per vertex
         n, m = 12, 5
@@ -57,7 +50,8 @@ class TestHallGreedy:
             allowed = build_legality_graph(J, grid, t)
             assert allowed.sum(axis=0).min() >= n - 2 * t
             assert allowed.sum(axis=1).min() >= n - 2 * t
-            mate_row = hall_greedy(J, m=t + 1, rng=np.random.default_rng(7))
+            prefix = LatinRectangle(Shape(n=n, m=t + 1), J.grid[:t + 1])
+            mate_row = hall_greedy(prefix, rng=np.random.default_rng(7))
             grid[t] = mate_row.grid[t]
 
     def test_failure_is_possible_beyond_quarter(self):
@@ -153,6 +147,19 @@ class TestRandomRectangle:
     def test_invalid_shape(self):
         with pytest.raises(ValueError):
             random_latin_rectangle(3, 4, 0)
+
+    @pytest.mark.parametrize("n, m", [(4.0, 2), (4, 2.0), (True, 1),
+                                      (4, None)])
+    def test_non_integer_dimensions_rejected(self, n, m):
+        # Shape's own check, before any draw: no bare numpy TypeError
+        with pytest.raises(ValueError, match="must be an integer"):
+            random_latin_rectangle(n, m, 0)
+
+    def test_numpy_integer_dimensions_accepted(self):
+        a = random_latin_rectangle(np.int64(7), np.int32(4), 3)
+        b = random_latin_rectangle(7, 4, 3)
+        assert a.shape == b.shape == Shape(n=7, m=4)
+        assert (a.grid == b.grid).all()
 
     @pytest.mark.parametrize("n,m", [(2, 2), (5, 3), (9, 9), (16, 8)])
     def test_always_valid(self, n, m):

@@ -25,13 +25,14 @@ from orthomate import (
 from orthomate import process
 from orthomate.diagnostics import KILLS_PER_C_SUM, KILLS_PER_LINE
 
-from conftest import kill_counts, random_rect
+from conftest import in_place, kill_counts, random_rect
 
 
 def guided_steps(J, seed, steps=None, exact=False, recorder=None):
     """Yield (state, q, eta, L_row, after) for each step of a guided run
-    of J, up to `steps` rows, each into a fresh array; a recorder given
-    sees every state before its step and observes the transition."""
+    of J, up to `steps` rows, each advancing a copy of state, which keeps
+    its p; a recorder given sees every state before its step and observes
+    the transition."""
     state = init_state(J.shape, exact=exact)
     rng = np.random.default_rng(seed)
     observe = None if recorder is None else recorder.observe_block
@@ -40,7 +41,7 @@ def guided_steps(J, seed, steps=None, exact=False, recorder=None):
         L_row = sample_matching_lazy(q, rng)
         if recorder is not None:
             recorder.before_step(state)
-        after = advance_state(state, q, L_row, J, observe=observe)
+        after = in_place(state, q, L_row, J, observe=observe)
         yield state, q, eta, L_row, after
         state = after
 
@@ -112,7 +113,7 @@ class TestRecordStep:
             q, eta = build_fractional_matching(normalize_row(state, t))
             L_row = sample_matching_lazy(q, rng)
             rec.before_step(state)
-            after = advance_state(state, q, L_row, J, out=state.p,
+            after = advance_state(state, q, L_row, J,
                                   observe=rec.observe_block)
             assert rec.record_step(state, q, L_row, after
                                    ).martingale_residual <= 1e-9
@@ -124,8 +125,7 @@ class TestRecordStep:
             process, "diag_column_map",
             lambda *args: np.roll(column_map(*args), 1, axis=1))
         rec.before_step(state)
-        after = advance_state(state, q, L_row, J, out=state.p,
-                              observe=rec.observe_block)
+        after = advance_state(state, q, L_row, J, observe=rec.observe_block)
         assert rec.record_step(state, q, L_row, after
                                ).martingale_residual > 1e-9
 
@@ -170,7 +170,7 @@ class TestRecordStep:
                     lambda *args: column_map(*args)[:, [*range(100), 101,
                                                         100, *range(102, n)]])
             rec.before_step(state)
-            after = advance_state(state, q, L_row, J, out=state.p,
+            after = advance_state(state, q, L_row, J,
                                   observe=rec.observe_block)
             residual = rec.record_step(state, q, L_row, after
                                        ).martingale_residual
@@ -204,7 +204,7 @@ class TestRecordStep:
         *_, (state, q, eta, L_row, _) = guided_steps(J, 0, steps,
                                                      exact=exact)
         rec = TrajectoryRecorder(J)
-        after = advance_state(state, q, L_row, J, observe=rec.observe_block)
+        after = in_place(state, q, L_row, J, observe=rec.observe_block)
         with pytest.raises(OrthomateError, match="before_step"):
             rec.record_step(state, q, L_row, after)
         rec.before_step(after)

@@ -56,7 +56,7 @@ from orthomate.matching import (
 )
 from orthomate.process import gamma_bounds
 
-from conftest import random_rect, survival
+from conftest import copied, in_place, random_rect, rebuilt, survival
 from oracles import build_legality_graph, kill_mask
 
 
@@ -376,37 +376,19 @@ def outcome(fn, *args):
         return f"raised: {exc}"
 
 
-def copied(state):
-    """state with its own copy of p and of the C ceilings, for a transition
-    in place (out=p), which consumes the state it advances."""
-    return GuidanceState(shape=state.shape, t=state.t, p=state.p.copy(),
-                         c_ceiling=state.c_ceiling.copy(),
-                         line_sums=state.line_sums)
-
-
-def in_place(state, q, L_row, J, observe=None):
-    """advance_state of a copy of state in place, as run_process runs it;
-    state is left as it was."""
-    own = copied(state)
-    return advance_state(own, q, L_row, J, out=own.p, observe=observe)
-
-
 def assert_same_advance(state, q, L_row, J):
-    """advance_state, into a fresh array and in place, against
-    advance_reference: the same p, or the same DegenerateDenominator with
-    p left as it was."""
+    """advance_state of a copy of state against advance_reference: the
+    same p, or the same DegenerateDenominator with p left as it was."""
     want = outcome(advance_reference, state, q, L_row, J)
     own = copied(state)
-    for got in (outcome(advance_state, state, q, L_row, J),
-                outcome(lambda *a: advance_state(*a, out=own.p),
-                        own, q, L_row, J)):
-        if isinstance(want, str):
-            assert got == want
-            assert same_array(own.p, state.p)
-        else:
-            assert not isinstance(got, str), got
-            assert got.t == want.t
-            assert same_array(got.p, want.p)
+    got = outcome(advance_state, own, q, L_row, J)
+    if isinstance(want, str):
+        assert got == want
+        assert same_array(own.p, state.p)
+    else:
+        assert not isinstance(got, str), got
+        assert got.t == want.t
+        assert same_array(got.p, want.p)
 
 
 # ----------------------------------------------------------------- matching
@@ -480,7 +462,7 @@ class TestHallGreedyReference:
     def test_equals_reference(self, n, seed):
         m = n // 4
         J = random_rect(n, m, seed)
-        mate = hall_greedy(J, m=m, rng=seed)
+        mate = hall_greedy(J, rng=seed)
         assert np.array_equal(mate.grid, hall_greedy_reference(J, m, seed))
         assert verify_orthogonal(mate, J).ok
 
@@ -717,7 +699,7 @@ class TestAdvanceReference:
         q = np.full((n, n), 0 * one, dtype=state.p.dtype)
         q[np.arange(n), sigma] = one
         with pytest.raises(DegenerateDenominator):
-            advance_state(state, q, tau, J)
+            in_place(state, q, tau, J)
         assert_same_advance(state, q, tau, J)
 
     def test_tiny_positive_denominator_raises_for_floats(self):
@@ -731,7 +713,7 @@ class TestAdvanceReference:
         q[np.arange(n), tau] += delta
         state = init_state(J.shape)
         with pytest.raises(DegenerateDenominator):
-            advance_state(state, q, tau, J)
+            in_place(state, q, tau, J)
         assert_same_advance(state, q, tau, J)
 
     @pytest.mark.parametrize("exact", [False, True])
@@ -752,10 +734,11 @@ class TestAdvanceReference:
         (64, 40, 16, False), (192, 10, 1, False), (8, 4, 1024, True)])
     def test_in_place_over_whole_runs(self, n, m, block_rows, exact):
         # run_process's one array: each step divides the rows > t of p in
-        # place and must give the fresh array's p, line sums and ceilings
-        # bit for bit, hand its observer the same old and new rows, and
-        # equal the reference; blocks of 16 rows at n = 64 (the last one
-        # shorter), of one row at n = 192, all Fraction rows in one at n = 8
+        # place and must equal the reference, and give the p, line sums and
+        # ceilings of an advance of a copy of the state bit for bit and
+        # hand its observer the same old and new rows; blocks of 16 rows at
+        # n = 64 (the last one shorter), of one row at n = 192, all
+        # Fraction rows in one at n = 8
         assert max(1, process.BLOCK_ENTRIES // (n * n)) == block_rows
         J = random_rect(n, m, n)
         state = init_state(J.shape, exact=exact)
@@ -770,11 +753,9 @@ class TestAdvanceReference:
             L_row = sample_matching_lazy(q, rng)
             want = advance_reference(state, q, L_row, J)
             fresh_seen, seen = [], []
-            fresh = advance_state(state, q, L_row, J,
-                                  observe=observer(fresh_seen))
+            fresh = in_place(state, q, L_row, J, observe=observer(fresh_seen))
             p = state.p
-            got = advance_state(state, q, L_row, J, out=p,
-                                observe=observer(seen))
+            got = advance_state(state, q, L_row, J, observe=observer(seen))
             assert got.p is p
             assert same_array(got.p, fresh.p)
             assert same_array(got.p, want.p)
@@ -809,26 +790,18 @@ class TestAdvanceReference:
         p[1:][den <= 0] = 0.0
         killed = kill_mask(tau, 0, J, J.shape)
         p[bad_row][(den[bad_row - 1] <= 0) & ~killed[bad_row]] = 1.0 / n
-        state = copied(init_state(J.shape))
-        state.p[...] = p
-        state.line_sums = process.state_line_sums(state)
+        state = GuidanceState(shape=J.shape, t=0, p=p.copy())
         before = p.copy(), state.c_ceiling.copy()
         want = outcome(advance_reference, state, q, tau, J)
         assert want.startswith(f"raised: surviving point ({bad_row}, ")
-        assert outcome(advance_state, state, q, tau, J) == want
+        assert outcome(in_place, state, q, tau, J) == want
         for observe in (None, TrajectoryRecorder(J).observe_block):
-            got = outcome(lambda *a: advance_state(*a, out=state.p,
-                                                   observe=observe),
+            got = outcome(lambda *a: advance_state(*a, observe=observe),
                           state, q, tau, J)
             assert got == want
             assert same_array(state.p, before[0])
             assert same_array(state.c_ceiling, before[1])
             TestLineSums.assert_fresh(state)
-
-    def test_out_is_none_or_p(self):
-        J, state, q, L_row = evolved(8, 4, 1, seed=0)
-        with pytest.raises(ValueError, match="out must be None or state.p"):
-            advance_state(state, q, L_row, J, out=state.p.copy())
 
     def test_no_state_sized_temporary(self):
         # the survival probabilities live in one block-sized buffer and the
@@ -837,7 +810,7 @@ class TestAdvanceReference:
         J, state, q, L_row = evolved(128, 64, 20, seed=0)
         tracemalloc.start()
         try:
-            advance_state(state, q, L_row, J, out=state.p)
+            advance_state(state, q, L_row, J)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -944,7 +917,7 @@ class TestGammaReference:
             assert reports[-1] == gamma_reference(state, eps, monitor=True)
             q, _ = build_fractional_matching(normalize_row(state, t))
             L_row = sample_matching_lazy(q, rng)
-            state = advance_state(state, q, L_row, J, out=state.p)
+            state = advance_state(state, q, L_row, J)
         bad = [rep for rep in reports if not rep.good]
         assert len(bad) > 20
         assert max(sum(rep.counts) for rep in bad) > 1000
@@ -1244,8 +1217,7 @@ class TestCeiling:
         check_gamma(state, 0.5)
         rec = TrajectoryRecorder(J)
         rec.before_step(state)
-        after = advance_state(state, q, L_row, J, out=state.p,
-                              observe=rec.observe_block)
+        after = advance_state(state, q, L_row, J, observe=rec.observe_block)
         grown = after.c_ceiling.copy()
         rec.record_step(state, q, L_row, after)
         assert same_array(after.c_ceiling, grown)
@@ -1325,19 +1297,27 @@ class TestLineSums:
         assert same_array(sums.rs, rows.sum(axis=1))
         assert same_array(sums.row_max, rows.max(axis=(1, 2)))
 
+    @pytest.mark.parametrize("n, m, exact", [
+        (1, 1, False), (8, 4, False), (192, 96, False), (1, 1, True),
+        (8, 4, True)])
+    def test_init_state_sums_equal_fresh_ones(self, n, m, exact):
+        # init_state repeats the sums and maximum of its first row, which
+        # are those of every row, as a reduction of all rows gives them
+        state = init_state(Shape(n, m), exact=exact)
+        self.assert_fresh(state)
+        assert state.line_sums.rc.shape == state.line_sums.rs.shape == (m, n)
+
     @pytest.mark.parametrize("n, m, block_rows, exact", [
         (64, 40, 16, False), (192, 12, 1, False), (8, 4, 1024, True)])
     def test_carried_sums_equal_fresh_ones(self, n, m, block_rows, exact):
         # blocks of 16 rows at n = 64, of one row at n = 192 and the float64
         # view of all Fraction rows in one block at n = 8, over whole runs
-        # (the sums of the last step hold no row), into a fresh array and
-        # in place
+        # (the sums of the last step hold no row)
         assert max(1, process.BLOCK_ENTRIES // (n * n)) == block_rows
         for J, state, q, L_row in islice(guided(n, m, n, exact), m):
-            for advance in (advance_state, in_place):
-                after = advance(state, q, L_row, J)
-                self.assert_fresh(after)
-                assert after.line_sums.rc.shape == (m - state.t - 1, n)
+            after = in_place(state, q, L_row, J)
+            self.assert_fresh(after)
+            assert after.line_sums.rc.shape == (m - state.t - 1, n)
 
     @pytest.mark.parametrize("record, n, exact", [
         (True, 64, False), (False, 64, False), (True, 128, False),
@@ -1345,8 +1325,8 @@ class TestLineSums:
     def test_check_reports_equal_without_carried_sums(self, monkeypatch,
                                                       record, n, exact):
         # at every check of guided runs, the report from the carried sums
-        # is the report of the same state carrying none, and both checks
-        # leave the same C ceilings
+        # is the report of the same state built from p, which takes its
+        # sums from p, and both checks leave the same C ceilings
         check = process.check_gamma
         carried = []
 
@@ -1354,7 +1334,9 @@ class TestLineSums:
             bare = GuidanceState(shape=state.shape, t=state.t, p=state.p,
                                  c_ceiling=state.c_ceiling.copy())
             want = check(bare, epsilon)
-            carried.append(state.line_sums is not None)
+            # init_state's sums are those of its first row, every later
+            # state's the transition's
+            carried.append(state.t > 0)
             got = check(state, epsilon)
             assert got == want
             assert same_array(state.c_ceiling, bare.c_ceiling)
@@ -1366,14 +1348,15 @@ class TestLineSums:
         for seed in range(2):
             run_process(random_rect(n, n // 2, seed), epsilon=0.5, seed=seed,
                         config=config)
-        # only init_state's state carries none
+        # one init_state a run
         assert carried.count(False) == 2 and carried.count(True) > 2
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_p_written_in_place_drops_the_sums(self, exact):
-        # p of an advanced state written in place: with its carried sums
-        # dropped, as GuidanceState asks, the check reports the new B
-        # violations; the stale sums would have hidden them
+        # p of an advanced state written in place: rebuilt from p, as
+        # GuidanceState asks, the state takes new sums and the check
+        # reports the new B violations; the stale sums would have hidden
+        # them
         def b_family(state):
             state.c_ceiling[:] = math.inf
             rep = check_gamma(state, 0.5)
@@ -1393,7 +1376,7 @@ class TestLineSums:
         state.p[t + 1, 2, 3] += 1
         assert b_lines(state) == old_lines | new
         assert b_family(state) == old
-        state.line_sums = None
+        state = rebuilt(state)
         assert [c for _, c in b_family(state)] == [len(old_lines) + 2]
         assert check_gamma(state, 0.5) == gamma_reference(state, 0.5)
 
@@ -1513,7 +1496,7 @@ class TestTrackedCSums:
         # drift, and -0.0 sums meet 0.0 and x0 in max
         n, m, t = 16, 8, 2
         J, state, q, L_row = evolved(n, m, t, seed=3)
-        after = advance_state(state, q, L_row, J)
+        after = in_place(state, q, L_row, J)
         q = np.asarray(q, dtype=np.float64)
         rec, loop = TrajectoryRecorder(J), LoopRecorder(J)
         live = [(i, k, l) for i, k, l in zip(*rec.triples.tolist())
@@ -1537,7 +1520,7 @@ class TestTrackedCSums:
         # at the last step no triple is in a row > t: nothing is added
         n, m = 16, 8
         J, state, q, L_row = evolved(n, m, m - 1, seed=4)
-        after = advance_state(state, q, L_row, J)
+        after = in_place(state, q, L_row, J)
         rec, loop = TrajectoryRecorder(J), LoopRecorder(J)
         rec.stats.drift_c_cumulative = loop.stats.drift_c_cumulative = 0.25
         self.assert_same(rec, loop, state.p, after.p,
@@ -1637,7 +1620,7 @@ class TestRecorderReference:
         q = np.zeros((n, n), dtype=np.int64)
         q[np.arange(n), perm] = 1
         rec.before_step(state)
-        after = advance_state(state, q, perm, J, observe=rec.observe_block)
+        after = in_place(state, q, perm, J, observe=rec.observe_block)
         assert (survival(q, J, steps, exact) <= 0).any()
         assert_same_record(rec.record_step(state, q, perm, after),
                            ref.record_step(state, q, perm, after))
@@ -1703,7 +1686,7 @@ class TestRecorderReference:
         tracemalloc.start()
         try:
             rec.before_step(state)
-            after = advance_state(state, q, L_row, J, out=state.p,
+            after = advance_state(state, q, L_row, J,
                                   observe=rec.observe_block)
             rec.record_step(state, q, L_row, after)
             peak = tracemalloc.get_traced_memory()[1]

@@ -27,6 +27,7 @@ from orthomate.matching import (
     solve_fixed_eta,
 )
 
+from conftest import rebuilt
 from oracles import birkhoff_decompose, cut_check_bruteforce, sample_matching
 
 
@@ -57,8 +58,8 @@ class TestNormalizeRow:
 
     def test_killed_column_renormalizes(self):
         state = init_state(Shape(n=4, m=2))
-        state.p = state.p.copy()
         state.p[1, 0, 2] = 0.0  # kill symbol 2 at column 0 of row 1
+        state = rebuilt(state)
         d = normalize_row(state, 1)
         assert np.allclose(d[1:, 2], 1.0 / 3.0)
         assert d[0, 2] == 0.0
@@ -66,6 +67,7 @@ class TestNormalizeRow:
     def test_dead_symbol(self):
         state = init_state(Shape(n=3, m=1))
         state.p[0, :, 1] = 0.0
+        state = rebuilt(state)
         with pytest.raises(DeadSymbol):
             normalize_row(state, 0)
 

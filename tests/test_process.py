@@ -28,7 +28,7 @@ from orthomate import (
 from orthomate.core import OrthomateError
 from orthomate.process import diag_column_map, gamma_bounds, later_kills
 
-from conftest import random_rect, survival
+from conftest import in_place, random_rect, rebuilt, survival
 from oracles import (birkhoff_decompose, central_projections, kill_mask,
                      line_members)
 
@@ -60,7 +60,7 @@ class TestCheckGamma:
     def test_forced_a_violation(self):
         state = init_state(Shape(n=100, m=50))
         state.p[10, 3, 7] = 1.0
-        state.c_ceiling[:] = math.inf  # init_state's no longer holds
+        state = rebuilt(state)  # init_state's sums and ceilings no longer hold
         rep = check_gamma(state, 0.5)
         assert not rep.good
         viol = [v for v in rep.violations if v.ineq == "A_x"]
@@ -71,7 +71,7 @@ class TestCheckGamma:
     def test_zeroed_rs_line_b_violation(self):
         state = init_state(Shape(n=16, m=8))
         state.p[3, :, 5] = 0.0  # kill the whole line (row 3, symbol 5)
-        state.c_ceiling[:] = math.inf  # init_state's no longer holds
+        state = rebuilt(state)  # init_state's sums and ceilings no longer hold
         rep = check_gamma(state, 0.5)
         bad = [v for v in rep.violations if v.ineq == "B_line"]
         assert any(v.location == ("RS", 3, 5) for v in bad)
@@ -81,7 +81,7 @@ class TestCheckGamma:
         state = init_state(Shape(n=n, m=4))
         state.p[2, 1, :] = 0.9  # two heavy columns in row 2
         state.p[2, 3, :] = 0.9
-        state.c_ceiling[:] = math.inf  # init_state's no longer holds
+        state = rebuilt(state)  # init_state's sums and ceilings no longer hold
         rep = check_gamma(state, 0.9)
         # columns 1 and 3 break C with each other and with each of the 14
         # other columns: 29 pairs, each counted once, the first (0, 1)
@@ -92,15 +92,15 @@ class TestCheckGamma:
     def test_coloured_rows_ignored_for_b(self):
         state = init_state(Shape(n=16, m=4))
         state.p[0, :, 2] = 0.0
-        state.c_ceiling[:] = math.inf  # init_state's no longer holds
         state.t = 1  # row 0 already coloured
+        state = rebuilt(state)  # init_state's sums and ceilings no longer hold
         rep = check_gamma(state, 0.5)
         assert not any(v.ineq == "B_line" for v in rep.violations)
 
     def test_epsilon_zero_disables_a(self):
         state = init_state(Shape(n=4, m=4))
         state.p[1, 0, 0] = 1.0
-        state.c_ceiling[:] = math.inf  # init_state's no longer holds
+        state = rebuilt(state)  # init_state's sums and ceilings no longer hold
         a_bound, *_ = gamma_bounds(4, 0.0)
         assert a_bound == math.inf
         rep = check_gamma(state, 0.0)
@@ -114,6 +114,23 @@ class TestCheckGamma:
 
 
 class TestProjections:
+    """The oracle's central projections, and the run path at the same
+    cells: process.diag_column_map gives the column of rho_DS, which is not
+    the cell's own, and process.later_kills names the symbols the placed
+    row puts at rho_CS and rho_DS."""
+
+    @staticmethod
+    def assert_run_path(x, t, J, rho_cs, rho_ds):
+        row, col, _ = x
+        k2 = diag_column_map(J, t, t + 1)
+        assert rho_ds[1] == k2[row - t - 1, col]
+        assert k2[row - t - 1, col] != col
+        n = J.shape.n
+        for shift in range(n):  # every symbol at every column of row t
+            L_row = np.roll(np.arange(n), shift)
+            killed = later_kills(L_row, k2)[row - t - 1, col]
+            assert killed.tolist() == [L_row[rho_cs[1]], L_row[rho_ds[1]]]
+
     def test_derived_example_z3(self, z3):
         # x = (2, 0, 1), active row 0: diagonal J(2,0)=2 meets row 0 where
         # J(0, k') = 2, i.e. k' = 2
@@ -121,6 +138,7 @@ class TestProjections:
         assert rho_cs == (0, 0, 1)
         assert rho_ds == (0, 2, 1)
         assert z3.grid[0, rho_ds[1]] == z3.grid[2, 0]
+        self.assert_run_path((2, 0, 1), 0, z3, rho_cs, rho_ds)
 
     def test_always_distinct(self):
         J = random_rect(5, 4, seed=2)
@@ -132,6 +150,7 @@ class TestProjections:
                         assert a != b
                         assert a[0] == b[0] == t
                         assert a[2] == b[2] == s
+                        self.assert_run_path((i, k, s), t, J, a, b)
 
     def test_projections_lie_on_the_lines(self, z3):
         # oracle: membership in the point's CS and DS lines
@@ -142,6 +161,7 @@ class TestProjections:
                                z3.shape, z3)
         assert rho_cs in cs_line
         assert rho_ds in ds_line
+        self.assert_run_path(x, 0, z3, rho_cs, rho_ds)
 
 
 def brute_force_kills(L_row, t, J):
@@ -222,7 +242,7 @@ class TestAdvanceState:
         state = init_state(z3.shape)
         q = np.zeros((3, 3))
         q[np.arange(3), [0, 1, 2]] = 1.0  # all mass on the identity row
-        after = advance_state(state, q, np.array([0, 1, 2]), z3)
+        after = in_place(state, q, np.array([0, 1, 2]), z3)
         # (1, 0, 2): projections (0, 0, 2) and (0, 1, 2) both carry no q mass
         x = (1, 0, 2)
         (_, k_cs, g_cs), (_, k_ds, g_ds) = central_projections(x, 0, z3)
@@ -232,7 +252,7 @@ class TestAdvanceState:
     def test_survivors_monotone(self):
         for seed in range(5):
             J, state, q, L_row = self._setup(n=6, m=4, seed=seed)
-            after = advance_state(state, q, L_row, J)
+            after = in_place(state, q, L_row, J)
             mask = kill_mask(L_row, 0, J, J.shape)
             alive = ~mask & (state.p > 0)
             alive[0] = False
@@ -240,7 +260,7 @@ class TestAdvanceState:
 
     def test_frozen_rows_unchanged(self):
         J, state, q, L_row = self._setup(n=5, m=3)
-        after = advance_state(state, q, L_row, J)
+        after = in_place(state, q, L_row, J)
         assert (after.p[0] == state.p[0]).all()
 
     def test_degenerate_denominator(self, z3):
@@ -270,7 +290,7 @@ class TestMartingale:
         terms = birkhoff_decompose(q)
         expected = np.zeros_like(state.p)
         for c, perm in terms:
-            after = advance_state(state, q, np.asarray(perm), J)
+            after = in_place(state, q, np.asarray(perm), J)
             expected += float(c) * after.p
         assert np.abs(expected[1:] - state.p[1:]).max() <= 1e-9
 
@@ -289,7 +309,7 @@ class TestMartingale:
         terms = birkhoff_decompose(q)
         expected = np.zeros_like(state.p)
         for c, perm in terms:
-            after = advance_state(state, q, np.asarray(perm), J)
+            after = in_place(state, q, np.asarray(perm), J)
             expected += float(c) * after.p
         # the identity holds where survival probability is positive; a point
         # whose projections carry all of q's mass is certainly killed and
@@ -311,7 +331,7 @@ class TestMartingale:
         m, n = J.shape.m, J.shape.n
         expected = np.full((m, n, n), Fraction(0), dtype=object)
         for c, perm in terms:
-            after = advance_state(state, q, np.asarray(perm), J)
+            after = in_place(state, q, np.asarray(perm), J)
             expected = expected + np.vectorize(lambda v: c * v)(after.p)
         diff = expected[1:] - state.p[1:]
         assert all(v == 0 for v in diff.ravel())
@@ -446,8 +466,8 @@ class TestRunProcess:
         state = init_state(Shape(n=4, m=2), exact=True)
         assert check_gamma(state, 0.5).good
         state.p[1, 0, 0] = Fraction(99, 100)
-        # p written in place: the ceilings that check set no longer hold
-        state.c_ceiling[:] = math.inf
+        # p written in place: the sums and the ceilings no longer hold
+        state = rebuilt(state)
         rep = check_gamma(state, 0.5)
         assert not rep.good
         assert any(v.ineq == "B_line" and v.location == ("RC", 1, 0)
@@ -549,7 +569,7 @@ class TestEpsilon:
         # a nan bound would switch A off and report this state as good
         state = init_state(Shape(n=16, m=8))
         state.p[2, 0, 0] = 0.3
-        state.c_ceiling[:] = math.inf  # init_state's no longer holds
+        state = rebuilt(state)  # init_state's sums and ceilings no longer hold
         assert any(v.ineq == "A_x" for v in check_gamma(state, 0.5).violations)
         with pytest.raises(ValueError, match="epsilon"):
             check_gamma(state, eps)
@@ -600,7 +620,7 @@ class TestTransition:
         rng = np.random.default_rng(seed)
         for t in range(m):
             L_row = rng.permutation(n)
-            after = advance_state(state, q, L_row, J)
+            after = in_place(state, q, L_row, J)
             killed = later_kills(L_row, diag_column_map(J, t, t + 1))
             assert killed.dtype == np.int64
             assert killed.shape == (m - t - 1, n, 2)
@@ -650,6 +670,7 @@ def _removed_keyword_calls():
     """One call per library function whose keyword knob nothing set, or
     that took the recorder's statistics hand-off, each passing that keyword
     with an otherwise valid argument list."""
+    from orthomate.baselines import hall_greedy
     from orthomate.diagnostics import TrajectoryRecorder
     from orthomate.matching import birkhoff_terms, solve_fixed_eta
 
@@ -662,6 +683,10 @@ def _removed_keyword_calls():
         "advance_state(den_tol=)": lambda: advance_state(
             init_state(J.shape), np.full((4, 4), 0.25), np.arange(4), J,
             den_tol=1e-12),
+        "advance_state(out=)": lambda: advance_state(
+            init_state(J.shape), np.full((4, 4), 0.25), np.arange(4), J,
+            out=None),
+        "hall_greedy(m=)": lambda: hall_greedy(J, m=2, rng=0),
         "birkhoff_terms(zero_tol=)": lambda: birkhoff_terms(
             np.eye(3), zero_tol=1e-12),
         "sample_matching_lazy(zero_tol=)": lambda: sample_matching_lazy(
@@ -734,6 +759,7 @@ def _removed_names():
         "TrajectoryStats.to_json": (TrajectoryStats, "to_json"),
         "SummaryReport.to_csv": (SummaryReport, "to_csv"),
         "process.line_statistics": (process, "line_statistics"),
+        "process.state_line_sums": (process, "state_line_sums"),
         "orthomate.Transition": (orthomate, "Transition"),
         "process.Transition": (process, "Transition"),
         "GuidanceState().transition": (out.final_state, "transition"),
