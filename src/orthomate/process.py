@@ -35,8 +35,8 @@ to the trajectory recorder, and no step holds the probabilities for all
 rows at once.  Every state carries the line sums and row maxima of its
 rows >= t (GuidanceState.line_sums): the transition takes those of each
 block of new rows right after dividing it, while the block is in cache,
-init_state those of its first row, as its rows are alike, and a state
-built by hand those of its p.  check_gamma reads B and A's maximum from
+and any other state, init_state's among them, those of its p when it is
+built.  check_gamma reads B and A's maximum from
 them, and the trajectory recorder its B statistics, so a step takes its
 line sums once.  run_process holds one (m, n, n) array for the whole run:
 each step divides the rows > t of p in place (advance_state), and a step
@@ -158,8 +158,8 @@ class LineSums:
     row_max[i - t] = max_{k, g} p(i, k, g).
 
     A reduction of each row alone gives the same bits as one over all rows,
-    so sums taken a block of rows at a time, or of one of several equal
-    rows, equal those of all rows at once.
+    so sums taken a block of rows at a time equal those of all rows at
+    once.
     """
 
     rc: np.ndarray
@@ -187,9 +187,9 @@ class GuidanceState:
     carries it over to the next state.
 
     line_sums holds the LineSums of the rows >= t, which check_gamma and
-    the recorder read.  advance_state takes them as it writes the rows and
-    init_state from its first row; a state built without them takes them
-    from p when it is constructed.
+    the recorder read.  advance_state takes them as it writes the rows; a
+    state built without them, init_state's among them, takes them from p
+    when it is constructed.
 
     Code that writes p of a built state builds a new GuidanceState from
     it, which takes its sums from the new p and starts its ceilings at
@@ -232,21 +232,15 @@ class GammaReport:
 
 def init_state(shape: Shape, exact: bool = False) -> GuidanceState:
     """Uniform initial state p = 1/n everywhere; its rows are all alike, so
-    one row's line sums are those of every row, and its pair sums set the
-    C ceiling of every row."""
+    one row's pair sums set the C ceiling of every row."""
     m, n = shape.m, shape.n
     if exact:
         p = np.full((m, n, n), Fraction(1, n), dtype=object)
     else:
         p = np.full((m, n, n), 1.0 / n)
-    first = np.asarray(p[:1], dtype=np.float64)
-    row = LineSums.of(first)
-    top = pair_sums(first[0]).max()
-    return GuidanceState(
-        shape=shape, t=0, p=p,
-        c_ceiling=np.full(m, float(top) * (1.0 + C_CEILING_MARGIN)),
-        line_sums=LineSums(*(np.repeat(a, m, axis=0)
-                             for a in (row.rc, row.rs, row.row_max))))
+    top = pair_sums(np.asarray(p[0], dtype=np.float64)).max()
+    return GuidanceState(shape=shape, t=0, p=p, c_ceiling=np.full(
+        m, float(top) * (1.0 + C_CEILING_MARGIN)))
 
 
 def check_epsilon(epsilon) -> float:
@@ -305,8 +299,9 @@ def check_gamma(state: GuidanceState, epsilon: float) -> GammaReport:
 
     B and the largest entry, which decides whether A needs its per-point
     pass, come from the sums and row maxima the state carries
-    (state.line_sums).  p itself is read only for the points that break A
-    and for C.
+    (state.line_sums); ValueError when they do not hold one entry for each
+    row >= t, as after t was set on a built state.  p itself is read only
+    for the points that break A and for C.
 
     C is checked on the rows whose state.c_ceiling does not clear it: a
     row with a ceiling at most c_bound (1 - C_CEILING_MARGIN) cannot break
@@ -320,6 +315,10 @@ def check_gamma(state: GuidanceState, epsilon: float) -> GammaReport:
     a_bound, b_lo, b_hi, c_bound = gamma_bounds(n, epsilon)
     sub = uncoloured_rows(state)
     sums = state.line_sums
+    if sums.row_max.shape != (state.shape.m - t,):
+        raise ValueError(f"state.line_sums hold {sums.row_max.shape[0]} "
+                         f"rows, not the {state.shape.m - t} rows >= t; "
+                         f"build a new GuidanceState after writing t or p")
     found = []  # (GammaViolation, count) of each violated family
 
     def add(ineq, count, bad, values, place, hi, lo=-math.inf):

@@ -1301,8 +1301,7 @@ class TestLineSums:
         (1, 1, False), (8, 4, False), (192, 96, False), (1, 1, True),
         (8, 4, True)])
     def test_init_state_sums_equal_fresh_ones(self, n, m, exact):
-        # init_state repeats the sums and maximum of its first row, which
-        # are those of every row, as a reduction of all rows gives them
+        # init_state's state takes its sums of its p, for all m rows
         state = init_state(Shape(n, m), exact=exact)
         self.assert_fresh(state)
         assert state.line_sums.rc.shape == state.line_sums.rs.shape == (m, n)
@@ -1322,21 +1321,22 @@ class TestLineSums:
     @pytest.mark.parametrize("record, n, exact", [
         (True, 64, False), (False, 64, False), (True, 128, False),
         (False, 128, False), (True, 8, True), (False, 10, True)])
-    def test_check_reports_equal_without_carried_sums(self, monkeypatch,
-                                                      record, n, exact):
-        # at every check of guided runs, the report from the carried sums
-        # is the report of the same state built from p, which takes its
-        # sums from p, and both checks leave the same C ceilings
+    def test_check_reports_equal_with_sums_from_p(self, monkeypatch,
+                                                  record, n, exact):
+        # at every check of guided runs, the carried sums cover the rows
+        # >= t, the report from them is the report of the same state built
+        # from p, which takes its sums from p, and both checks leave the
+        # same C ceilings
         check = process.check_gamma
-        carried = []
+        times = []
 
         def checked_gamma(state, epsilon):
             bare = GuidanceState(shape=state.shape, t=state.t, p=state.p,
                                  c_ceiling=state.c_ceiling.copy())
             want = check(bare, epsilon)
-            # init_state's sums are those of its first row, every later
-            # state's the transition's
-            carried.append(state.t > 0)
+            times.append(state.t)
+            assert state.line_sums.rc.shape == (state.shape.m - state.t,
+                                                state.shape.n)
             got = check(state, epsilon)
             assert got == want
             assert same_array(state.c_ceiling, bare.c_ceiling)
@@ -1348,8 +1348,8 @@ class TestLineSums:
         for seed in range(2):
             run_process(random_rect(n, n // 2, seed), epsilon=0.5, seed=seed,
                         config=config)
-        # one init_state a run
-        assert carried.count(False) == 2 and carried.count(True) > 2
+        # each run's checks, from its init_state on, went through the patch
+        assert times.count(0) == 2 and len(times) > 2
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_p_written_in_place_drops_the_sums(self, exact):

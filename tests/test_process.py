@@ -97,6 +97,18 @@ class TestCheckGamma:
         rep = check_gamma(state, 0.5)
         assert not any(v.ineq == "B_line" for v in rep.violations)
 
+    def test_t_set_on_a_built_state_raises(self):
+        # init_state's sums cover all four rows; after t = 1 they would
+        # hide the zeroed RS line (2, 5), which a rebuilt state reports
+        state = init_state(Shape(n=16, m=4))
+        state.p[2, :, 5] = 0.0
+        state.t = 1
+        with pytest.raises(ValueError, match="line_sums"):
+            check_gamma(state, 0.5)
+        rep = check_gamma(rebuilt(state), 0.5)
+        assert [v.location for v in rep.violations
+                if v.ineq == "B_line"] == [("RS", 2, 5)]
+
     def test_epsilon_zero_disables_a(self):
         state = init_state(Shape(n=4, m=4))
         state.p[1, 0, 0] = 1.0
